@@ -1,18 +1,18 @@
 """Charts with analytic transitions, bump-based partitions of unity, and
 assembly of the globally mollified metric from per-chart mollifications.
 
-Transitions are closed-form only; off-node metric values under pullback
-come from cubic tensor-product interpolation of the sampled field.
+Transitions are closed-form only (the shipped ones are built in
+`modelzoo`); off-node metric values under pullback come from local cubic
+Lagrange interpolation of the sampled field.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 from .kernels import ScaledKernel, convolve
-from .lattice import Lattice, MetricField, erode_mask, pack_indices
+from .lattice import Lattice, MetricField, unpack_symmetric
 
 COVER_TOL = 1e-9
 WEIGHT_EPS = 1e-14
@@ -72,7 +72,6 @@ class Atlas:
     transitions: dict          # (frm_id, to_id) -> Transition
     bump: BumpProfile | None = None
     Q: float | None = None     # eigenvalue-condition bound of the generators
-    max_overlap: int | None = None
 
     @property
     def r(self) -> float:
@@ -119,20 +118,16 @@ class Atlas:
         out[fin] = self.bump(d[fin])
         return out
 
-    def weights(self, j: str, X: np.ndarray) -> dict:
+    def weights(self, j: str, X: np.ndarray) -> tuple[dict, np.ndarray]:
         """rho_i(x) for all charts i at points X of chart j, plus the denominator."""
         bs = {c.id: self.bump_value(c.id, j, X) for c in self.charts}
         denom = sum(bs.values())
-        rho = {}
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for cid, b in bs.items():
-                r = np.where(denom > 0.0, b / np.where(denom > 0.0, denom, 1.0), 0.0)
-                rho[cid] = r
+        safe = np.where(denom > 0.0, denom, 1.0)
+        rho = {cid: np.where(denom > 0.0, b / safe, 0.0) for cid, b in bs.items()}
         return rho, denom
 
 
-def make_bump_weights(atlas: Atlas, Q: float, plateau: float | None = None,
-                      check_lattice: Lattice | None = None) -> Atlas:
+def make_bump_weights(atlas: Atlas, Q: float, plateau: float | None = None) -> Atlas:
     """Populate the partition of unity rho_i = b_i / sum_j b_j.
 
     The bump is 1 at least on B(0, r e^{-2Q}/2) and supported in
@@ -145,18 +140,8 @@ def make_bump_weights(atlas: Atlas, Q: float, plateau: float | None = None,
     plateau = base_plateau if plateau is None else max(plateau, base_plateau)
     if plateau >= 0.75 * r:
         raise ValueError("bump plateau must stay below the 3r/4 support")
-    out = Atlas(charts=atlas.charts, transitions=atlas.transitions,
-                bump=BumpProfile(plateau=plateau, support=0.75 * r), Q=Q,
-                max_overlap=atlas.max_overlap)
-    if check_lattice is not None:
-        for c in atlas.charts:
-            X = check_lattice.coords()
-            covered = check_lattice.ball_mask(r / 2.0)
-            _, denom = out.weights(c.id, X)
-            if np.any(denom[covered] < 1.0 - COVER_TOL):
-                raise ValueError(f"cover gap: partition denominator below 1 "
-                                 f"on the covered region of chart {c.id!r}")
-    return out
+    return Atlas(charts=atlas.charts, transitions=atlas.transitions,
+                 bump=BumpProfile(plateau=plateau, support=0.75 * r), Q=Q)
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +202,7 @@ def _lagrange_cubic(axes, values, pts):
     return out
 
 
-def interpolate_metric(g: MetricField, points: np.ndarray, method: str = "cubic"):
+def interpolate_metric(g: MetricField, points: np.ndarray):
     """Metric matrices at off-node points; NaN rows where out of range."""
     lat = g.lattice
     sl, lo, hi = _valid_box(g.mask)
@@ -230,24 +215,14 @@ def interpolate_metric(g: MetricField, points: np.ndarray, method: str = "cubic"
         inside &= (flat_pts[:, k] >= axes[k][0]) & (flat_pts[:, k] <= axes[k][-1])
     vals = np.full((flat_pts.shape[0], nc), np.nan)
     if inside.any():
-        if method == "cubic":
-            vals[inside] = _lagrange_cubic(axes, g.comps[sl], flat_pts[inside])
-        else:
-            for c in range(nc):
-                itp = RegularGridInterpolator(axes, g.comps[sl + (c,)], method=method,
-                                              bounds_error=False, fill_value=np.nan)
-                vals[inside, c] = itp(flat_pts[inside])
-    mats = np.empty((flat_pts.shape[0], n, n))
-    for k, (i, j) in enumerate(pack_indices(n)):
-        mats[:, i, j] = vals[:, k]
-        mats[:, j, i] = vals[:, k]
+        vals[inside] = _lagrange_cubic(axes, g.comps[sl], flat_pts[inside])
+    mats = unpack_symmetric(vals, n)
     ok = np.isfinite(vals).all(axis=-1) & inside
     return (mats.reshape(points.shape[:-1] + (n, n)),
             ok.reshape(points.shape[:-1]))
 
 
-def pullback_metric(tr: Transition, g: MetricField, target: Lattice,
-                    method: str = "cubic") -> MetricField:
+def pullback_metric(tr: Transition, g: MetricField, target: Lattice) -> MetricField:
     """(D tau)^T g(tau(x)) (D tau) sampled on the target lattice."""
     X = target.coords()
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -255,7 +230,7 @@ def pullback_metric(tr: Transition, g: MetricField, target: Lattice,
         J = np.asarray(tr.jacobian(X), dtype=float)
     finite = np.isfinite(Y).all(axis=-1) & np.isfinite(J).all(axis=(-2, -1))
     Y = np.where(finite[..., None], Y, 0.0)
-    G, ok = interpolate_metric(g, Y, method=method)
+    G, ok = interpolate_metric(g, Y)
     mask = ok & finite
     G = np.where(mask[..., None, None], G, np.eye(target.n))
     out = np.swapaxes(J, -1, -2) @ G @ J
@@ -267,8 +242,7 @@ def pullback_metric(tr: Transition, g: MetricField, target: Lattice,
 # ---------------------------------------------------------------------------
 # global assembly of the mollified metric
 
-def assemble_mollified(atlas: Atlas, samples: dict, kernel: ScaledKernel,
-                       method: str = "cubic") -> dict:
+def assemble_mollified(atlas: Atlas, samples: dict, kernel: ScaledKernel) -> dict:
     """Per-chart representation of g^[t] = sum_i rho_i (tau_i pullback of P_t g_i).
 
     `samples` maps chart id to the raw sampled MetricField on that chart's
@@ -298,7 +272,7 @@ def assemble_mollified(atlas: Atlas, samples: dict, kernel: ScaledKernel,
                 term = mollified[ci.id]
             else:
                 term = pullback_metric(atlas.transition(cj.id, ci.id),
-                                       mollified[ci.id], lat, method=method)
+                                       mollified[ci.id], lat)
             mask &= (~active) | term.mask
             total += w[..., None, None] * np.where(
                 term.mask[..., None, None], term.matrices(), 0.0)

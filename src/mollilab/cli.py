@@ -9,22 +9,21 @@ written when the config is rejected.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 from scipy import ndimage
 
 from .atlas import assemble_mollified, check_cover, make_bump_weights
 from .curvature import (VectorSection, riem_contract_field, riemann,
-                        sec_extreme_fields, sec_extremes, scalar_curvature,
-                        sectional_field)
+                        scalar_curvature, sec_extreme_fields, section_norm_fields)
 from .kernels import kernel_lq_bound, kernel_lq_norm, make_bump, scale_kernel, convolve
-from .lattice import ScalarField, erode_mask, make_lattice, sample_scalar
+from .lattice import ScalarField, make_lattice, sample_scalar
 from .modelzoo import get_geometry, parse_atlas_file
-from .norms import (_metric_jet_component_fields, check_N0, holder_chart_report,
-                    holder_seminorm, sobolev_norm)
+from .norms import check_N0, holder_chart_report, holder_seminorm, sobolev_condition
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -51,7 +50,6 @@ class ExperimentConfig:
     t_count: int = 8
     alpha: float = 0.6
     p: float = 8.0
-    beta: float = 0.2
     order: int = 1
     interval_slack: float = 1.0
     seed: int = 0
@@ -76,8 +74,6 @@ class ExperimentConfig:
             raise ConfigError(f"alpha must lie in (0, 1), got {self.alpha}")
         if self.p <= 1.0:
             raise ConfigError(f"p must exceed 1, got {self.p}")
-        if self.beta <= 0.0:
-            raise ConfigError(f"beta must be positive, got {self.beta}")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
 
@@ -100,21 +96,21 @@ def load_config_file(path) -> dict:
 _FIELD_TYPES = {
     "geometry": str, "R": float, "amp": float, "m": int, "t": float,
     "t_min": float, "t_max": float, "t_count": int, "alpha": float,
-    "p": float, "beta": float, "order": int, "interval_slack": float,
+    "p": float, "order": int, "interval_slack": float,
     "seed": int, "out": str, "atlas_file": str,
 }
 
 
 def apply_overrides(cfg: ExperimentConfig, overrides: dict) -> ExperimentConfig:
-    fields = {}
+    values = {}
     for key, raw in overrides.items():
         if key not in _FIELD_TYPES:
             raise ConfigError(f"unknown config key {key!r}")
         try:
-            fields[key] = _FIELD_TYPES[key](raw)
+            values[key] = _FIELD_TYPES[key](raw)
         except ValueError as exc:
             raise ConfigError(f"bad value for {key}: {raw!r}") from exc
-    return replace(cfg, **fields)
+    return replace(cfg, **values)
 
 
 # ---------------------------------------------------------------------------
@@ -126,15 +122,19 @@ def fmt(x) -> str:
     return str(x)
 
 
-def write_csv(path, header: list, rows: list) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(fmt(v) for v in row) for row in rows)
-    text = "\n".join(lines) + "\n"
+def write_text(path, text: str) -> None:
+    """Write to stdout, or to `path` with LF line endings."""
     if path is None:
         sys.stdout.write(text)
     else:
         with open(path, "w", newline="\n") as fh:
             fh.write(text)
+
+
+def write_csv(path, header: list, rows: list) -> None:
+    lines = [",".join(header)]
+    lines.extend(",".join(fmt(v) for v in row) for row in rows)
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def _geometry(cfg: ExperimentConfig):
@@ -199,16 +199,8 @@ def cmd_curvature(cfg: ExperimentConfig) -> int:
 
 def _coordinate_sections(n: int) -> list[VectorSection]:
     eye = np.eye(n)
-    out = []
-    for s in range(n):
-        for mu in range(n):
-            for nu in range(n):
-                for rho in range(n):
-                    if mu == nu:
-                        continue
-                    out.append(VectorSection(v=eye[s], w1=eye[mu], w2=eye[nu],
-                                             xi=eye[rho]))
-    return out
+    return [VectorSection(v=eye[s], w1=eye[mu], w2=eye[nu], xi=eye[rho])
+            for s, mu, nu, rho in itertools.product(range(n), repeat=4) if mu != nu]
 
 
 def _random_sections(n: int, count: int, seed: int) -> list[VectorSection]:
@@ -223,18 +215,6 @@ def _ball_filter(values: np.ndarray, steps: int, mode: str) -> np.ndarray:
     size = 2 * steps + 1
     filt = ndimage.maximum_filter if mode == "max" else ndimage.minimum_filter
     return filt(values, size=size, mode="nearest")
-
-
-def _section_norm_field(g, s: VectorSection) -> np.ndarray:
-    mats = g.matrices()
-    n = g.lattice.n
-    mats[~g.mask] = np.eye(n)
-    ginv = np.linalg.inv(mats)
-    nv = np.sqrt(np.einsum("...ij,i,j->...", mats, s.v, s.v))
-    n1 = np.sqrt(np.einsum("...ij,i,j->...", mats, s.w1, s.w1))
-    n2 = np.sqrt(np.einsum("...ij,i,j->...", mats, s.w2, s.w2))
-    nx = np.sqrt(np.einsum("...ij,i,j->...", ginv, s.xi, s.xi))
-    return nv * n1 * n2 * nx
 
 
 def _interval_distance(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -266,7 +246,7 @@ def run_deviation(cfg: ExperimentConfig):
     sections = _coordinate_sections(geo.n) + _random_sections(geo.n, 8, cfg.seed)
     base_contr = [np.where(base_R.mask, riem_contract_field(base_R, s), -np.inf)
                   for s in sections]
-    norm_fields = [np.maximum(_section_norm_field(g, s), 1e-30) for s in sections]
+    norm_fields = [np.maximum(nf, 1e-30) for nf in section_norm_fields(g, sections)]
     probe = lat.ball_mask(geo.r / 4.0, norm="max")
 
     records = []
@@ -329,10 +309,8 @@ def cmd_deviation(cfg: ExperimentConfig) -> int:
     for k, rec in enumerate(records):
         tail = ["", "", "", ""]
         if k == 0:
-            tail = [summary["fit"],
-                    "" if summary["slope"] is None else fmt(summary["slope"]),
-                    "" if summary["intercept"] is None else fmt(summary["intercept"]),
-                    "" if summary["residual"] is None else fmt(summary["residual"])]
+            tail = [summary["fit"]] + ["" if summary[key] is None else fmt(summary[key])
+                                       for key in ("slope", "intercept", "residual")]
         rows.append([rec.t, rec.riem_excess, rec.sec_excess, *tail])
     write_csv(cfg.out, header, rows)
     return EXIT_OK
@@ -348,13 +326,7 @@ def run_norms(cfg: ExperimentConfig) -> str:
     parts = []
     for cid, g in sorted(samples.items()):
         hol = holder_chart_report(g, cfg.order, cfg.alpha)
-        comp_norms = []
-        for comp in _metric_jet_component_fields(g):
-            comp_norms.append(sobolev_norm(comp, cfg.order, cfg.p))
-        per_order = tuple(max(rep.lp_norms[k] for rep in comp_norms)
-                          for k in range(cfg.order + 1))
-        scaled = max(g.lattice.r ** (k - geo.n / cfg.p) * per_order[k]
-                     for k in range(cfg.order + 1))
+        per_order, scaled = sobolev_condition(g, cfg.order, cfg.p)
         parts.append(f"[chart {cid}]\n" + hol.to_text()
                      + f"sobolev_Q={max(scaled, hol.N0_Q):.12g}\n"
                      + "".join(f"sobolev_order{k}={per_order[k]:.12g}\n"
@@ -363,12 +335,7 @@ def run_norms(cfg: ExperimentConfig) -> str:
 
 
 def cmd_norms(cfg: ExperimentConfig) -> int:
-    text = run_norms(cfg)
-    if cfg.out is None:
-        sys.stdout.write(text)
-    else:
-        with open(cfg.out, "w", newline="\n") as fh:
-            fh.write(text)
+    write_text(cfg.out, run_norms(cfg))
     return EXIT_OK
 
 
@@ -489,12 +456,10 @@ def cmd_lemmas(cfg: ExperimentConfig) -> int:
 def run_cover(cfg: ExperimentConfig):
     cfg.validate_common()
     if cfg.atlas_file is not None:
-        geo = None
         try:
-            n = 2 if cfg.geometry.endswith("2") else 3
-            atlas = parse_atlas_file(cfg.atlas_file, n)
+            atlas, n = parse_atlas_file(cfg.atlas_file)
         except (OSError, KeyError, ValueError) as exc:
-            raise ConfigError(f"bad atlas file: {exc}") from exc
+            raise ConfigError(f"bad atlas file {cfg.atlas_file}: {exc}") from exc
         atlas = make_bump_weights(atlas, Q=0.0)
         lat = make_lattice(n, atlas.r, cfg.m)
     else:
@@ -515,13 +480,8 @@ def run_cover(cfg: ExperimentConfig):
 
 def cmd_cover(cfg: ExperimentConfig) -> int:
     report, sum_dev = run_cover(cfg)
-    text = (f"covered={report.covered}\nN={report.N}\n"
-            f"partition_sum_dev={sum_dev:.12g}\n")
-    if cfg.out is None:
-        sys.stdout.write(text)
-    else:
-        with open(cfg.out, "w", newline="\n") as fh:
-            fh.write(text)
+    write_text(cfg.out, f"covered={report.covered}\nN={report.N}\n"
+                        f"partition_sum_dev={sum_dev:.12g}\n")
     return EXIT_OK
 
 
@@ -534,22 +494,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
     for name in ("curvature", "deviation", "norms", "lemmas", "cover-check"):
         p = sub.add_parser(name)
-        p.add_argument("--geometry", default="flat2")
-        p.add_argument("--R", type=float, default=1.0)
-        p.add_argument("--amp", type=float, default=0.3)
-        p.add_argument("--m", type=int, default=81)
-        p.add_argument("--t", type=float, default=None)
-        p.add_argument("--t-min", type=float, default=None)
-        p.add_argument("--t-max", type=float, default=None)
-        p.add_argument("--t-count", type=int, default=8)
-        p.add_argument("--alpha", type=float, default=0.6)
-        p.add_argument("--p", type=float, default=8.0)
-        p.add_argument("--beta", type=float, default=0.2)
-        p.add_argument("--order", type=int, default=1)
-        p.add_argument("--interval-slack", type=float, default=1.0)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out", default=None)
-        p.add_argument("--atlas-file", default=None)
+        # one flag per config field, e.g. t_min -> --t-min, with its default
+        for f in fields(ExperimentConfig):
+            p.add_argument("--" + f.name.replace("_", "-"), type=_FIELD_TYPES[f.name],
+                           default=f.default)
         p.add_argument("--config", default=None,
                        help="key=value file; entries override flags")
     return ap
@@ -565,12 +513,8 @@ _COMMANDS = {
 
 
 def config_from_args(args) -> ExperimentConfig:
-    cfg = ExperimentConfig(
-        geometry=args.geometry, R=args.R, amp=args.amp, m=args.m, t=args.t,
-        t_min=args.t_min, t_max=args.t_max, t_count=args.t_count,
-        alpha=args.alpha, p=args.p, beta=args.beta, order=args.order,
-        interval_slack=args.interval_slack, seed=args.seed, out=args.out,
-        atlas_file=args.atlas_file)
+    cfg = ExperimentConfig(**{f.name: getattr(args, f.name)
+                              for f in fields(ExperimentConfig)})
     if args.config is not None:
         cfg = apply_overrides(cfg, load_config_file(args.config))
     return cfg

@@ -12,29 +12,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import Lattice, MetricField, central_diff, differentiate, erode_mask
+from .lattice import Lattice, MetricField, central_diff, differentiate
 
 COND_LIMIT = 1e12
 
 
 def invert_metric(g: MetricField) -> MetricField:
-    mats = g.matrices()
-    n = g.lattice.n
-    mats[~g.mask] = np.eye(n)
-    eigs = np.linalg.eigvalsh(mats)
+    eigs = g.eigenvalues()
     if np.any(eigs[g.mask][:, 0] <= 0.0):
         raise ValueError("metric not positive-definite on a valid node")
     cond = eigs[..., -1] / eigs[..., 0]
     if np.any(cond[g.mask] > COND_LIMIT):
         raise ValueError("metric condition number exceeds 1e12")
-    inv = np.linalg.inv(mats)
-    return MetricField.from_matrices(g.lattice, inv, g.mask.copy())
-
-
-def _metric_derivs(g: MetricField, order: int):
-    """Blocks of the metric jet: mats, dg[...,i,j,a], (d2g[...,i,j,a,b])."""
-    jet = differentiate(g, order)
-    return jet.blocks, jet.mask
+    return MetricField.from_matrices(g.lattice, g.inverse(), g.mask.copy())
 
 
 def _crop_to_mask(g: MetricField, pad: int = 2):
@@ -61,13 +51,15 @@ def _crop_to_mask(g: MetricField, pad: int = 2):
     return g2, sl
 
 
-def _paste_full(shape_mask: np.ndarray, riem: np.ndarray, mask: np.ndarray, sl):
-    """Embed a cropped tensor field back into the original grid."""
-    full = np.zeros(shape_mask.shape + riem.shape[-4:])
-    full[sl] = riem
-    fmask = np.zeros_like(shape_mask)
-    fmask[sl] = mask
-    return full, fmask
+def _paste_full(g: MetricField, riem: np.ndarray, mask: np.ndarray, sl) -> RiemannField:
+    """A tensor field computed on the crop `sl` of g's grid, embedded back in it."""
+    if sl is not None:
+        full = np.zeros(g.mask.shape + riem.shape[-4:])
+        full[sl] = riem
+        fmask = np.zeros_like(g.mask)
+        fmask[sl] = mask
+        riem, mask = full, fmask
+    return RiemannField(lattice=g.lattice, riem=riem, mask=mask)
 
 
 @dataclass(frozen=True)
@@ -84,13 +76,20 @@ def _s_tensor(dg: np.ndarray) -> np.ndarray:
             - np.moveaxis(dg, -1, -3))  # g_{kl,m}
 
 
+def _gamma(ginv: np.ndarray, dg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(S, Gamma) with Gamma^i_{kl} = g^{im} S_{mkl} / 2.
+
+    Symmetry in the lower pair is exact because S is built symmetric in (k, l).
+    """
+    S = _s_tensor(dg)
+    return S, 0.5 * _contract_first(ginv, S)
+
+
 def christoffel(g: MetricField) -> ChristoffelField:
     ginv = invert_metric(g).matrices()
-    (_, dg), mask = _metric_derivs(g, 1)
-    S = _s_tensor(dg)
-    gamma = 0.5 * _contract_first(ginv, S)
-    # symmetry in the lower pair is exact because S is built symmetric in (k,l)
-    return ChristoffelField(lattice=g.lattice, gamma=gamma, mask=mask)
+    jet = differentiate(g, 1)
+    _, gamma = _gamma(ginv, jet.blocks[1])
+    return ChristoffelField(lattice=g.lattice, gamma=gamma, mask=jet.mask)
 
 
 @dataclass(frozen=True)
@@ -98,18 +97,6 @@ class RiemannField:
     lattice: Lattice
     riem: np.ndarray  # grid + (n, n, n, n): R^rho_{sigma mu nu}
     mask: np.ndarray
-
-
-def _curvature_pieces(g: MetricField):
-    """Common ingredients for the Riemann tensor and its decomposition."""
-    lat = g.lattice
-    ginv = invert_metric(g).matrices()
-    (_, dg, d2g), mask2 = _metric_derivs(g, 2)
-    dginv = np.stack([central_diff(ginv, ax, lat.h) for ax in range(lat.n)], axis=-1)
-    S = _s_tensor(dg)
-    dS = _ds_from_hessian(d2g)  # dS[...,m,k,l,a] = d_a S_{mkl}
-    gamma = 0.5 * _contract_first(ginv, S)
-    return ginv, dginv, S, dS, gamma, mask2
 
 
 def _contract_first(mat: np.ndarray, tens: np.ndarray) -> np.ndarray:
@@ -137,16 +124,22 @@ def _antisym_mn(arr: np.ndarray) -> np.ndarray:
     return arr - np.swapaxes(arr, -2, -1)
 
 
-def _dgamma_parts(ginv, dginv, S, dS) -> tuple[np.ndarray, np.ndarray]:
-    """The two Leibniz halves of d_a Gamma^i_{kl}, each grid + (i,k,l,a)."""
+def _dgamma_parts(ginv, dginv, S, d2g) -> tuple[np.ndarray, np.ndarray]:
+    """The two Leibniz halves of d_a Gamma^i_{kl}, each grid + (i,k,l,a):
+    (d_a g^{im}) S_{mkl} / 2 and g^{im} (d_a S_{mkl}) / 2."""
     head = ginv.shape[:-2]
     n = ginv.shape[-1]
     dg2 = np.moveaxis(dginv, -1, -3)                       # (a, i, m)
     s_flat = S.reshape(head + (n, n * n))[..., None, :, :]  # (1, m, kl)
     t1 = np.matmul(dg2, s_flat).reshape(head + (n, n, n, n))
     term1 = 0.5 * np.moveaxis(t1, -4, -1)                  # (i, k, l, a)
-    term2 = 0.5 * _contract_first(ginv, dS)
+    term2 = 0.5 * _contract_first(ginv, _ds_from_hessian(d2g))
     return term1, term2
+
+
+def _dgamma_to_riem(dgamma: np.ndarray) -> np.ndarray:
+    """d_a Gamma^r_{kl} reordered to R^r_{s m n} positions, antisymmetrized in (m, n)."""
+    return _antisym_mn(_perm4(dgamma, (0, 2, 3, 1)))
 
 
 def _gamma_square(gamma: np.ndarray) -> np.ndarray:
@@ -159,34 +152,43 @@ def _gamma_square(gamma: np.ndarray) -> np.ndarray:
     return _antisym_mn(T)
 
 
+def _riemann_fields(g: MetricField, split: bool) -> list[RiemannField]:
+    """The Riemann tensor of g, whole or split as [A, B]: crop g to its
+    mask, build Gamma and the Leibniz halves of d Gamma, paste back."""
+    gc, sl = _crop_to_mask(g)
+    lat = gc.lattice
+    ginv = invert_metric(gc).matrices()
+    jet = differentiate(gc, 2)
+    _, dg, d2g = jet.blocks
+    dginv = np.stack([central_diff(ginv, ax, lat.h) for ax in range(lat.n)], axis=-1)
+    S, gamma = _gamma(ginv, dg)
+    term1, term2 = _dgamma_parts(ginv, dginv, S, d2g)
+    # The derivative part is added in place to the Gamma^2 buffer.  That
+    # pins the memory layout of the result, and with it the summation order
+    # of later einsum contractions (so the CLI output stays byte-stable),
+    # and it saves an n^4 temporary.
+    riem = _gamma_square(gamma)
+    if split:
+        riem += _dgamma_to_riem(term1)
+        parts = [_dgamma_to_riem(term2), riem]
+    else:
+        term1 += term2
+        riem += _dgamma_to_riem(term1)
+        parts = [riem]
+    return [_paste_full(g, part, jet.mask, sl) for part in parts]
+
+
 def riemann(g: MetricField) -> RiemannField:
     """R^rho_{sigma mu nu} = d_mu Gamma^rho_{nu sigma} - d_nu Gamma^rho_{mu sigma}
     + Gamma^rho_{mu lam} Gamma^lam_{nu sigma} - Gamma^rho_{nu lam} Gamma^lam_{mu sigma}."""
-    gc, sl = _crop_to_mask(g)
-    ginv, dginv, S, dS, gamma, mask = _curvature_pieces(gc)
-    term1, term2 = _dgamma_parts(ginv, dginv, S, dS)
-    # d_a Gamma^r_{kl} reordered to R^r_{s m n} index positions
-    dterm = _antisym_mn(_perm4(term1 + term2, (0, 2, 3, 1)))
-    riem = dterm + _gamma_square(gamma)
-    if sl is not None:
-        riem, mask = _paste_full(g.mask, riem, mask, sl)
-    return RiemannField(lattice=g.lattice, riem=riem, mask=mask)
+    return _riemann_fields(g, split=False)[0]
 
 
 def ab_decomposition(g: MetricField) -> tuple[RiemannField, RiemannField]:
-    """Split the Riemann tensor into the part bilinear in (g^{-1}, Hess g)
-    and the polynomial remainder in (grad g, g^{-1}, grad g^{-1})."""
-    gc, sl = _crop_to_mask(g)
-    ginv, dginv, S, dS, gamma, mask = _curvature_pieces(gc)
-    term1, term2 = _dgamma_parts(ginv, dginv, S, dS)
-    A = _antisym_mn(_perm4(term2, (0, 2, 3, 1)))
-    B = _antisym_mn(_perm4(term1, (0, 2, 3, 1))) + _gamma_square(gamma)
-    if sl is not None:
-        A, amask = _paste_full(g.mask, A, mask, sl)
-        B, mask = _paste_full(g.mask, B, mask, sl)
-    lat = g.lattice
-    return (RiemannField(lattice=lat, riem=A, mask=mask),
-            RiemannField(lattice=lat, riem=B, mask=mask))
+    """Split the Riemann tensor into the part A bilinear in (g^{-1}, Hess g)
+    and the polynomial remainder B in (grad g, g^{-1}, grad g^{-1})."""
+    A, B = _riemann_fields(g, split=True)
+    return A, B
 
 
 def ricci(R: RiemannField) -> np.ndarray:
@@ -214,18 +216,20 @@ def riem_contract_field(R: RiemannField, s: VectorSection) -> np.ndarray:
     return np.einsum("...rsmn,r,s,m,n->...", R.riem, s.xi, s.v, s.w1, s.w2)
 
 
-def section_gnorm(g: MetricField, s: VectorSection, mask=None) -> float:
-    """sup over valid nodes of the product of the four g-norms of the section."""
+def section_norm_fields(g: MetricField, sections) -> list[np.ndarray]:
+    """Per-node product |v|_g |w1|_g |w2|_g |xi|_{g^-1} for each section.
+
+    Nodes off the mask see the identity metric.  The matrices and their
+    inverse are formed once for all sections.
+    """
     mats = g.matrices()
-    n = g.lattice.n
-    mats[~g.mask] = np.eye(n)
-    ginv = np.linalg.inv(mats)
-    m = g.mask if mask is None else (g.mask & mask)
-    nv = np.sqrt(np.einsum("...ij,i,j->...", mats, s.v, s.v))
-    n1 = np.sqrt(np.einsum("...ij,i,j->...", mats, s.w1, s.w1))
-    n2 = np.sqrt(np.einsum("...ij,i,j->...", mats, s.w2, s.w2))
-    nx = np.sqrt(np.einsum("...ij,i,j->...", ginv, s.xi, s.xi))
-    return float((nv * n1 * n2 * nx)[m].max())
+    ginv = g.inverse()
+
+    def norm(a, u):
+        return np.sqrt(np.einsum("...ij,i,j->...", a, u, u))
+
+    return [norm(mats, s.v) * norm(mats, s.w1) * norm(mats, s.w2) * norm(ginv, s.xi)
+            for s in sections]
 
 
 def evaluate_riem(R: RiemannField, g: MetricField, s: VectorSection,
@@ -265,7 +269,6 @@ def sectional_field(g: MetricField, R: RiemannField,
     Nodes with a degenerate Gram determinant get NaN.
     """
     mats = g.matrices()
-    mats[~g.mask] = np.eye(g.lattice.n)
     gv = np.einsum("...ij,j->...i", mats, v)
     gw = np.einsum("...ij,j->...i", mats, w)
     gram = (np.einsum("...i,i->...", gv, v) * np.einsum("...i,i->...", gw, w)
@@ -288,22 +291,6 @@ def _plane_family(n: int, count: int, seed: int) -> list[tuple[np.ndarray, np.nd
     return planes
 
 
-def sec_extremes(g: MetricField, R: RiemannField, region: np.ndarray,
-                 seed: int = 0, random_planes: int = 32) -> tuple[float, float]:
-    """(minSec, maxSec) over region nodes and the deterministic plane family."""
-    region = region & R.mask
-    if not region.any():
-        raise ValueError("empty region")
-    lo, hi = np.inf, -np.inf
-    for v, w in _plane_family(g.lattice.n, random_planes, seed):
-        sec = sectional_field(g, R, v, w)[region]
-        sec = sec[np.isfinite(sec)]
-        if sec.size:
-            lo = min(lo, float(sec.min()))
-            hi = max(hi, float(sec.max()))
-    return lo, hi
-
-
 def sec_extreme_fields(g: MetricField, R: RiemannField,
                        seed: int = 0, random_planes: int = 32):
     """Per-node (min, max) of sectional curvature over the plane family."""
@@ -315,3 +302,13 @@ def sec_extreme_fields(g: MetricField, R: RiemannField,
         lo[good] = np.minimum(lo[good], sec[good])
         hi[good] = np.maximum(hi[good], sec[good])
     return lo, hi
+
+
+def sec_extremes(g: MetricField, R: RiemannField, region: np.ndarray,
+                 seed: int = 0, random_planes: int = 32) -> tuple[float, float]:
+    """(minSec, maxSec) over region nodes and the deterministic plane family."""
+    region = region & R.mask
+    if not region.any():
+        raise ValueError("empty region")
+    lo, hi = sec_extreme_fields(g, R, seed=seed, random_planes=random_planes)
+    return float(lo[region].min()), float(hi[region].max())

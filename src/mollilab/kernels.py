@@ -115,8 +115,7 @@ def convolve(k: ScaledKernel, f: Field) -> Field:
         raise ValueError("scale too large for domain: empty output mask")
 
     def smooth(values: np.ndarray) -> np.ndarray:
-        out = np.where(f.mask if values.shape == f.mask.shape else _bmask(values, f.mask),
-                       values, 0.0)
+        out = np.where(f.mask, values, 0.0)
         for ax in range(lat.n):
             out = ndimage.convolve1d(out, k.taps1d, axis=ax, mode="constant")
         return out
@@ -125,10 +124,6 @@ def convolve(k: ScaledKernel, f: Field) -> Field:
         return ScalarField(lattice=lat, values=smooth(f.values), mask=mask)
     comps = np.stack([smooth(f.comps[..., c]) for c in range(f.comps.shape[-1])], axis=-1)
     return MetricField(lattice=lat, comps=comps, mask=mask)
-
-
-def _bmask(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    return mask.reshape(mask.shape + (1,) * (values.ndim - mask.ndim))
 
 
 def derivative_commutation_check(k: ScaledKernel, f: ScalarField, axis: int) -> float:

@@ -3,11 +3,12 @@
 All fields live on the cube [-r, r]^n sampled with an odd number of nodes
 per axis so the origin is always a node.  Validity masks shrink instead of
 falling back to one-sided stencils; every operation's output mask is a
-subset of its input mask.
+subset of its input mask.  Pointwise metric algebra (full matrices,
+eigenvalues, inverse) goes through `MetricField.matrices`, which pads the
+nodes off the mask with the identity, so callers never pad by hand.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +31,15 @@ def erode_mask(mask: np.ndarray, steps: int) -> np.ndarray:
 def pack_indices(n: int) -> list[tuple[int, int]]:
     """Upper-triangle index pairs used for packed symmetric storage."""
     return [(i, j) for i in range(n) for j in range(i, n)]
+
+
+def unpack_symmetric(comps: np.ndarray, n: int) -> np.ndarray:
+    """Full symmetric n x n matrices from packed components (trailing axis)."""
+    mats = np.empty(comps.shape[:-1] + (n, n))
+    for k, (i, j) in enumerate(pack_indices(n)):
+        mats[..., i, j] = comps[..., k]
+        mats[..., j, i] = comps[..., k]
+    return mats
 
 
 @dataclass(frozen=True)
@@ -144,19 +154,27 @@ class MetricField:
         return cls(lattice=lattice, comps=comps, mask=mask)
 
     def matrices(self) -> np.ndarray:
-        """Full symmetric matrices, shape grid + (n, n)."""
+        """Full symmetric matrices, shape grid + (n, n), a fresh array.
+
+        Nodes off the mask hold the identity, so pointwise inversion and
+        diagonalisation are defined everywhere; mask the result to read
+        only valid data.
+        """
         n = self.lattice.n
-        mats = np.empty(self.lattice.shape + (n, n))
-        for k, (i, j) in enumerate(pack_indices(n)):
-            mats[..., i, j] = self.comps[..., k]
-            mats[..., j, i] = self.comps[..., k]
+        mats = unpack_symmetric(self.comps, n)
+        mats[~self.mask] = np.eye(n)
         return mats
 
     def eigenvalues(self) -> np.ndarray:
-        """Eigenvalues at every node (garbage outside the mask), grid + (n,)."""
-        mats = self.matrices()
-        mats[~self.mask] = np.eye(self.lattice.n)
-        return np.linalg.eigvalsh(mats)
+        """Ascending eigenvalues at every node (ones off the mask), grid + (n,)."""
+        return np.linalg.eigvalsh(self.matrices())
+
+    def inverse(self) -> np.ndarray:
+        """Inverse matrices at every node (identity off the mask), grid + (n, n).
+
+        Recomputed on every call; nothing is cached on the field.
+        """
+        return np.linalg.inv(self.matrices())
 
 
 Field = ScalarField | MetricField
@@ -188,14 +206,6 @@ def sample_metric(fn, lattice: Lattice) -> MetricField:
         node = tuple(int(i) for i in np.argwhere(not_pd)[0])
         raise ValueError(f"metric not positive-definite at node {node}")
     return MetricField.from_matrices(lattice, mats, lattice.full_mask())
-
-
-def sample(fn, lattice: Lattice, kind: str = "scalar") -> Field:
-    if kind == "scalar":
-        return sample_scalar(fn, lattice)
-    if kind == "metric":
-        return sample_metric(fn, lattice)
-    raise ValueError(f"unknown field kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -257,10 +267,9 @@ def differentiate(f: Field, order: int) -> JetField:
         values = np.where(f.mask, f.values, 0.0)
         raw = _jet_blocks(values, lat.n, lat.h, order)
     else:
-        mats = f.matrices()
-        mats[~f.mask] = 0.0
         # move matrix axes in front of derivative axes by differentiating
         # the matrix-valued array directly; roll acts on grid axes only
+        mats = np.where(f.mask[..., None, None], f.matrices(), 0.0)
         raw = _jet_blocks(mats, lat.n, lat.h, order)
     mask = erode_mask(f.mask, order)
     blocks = tuple(_freeze(b) for b in raw)
@@ -275,44 +284,3 @@ def convergence_order(hs, errs) -> float:
         raise ValueError("errors must be positive for a log-log fit")
     slope, _ = np.polyfit(np.log(hs), np.log(errs), 1)
     return float(slope)
-
-
-# ---------------------------------------------------------------------------
-# plain-text serialization (used by the CLI for caching)
-
-def save_field(path, f: Field) -> None:
-    lat = f.lattice
-    kind = "scalar" if isinstance(f, ScalarField) else "metric"
-    data = f.values if kind == "scalar" else f.comps
-    with open(path, "w", newline="\n") as fh:
-        fh.write(f"mollilab-field {kind}\n")
-        fh.write(f"n {lat.n}\nr {lat.r!r}\nm {lat.m}\n")
-        fh.write("values\n")
-        for v in data.ravel(order="C"):
-            fh.write(f"{v:.17g}\n")
-        fh.write("mask\n")
-        fh.write("".join("1" if b else "0" for b in f.mask.ravel(order="C")))
-        fh.write("\n")
-
-
-def load_field(path) -> Field:
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    magic, kind = lines[0].split()
-    if magic != "mollilab-field":
-        raise ValueError("not a mollilab field file")
-    n = int(lines[1].split()[1])
-    r = float(lines[2].split()[1])
-    m = int(lines[3].split()[1])
-    lat = make_lattice(n, r, m)
-    if lines[4] != "values":
-        raise ValueError("malformed field file")
-    nc = n * (n + 1) // 2
-    count = m**n * (1 if kind == "scalar" else nc)
-    vals = np.array([float(s) for s in lines[5:5 + count]])
-    if lines[5 + count] != "mask":
-        raise ValueError("malformed field file")
-    mask = np.array([c == "1" for c in lines[6 + count]]).reshape(lat.shape)
-    if kind == "scalar":
-        return ScalarField(lattice=lat, values=vals.reshape(lat.shape), mask=mask)
-    return MetricField(lattice=lat, comps=vals.reshape(lat.shape + (nc,)), mask=mask)

@@ -4,7 +4,8 @@ Conformal charts only: flat space, the round sphere via two inversion-
 related stereographic charts, and the Poincare ball.  Reference curvature
 constants are validated numerically at registration time, never trusted
 from memory.  Rough perturbations produce metrics of limited smoothness
-for the scaling experiments.
+for the scaling experiments.  Plain-text atlas descriptions are built from
+the same conformal factors and transition maps as the shipped models.
 """
 from __future__ import annotations
 
@@ -23,6 +24,68 @@ def _conformal(lam):
         n = X.shape[-1]
         return lam(X)[..., None, None] * np.eye(n)
     return gen
+
+
+def _unit_factor(X):
+    return np.ones(X.shape[:-1])
+
+
+def _sphere_factor(R: float):
+    """Conformal factor 4R^4 / (R^2 + |x|^2)^2 of a stereographic sphere chart."""
+    def lam(X):
+        return 4.0 * R**4 / (R**2 + (X**2).sum(axis=-1)) ** 2
+    return lam
+
+
+def _poincare_factor(X):
+    """Conformal factor 4 / (1 - |x|^2)^2 of the Poincare ball."""
+    return 4.0 / (1.0 - (X**2).sum(axis=-1)) ** 2
+
+
+def _inversion(R: float) -> tuple:
+    """Inversion x -> R^2 x / |x|^2 in the sphere of radius R, and its Jacobian."""
+    def mp(X):
+        s = (X**2).sum(axis=-1)
+        return R**2 * X / s[..., None]
+
+    def jac(X):
+        s = (X**2).sum(axis=-1)
+        eye = np.eye(X.shape[-1])
+        return R**2 * (eye * s[..., None, None]
+                       - 2.0 * X[..., :, None] * X[..., None, :]) / (s**2)[..., None, None]
+
+    return mp, jac
+
+
+def _rigid_motion(n: int, theta: float, shift: float) -> tuple:
+    """y -> A y + c, A the rotation by theta in the (x0, x1) plane and
+    c = shift e_0: (map, Jacobian, inverse map, its Jacobian)."""
+    A = np.eye(n)
+    A[0, 0] = A[1, 1] = math.cos(theta)
+    A[0, 1] = -math.sin(theta)
+    A[1, 0] = math.sin(theta)
+    c = np.zeros(n)
+    c[0] = shift
+
+    def fwd(Y):
+        return np.einsum("ij,...j->...i", A, Y) + c
+
+    def fwd_jac(Y):
+        return np.broadcast_to(A, Y.shape[:-1] + (n, n)).copy()
+
+    def bwd(X):
+        return np.einsum("ji,...j->...i", A, X - c)
+
+    def bwd_jac(X):
+        return np.broadcast_to(A.T, X.shape[:-1] + (n, n)).copy()
+
+    return fwd, fwd_jac, bwd, bwd_jac
+
+
+def _transition_pair(a: str, b: str, fwd, fwd_jac, bwd, bwd_jac) -> dict:
+    """Transitions b -> a by (fwd, fwd_jac) and a -> b by (bwd, bwd_jac)."""
+    return {(b, a): Transition(frm=b, to=a, map=fwd, jacobian=fwd_jac),
+            (a, b): Transition(frm=a, to=b, map=bwd, jacobian=bwd_jac)}
 
 
 @dataclass(frozen=True)
@@ -64,26 +127,12 @@ def flat(n: int, n_charts: int = 2) -> ModelGeometry:
     if n not in (2, 3):
         raise ValueError("only dimensions 2 and 3 ship")
     r = 1.0
-    delta = _conformal(lambda X: np.ones(X.shape[:-1]))
+    delta = _conformal(_unit_factor)
     charts = [Chart(id="a", r=r, metric=delta)]
     transitions = {}
     if n_charts == 2:
-        theta = math.pi / 6.0
-        A = np.eye(n)
-        A[0, 0] = A[1, 1] = math.cos(theta)
-        A[0, 1] = -math.sin(theta)
-        A[1, 0] = math.sin(theta)
-        c = np.zeros(n)
-        c[0] = r / 4.0
         charts.append(Chart(id="b", r=r, metric=delta))
-        transitions[("b", "a")] = Transition(
-            frm="b", to="a",
-            map=lambda Y: np.einsum("ij,...j->...i", A, Y) + c,
-            jacobian=lambda Y: np.broadcast_to(A, Y.shape[:-1] + (n, n)).copy())
-        transitions[("a", "b")] = Transition(
-            frm="a", to="b",
-            map=lambda X: np.einsum("ji,...j->...i", A, X - c),
-            jacobian=lambda X: np.broadcast_to(A.T, X.shape[:-1] + (n, n)).copy())
+        transitions = _transition_pair("a", "b", *_rigid_motion(n, math.pi / 6.0, r / 4.0))
     elif n_charts != 1:
         raise ValueError("flat ships with 1 or 2 charts")
     atl = Atlas(charts=tuple(charts), transitions=transitions)
@@ -99,29 +148,12 @@ def sphere(n: int, R: float = 1.0) -> ModelGeometry:
     if R <= 0:
         raise ValueError("R must be positive")
     r = 2.0 * R  # two r/2-balls just cover the sphere
-
-    def lam(X):
-        return 4.0 * R**4 / (R**2 + (X**2).sum(axis=-1)) ** 2
-
+    lam = _sphere_factor(R)
     gen = _conformal(lam)
-
-    def inv_map(X):
-        s = (X**2).sum(axis=-1)
-        return R**2 * X / s[..., None]
-
-    def inv_jac(X):
-        s = (X**2).sum(axis=-1)
-        eye = np.eye(X.shape[-1])
-        return R**2 * (eye * s[..., None, None]
-                       - 2.0 * X[..., :, None] * X[..., None, :]) / (s**2)[..., None, None]
-
     charts = (Chart(id="north", r=r, metric=gen), Chart(id="south", r=r, metric=gen))
-    transitions = {
-        ("north", "south"): Transition(frm="north", to="south", map=inv_map, jacobian=inv_jac),
-        ("south", "north"): Transition(frm="south", to="north", map=inv_map, jacobian=inv_jac),
-    }
-    corner = n * r**2
-    Q = _eig_bound_Q(4.0 * R**4 / (R**2 + corner) ** 2, 4.0 * R**2)
+    # the inversion is an involution: the same map in both directions
+    transitions = _transition_pair("north", "south", *(2 * _inversion(R)))
+    Q = _eig_bound_Q(lam(np.full(n, r)), 4.0 * R**2)  # lam is smallest at a cube corner
     atl = Atlas(charts=charts, transitions=transitions)
     atl = make_bump_weights(atl, Q=Q, plateau=0.55 * r)
     return ModelGeometry(name=f"sphere{n}", n=n, atlas=atl,
@@ -133,12 +165,8 @@ def hyperbolic(n: int) -> ModelGeometry:
     if n not in (2, 3):
         raise ValueError("only dimensions 2 and 3 ship")
     r = 0.5  # cube corners stay inside the unit ball for n <= 3
-
-    def lam(X):
-        return 4.0 / (1.0 - (X**2).sum(axis=-1)) ** 2
-
-    charts = (Chart(id="ball", r=r, metric=_conformal(lam)),)
-    Q = _eig_bound_Q(4.0, 4.0 / (1.0 - n * r**2) ** 2)
+    charts = (Chart(id="ball", r=r, metric=_conformal(_poincare_factor)),)
+    Q = _eig_bound_Q(_poincare_factor(np.zeros(n)), _poincare_factor(np.full(n, r)))
     atl = Atlas(charts=charts, transitions={})
     atl = make_bump_weights(atl, Q=Q, plateau=0.625 * r)
     return ModelGeometry(name=f"hyperbolic{n}", n=n, atlas=atl,
@@ -256,53 +284,17 @@ def get_geometry(name: str, R: float = 1.0, amp: float = 0.1,
 
 
 _GENERATORS = {
-    "flat": lambda n, params: _conformal(lambda X: np.ones(X.shape[:-1])),
-    "sphere_conformal": lambda n, params: _conformal(
-        lambda X, R=params.get("R", 1.0): 4.0 * R**4 / (R**2 + (X**2).sum(-1)) ** 2),
-    "poincare_ball": lambda n, params: _conformal(
-        lambda X: 4.0 / (1.0 - (X**2).sum(-1)) ** 2),
+    "flat": lambda params: _conformal(_unit_factor),
+    "sphere_conformal": lambda params: _conformal(_sphere_factor(params.get("R", 1.0))),
+    "poincare_ball": lambda params: _conformal(_poincare_factor),
 }
 
-
-def _make_map(name: str, n: int, params: dict) -> Transition | tuple:
-    if name == "inversion":
-        R = params.get("R", 1.0)
-
-        def mp(X):
-            s = (X**2).sum(axis=-1)
-            return R**2 * X / s[..., None]
-
-        def jac(X):
-            s = (X**2).sum(axis=-1)
-            eye = np.eye(X.shape[-1])
-            return R**2 * (eye * s[..., None, None]
-                           - 2.0 * X[..., :, None] * X[..., None, :]) / (s**2)[..., None, None]
-
-        return mp, jac, mp, jac  # inversion is an involution
-    if name == "affine":
-        theta = params.get("theta", 0.0)
-        shift = params.get("shift", 0.0)
-        A = np.eye(n)
-        A[0, 0] = A[1, 1] = math.cos(theta)
-        A[0, 1] = -math.sin(theta)
-        A[1, 0] = math.sin(theta)
-        c = np.zeros(n)
-        c[0] = shift
-
-        def fwd(Y):
-            return np.einsum("ij,...j->...i", A, Y) + c
-
-        def fwd_jac(Y):
-            return np.broadcast_to(A, Y.shape[:-1] + (n, n)).copy()
-
-        def bwd(X):
-            return np.einsum("ji,...j->...i", A, X - c)
-
-        def bwd_jac(X):
-            return np.broadcast_to(A.T, X.shape[:-1] + (n, n)).copy()
-
-        return fwd, fwd_jac, bwd, bwd_jac
-    raise ValueError(f"unknown transition map {name!r}")
+# each entry returns (map, Jacobian, inverse map, its Jacobian)
+_MAPS = {
+    "inversion": lambda n, params: 2 * _inversion(params.get("R", 1.0)),
+    "affine": lambda n, params: _rigid_motion(n, params.get("theta", 0.0),
+                                              params.get("shift", 0.0)),
+}
 
 
 def _parse_params(tokens) -> dict:
@@ -313,43 +305,54 @@ def _parse_params(tokens) -> dict:
     return out
 
 
-def parse_atlas_text(text: str, n: int) -> Atlas:
-    """Build an Atlas from the plain-text chart/transition description."""
-    charts = []
-    transitions = {}
-    section = None
-    fields: dict = {}
+def _lookup(table: dict, spec: str, kind: str):
+    name, *rest = spec.split()
+    if name not in table:
+        raise ValueError(f"unknown {kind} {name!r}")
+    return table[name], _parse_params(rest)
 
-    def flush():
-        nonlocal fields
-        if section == "chart":
-            name, *rest = fields["generator"].split()
-            gen = _GENERATORS[name](n, _parse_params(rest))
-            charts.append(Chart(id=fields["id"], r=float(fields["r"]), metric=gen))
-        elif section == "transition":
-            a, b = fields["pair"].split()
-            name, *rest = fields["map"].split()
-            fwd, fj, bwd, bj = _make_map(name, n, _parse_params(rest))
-            transitions[(b, a)] = Transition(frm=b, to=a, map=fwd, jacobian=fj)
-            transitions[(a, b)] = Transition(frm=a, to=b, map=bwd, jacobian=bj)
-        fields = {}
 
+def parse_atlas_text(text: str) -> tuple[Atlas, int]:
+    """Build an Atlas from the plain-text chart/transition description.
+
+    A `dim = N` line before the first section states the dimension
+    (2 or 3); `[chart]` sections give `id`, `r` and `generator`,
+    `[transition]` sections give `pair = a b` and `map`, where the map
+    sends b-coordinates to a-coordinates.  Returns the atlas and N.
+    """
+    header: dict = {}
+    sections = []
+    fields = header
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if line in ("[chart]", "[transition]"):
-            flush()
-            section = line[1:-1]
+            fields = {}
+            sections.append((line[1:-1], fields))
             continue
         key, _, val = line.partition("=")
         fields[key.strip()] = val.strip()
-    flush()
-    if not charts:
+    if not any(kind == "chart" for kind, _ in sections):
         raise ValueError("atlas description contains no charts")
-    return Atlas(charts=tuple(charts), transitions=transitions)
+    if "dim" not in header:
+        raise ValueError("missing 'dim = N' line")
+    if header["dim"] not in ("2", "3"):
+        raise ValueError(f"dim must be 2 or 3, got {header['dim']!r}")
+    n = int(header["dim"])
+    charts = []
+    transitions = {}
+    for kind, fields in sections:
+        if kind == "chart":
+            make, params = _lookup(_GENERATORS, fields["generator"], "generator")
+            charts.append(Chart(id=fields["id"], r=float(fields["r"]), metric=make(params)))
+        else:
+            a, b = fields["pair"].split()
+            make, params = _lookup(_MAPS, fields["map"], "transition map")
+            transitions.update(_transition_pair(a, b, *make(n, params)))
+    return Atlas(charts=tuple(charts), transitions=transitions), n
 
 
-def parse_atlas_file(path, n: int) -> Atlas:
+def parse_atlas_file(path) -> tuple[Atlas, int]:
     with open(path) as fh:
-        return parse_atlas_text(fh.read(), n)
+        return parse_atlas_text(fh.read())

@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import (JetField, Lattice, MetricField, ScalarField, central_diff,
-                      differentiate, erode_mask)
+from .lattice import (Lattice, MetricField, ScalarField, central_diff, differentiate,
+                      erode_mask)
 
 DEFAULT_PAIR_BUDGET = 10**7
 
@@ -180,12 +180,8 @@ def harmonic_defect(g: MetricField) -> HarmonicDefect:
     """|Delta_g x_k| for each coordinate, Delta_g f = |g|^{-1/2} d_i(|g|^{1/2} g^{ij} d_j f)."""
     lat = g.lattice
     n = lat.n
-    mats = g.matrices()
-    mats[~g.mask] = np.eye(n)
-    dets = np.linalg.det(mats)
-    w = np.sqrt(dets)
-    ginv = np.linalg.inv(mats)
-    flux = w[..., None, None] * ginv  # F^{ik} = sqrt|g| g^{ik}
+    w = np.sqrt(np.linalg.det(g.matrices()))
+    flux = w[..., None, None] * g.inverse()  # F^{ik} = sqrt|g| g^{ik}
     mask = erode_mask(g.mask, 1)
     per = np.empty((n,) + lat.shape)
     for k in range(n):
@@ -223,6 +219,13 @@ def _metric_jet_component_fields(g: MetricField):
                           mask=g.mask)
 
 
+def _chart_report(g: MetricField, kind: str, seminorms: tuple, Q: float) -> NormReport:
+    """A norm condition's report, completed by the N0 bound and harmonicity."""
+    n0 = check_N0(g)
+    return NormReport(kind=kind, r=g.lattice.r, seminorms=seminorms, Q=max(Q, n0),
+                      N0_Q=n0, harmonic_sup=harmonic_defect(g).sup)
+
+
 def holder_chart_report(g: MetricField, m: int, alpha: float,
                         pair_budget: int | None = DEFAULT_PAIR_BUDGET) -> NormReport:
     """Minimal Q for condition r^{k+alpha} ||grad^k g||_alpha <= Q, plus N0 and harmonicity."""
@@ -237,13 +240,12 @@ def holder_chart_report(g: MetricField, m: int, alpha: float,
                                              lattice=lat))
         semis.append(best)
     Q = max(lat.r ** (k + alpha) * semis[k] for k in range(m + 1))
-    n0 = check_N0(g)
-    return NormReport(kind=f"holder({m},{alpha:g})", r=lat.r, seminorms=tuple(semis),
-                      Q=max(Q, n0), N0_Q=n0, harmonic_sup=harmonic_defect(g).sup)
+    return _chart_report(g, f"holder({m},{alpha:g})", tuple(semis), Q)
 
 
-def sobolev_chart_report(g: MetricField, m: int, p: float) -> NormReport:
-    """Minimal Q for condition r^{k-n/p} ||grad^k g||_{L^p} <= Q, plus N0 and harmonicity."""
+def sobolev_condition(g: MetricField, m: int, p: float) -> tuple[tuple, float]:
+    """Per-order L^p norms of the metric jet (max over components) and the
+    minimal Q for r^{k-n/p} ||grad^k g||_{L^p} <= Q, without the N0 bound."""
     lat = g.lattice
     per_order = [0.0] * (m + 1)
     for comp in _metric_jet_component_fields(g):
@@ -251,6 +253,10 @@ def sobolev_chart_report(g: MetricField, m: int, p: float) -> NormReport:
         for k in range(m + 1):
             per_order[k] = max(per_order[k], rep.lp_norms[k])
     Q = max(lat.r ** (k - lat.n / p) * per_order[k] for k in range(m + 1))
-    n0 = check_N0(g)
-    return NormReport(kind=f"sobolev({m},{p:g})", r=lat.r, seminorms=tuple(per_order),
-                      Q=max(Q, n0), N0_Q=n0, harmonic_sup=harmonic_defect(g).sup)
+    return tuple(per_order), Q
+
+
+def sobolev_chart_report(g: MetricField, m: int, p: float) -> NormReport:
+    """Minimal Q for condition r^{k-n/p} ||grad^k g||_{L^p} <= Q, plus N0 and harmonicity."""
+    per_order, Q = sobolev_condition(g, m, p)
+    return _chart_report(g, f"sobolev({m},{p:g})", per_order, Q)

@@ -22,7 +22,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("field,value", [("m", 4), ("m", 80),
                                              ("alpha", 0.0), ("alpha", 1.0),
-                                             ("p", 1.0), ("beta", 0.0),
+                                             ("p", 1.0),
                                              ("seed", -1)])
     def test_bad_values_rejected(self, field, value):
         cfg = ExperimentConfig(**{field: value})
@@ -110,6 +110,24 @@ class TestNormsCommand:
         q_line = [ln for ln in text.splitlines() if ln.startswith("Q=")][0]
         assert abs(float(q_line.split("=")[1])) < 1e-12
 
+    def test_n0_and_harmonic_defect_once_per_chart(self, monkeypatch):
+        import mollilab.norms as norms
+        calls = {"check_N0": 0, "harmonic_defect": 0}
+
+        def counted(name):
+            original = getattr(norms, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(norms, name, counted(name))
+        text = run_norms(ExperimentConfig(geometry="sphere2", m=21))
+        assert text.count("[chart ") == 2
+        assert calls == {"check_N0": 2, "harmonic_defect": 2}
+
     def test_hyperbolic_report_positive_q(self):
         text = run_norms(ExperimentConfig(geometry="hyperbolic2", m=21))
         q_line = [ln for ln in text.splitlines() if ln.startswith("Q=")][0]
@@ -151,10 +169,21 @@ class TestCoverCommand:
     def test_atlas_file(self, tmp_path):
         path = tmp_path / "atlas.txt"
         path.write_text(
-            "[chart]\nid = a\nr = 1.0\ngenerator = flat\n")
+            "dim = 2\n[chart]\nid = a\nr = 1.0\ngenerator = flat\n")
         report, _ = run_cover(ExperimentConfig(geometry="flat2", m=21,
                                                atlas_file=str(path)))
         assert report.covered
+
+    @pytest.mark.parametrize("dim_line", ["", "dim = 4\n", "dim = two\n"])
+    def test_atlas_file_without_valid_dim_is_config_error(self, tmp_path, capsys,
+                                                          dim_line):
+        path = tmp_path / "atlas.txt"
+        path.write_text(dim_line + "[chart]\nid = a\nr = 1.0\ngenerator = flat\n")
+        code = main(["cover-check", "--geometry", "flat3", "--m", "21",
+                     "--atlas-file", str(path)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert str(path) in err and "dim" in err
 
 
 class TestMainExitCodes:

@@ -5,7 +5,8 @@ import pytest
 from mollilab.curvature import (VectorSection, ab_decomposition, christoffel,
                                 evaluate_riem, invert_metric, ricci, riemann,
                                 scalar_curvature, sec_extreme_fields,
-                                sec_extremes, sectional, sectional_field)
+                                sec_extremes, section_norm_fields, sectional,
+                                sectional_field)
 from mollilab.lattice import (MetricField, convergence_order, make_lattice,
                               sample_metric)
 
@@ -142,6 +143,20 @@ class TestEvaluateRiem:
         R = riemann(g)
         with pytest.raises(ValueError, match="outside"):
             evaluate_riem(R, g, VectorSection(*np.eye(2)[[0, 1, 0, 1]]), (0, 0))
+
+    def test_section_norm_fields_match_pointwise_product(self):
+        lat = make_lattice(3, 0.5, 9)
+        g = sample_metric(_conformal(_poincare_lam()), lat)
+        R = riemann(g)
+        rng = np.random.Generator(np.random.Philox(key=3))
+        sections = [VectorSection(*rng.standard_normal((4, 3))) for _ in range(3)]
+        fields = section_norm_fields(g, sections)
+        nodes = [lat.origin_index, (3, 5, 4), (2, 2, 6)]
+        for s, nf in zip(sections, fields):
+            assert nf.shape == lat.shape
+            for node in nodes:
+                _, prod = evaluate_riem(R, g, s, node)
+                assert nf[node] == pytest.approx(prod, rel=1e-13)
 
 
 class TestSectional:

@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 
 from mollilab.lattice import (MetricField, ScalarField, central_diff,
                               convergence_order, differentiate, erode_mask,
-                              load_field, make_lattice, sample, sample_metric,
-                              sample_scalar, save_field)
+                              make_lattice, sample_metric, sample_scalar)
 
 
 class TestLattice:
@@ -75,15 +74,21 @@ class TestFields:
         g = sample_metric(gen, lat)
         assert np.allclose(g.matrices(), gen(lat.coords()))
 
-    def test_sample_dispatch(self):
-        lat = make_lattice(2, 1.0, 5)
-        f = sample(lambda X: X[..., 0], lat, kind="scalar")
-        assert isinstance(f, ScalarField)
-        g = sample(lambda X: np.broadcast_to(np.eye(2), X.shape[:-1] + (2, 2)),
-                   lat, kind="metric")
-        assert isinstance(g, MetricField)
-        with pytest.raises(ValueError):
-            sample(lambda X: X[..., 0], lat, kind="tensor")
+    def test_metric_algebra_padded_off_partial_mask(self):
+        lat = make_lattice(2, 1.0, 9)
+        mask = lat.ball_mask(0.6)
+        X = lat.coords()
+        comps = np.stack([2.0 + X[..., 0], 0.3 * X[..., 1], 3.0 - X[..., 1]], axis=-1)
+        comps[~mask] = np.nan  # garbage off the mask must never leak
+        g = MetricField(lattice=lat, comps=comps, mask=mask)
+        mats, eigs, inv = g.matrices(), g.eigenvalues(), g.inverse()
+        assert np.array_equal(mats[~mask], np.broadcast_to(np.eye(2), mats[~mask].shape))
+        assert np.array_equal(eigs[~mask], np.ones_like(eigs[~mask]))
+        assert np.array_equal(inv[~mask], np.broadcast_to(np.eye(2), inv[~mask].shape))
+        assert np.array_equal(mats[mask][:, 0, 1], comps[mask][:, 1])
+        assert np.array_equal(mats[mask][:, 1, 0], comps[mask][:, 1])
+        assert np.abs((inv @ mats)[mask] - np.eye(2)).max() < 1e-14
+        assert np.all(eigs[mask] > 0.0)
 
 
 class TestErodeMask:
@@ -186,31 +191,3 @@ class TestConvergenceOrder:
     def test_rejects_nonpositive_errors(self):
         with pytest.raises(ValueError):
             convergence_order([0.1, 0.05], [1e-3, 0.0])
-
-
-class TestSerialization:
-    def test_scalar_roundtrip(self, tmp_path):
-        lat = make_lattice(2, 1.0, 7)
-        f = sample_scalar(lambda X: np.sin(X[..., 0]) + X[..., 1], lat)
-        path = tmp_path / "f.txt"
-        save_field(path, f)
-        g = load_field(path)
-        assert np.array_equal(g.values, f.values)
-        assert np.array_equal(g.mask, f.mask)
-
-    def test_metric_roundtrip_with_partial_mask(self, tmp_path):
-        lat = make_lattice(2, 1.0, 7)
-        g = sample_metric(lambda X: (2.0 + np.sin(X[..., 0]))[..., None, None]
-                          * np.eye(2), lat)
-        trimmed = MetricField(lattice=lat, comps=g.comps, mask=lat.ball_mask(0.7))
-        path = tmp_path / "g.txt"
-        save_field(path, trimmed)
-        back = load_field(path)
-        assert np.array_equal(back.comps, trimmed.comps)
-        assert np.array_equal(back.mask, trimmed.mask)
-
-    def test_rejects_foreign_file(self, tmp_path):
-        path = tmp_path / "junk.txt"
-        path.write_text("not a field\n")
-        with pytest.raises(ValueError):
-            load_field(path)

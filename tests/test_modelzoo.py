@@ -127,6 +127,7 @@ class TestPerturbation:
 class TestAtlasText:
     def test_parse_sphere_description(self):
         text = """
+        dim = 2
         [chart]
         id = north
         r = 2.0
@@ -139,7 +140,8 @@ class TestAtlasText:
         pair = north south
         map = inversion R=1.0
         """
-        atl = parse_atlas_text(text, 2)
+        atl, n = parse_atlas_text(text)
+        assert n == 2
         assert len(atl.charts) == 2
         assert atl.transition("north", "south") is not None
         X = np.array([[1.0, 0.0]])
@@ -148,7 +150,7 @@ class TestAtlasText:
 
     def test_parse_rejects_empty(self):
         with pytest.raises(ValueError, match="no charts"):
-            parse_atlas_text("# nothing here\n", 2)
+            parse_atlas_text("dim = 2\n# nothing here\n")
 
 
 class TestGeometryQ:
