@@ -393,8 +393,8 @@ def run_lemmas(cfg: ExperimentConfig):
     scales = list(np.geomspace(4.0 * lat.h, r / 8.0, 5))
 
     # scale-independent quantities, computed once per test pair
-    semis = [holder_seminorm(f, cfg.alpha, pair_budget=None) for f, _ in pairs]
-    cas = [holder_seminorm(a, cfg.alpha, pair_budget=None) for _, a in pairs]
+    semis = [holder_seminorm(f, cfg.alpha) for f, _ in pairs]
+    cas = [holder_seminorm(a, cfg.alpha) for _, a in pairs]
     flps = [float((np.sum(np.abs(f.values[f.mask]) ** cfg.p) * lat.h**n)
                   ** (1.0 / cfg.p)) for f, _ in pairs]
 

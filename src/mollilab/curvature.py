@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import Lattice, MetricField, central_diff, differentiate
+from .lattice import Lattice, MetricField, central_diff, differentiate, unpack_symmetric
 
 COND_LIMIT = 1e12
 
@@ -238,7 +238,7 @@ def evaluate_riem(R: RiemannField, g: MetricField, s: VectorSection,
     if not R.mask[node]:
         raise ValueError(f"node {node} outside the valid mask")
     val = float(np.einsum("rsmn,r,s,m,n->", R.riem[node], s.xi, s.v, s.w1, s.w2))
-    gm = g.matrices()[node]
+    gm = unpack_symmetric(g.comps[node], g.lattice.n)
     ginv = np.linalg.inv(gm)
     prod = float(np.sqrt(s.v @ gm @ s.v) * np.sqrt(s.w1 @ gm @ s.w1)
                  * np.sqrt(s.w2 @ gm @ s.w2) * np.sqrt(s.xi @ ginv @ s.xi))
@@ -253,7 +253,7 @@ def sectional(g: MetricField, R: RiemannField, node: tuple,
     """<R(v,w)w, v> / (|v|^2 |w|^2 - <v,w>^2) at one node."""
     if not R.mask[node]:
         raise ValueError(f"node {node} outside the valid mask")
-    gm = g.matrices()[node]
+    gm = unpack_symmetric(g.comps[node], g.lattice.n)
     gram = (v @ gm @ v) * (w @ gm @ w) - (v @ gm @ w) ** 2
     if gram < DEGENERATE_GRAM:
         raise ValueError("degenerate plane")
