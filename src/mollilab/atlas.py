@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import ScaledKernel, convolve
-from .lattice import Lattice, MetricField, unpack_symmetric
+from .lattice import Lattice, MetricField, first_node, unpack_symmetric
 
 COVER_TOL = 1e-9
 WEIGHT_EPS = 1e-14
@@ -284,9 +284,8 @@ def assemble_mollified(atlas: Atlas, samples: dict, kernel: ScaledKernel) -> dic
         eigs = field.eigenvalues()
         bad = mask & (eigs[..., 0] <= 0.0)
         if bad.any():
-            node = tuple(int(i) for i in np.argwhere(bad)[0])
-            raise ValueError(f"assembled metric not positive-definite at node {node} "
-                             f"of chart {cj.id!r}")
+            raise ValueError(f"assembled metric not positive-definite at node "
+                             f"{first_node(bad)} of chart {cj.id!r}")
         out[cj.id] = field
     return out
 

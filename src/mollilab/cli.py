@@ -167,24 +167,22 @@ def run_curvature(cfg: ExperimentConfig):
     X = lat.coords()
     for cid, g in sorted(samples.items()):
         R = riemann(g)
-        lo, hi = sec_extreme_fields(g, R, seed=cfg.seed)
+        lo, hi = sec_extreme_fields(g, R)
         sc = scalar_curvature(g, R)
         blocks = [(R.mask, lo, hi, sc)]
         if mollified is not None:
             gt = mollified[cid]
             Rt = riemann(gt)
-            lot, hit = sec_extreme_fields(gt, Rt, seed=cfg.seed)
+            lot, hit = sec_extreme_fields(gt, Rt)
             sct = scalar_curvature(gt, Rt)
             blocks.append((Rt.mask, lot, hit, sct))
         valid = blocks[0][0]
         if len(blocks) == 2:
             valid = valid & blocks[1][0]
-        for node in map(tuple, np.argwhere(valid)):
-            row = [cid, "/".join(str(i) for i in node)]
-            row += [float(X[node][k]) for k in range(geo.n)]
-            for _, lo_b, hi_b, sc_b in blocks:
-                row += [float(lo_b[node]), float(hi_b[node]), float(sc_b[node])]
-            rows.append(row)
+        nodes = ["/".join(map(str, node)) for node in np.argwhere(valid).tolist()]
+        values = np.column_stack([X[valid]] + [field[valid] for _, *fs in blocks
+                                               for field in fs]).tolist()
+        rows += ([cid, node, *vals] for node, vals in zip(nodes, values))
     return header, rows
 
 
@@ -240,12 +238,12 @@ def run_deviation(cfg: ExperimentConfig):
     Q = check_N0(g)
 
     base_R = riemann(g)
-    lo0, hi0 = sec_extreme_fields(g, base_R, seed=cfg.seed)
+    lo0, hi0 = sec_extreme_fields(g, base_R)
     lo0 = np.where(base_R.mask, lo0, np.inf)
     hi0 = np.where(base_R.mask, hi0, -np.inf)
     sections = _coordinate_sections(geo.n) + _random_sections(geo.n, 8, cfg.seed)
-    base_contr = [np.where(base_R.mask, riem_contract_field(base_R, s), -np.inf)
-                  for s in sections]
+    base_contr = [np.where(base_R.mask, c, -np.inf)
+                  for c in riem_contract_field(base_R, g, sections)]
     norm_fields = [np.maximum(nf, 1e-30) for nf in section_norm_fields(g, sections)]
     probe = lat.ball_mask(geo.r / 4.0, norm="max")
 
@@ -261,15 +259,15 @@ def run_deviation(cfg: ExperimentConfig):
         # one-sided Riemann excess against the ball sup of the raw curvature
         steps = math.ceil(math.exp(Q) * t / lat.h) + 1
         r_exc = 0.0
-        for s, b0, nf in zip(sections, base_contr, norm_fields):
-            at = riem_contract_field(Rt, s)
+        contr = riem_contract_field(Rt, gt, sections)
+        for at, b0, nf in zip(contr, base_contr, norm_fields):
             sup0 = _ball_filter(b0, steps, "max")
             exc = (at - sup0) / nf
             r_exc = max(r_exc, float(exc[region].max()))
 
         # sectional extremes against the inflated reference interval
         steps_sec = math.ceil(t / lat.h) + 1
-        lot, hit = sec_extreme_fields(gt, Rt, seed=cfg.seed)
+        lot, hit = sec_extreme_fields(gt, Rt)
         lo_ball = _ball_filter(lo0, steps_sec, "min")
         hi_ball = _ball_filter(hi0, steps_sec, "max")
         c = cfg.interval_slack * t

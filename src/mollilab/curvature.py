@@ -1,10 +1,26 @@
-"""Curvature tensors of sampled metrics: Christoffel symbols, Riemann,
-the second-derivative/lower-order decomposition, sectional and Ricci data.
+"""Curvature of sampled metrics: Christoffel symbols, the Riemann tensor and
+its split into the Hessian part and the remainder, sectional, scalar and
+contracted curvature.
 
-The derivative of the Christoffel symbols is evaluated in Leibniz-expanded
-form (central differences of g, g^{-1} and nested central differences of g),
-so the decomposition into the bilinear second-derivative part and the
-polynomial remainder reproduces the full tensor to round-off.
+The Riemann tensor is stored all-lower-index, as the symmetric operator on
+bivectors.  Over the N = n(n-1)/2 index pairs I = (a, b), a < b, and
+J = (c, d), c < d, taken in `np.triu_indices(n, 1)` order,
+
+    R[..., I, J] = R_abcd = A_IJ + B_IJ,
+    A_IJ = 1/2 (g_ad,bc + g_bc,ad - g_ac,bd - g_bd,ac),
+    B_IJ = 1/4 g^pq (S_p,bc S_q,ad - S_p,bd S_q,ac),
+
+with S_m,kl = g_mk,l + g_ml,k - g_kl,m (twice the Christoffel symbol of the
+first kind).  Every derivative is a central difference of g itself; g^-1 is
+never differentiated.  The sign convention makes the sectional curvature of
+the plane spanned by v and w
+
+    K(v, w) = R(v, w, v, w) / |v ^ w|^2 = om^T R om / om^T G om,  om = v ^ w,
+
+where G = Lambda^2 g, G_IJ = g_ac g_bd - g_ad g_bc; a space form of
+curvature K has R = K G.  In dimensions 2 and 3 every bivector is some
+v ^ w, so the extreme sectional curvatures at a node are the extreme
+eigenvalues of the pencil (R, G).
 """
 from __future__ import annotations
 
@@ -12,18 +28,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import Lattice, MetricField, central_diff, differentiate, unpack_symmetric
+from .lattice import Lattice, MetricField, differentiate, first_node
 
 COND_LIMIT = 1e12
+DEGENERATE_GRAM = 1e-12
 
 
 def invert_metric(g: MetricField) -> MetricField:
+    """g^-1 as a field, after checking every valid node for positive
+    definiteness and a condition number of at most COND_LIMIT (nodes off
+    the mask have eigenvalues 1)."""
     eigs = g.eigenvalues()
-    if np.any(eigs[g.mask][:, 0] <= 0.0):
-        raise ValueError("metric not positive-definite on a valid node")
+    not_pd = eigs[..., 0] <= 0.0
+    if not_pd.any():
+        raise ValueError(f"metric not positive-definite at node {first_node(not_pd)}")
     cond = eigs[..., -1] / eigs[..., 0]
-    if np.any(cond[g.mask] > COND_LIMIT):
-        raise ValueError("metric condition number exceeds 1e12")
+    ill = cond > COND_LIMIT
+    if ill.any():
+        node = first_node(ill)
+        raise ValueError(f"metric condition number {cond[node]:.3g} exceeds 1e12 "
+                         f"at node {node}")
     return MetricField.from_matrices(g.lattice, g.inverse(), g.mask.copy())
 
 
@@ -52,9 +76,9 @@ def _crop_to_mask(g: MetricField, pad: int = 2):
 
 
 def _paste_full(g: MetricField, riem: np.ndarray, mask: np.ndarray, sl) -> RiemannField:
-    """A tensor field computed on the crop `sl` of g's grid, embedded back in it."""
+    """A curvature operator computed on the crop `sl` of g's grid, embedded back in it."""
     if sl is not None:
-        full = np.zeros(g.mask.shape + riem.shape[-4:])
+        full = np.zeros(g.mask.shape + riem.shape[-2:])
         full[sl] = riem
         fmask = np.zeros_like(g.mask)
         fmask[sl] = mask
@@ -76,6 +100,14 @@ def _s_tensor(dg: np.ndarray) -> np.ndarray:
             - np.moveaxis(dg, -1, -3))  # g_{kl,m}
 
 
+def _contract_first(mat: np.ndarray, tens: np.ndarray) -> np.ndarray:
+    """mat^{i m} tens_{m ...}: batched matmul over the first tensor index."""
+    head = mat.shape[:-2]
+    rest = tens.shape[len(head) + 1:]
+    flat = tens.reshape(head + (tens.shape[len(head)], -1))
+    return np.matmul(mat, flat).reshape(head + (mat.shape[-2],) + rest)
+
+
 def _gamma(ginv: np.ndarray, dg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(S, Gamma) with Gamma^i_{kl} = g^{im} S_{mkl} / 2.
 
@@ -94,111 +126,79 @@ def christoffel(g: MetricField) -> ChristoffelField:
 
 @dataclass(frozen=True)
 class RiemannField:
+    """The Riemann tensor as the symmetric operator on bivectors.
+
+    `riem` has shape grid + (N, N), N = n(n-1)/2, with riem[..., I, J] =
+    R_abcd for the index pairs I = (a, b), a < b, and J = (c, d), c < d,
+    in `np.triu_indices(n, 1)` order: one component per node in 2-d, six
+    independent of nine stored in 3-d.  The sign makes the sectional
+    curvature K(v, w) = R(v, w, v, w) / |v ^ w|^2.  Symmetry in (I, J) is
+    exact.
+    """
+
     lattice: Lattice
-    riem: np.ndarray  # grid + (n, n, n, n): R^rho_{sigma mu nu}
+    riem: np.ndarray
     mask: np.ndarray
 
 
-def _contract_first(mat: np.ndarray, tens: np.ndarray) -> np.ndarray:
-    """mat^{i m} tens_{m ...}: batched matmul over the first tensor index."""
-    head = mat.shape[:-2]
-    rest = tens.shape[len(head) + 1:]
-    flat = tens.reshape(head + (tens.shape[len(head)], -1))
-    return np.matmul(mat, flat).reshape(head + (mat.shape[-2],) + rest)
+def _pair_axes(n: int):
+    """Index arrays (a, b, c, d) over (I, J), shapes (N, 1) and (1, N)."""
+    a, b = np.triu_indices(n, 1)
+    return a[:, None], b[:, None], a[None, :], b[None, :]
 
 
-def _perm4(arr: np.ndarray, order: tuple) -> np.ndarray:
-    """View of arr with its trailing four tensor axes reordered."""
-    g = arr.ndim - 4
-    return arr.transpose(*range(g), *(g + o for o in order))
+def _wedge(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Bivector components (u ^ v)_I = u_a v_b - u_b v_a, trailing axis I."""
+    a, b = np.triu_indices(u.shape[-1], 1)
+    return u[..., a] * v[..., b] - u[..., b] * v[..., a]
 
 
-def _ds_from_hessian(d2g: np.ndarray) -> np.ndarray:
-    """S_{mkl,a} from the metric Hessian d2g[...,i,j,a,b] = d_b d_a g_ij."""
-    # g_{mk,l a} + g_{ml,k a} - g_{kl,m a}
-    return d2g + _perm4(d2g, (0, 2, 1, 3)) - _perm4(d2g, (2, 0, 1, 3))
+def _lambda2(mats: np.ndarray) -> np.ndarray:
+    """Lambda^2 of matrices, (Lambda^2 g)_IJ = g_ac g_bd - g_ad g_bc."""
+    a, b, c, d = _pair_axes(mats.shape[-1])
+    return mats[..., a, c] * mats[..., b, d] - mats[..., a, d] * mats[..., b, c]
 
 
-def _antisym_mn(arr: np.ndarray) -> np.ndarray:
-    """arr[...,r,s,m,n] minus the same array with (m, n) swapped."""
-    return arr - np.swapaxes(arr, -2, -1)
+def _symmetrized(x: np.ndarray) -> np.ndarray:
+    """(x + x^T) / 2 over the trailing (I, J) axes, symmetric bit for bit."""
+    return 0.5 * (x + np.swapaxes(x, -2, -1))
 
 
-def _dgamma_parts(ginv, dginv, S, d2g) -> tuple[np.ndarray, np.ndarray]:
-    """The two Leibniz halves of d_a Gamma^i_{kl}, each grid + (i,k,l,a):
-    (d_a g^{im}) S_{mkl} / 2 and g^{im} (d_a S_{mkl}) / 2."""
-    head = ginv.shape[:-2]
-    n = ginv.shape[-1]
-    dg2 = np.moveaxis(dginv, -1, -3)                       # (a, i, m)
-    s_flat = S.reshape(head + (n, n * n))[..., None, :, :]  # (1, m, kl)
-    t1 = np.matmul(dg2, s_flat).reshape(head + (n, n, n, n))
-    term1 = 0.5 * np.moveaxis(t1, -4, -1)                  # (i, k, l, a)
-    term2 = 0.5 * _contract_first(ginv, _ds_from_hessian(d2g))
-    return term1, term2
-
-
-def _dgamma_to_riem(dgamma: np.ndarray) -> np.ndarray:
-    """d_a Gamma^r_{kl} reordered to R^r_{s m n} positions, antisymmetrized in (m, n)."""
-    return _antisym_mn(_perm4(dgamma, (0, 2, 3, 1)))
-
-
-def _gamma_square(gamma: np.ndarray) -> np.ndarray:
-    """Gamma^r_{m l} Gamma^l_{n s} antisymmetrized in (m, n), as (r,s,m,n)."""
-    head = gamma.shape[:-3]
-    n = gamma.shape[-1]
-    T = np.matmul(gamma.reshape(head + (n * n, n)),
-                  gamma.reshape(head + (n, n * n)))
-    T = _perm4(T.reshape(head + (n, n, n, n)), (0, 3, 1, 2))  # (r,m,n,s)->(r,s,m,n)
-    return _antisym_mn(T)
-
-
-def _riemann_fields(g: MetricField, split: bool) -> list[RiemannField]:
-    """The Riemann tensor of g, whole or split as [A, B]: crop g to its
-    mask, build Gamma and the Leibniz halves of d Gamma, paste back."""
+def _riemann_parts(g: MetricField):
+    """(A, B, mask, sl): the Hessian part and the remainder of the curvature
+    operator on the crop `sl` of g to its mask, and their valid mask."""
     gc, sl = _crop_to_mask(g)
-    lat = gc.lattice
     ginv = invert_metric(gc).matrices()
     jet = differentiate(gc, 2)
-    _, dg, d2g = jet.blocks
-    dginv = np.stack([central_diff(ginv, ax, lat.h) for ax in range(lat.n)], axis=-1)
+    _, dg, d2g = jet.blocks  # d2g[..., i, j, x, y] = d_y d_x g_ij
+    a, b, c, d = _pair_axes(gc.lattice.n)
+    A = 0.5 * (d2g[..., a, d, b, c] + d2g[..., b, c, a, d]
+               - d2g[..., a, c, b, d] - d2g[..., b, d, a, c])
+    # 1/4 g^pq S_p,bc S_q,ad = 1/2 Gamma^q_bc S_q,ad
     S, gamma = _gamma(ginv, dg)
-    term1, term2 = _dgamma_parts(ginv, dginv, S, d2g)
-    # The derivative part is added in place to the Gamma^2 buffer.  That
-    # pins the memory layout of the result, and with it the summation order
-    # of later einsum contractions (so the CLI output stays byte-stable),
-    # and it saves an n^4 temporary.
-    riem = _gamma_square(gamma)
-    if split:
-        riem += _dgamma_to_riem(term1)
-        parts = [_dgamma_to_riem(term2), riem]
-    else:
-        term1 += term2
-        riem += _dgamma_to_riem(term1)
-        parts = [riem]
-    return [_paste_full(g, part, jet.mask, sl) for part in parts]
+    B = 0.5 * sum(gamma[..., q, b, c] * S[..., q, a, d]
+                  - gamma[..., q, b, d] * S[..., q, a, c] for q in range(gc.lattice.n))
+    # nested central differences in the other order differ in round-off
+    return _symmetrized(A), _symmetrized(B), jet.mask, sl
 
 
 def riemann(g: MetricField) -> RiemannField:
-    """R^rho_{sigma mu nu} = d_mu Gamma^rho_{nu sigma} - d_nu Gamma^rho_{mu sigma}
-    + Gamma^rho_{mu lam} Gamma^lam_{nu sigma} - Gamma^rho_{nu lam} Gamma^lam_{mu sigma}."""
-    return _riemann_fields(g, split=False)[0]
+    """The curvature operator R_IJ = R_abcd = A_IJ + B_IJ of g."""
+    A, B, mask, sl = _riemann_parts(g)
+    A += B
+    return _paste_full(g, A, mask, sl)
 
 
 def ab_decomposition(g: MetricField) -> tuple[RiemannField, RiemannField]:
-    """Split the Riemann tensor into the part A bilinear in (g^{-1}, Hess g)
-    and the polynomial remainder B in (grad g, g^{-1}, grad g^{-1})."""
-    A, B = _riemann_fields(g, split=True)
-    return A, B
-
-
-def ricci(R: RiemannField) -> np.ndarray:
-    """Ric_{sigma nu} = R^mu_{sigma mu nu}, shape grid + (n, n)."""
-    return np.einsum("...msmn->...sn", R.riem)
+    """Split the curvature operator into the part A linear in Hess g and the
+    remainder B, quadratic in grad g with coefficients g^-1; A + B = R."""
+    A, B, mask, sl = _riemann_parts(g)
+    return _paste_full(g, A, mask, sl), _paste_full(g, B, mask, sl)
 
 
 def scalar_curvature(g: MetricField, R: RiemannField) -> np.ndarray:
-    ginv = invert_metric(g).matrices()
-    return np.einsum("...sn,...sn->...", ginv, ricci(R))
+    """s = g^ac g^bd R_abcd = 2 sum_IJ (Lambda^2 g^-1)_IJ R_IJ."""
+    return 2.0 * np.einsum("...IJ,...IJ->...", _lambda2(g.inverse()), R.riem)
 
 
 @dataclass(frozen=True)
@@ -211,9 +211,13 @@ class VectorSection:
     xi: np.ndarray
 
 
-def riem_contract_field(R: RiemannField, s: VectorSection) -> np.ndarray:
-    """R^rho_{sigma mu nu} xi_rho v^sigma w1^mu w2^nu as a scalar field."""
-    return np.einsum("...rsmn,r,s,m,n->...", R.riem, s.xi, s.v, s.w1, s.w2)
+def riem_contract_field(R: RiemannField, g: MetricField, sections) -> list[np.ndarray]:
+    """R^r_{smn} xi_r v^s w1^m w2^n = (g^-1 xi ^ v)^T R (w1 ^ w2) as a scalar
+    field, one per section; g^-1 is formed once for all sections."""
+    ginv = g.inverse()
+    return [np.einsum("...I,...I->...", _wedge(ginv @ s.xi, s.v),
+                      R.riem @ _wedge(s.w1, s.w2))
+            for s in sections]
 
 
 def section_norm_fields(g: MetricField, sections) -> list[np.ndarray]:
@@ -232,83 +236,45 @@ def section_norm_fields(g: MetricField, sections) -> list[np.ndarray]:
             for s in sections]
 
 
-def evaluate_riem(R: RiemannField, g: MetricField, s: VectorSection,
-                  node: tuple) -> tuple[float, float]:
-    """Contraction of R with the section at one node, plus the g-norm product there."""
-    if not R.mask[node]:
-        raise ValueError(f"node {node} outside the valid mask")
-    val = float(np.einsum("rsmn,r,s,m,n->", R.riem[node], s.xi, s.v, s.w1, s.w2))
-    gm = unpack_symmetric(g.comps[node], g.lattice.n)
-    ginv = np.linalg.inv(gm)
-    prod = float(np.sqrt(s.v @ gm @ s.v) * np.sqrt(s.w1 @ gm @ s.w1)
-                 * np.sqrt(s.w2 @ gm @ s.w2) * np.sqrt(s.xi @ ginv @ s.xi))
-    return val, prod
-
-
-DEGENERATE_GRAM = 1e-12
-
-
-def sectional(g: MetricField, R: RiemannField, node: tuple,
-              v: np.ndarray, w: np.ndarray) -> float:
-    """<R(v,w)w, v> / (|v|^2 |w|^2 - <v,w>^2) at one node."""
-    if not R.mask[node]:
-        raise ValueError(f"node {node} outside the valid mask")
-    gm = unpack_symmetric(g.comps[node], g.lattice.n)
-    gram = (v @ gm @ v) * (w @ gm @ w) - (v @ gm @ w) ** 2
-    if gram < DEGENERATE_GRAM:
-        raise ValueError("degenerate plane")
-    rv = np.einsum("rsmn,s,m,n->r", R.riem[node], w, v, w)
-    num = float(rv @ gm @ v)
-    return num / float(gram)
-
-
 def sectional_field(g: MetricField, R: RiemannField,
                     v: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Sectional curvature of the constant plane (v, w) at every node.
 
-    Nodes with a degenerate Gram determinant get NaN.
+    Nodes where |v ^ w|_g^2 < DEGENERATE_GRAM get NaN.
     """
-    mats = g.matrices()
-    gv = np.einsum("...ij,j->...i", mats, v)
-    gw = np.einsum("...ij,j->...i", mats, w)
-    gram = (np.einsum("...i,i->...", gv, v) * np.einsum("...i,i->...", gw, w)
-            - np.einsum("...i,i->...", gv, w) ** 2)
-    rv = np.einsum("...rsmn,s,m,n->...r", R.riem, w, v, w)
-    num = np.einsum("...r,...r->...", rv, gv)
+    om = _wedge(np.asarray(v, dtype=float), np.asarray(w, dtype=float))
+    gram = np.einsum("...IJ,I,J->...", _lambda2(g.matrices()), om, om)
+    num = np.einsum("...IJ,I,J->...", R.riem, om, om)
     with np.errstate(divide="ignore", invalid="ignore"):
         sec = num / gram
     sec[gram < DEGENERATE_GRAM] = np.nan
     return sec
 
 
-def _plane_family(n: int, count: int, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    planes = [(np.eye(n)[i], np.eye(n)[j]) for i in range(n) for j in range(i + 1, n)]
-    if n > 2 and count > 0:
-        rng = np.random.Generator(np.random.Philox(key=seed))
-        raw = rng.standard_normal((count, 2, n))
-        for k in range(count):
-            planes.append((raw[k, 0], raw[k, 1]))
-    return planes
+def sec_extreme_fields(g: MetricField, R: RiemannField):
+    """Per-node (min, max) of the sectional curvature over all 2-planes.
+
+    The extremes are the extreme eigenvalues of G^-1 R, found as those of
+    L^-1 R L^-T with G = L L^T; exact in dimensions 2 and 3, where every
+    bivector spans a plane.
+    """
+    n = g.lattice.n
+    if n > 3:
+        raise ValueError(f"exact sectional extremes need dimension 2 or 3, got {n}")
+    G = _lambda2(g.matrices())
+    if n == 2:
+        k = R.riem[..., 0, 0] / G[..., 0, 0]
+        return k, k.copy()
+    Linv = np.linalg.inv(np.linalg.cholesky(G))
+    ev = np.linalg.eigvalsh(Linv @ R.riem @ np.swapaxes(Linv, -2, -1))
+    return ev[..., 0], ev[..., -1]
 
 
-def sec_extreme_fields(g: MetricField, R: RiemannField,
-                       seed: int = 0, random_planes: int = 32):
-    """Per-node (min, max) of sectional curvature over the plane family."""
-    lo = np.full(g.lattice.shape, np.inf)
-    hi = np.full(g.lattice.shape, -np.inf)
-    for v, w in _plane_family(g.lattice.n, random_planes, seed):
-        sec = sectional_field(g, R, v, w)
-        good = np.isfinite(sec)
-        lo[good] = np.minimum(lo[good], sec[good])
-        hi[good] = np.maximum(hi[good], sec[good])
-    return lo, hi
-
-
-def sec_extremes(g: MetricField, R: RiemannField, region: np.ndarray,
-                 seed: int = 0, random_planes: int = 32) -> tuple[float, float]:
-    """(minSec, maxSec) over region nodes and the deterministic plane family."""
+def sec_extremes(g: MetricField, R: RiemannField,
+                 region: np.ndarray) -> tuple[float, float]:
+    """(minSec, maxSec) over all 2-planes at the valid nodes of region."""
     region = region & R.mask
     if not region.any():
         raise ValueError("empty region")
-    lo, hi = sec_extreme_fields(g, R, seed=seed, random_planes=random_planes)
+    lo, hi = sec_extreme_fields(g, R)
     return float(lo[region].min()), float(hi[region].max())

@@ -28,6 +28,11 @@ def erode_mask(mask: np.ndarray, steps: int) -> np.ndarray:
     )
 
 
+def first_node(bad: np.ndarray) -> tuple[int, ...]:
+    """Index of the first True entry of a boolean grid, in C order."""
+    return tuple(int(i) for i in np.argwhere(bad)[0])
+
+
 def pack_indices(n: int) -> list[tuple[int, int]]:
     """Upper-triangle index pairs used for packed symmetric storage."""
     return [(i, j) for i in range(n) for j in range(i, n)]
@@ -186,8 +191,7 @@ def sample_scalar(fn, lattice: Lattice) -> ScalarField:
         raise ValueError("scalar generator returned wrong shape")
     bad = ~np.isfinite(values)
     if bad.any():
-        node = tuple(int(i) for i in np.argwhere(bad)[0])
-        raise ValueError(f"non-finite scalar value at node {node}")
+        raise ValueError(f"non-finite scalar value at node {first_node(bad)}")
     return ScalarField(lattice=lattice, values=values, mask=lattice.full_mask())
 
 
@@ -198,13 +202,11 @@ def sample_metric(fn, lattice: Lattice) -> MetricField:
         raise ValueError("metric generator returned wrong shape")
     bad = ~np.isfinite(mats).all(axis=(-2, -1))
     if bad.any():
-        node = tuple(int(i) for i in np.argwhere(bad)[0])
-        raise ValueError(f"non-finite metric value at node {node}")
+        raise ValueError(f"non-finite metric value at node {first_node(bad)}")
     eigs = np.linalg.eigvalsh(0.5 * (mats + np.swapaxes(mats, -1, -2)))
     not_pd = eigs[..., 0] <= 0.0
     if not_pd.any():
-        node = tuple(int(i) for i in np.argwhere(not_pd)[0])
-        raise ValueError(f"metric not positive-definite at node {node}")
+        raise ValueError(f"metric not positive-definite at node {first_node(not_pd)}")
     return MetricField.from_matrices(lattice, mats, lattice.full_mask())
 
 

@@ -243,8 +243,7 @@ def transition_compatible(geometry: ModelGeometry, n_points: int = 200,
     return True
 
 
-def validate_reference(geometry: ModelGeometry, ms=(41, 81),
-                       seed: int = 0) -> float:
+def validate_reference(geometry: ModelGeometry, ms=(41, 81)) -> float:
     """Richardson-extrapolated sectional-curvature constant of the model.
 
     Uses the second-order stencils at two resolutions; the result is the
@@ -258,7 +257,7 @@ def validate_reference(geometry: ModelGeometry, ms=(41, 81),
         g = sample_metric(geometry.atlas.charts[0].metric, lat)
         R = riemann(g)
         region = lat.ball_mask(geometry.curvature_radius / 2.0)
-        lo, hi = sec_extremes(g, R, region, seed=seed)
+        lo, hi = sec_extremes(g, R, region)
         vals.append(0.5 * (lo + hi))
     c1, c2 = vals[-2], vals[-1]
     return (4.0 * c2 - c1) / 3.0

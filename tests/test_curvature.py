@@ -2,11 +2,10 @@
 import numpy as np
 import pytest
 
-from mollilab.curvature import (VectorSection, ab_decomposition, christoffel,
-                                evaluate_riem, invert_metric, ricci, riemann,
-                                scalar_curvature, sec_extreme_fields,
-                                sec_extremes, section_norm_fields, sectional,
-                                sectional_field)
+from mollilab.curvature import (RiemannField, VectorSection, ab_decomposition,
+                                christoffel, invert_metric, riem_contract_field,
+                                riemann, scalar_curvature, sec_extreme_fields,
+                                sec_extremes, section_norm_fields, sectional_field)
 from mollilab.lattice import (MetricField, convergence_order, make_lattice,
                               sample_metric)
 
@@ -27,6 +26,43 @@ def _sphere_lam(R=1.0):
 
 def _poincare_lam():
     return lambda X: 4.0 / (1.0 - (X**2).sum(axis=-1)) ** 2
+
+
+def _smooth_metric(seed, n=3):
+    """A seeded anisotropic metric: a constant SPD matrix plus six plane
+    waves with symmetric coefficients of spectral norm 1/6 each."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    base = rng.standard_normal((n, n))
+    base = base @ base.T / n + 1.5 * np.eye(n)
+    waves = 2.5 * rng.standard_normal((6, n))
+    phases = rng.uniform(0.0, 2.0 * np.pi, 6)
+    coefs = rng.standard_normal((6, n, n))
+    coefs = coefs + np.swapaxes(coefs, -1, -2)
+    coefs /= 6.0 * np.abs(np.linalg.eigvalsh(coefs)).max(axis=-1)[:, None, None]
+
+    def gen(X):
+        return base + np.einsum("...k,kij->...ij", np.sin(X @ waves.T + phases), coefs)
+    return gen
+
+
+def _full_tensor(riem, n):
+    """R_abcd with all its index symmetries, from the operator R_IJ."""
+    a, b = np.triu_indices(n, 1)
+    full = np.zeros(riem.shape[:-2] + (n,) * 4)
+    for I, (p, q) in enumerate(zip(a, b)):
+        for J, (r, s) in enumerate(zip(a, b)):
+            x = riem[..., I, J]
+            full[..., p, q, r, s] = full[..., q, p, s, r] = x
+            full[..., q, p, r, s] = full[..., p, q, s, r] = -x
+    return full
+
+
+def _plane_family(n=3, count=32, seed=0):
+    """The 3 coordinate planes and 32 seeded random planes that bounded the
+    sectional extremes before they were computed exactly."""
+    planes = [(np.eye(n)[i], np.eye(n)[j]) for i in range(n) for j in range(i + 1, n)]
+    raw = np.random.Generator(np.random.Philox(key=seed)).standard_normal((count, 2, n))
+    return planes + [(raw[k, 0], raw[k, 1]) for k in range(count)]
 
 
 class TestInvertMetric:
@@ -60,6 +96,21 @@ class TestInvertMetric:
         with pytest.raises(ValueError, match="condition"):
             invert_metric(g)
 
+    def test_names_first_bad_node(self):
+        lat = make_lattice(2, 1.0, 11)
+        comps = np.broadcast_to([1.0, 0.0, 1.0], lat.shape + (3,)).copy()
+        mask = lat.full_mask()
+        comps[1, 1] = [1.0, 2.0, 1.0]        # indefinite, but off the mask
+        mask[1, 1] = False
+        comps[3, 4] = comps[5, 0] = [1.0, 2.0, 1.0]
+        with pytest.raises(ValueError, match=r"not positive-definite at node \(3, 4\)"):
+            invert_metric(MetricField(lattice=lat, comps=comps, mask=mask))
+        comps[3, 4] = comps[5, 0] = [1.0, 0.0, 1.0]
+        comps[6, 2] = [1.0, 0.0, 1e-13]
+        with pytest.raises(ValueError, match=r"condition number 1e\+13 exceeds 1e12 "
+                                             r"at node \(6, 2\)"):
+            invert_metric(MetricField(lattice=lat, comps=comps, mask=mask))
+
 
 class TestChristoffel:
     def test_flat_is_zero(self):
@@ -89,11 +140,13 @@ class TestRiemann:
         R = riemann(sample_metric(_flat(3), lat))
         assert np.abs(R.riem[R.mask]).max() < 1e-12
 
-    def test_last_pair_antisymmetry_exact(self):
-        lat = make_lattice(2, 0.5, 21)
-        g = sample_metric(_conformal(_poincare_lam()), lat)
+    def test_pair_symmetry_exact(self):
+        lat = make_lattice(3, 0.5, 13)
+        g = sample_metric(_smooth_metric(0), lat)
         R = riemann(g)
-        assert np.array_equal(R.riem, -np.swapaxes(R.riem, -2, -1))
+        assert R.riem.shape == lat.shape + (3, 3)
+        for part in (R, *ab_decomposition(g)):
+            assert np.array_equal(part.riem, np.swapaxes(part.riem, -2, -1))
 
     def test_constant_coefficient_metric_flat(self):
         lat = make_lattice(2, 1.0, 11)
@@ -124,30 +177,35 @@ class TestRiemann:
         assert np.abs(B.riem[B.mask]).max() < 1e-13
 
 
-class TestEvaluateRiem:
+class TestContractions:
     def test_multilinearity(self):
         lat = make_lattice(2, 0.5, 21)
         g = sample_metric(_conformal(_poincare_lam()), lat)
         R = riemann(g)
-        node = lat.origin_index
         s = VectorSection(v=np.array([1.0, 0.3]), w1=np.array([0.2, 1.0]),
                           w2=np.array([1.0, -1.0]), xi=np.array([0.5, 0.5]))
-        val, _ = evaluate_riem(R, g, s, node)
         s2 = VectorSection(v=2.0 * s.v, w1=s.w1, w2=s.w2, xi=s.xi)
-        val2, _ = evaluate_riem(R, g, s2, node)
-        assert val2 == pytest.approx(2.0 * val, rel=1e-12)
+        val, val2 = riem_contract_field(R, g, [s, s2])
+        assert np.allclose(val2[R.mask], 2.0 * val[R.mask], rtol=1e-12, atol=0.0)
 
-    def test_rejects_invalid_node(self):
-        lat = make_lattice(2, 1.0, 11)
-        g = sample_metric(_flat(2), lat)
+    def test_matches_full_tensor_contraction(self):
+        lat = make_lattice(3, 0.5, 11)
+        g = sample_metric(_smooth_metric(1), lat)
         R = riemann(g)
-        with pytest.raises(ValueError, match="outside"):
-            evaluate_riem(R, g, VectorSection(*np.eye(2)[[0, 1, 0, 1]]), (0, 0))
+        rng = np.random.Generator(np.random.Philox(key=5))
+        sections = [VectorSection(*rng.standard_normal((4, 3))) for _ in range(3)]
+        full = _full_tensor(R.riem, 3)
+        ginv = np.linalg.inv(g.matrices())
+        for s, got in zip(sections, riem_contract_field(R, g, sections)):
+            # R^r_{smn} xi_r v^s w1^m w2^n with the first index raised by g^-1
+            want = np.einsum("...rsmn,...r,s,m,n->...", full, ginv @ s.xi,
+                             s.v, s.w1, s.w2)
+            scale = np.abs(want[R.mask]).max()
+            assert np.abs((got - want)[R.mask]).max() < 1e-12 * scale
 
     def test_section_norm_fields_match_pointwise_product(self):
         lat = make_lattice(3, 0.5, 9)
         g = sample_metric(_conformal(_poincare_lam()), lat)
-        R = riemann(g)
         rng = np.random.Generator(np.random.Philox(key=3))
         sections = [VectorSection(*rng.standard_normal((4, 3))) for _ in range(3)]
         fields = section_norm_fields(g, sections)
@@ -155,7 +213,10 @@ class TestEvaluateRiem:
         for s, nf in zip(sections, fields):
             assert nf.shape == lat.shape
             for node in nodes:
-                _, prod = evaluate_riem(R, g, s, node)
+                gm = g.matrices()[node]
+                gi = np.linalg.inv(gm)
+                prod = (np.sqrt(s.v @ gm @ s.v) * np.sqrt(s.w1 @ gm @ s.w1)
+                        * np.sqrt(s.w2 @ gm @ s.w2) * np.sqrt(s.xi @ gi @ s.xi))
                 assert nf[node] == pytest.approx(prod, rel=1e-13)
 
 
@@ -164,30 +225,27 @@ class TestSectional:
         lat = make_lattice(2, 0.5, 21)
         g = sample_metric(_conformal(_poincare_lam()), lat)
         R = riemann(g)
-        node = lat.origin_index
         v, w = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-        s1 = sectional(g, R, node, v, w)
-        s2 = sectional(g, R, node, 3.0 * v, -0.5 * w)
-        assert s2 == pytest.approx(s1, rel=1e-12)
+        s1 = sectional_field(g, R, v, w)
+        s2 = sectional_field(g, R, 3.0 * v, -0.5 * w)
+        assert np.allclose(s2[R.mask], s1[R.mask], rtol=1e-12, atol=0.0)
 
     def test_basis_invariance(self):
         lat = make_lattice(3, 0.4, 21)
         g = sample_metric(_conformal(_sphere_lam()), lat)
         R = riemann(g)
-        node = lat.origin_index
         v, w = np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])
-        s1 = sectional(g, R, node, v, w)
+        s1 = sectional_field(g, R, v, w)
         # same plane, different spanning basis
-        s2 = sectional(g, R, node, v + w, v - 2.0 * w)
-        assert abs(s2 - s1) < 1e-9 * max(1.0, abs(s1))
+        s2 = sectional_field(g, R, v + w, v - 2.0 * w)
+        assert np.all(np.abs(s2 - s1)[R.mask] < 1e-9 * np.maximum(1.0, np.abs(s1[R.mask])))
 
     def test_rejects_degenerate_plane(self):
         lat = make_lattice(2, 1.0, 11)
         g = sample_metric(_flat(2), lat)
         R = riemann(g)
         v = np.array([1.0, 1.0])
-        with pytest.raises(ValueError, match="degenerate"):
-            sectional(g, R, lat.origin_index, v, 2.0 * v)
+        assert np.isnan(sectional_field(g, R, v, 2.0 * v)).all()
 
     def test_field_nan_on_degenerate(self):
         lat = make_lattice(2, 1.0, 11)
@@ -228,21 +286,73 @@ class TestSectional:
         assert np.all(lo[good] <= sec[good] + 1e-12)
         assert np.all(sec[good] <= hi[good] + 1e-12)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_extremes_exact_over_all_planes(self, seed):
+        lat = make_lattice(3, 0.5, 15)
+        g = sample_metric(_smooth_metric(seed), lat)
+        R = riemann(g)
+        lo, hi = sec_extreme_fields(g, R)
+        # bounds: no plane of the former sampled family leaves [lo, hi]
+        for v, w in _plane_family():
+            sec = sectional_field(g, R, v, w)
+            assert np.all(lo[R.mask] <= sec[R.mask] + 1e-12)
+            assert np.all(sec[R.mask] <= hi[R.mask] + 1e-12)
+        # attained: a 200 x 200 grid of plane normals over a hemisphere
+        # comes within 1e-3 of both extremes
+        th, ph = np.meshgrid(np.linspace(0.0, np.pi, 200), np.linspace(0.0, np.pi, 200))
+        th, ph = th.ravel(), ph.ravel()
+        v = np.stack([-np.sin(ph), np.cos(ph), np.zeros_like(ph)], axis=-1)
+        w = np.stack([np.cos(th) * np.cos(ph), np.cos(th) * np.sin(ph), -np.sin(th)],
+                     axis=-1)
+        om = np.stack([v[:, 0] * w[:, 1] - v[:, 1] * w[:, 0],
+                       v[:, 0] * w[:, 2] - v[:, 2] * w[:, 0],
+                       v[:, 1] * w[:, 2] - v[:, 2] * w[:, 1]], axis=-1)
+        mats = g.matrices()
+        nodes = np.argwhere(R.mask)
+        rng = np.random.Generator(np.random.Philox(key=seed))
+        spread = 0.0
+        for node in map(tuple, nodes[rng.choice(len(nodes), 12, replace=False)]):
+            gm = mats[node]
+            gram = (np.einsum("pi,ij,pj->p", v, gm, v) * np.einsum("pi,ij,pj->p", w, gm, w)
+                    - np.einsum("pi,ij,pj->p", v, gm, w) ** 2)
+            sec = np.einsum("pI,IJ,pJ->p", om, R.riem[node], om) / gram
+            scale = max(1.0, abs(lo[node]), abs(hi[node]))
+            assert lo[node] - 1e-12 <= sec.min() <= lo[node] + 1e-3 * scale
+            assert hi[node] - 1e-3 * scale <= sec.max() <= hi[node] + 1e-12
+            spread = max(spread, hi[node] - lo[node])
+        assert spread > 0.1  # the metrics are far from isotropic
+
+    def test_extremes_equal_in_2d(self):
+        lat = make_lattice(2, 0.5, 21)
+        g = sample_metric(_smooth_metric(2, n=2), lat)
+        R = riemann(g)
+        assert R.riem.shape == lat.shape + (1, 1)
+        lo, hi = sec_extreme_fields(g, R)
+        assert np.array_equal(lo[R.mask], hi[R.mask])
+        sec = sectional_field(g, R, np.array([1.0, 0.4]), np.array([-0.3, 2.0]))
+        assert np.allclose(sec[R.mask], lo[R.mask], rtol=1e-12, atol=1e-14)
+
+    def test_extremes_reject_dimension_above_3(self):
+        lat = make_lattice(4, 1.0, 5)
+        g = sample_metric(_flat(4), lat)
+        R = RiemannField(lattice=lat, riem=np.zeros(lat.shape + (6, 6)), mask=g.mask)
+        with pytest.raises(ValueError, match="dimension 2 or 3"):
+            sec_extreme_fields(g, R)
+
 
 class TestRicciScalar:
     @pytest.mark.parametrize("n,lam,sec", [(2, _sphere_lam(), 1.0),
                                            (3, _sphere_lam(), 1.0),
                                            (2, _poincare_lam(), -1.0)])
     def test_einstein_constant(self, n, lam, sec):
-        # space form: Ric = (n-1) sec g, scalar = n(n-1) sec
+        # space form: every plane has curvature sec, scalar = n(n-1) sec
         lat = make_lattice(n, 0.3, 41)
         g = sample_metric(_conformal(lam), lat)
         R = riemann(g)
-        ric = ricci(R)
-        expect = (n - 1) * sec * g.matrices()
         region = lat.ball_mask(0.15) & R.mask
-        scale = np.abs(expect[region]).max()
-        assert np.abs((ric - expect)[region]).max() < 5e-3 * scale
+        lo, hi = sec_extreme_fields(g, R)
+        for field in (lo, hi):
+            assert np.abs(field[region] - sec).max() < 5e-3 * abs(sec)
         sc = scalar_curvature(g, R)
         assert np.abs(sc[region] - n * (n - 1) * sec).max() < 5e-3 * abs(
             n * (n - 1) * sec)
