@@ -131,8 +131,17 @@ def write_text(path, text: str) -> None:
 
 
 def write_csv(path, header: list, rows: list) -> None:
+    """Rows formatted as `fmt` formats each cell, through one %-template per
+    distinct row of cell types: %.12g for floats, %s for the rest."""
+    templates = {}
     lines = [",".join(header)]
-    lines.extend(",".join(fmt(v) for v in row) for row in rows)
+    for row in rows:
+        types = tuple(map(type, row))
+        template = templates.get(types)
+        if template is None:
+            template = templates[types] = ",".join(
+                "%.12g" if issubclass(t, float) else "%s" for t in types)
+        lines.append(template % tuple(row))
     write_text(path, "\n".join(lines) + "\n")
 
 
@@ -487,9 +496,17 @@ def cmd_cover(cfg: ExperimentConfig) -> int:
 # ---------------------------------------------------------------------------
 # entry point
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """argparse with usage errors exiting EXIT_CONFIG instead of 2, which
+    labcli reserves for numerical failure; subparsers inherit the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="labcli",
-                                 description="mollified-metric experiments")
+    ap = _ArgumentParser(prog="labcli", description="mollified-metric experiments")
     sub = ap.add_subparsers(dest="command", required=True)
     for name in ("curvature", "deviation", "norms", "lemmas", "cover-check"):
         p = sub.add_parser(name)

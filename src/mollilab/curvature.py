@@ -188,29 +188,67 @@ class VectorSection:
     xi: np.ndarray
 
 
+def _fold(coef: np.ndarray) -> np.ndarray:
+    """Sum a coefficient array over the pairs (i, j), (j, i) of its last two
+    axes, which multiply the same entry of a symmetric matrix; the result's
+    last axis runs over i <= j in `np.triu_indices` order."""
+    i, j = np.triu_indices(coef.shape[-1])
+    folded = coef[..., i, j] + coef[..., j, i]
+    folded[..., i == j] *= 0.5
+    return folded
+
+
+def _combine(coef: np.ndarray, terms) -> np.ndarray:
+    """sum_k coef[k] * terms[k], skipping the zero coefficients."""
+    out = np.zeros(terms[0].shape)
+    for ck, term in zip(coef.tolist(), terms):
+        if ck != 0.0:
+            out += ck * term
+    return out
+
+
+def _stack_sections(sections, n: int):
+    """(v, w1, w2, xi), each stacked over the sections, shape (S, n)."""
+    return [np.array([getattr(s, name) for s in sections], dtype=float).reshape(-1, n)
+            for name in ("v", "w1", "w2", "xi")]
+
+
 def riem_contract_field(R: RiemannField, g: MetricField, sections) -> list[np.ndarray]:
     """R^r_{smn} xi_r v^s w1^m w2^n = (g^-1 xi ^ v)^T R (w1 ^ w2) as a scalar
-    field, one per section; g^-1 is formed once for all sections."""
+    field, one per section.
+
+    The contraction is bilinear in (g^-1, R) with constant coefficients,
+    sum g^ir R_IJ xi_r (e_i ^ v)_I (w1 ^ w2)_J, so each field is a
+    combination of the distinct products g^ir R_IJ (i <= r, I <= J),
+    formed once for all sections.
+    """
+    n = g.lattice.n
+    v, w1, w2, xi = _stack_sections(sections, n)
+    ei_v = _wedge(np.eye(n), v[:, None, :])  # (S, i, I)
+    coef = np.einsum("sr,siI,sJ->sIJir", xi, ei_v, _wedge(w1, w2))
+    coef = _fold(np.moveaxis(_fold(coef), -1, 1))  # (S, ir, IJ)
     ginv = g.inverse()
-    return [np.einsum("...I,...I->...", _wedge(ginv @ s.xi, s.v),
-                      R.riem @ _wedge(s.w1, s.w2))
-            for s in sections]
+    big_i, big_j = np.triu_indices(R.riem.shape[-1])
+    products = [ginv[..., i, r] * R.riem[..., I, J]
+                for i, r in zip(*np.triu_indices(n)) for I, J in zip(big_i, big_j)]
+    return [_combine(c.ravel(), products) for c in coef]
 
 
 def section_norm_fields(g: MetricField, sections) -> list[np.ndarray]:
     """Per-node product |v|_g |w1|_g |w2|_g |xi|_{g^-1} for each section.
 
-    Nodes off the mask see the identity metric.  The matrices and their
-    inverse are formed once for all sections.
+    Nodes off the mask see the identity metric.  Each squared norm is
+    sum_{i<=j} c_ij(u) g_ij over the packed components, with the inverse
+    formed once for all sections.
     """
-    mats = g.matrices()
+    comps = list(np.moveaxis(g.padded(), -1, 0))
     ginv = g.inverse()
-
-    def norm(a, u):
-        return np.sqrt(np.einsum("...ij,i,j->...", a, u, u))
-
-    return [norm(mats, s.v) * norm(mats, s.w1) * norm(mats, s.w2) * norm(ginv, s.xi)
-            for s in sections]
+    inv_comps = [ginv[..., i, j] for i, j in zip(*np.triu_indices(g.lattice.n))]
+    coefs = [_fold(u[:, :, None] * u[:, None, :])  # c_ij(u), shape (S, ij)
+             for u in _stack_sections(sections, g.lattice.n)]
+    return [np.sqrt(_combine(cv, comps)) * np.sqrt(_combine(c1, comps))
+            * np.sqrt(_combine(c2, comps)) * np.sqrt(_combine(cx, inv_comps))
+            for cv, c1, c2, cx in zip(*coefs)]
 
 
 def sectional_field(g: MetricField, R: RiemannField,
@@ -228,6 +266,18 @@ def sectional_field(g: MetricField, R: RiemannField,
     return sec
 
 
+def _lower_inverse(L: np.ndarray) -> np.ndarray:
+    """Inverse of lower-triangular 3 x 3 matrices by forward substitution."""
+    inv = np.zeros_like(L)
+    for k in range(3):
+        np.reciprocal(L[..., k, k], out=inv[..., k, k])
+    inv[..., 1, 0] = -L[..., 1, 0] * inv[..., 0, 0] * inv[..., 1, 1]
+    inv[..., 2, 1] = -L[..., 2, 1] * inv[..., 1, 1] * inv[..., 2, 2]
+    inv[..., 2, 0] = -(L[..., 2, 0] * inv[..., 0, 0]
+                       + L[..., 2, 1] * inv[..., 1, 0]) * inv[..., 2, 2]
+    return inv
+
+
 def sec_extreme_fields(g: MetricField, R: RiemannField):
     """Per-node (min, max) of the sectional curvature over all 2-planes.
 
@@ -242,7 +292,7 @@ def sec_extreme_fields(g: MetricField, R: RiemannField):
     if n == 2:
         k = R.riem[..., 0, 0] / G[..., 0, 0]
         return k, k.copy()
-    Linv = np.linalg.inv(np.linalg.cholesky(G))
+    Linv = _lower_inverse(np.linalg.cholesky(G))
     ev = np.linalg.eigvalsh(Linv @ R.riem @ np.swapaxes(Linv, -2, -1))
     return ev[..., 0], ev[..., -1]
 

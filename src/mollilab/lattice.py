@@ -4,8 +4,12 @@ All fields live on the cube [-r, r]^n sampled with an odd number of nodes
 per axis so the origin is always a node.  Validity masks shrink instead of
 falling back to one-sided stencils; every operation's output mask is a
 subset of its input mask.  Pointwise metric algebra (full matrices,
-eigenvalues, inverse) goes through `MetricField.matrices`, which pads the
-nodes off the mask with the identity, so callers never pad by hand.
+eigenvalues, inverse) starts from `MetricField.padded`, the packed
+components with the identity on the nodes off the mask, so callers never
+pad by hand.  For n <= 3 the inverse is the adjugate over the determinant
+and the 2-d eigenvalues are the closed-form roots, read straight from the
+packed components; batched LAPACK is kept for the 3-d eigenvalues and for
+n >= 4.
 """
 from __future__ import annotations
 
@@ -158,6 +162,12 @@ class MetricField:
         comps = np.stack([mats[..., i, j] for i, j in pack_indices(n)], axis=-1)
         return cls(lattice=lattice, comps=comps, mask=mask)
 
+    def padded(self) -> np.ndarray:
+        """Packed components with the identity off the mask, a fresh array."""
+        n = self.lattice.n
+        eye = np.eye(n)[tuple(np.array(pack_indices(n)).T)]
+        return np.where(self.mask[..., None], self.comps, eye)
+
     def matrices(self) -> np.ndarray:
         """Full symmetric matrices, shape grid + (n, n), a fresh array.
 
@@ -165,21 +175,74 @@ class MetricField:
         diagonalisation are defined everywhere; mask the result to read
         only valid data.
         """
-        n = self.lattice.n
-        mats = unpack_symmetric(self.comps, n)
-        mats[~self.mask] = np.eye(n)
-        return mats
+        return unpack_symmetric(self.padded(), self.lattice.n)
 
     def eigenvalues(self) -> np.ndarray:
-        """Ascending eigenvalues at every node (ones off the mask), grid + (n,)."""
-        return np.linalg.eigvalsh(self.matrices())
+        """Ascending eigenvalues at every node (ones off the mask), grid + (n,).
+
+        In 2-d the larger root is (a+c)/2 + hypot((a-c)/2, b) and the smaller
+        one det/top, which keeps its relative accuracy when it is tiny.
+        """
+        if self.lattice.n != 2:
+            return np.linalg.eigvalsh(self.matrices())
+        a, b, c = np.moveaxis(self.padded(), -1, 0)
+        eigs = np.empty(a.shape + (2,))
+        low, top = eigs[..., 0], eigs[..., 1]
+        np.hypot(0.5 * (a - c), b, out=top)
+        top += 0.5 * (a + c)
+        # det/top needs top > 0; otherwise both roots are <= 0 and the
+        # trace gives the smaller one without cancellation
+        np.subtract(a + c, top, out=low)
+        np.divide(a * c - b * b, top, out=low, where=top > 0.0)
+        # fl(a*a)/a can exceed a by an ulp: conformal metrics (a = c, b = 0)
+        np.minimum(low, top, out=low)
+        return eigs
 
     def inverse(self) -> np.ndarray:
         """Inverse matrices at every node (identity off the mask), grid + (n, n).
 
+        For n <= 3 the adjugate over the determinant, from the n(n+1)/2
+        cofactors of the symmetric matrix.  In 3-d the determinant is taken
+        after one elimination step on g_00, as g_00 times the determinant
+        of the 2 x 2 Schur complement: its relative error stays near
+        eps * cond, where the cofactor expansion loses up to eps * cond^2.
+        That step needs g_00 != 0, which holds for positive-definite
+        metrics; a zero g_00 or determinant on the mask raises LinAlgError.
         Recomputed on every call; nothing is cached on the field.
         """
-        return np.linalg.inv(self.matrices())
+        n = self.lattice.n
+        if n > 3:
+            return np.linalg.inv(self.matrices())
+        p = np.moveaxis(self.padded(), -1, 0)
+        out = np.empty(p.shape[1:] + (n, n))
+        if n == 2:
+            a, b, c = p
+            out[..., 0, 0] = c
+            out[..., 1, 1] = a
+            np.negative(b, out=out[..., 0, 1])
+            out[..., 1, 0] = out[..., 0, 1]
+            det = a * c - b * b
+        else:
+            a, b, c, d, e, f = p
+            cofactors = {(0, 0): (d, f, e, e), (0, 1): (c, e, b, f),
+                         (0, 2): (b, e, c, d), (1, 1): (a, f, c, c),
+                         (1, 2): (b, c, a, e), (2, 2): (a, d, b, b)}
+            for (i, j), (w, x, y, z) in cofactors.items():
+                cof = out[..., i, j]
+                np.multiply(w, x, out=cof)
+                cof -= y * z
+                out[..., j, i] = cof
+            _raise_at(a == 0.0, "metric has g_00 = 0")
+            t = e - b * (c / a)
+            det = out[..., 2, 2] * (f - c * (c / a)) - a * t * t
+        _raise_at(det == 0.0, "singular metric")
+        out /= det[..., None, None]
+        return out
+
+
+def _raise_at(bad: np.ndarray, what: str) -> None:
+    if bad.any():
+        raise np.linalg.LinAlgError(f"{what} at node {first_node(bad)}")
 
 
 Field = ScalarField | MetricField

@@ -45,6 +45,9 @@ def holder_seminorm(values: np.ndarray, mask: np.ndarray, h: float, alpha: float
     exhaustive pair scan bit for bit: fl(a - b) is monotone in a, so
     max_y fl(f(y) - f(x)) = fl(max_y f(y) - f(x)), and a pair at distance
     d' < d divided by (h d)^alpha never beats its own (h d')^alpha term.
+    By the same monotonicity no pair at distance >= d beats
+    spread / (h d)^alpha, with spread = max - min over the valid values, so
+    the scan stops once that bound is at most the best value so far.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
@@ -53,9 +56,12 @@ def holder_seminorm(values: np.ndarray, mask: np.ndarray, h: float, alpha: float
     lo = np.where(valid, vals, -np.inf)
     hi = np.where(valid, vals, np.inf)
     buf = np.empty_like(lo)
+    spread = lo.max() - hi.min()  # -inf on an empty mask
 
     best = 0.0
     for d in range(1, max(mask.shape)):
+        if not spread / (h * d) ** alpha > best:
+            break
         _grow_box(lo, buf, mask.ndim)
         best = max(best, float((lo - hi).max()) / (h * d) ** alpha)
     return best

@@ -10,10 +10,10 @@ import pytest
 import mollilab
 
 from mollilab.cli import (EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, EXIT_VIOLATION,
-                          ExperimentConfig, apply_overrides, fit_excess_decay,
+                          ExperimentConfig, apply_overrides, fit_excess_decay, fmt,
                           lemma_violations, load_config_file, main,
                           run_curvature, run_cover, run_deviation, run_lemmas,
-                          run_norms)
+                          run_norms, write_csv)
 
 
 def _read_csv(path):
@@ -276,6 +276,34 @@ class TestMainExitCodes:
         raw = out.read_bytes()
         assert b"\r" not in raw
         assert raw.endswith(b"\n")
+
+
+    @pytest.mark.parametrize("argv", [["curvature", "--m", "seven"],
+                                      ["deviation", "--interval-slack", "1.0"], []])
+    def test_usage_error_is_config_error(self, argv, capsys):
+        # argparse would exit 2, which labcli reserves for numerical failure
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_CONFIG
+        assert "usage: labcli" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["deviation", "--help"]])
+    def test_help_exits_ok(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_OK
+        assert "usage: labcli" in capsys.readouterr().out
+
+    def test_write_csv_matches_per_cell_format(self, capsys):
+        rows = [["a", "0/1", 0.1, -0.0, float("inf"), float("-inf"), float("nan"), 3,
+                 np.float64(1.0 / 3.0), np.float64(-2e-300), True, "", 1e22],
+                ["b", "2/3", np.float64(7.0), 0.5, 1.0, 2.0, 3.0, -4, 5.0, 6.0, False, "ok", 0.0],
+                [np.int64(4), 12345678901234.5, "", "", "", ""]]
+        write_csv(None, ["h"] * 13, rows)
+        want = "\n".join([",".join(["h"] * 13)] + [",".join(fmt(v) for v in row)
+                                                   for row in rows]) + "\n"
+        assert capsys.readouterr().out == want
+        assert "-0,inf,-inf,nan,3,0.333333333333,-2e-300,True,,1e+22" in want
 
 
 def test_cli_import_skips_integrate_and_optimize():

@@ -2,10 +2,10 @@
 import numpy as np
 import pytest
 
-from mollilab.curvature import (RiemannField, VectorSection, ab_decomposition,
-                                invert_metric, riem_contract_field, riemann,
-                                scalar_curvature, sec_extreme_fields, sec_extremes,
-                                section_norm_fields, sectional_field)
+from mollilab.curvature import (RiemannField, VectorSection, _lambda2, _wedge,
+                                ab_decomposition, invert_metric, riem_contract_field,
+                                riemann, scalar_curvature, sec_extreme_fields,
+                                sec_extremes, section_norm_fields, sectional_field)
 from mollilab.lattice import MetricField, make_lattice, sample_metric
 from mollilab.modelzoo import sphere
 
@@ -198,6 +198,67 @@ class TestContractions:
                 assert nf[node] == pytest.approx(prod, rel=1e-13)
 
 
+def _contract_per_section(R, g, sections):
+    """The per-section formula that `riem_contract_field` replaced: one
+    batched matvec g^-1 xi and one R (w1 ^ w2) per section."""
+    ginv = np.linalg.inv(g.matrices())
+    return [np.einsum("...I,...I->...", _wedge(ginv @ s.xi, s.v), R.riem @ _wedge(s.w1, s.w2))
+            for s in sections]
+
+
+def _norms_per_section(g, sections):
+    """The per-section formula that `section_norm_fields` replaced."""
+    mats = g.matrices()
+    ginv = np.linalg.inv(mats)
+
+    def norm(a, u):
+        return np.sqrt(np.einsum("...ij,i,j->...", a, u, u))
+
+    return [norm(mats, s.v) * norm(mats, s.w1) * norm(mats, s.w2) * norm(ginv, s.xi)
+            for s in sections]
+
+
+class TestContractionsMatchPerSectionFormula:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_riem_contract_field(self, n):
+        lat = make_lattice(n, 0.5, 21 if n == 2 else 11)
+        g = sample_metric(_smooth_metric(7, n=n), lat)
+        R = riemann(g)
+        rng = np.random.Generator(np.random.Philox(key=11))
+        eye = np.eye(n)
+        sections = [VectorSection(*rng.standard_normal((4, n))) for _ in range(6)]
+        sections.append(VectorSection(v=eye[0], w1=eye[1], w2=eye[0], xi=eye[-1]))
+        got = riem_contract_field(R, g, sections)
+        for s, c, want in zip(sections, got, _contract_per_section(R, g, sections)):
+            assert c.shape == lat.shape and c.flags.c_contiguous
+            # relative to the size of the terms: |g^-1 xi| |v| |R| |w1 ^ w2|
+            terms = (np.linalg.norm(np.linalg.inv(g.matrices()) @ s.xi, axis=-1)
+                     * np.linalg.norm(s.v) * np.abs(R.riem).max(axis=(-2, -1))
+                     * np.linalg.norm(_wedge(s.w1, s.w2)))
+            assert np.all(np.abs(c - want)[R.mask] <= 1e-13 * terms[R.mask])
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_section_norm_fields(self, n):
+        lat = make_lattice(n, 0.5, 21 if n == 2 else 11)
+        mask = lat.ball_mask(0.4)
+        g = sample_metric(_smooth_metric(8, n=n), lat)
+        comps = g.comps.copy()
+        comps[~mask] = np.nan  # off the mask both see the identity metric
+        g = MetricField(lattice=lat, comps=comps, mask=mask)
+        rng = np.random.Generator(np.random.Philox(key=12))
+        sections = [VectorSection(*rng.standard_normal((4, n))) for _ in range(6)]
+        sections.append(VectorSection(*np.eye(n)[[0, 1, 0, n - 1]]))
+        for got, want in zip(section_norm_fields(g, sections), _norms_per_section(g, sections)):
+            assert got.shape == lat.shape
+            assert np.all(np.abs(got / want - 1.0) <= 1e-13)
+
+    def test_no_sections(self):
+        lat = make_lattice(2, 0.5, 9)
+        g = sample_metric(_flat(2), lat)
+        assert riem_contract_field(riemann(g), g, []) == []
+        assert section_norm_fields(g, []) == []
+
+
 class TestSectional:
     def test_scale_invariance(self):
         lat = make_lattice(2, 0.5, 21)
@@ -310,6 +371,17 @@ class TestSectional:
         assert np.array_equal(lo[R.mask], hi[R.mask])
         sec = sectional_field(g, R, np.array([1.0, 0.4]), np.array([-0.3, 2.0]))
         assert np.allclose(sec[R.mask], lo[R.mask], rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_extreme_fields_match_generalised_eigenvalues(self, seed):
+        lat = make_lattice(3, 0.5, 11)
+        g = sample_metric(_smooth_metric(seed), lat)
+        R = riemann(g)
+        lo, hi = sec_extreme_fields(g, R)
+        ev = np.sort(np.linalg.eigvals(np.linalg.solve(_lambda2(g.matrices()), R.riem)).real)
+        scale = np.abs(ev).max(axis=-1)
+        assert np.all(np.abs(lo - ev[..., 0])[R.mask] <= 1e-13 * scale[R.mask])
+        assert np.all(np.abs(hi - ev[..., -1])[R.mask] <= 1e-13 * scale[R.mask])
 
     def test_extremes_reject_dimension_above_3(self):
         lat = make_lattice(4, 1.0, 5)

@@ -1,4 +1,6 @@
 """Tests for lattices, sampled fields, and finite differences."""
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -88,6 +90,90 @@ class TestFields:
         assert np.array_equal(mats[mask][:, 1, 0], comps[mask][:, 1])
         assert np.abs((inv @ mats)[mask] - np.eye(2)).max() < 1e-14
         assert np.all(eigs[mask] > 0.0)
+
+
+def _spd_field(lat, cond, seed):
+    """Seeded random SPD matrices with condition number `cond` at every node,
+    each scaled by a random power of ten in [1e-3, 1e3]."""
+    rng = np.random.default_rng(seed)
+    n = lat.n
+    q, _ = np.linalg.qr(rng.standard_normal(lat.shape + (n, n)))
+    lam = np.geomspace(1.0, cond, n) * 10.0 ** rng.uniform(-3, 3, lat.shape + (1,))
+    mats = np.einsum("...ij,...j,...kj->...ik", q, lam, q)
+    return 0.5 * (mats + np.swapaxes(mats, -1, -2))
+
+
+EPS = np.finfo(float).eps
+
+
+class TestClosedFormAlgebra:
+    """The n <= 3 inverse and the 2-d eigenvalues are closed forms; they must
+    agree with LAPACK to a tolerance proportional to the condition number."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("cond", [1.0, 1e2, 1e5, 1e8, 1e10])
+    def test_inverse_matches_lapack(self, n, cond):
+        lat = make_lattice(n, 1.0, 41 if n == 2 else 13)
+        mats = _spd_field(lat, cond, seed=int(np.log10(cond)) + 10 * n)
+        g = MetricField.from_matrices(lat, mats, lat.full_mask())
+        inv, ref = g.inverse(), np.linalg.inv(mats)
+        assert np.array_equal(inv, np.swapaxes(inv, -1, -2))
+        scale = np.abs(ref).max(axis=(-2, -1))[..., None, None]
+        assert (np.abs(inv - ref) / scale).max() <= 16 * EPS * cond
+        if cond <= 1e8:
+            # a residual grows up to eps cond^2 for any computed inverse;
+            # LAPACK's own reaches about 650 eps cond at cond = 1e10
+            assert np.abs(inv @ mats - np.eye(n)).max() <= 1e-12 * cond
+
+    @pytest.mark.parametrize("cond", [1.0, 1e2, 1e5, 1e8, 1e10])
+    def test_eigenvalues_2d_match_eigvalsh(self, cond):
+        lat = make_lattice(2, 1.0, 41)
+        mats = _spd_field(lat, cond, seed=int(np.log10(cond)))
+        eigs = MetricField.from_matrices(lat, mats, lat.full_mask()).eigenvalues()
+        ref = np.linalg.eigvalsh(mats)
+        assert np.all(eigs[..., 0] <= eigs[..., 1])
+        # absolute error eps * lambda_max: eps * cond relative to lambda_min
+        assert (np.abs(eigs - ref) / ref[..., 1:]).max() <= 16 * EPS
+        assert (np.abs(eigs[..., 0] / ref[..., 0] - 1.0)).max() <= 16 * EPS * cond
+        # on diagonal matrices det/top keeps the small root to a few eps,
+        # where the trace minus the large root would lose eps * cond
+        diag = np.zeros_like(mats)
+        diag[..., 0, 0], diag[..., 1, 1] = ref[..., 0], ref[..., 1]
+        eigs = MetricField.from_matrices(lat, diag, lat.full_mask()).eigenvalues()
+        assert (np.abs(eigs / ref - 1.0)).max() <= 4 * EPS
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("garbage", [np.nan, 0.0])
+    def test_padding_before_arithmetic(self, n, garbage):
+        lat = make_lattice(n, 1.0, 9)
+        mask = lat.ball_mask(0.6)
+        mats = _spd_field(lat, 10.0, seed=n)
+        comps = MetricField.from_matrices(lat, mats, mask).comps.copy()
+        comps[~mask] = garbage  # a zero determinant off the mask must not warn
+        g = MetricField(lattice=lat, comps=comps, mask=mask)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            inv = g.inverse()
+            eigs = g.eigenvalues()
+        eye = np.broadcast_to(np.eye(n), inv[~mask].shape)
+        assert np.array_equal(inv[~mask], eye)
+        assert np.array_equal(eigs[~mask], np.ones_like(eigs[~mask]))
+        assert np.abs((inv @ g.matrices())[mask] - np.eye(n)).max() < 1e-13
+        assert np.allclose(eigs[mask], np.linalg.eigvalsh(mats[mask]), rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("n,comps,what", [
+        (2, [1.0, 1.0, 1.0], "singular metric"),
+        (3, [1.0, 1.0, 0.0, 1.0, 0.0, 1.0], "singular metric"),
+        (3, [0.0, 1.0, 0.0, 0.0, 0.0, 1.0], "g_00 = 0")])
+    def test_singular_node_named(self, n, comps, what):
+        lat = make_lattice(n, 1.0, 5)
+        g = MetricField.from_matrices(lat, np.broadcast_to(np.eye(n), lat.shape + (n, n)),
+                                      lat.full_mask())
+        packed = g.comps.copy()
+        node = (3,) + (1,) * (n - 1)
+        packed[node] = comps
+        with pytest.raises(np.linalg.LinAlgError, match=rf"{what} at node \({node[0]}, 1"):
+            MetricField(lattice=lat, comps=packed, mask=g.mask).inverse()
 
 
 class TestErodeMask:

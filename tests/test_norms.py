@@ -4,6 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
+from mollilab import norms
 from mollilab.cli import ExperimentConfig, run_norms
 from mollilab.lattice import (ScalarField, differentiate, make_lattice, sample_metric,
                               sample_scalar)
@@ -94,6 +95,24 @@ class TestHolderSeminorm:
             alpha = 1.0 if trial % 5 == 0 else float(rng.uniform(0.01, 1.0))
             got = holder_seminorm(values, mask, lat.h, alpha)
             assert got == _pair_loop_seminorm(values, mask, lat, alpha)
+
+
+    def test_early_exit_stays_exact(self, monkeypatch):
+        """The scan stops once spread / (h d)^alpha cannot beat the best value."""
+        calls = []
+        grow = norms._grow_box
+        monkeypatch.setattr(norms, "_grow_box", lambda *args: calls.append(1) or grow(*args))
+        lat = make_lattice(3, 1.0, 21)
+        # a smooth bump of width ~0.3: no pair beyond a few steps can win
+        f = sample_scalar(lambda X: np.exp(-(X**2).sum(axis=-1) / 0.1), lat)
+        mask = lat.ball_mask(0.9)
+        got = holder_seminorm(f.values, mask, lat.h, 0.6)
+        assert 0 < len(calls) <= 4 < lat.m - 1
+        assert got == _pair_loop_seminorm(f.values, mask, lat, 0.6)
+        calls.clear()
+        assert holder_seminorm(np.full(lat.shape, 2.5), mask, lat.h, 0.6) == 0.0
+        assert holder_seminorm(f.values, np.zeros(lat.shape, bool), lat.h, 0.6) == 0.0
+        assert calls == []
 
 
 class TestSobolevNorm:
