@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import ScaledKernel, convolve
-from .lattice import Lattice, MetricField, first_node, unpack_symmetric
+from .lattice import Lattice, MetricField, first_node, pack_symmetric, unpack_symmetric
 
 COVER_TOL = 1e-9
 WEIGHT_EPS = 1e-14
@@ -236,8 +236,7 @@ def pullback_metric(tr: Transition, g: MetricField, target: Lattice) -> MetricFi
     G = np.where(mask[..., None, None], G, np.eye(target.n))
     out = np.swapaxes(J, -1, -2) @ G @ J
     out = 0.5 * (out + np.swapaxes(out, -1, -2))
-    out = np.where(mask[..., None, None], out, np.eye(target.n))
-    return MetricField.from_matrices(target, out, mask)
+    return MetricField(lattice=target, comps=pack_symmetric(out), mask=mask)
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +262,7 @@ def assemble_mollified(atlas: Atlas, samples: dict, kernel: ScaledKernel) -> dic
         X = lat.coords()
         rho, denom = atlas.weights(cj.id, X)
         mask = denom >= 1.0 - COVER_TOL
-        total = np.zeros(lat.shape + (lat.n, lat.n))
+        total = np.zeros(samples[cj.id].comps.shape)
         for ci in atlas.charts:
             w = rho[ci.id]
             active = w > WEIGHT_EPS
@@ -275,13 +274,11 @@ def assemble_mollified(atlas: Atlas, samples: dict, kernel: ScaledKernel) -> dic
                 term = pullback_metric(atlas.transition(cj.id, ci.id),
                                        mollified[ci.id], lat)
             mask &= (~active) | term.mask
-            total += w[..., None, None] * np.where(
-                term.mask[..., None, None], term.matrices(), 0.0)
+            total += w[..., None] * np.where(term.mask[..., None], term.comps, 0.0)
         covered = lat.ball_mask(r / 2.0)
         if not (mask & covered).any():
             raise ValueError("scale too large: assembled metric covers nothing")
-        total = np.where(mask[..., None, None], total, np.eye(lat.n))
-        field = MetricField.from_matrices(lat, total, mask, symmetry_tol=1e-9)
+        field = MetricField(lattice=lat, comps=total, mask=mask)
         eigs = field.eigenvalues()
         bad = mask & (eigs[..., 0] <= 0.0)
         if bad.any():

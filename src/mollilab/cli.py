@@ -74,6 +74,8 @@ class ExperimentConfig:
             raise ConfigError(f"alpha must lie in (0, 1), got {self.alpha}")
         if self.p <= 1.0:
             raise ConfigError(f"p must exceed 1, got {self.p}")
+        if self.order < 0:
+            raise ConfigError(f"order must be non-negative, got {self.order}")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
 

@@ -27,16 +27,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import Lattice, MetricField, differentiate, first_node
+from .lattice import Lattice, MetricField, differentiate, first_node, pack_map
 
 COND_LIMIT = 1e12
 DEGENERATE_GRAM = 1e-12
 
 
-def invert_metric(g: MetricField) -> MetricField:
-    """g^-1 as a field, after checking every valid node for positive
-    definiteness and a condition number of at most COND_LIMIT (nodes off
-    the mask have eigenvalues 1)."""
+def invert_metric(g: MetricField) -> np.ndarray:
+    """g^-1 as matrices, grid + (n, n) (the identity off the mask), after
+    checking every valid node for positive definiteness and a condition
+    number of at most COND_LIMIT (nodes off the mask have eigenvalues 1)."""
     eigs = g.eigenvalues()
     not_pd = eigs[..., 0] <= 0.0
     if not_pd.any():
@@ -47,7 +47,7 @@ def invert_metric(g: MetricField) -> MetricField:
         node = first_node(ill)
         raise ValueError(f"metric condition number {cond[node]:.3g} exceeds 1e12 "
                          f"at node {node}")
-    return MetricField.from_matrices(g.lattice, g.inverse(), g.mask.copy())
+    return g.inverse()
 
 
 def _crop_to_mask(g: MetricField, pad: int = 2):
@@ -144,14 +144,15 @@ def _riemann_parts(g: MetricField):
     """(A, B, mask, sl): the Hessian part and the remainder of the curvature
     operator on the crop `sl` of g to its mask, and their valid mask."""
     gc, sl = _crop_to_mask(g)
-    ginv = invert_metric(gc).matrices()
+    ginv = invert_metric(gc)
     jet = differentiate(gc, 2)
-    _, dg, d2g = jet.blocks  # d2g[..., i, j, x, y] = d_y d_x g_ij
+    _, dg, d2g = jet.blocks  # d2g[..., P[i, j], x, y] = d_y d_x g_ij
+    P = pack_map(gc.lattice.n)
     a, b, c, d = _pair_axes(gc.lattice.n)
-    A = 0.5 * (d2g[..., a, d, b, c] + d2g[..., b, c, a, d]
-               - d2g[..., a, c, b, d] - d2g[..., b, d, a, c])
+    A = 0.5 * (d2g[..., P[a, d], b, c] + d2g[..., P[b, c], a, d]
+               - d2g[..., P[a, c], b, d] - d2g[..., P[b, d], a, c])
     # 1/4 g^pq S_p,bc S_q,ad = 1/2 Gamma^q_bc S_q,ad, Gamma^q_bc = g^qp S_p,bc / 2
-    S = _s_tensor(dg)
+    S = _s_tensor(dg[..., P, :])
     gamma = 0.5 * _contract_first(ginv, S)
     B = 0.5 * sum(gamma[..., q, b, c] * S[..., q, a, d]
                   - gamma[..., q, b, d] * S[..., q, a, c] for q in range(gc.lattice.n))
@@ -241,7 +242,7 @@ def section_norm_fields(g: MetricField, sections) -> list[np.ndarray]:
     sum_{i<=j} c_ij(u) g_ij over the packed components, with the inverse
     formed once for all sections.
     """
-    comps = list(np.moveaxis(g.padded(), -1, 0))
+    comps = list(np.moveaxis(g.comps, -1, 0))
     ginv = g.inverse()
     inv_comps = [ginv[..., i, j] for i, j in zip(*np.triu_indices(g.lattice.n))]
     coefs = [_fold(u[:, :, None] * u[:, None, :])  # c_ij(u), shape (S, ij)

@@ -84,16 +84,15 @@ def convolve(k: ScaledKernel, f: Field) -> Field:
     if not mask.any():
         raise ValueError("scale too large for domain: empty output mask")
 
-    def smooth(values: np.ndarray) -> np.ndarray:
-        out = np.where(f.mask, values, 0.0)
-        for ax in range(lat.n):
-            out = ndimage.convolve1d(out, k.taps1d, axis=ax, mode="constant")
-        return out
-
-    if isinstance(f, ScalarField):
-        return ScalarField(lattice=lat, values=smooth(f.values), mask=mask)
-    comps = np.stack([smooth(f.comps[..., c]) for c in range(f.comps.shape[-1])], axis=-1)
-    return MetricField(lattice=lat, comps=comps, mask=mask)
+    # the grid axes lead, so a metric's packed component axis rides along
+    scalar = isinstance(f, ScalarField)
+    out = (np.where(f.mask, f.values, 0.0) if scalar
+           else np.where(f.mask[..., None], f.comps, 0.0))
+    for ax in range(lat.n):
+        out = ndimage.convolve1d(out, k.taps1d, axis=ax, mode="constant")
+    if scalar:
+        return ScalarField(lattice=lat, values=out, mask=mask)
+    return MetricField(lattice=lat, comps=out, mask=mask)
 
 
 def kernel_lq_norm(k: ScaledKernel, q: float) -> float:

@@ -3,13 +3,13 @@
 All fields live on the cube [-r, r]^n sampled with an odd number of nodes
 per axis so the origin is always a node.  Validity masks shrink instead of
 falling back to one-sided stencils; every operation's output mask is a
-subset of its input mask.  Pointwise metric algebra (full matrices,
-eigenvalues, inverse) starts from `MetricField.padded`, the packed
-components with the identity on the nodes off the mask, so callers never
-pad by hand.  For n <= 3 the inverse is the adjugate over the determinant
-and the 2-d eigenvalues are the closed-form roots, read straight from the
-packed components; batched LAPACK is kept for the 3-d eigenvalues and for
-n >= 4.
+subset of its input mask.  A metric is stored once, as its packed
+components in `pack_map` order with the identity written off the mask at
+construction; every stage reads and writes that array, and pointwise
+algebra never pads by hand.  For n <= 3 the inverse is the adjugate over
+the determinant and the 2-d eigenvalues are the closed-form roots, read
+straight from the packed components; batched LAPACK is kept for the 3-d
+eigenvalues and for n >= 4.
 """
 from __future__ import annotations
 
@@ -37,18 +37,28 @@ def first_node(bad: np.ndarray) -> tuple[int, ...]:
     return tuple(int(i) for i in np.argwhere(bad)[0])
 
 
-def pack_indices(n: int) -> list[tuple[int, int]]:
-    """Upper-triangle index pairs used for packed symmetric storage."""
-    return [(i, j) for i in range(n) for j in range(i, n)]
+def pack_map(n: int) -> np.ndarray:
+    """Packed position of entry (i, j) of a symmetric n x n matrix, an (n, n) integer
+    array.  The packed order is `np.triu_indices(n)` order; `curvature._fold` relies on it."""
+    i, j = np.triu_indices(n)
+    pos = np.empty((n, n), dtype=np.intp)
+    pos[i, j] = pos[j, i] = np.arange(i.size)
+    return pos
+
+
+def pack_symmetric(mats: np.ndarray) -> np.ndarray:
+    """Packed components (trailing axis) of symmetric matrices, read from the upper
+    triangle into one preallocated array (a fancy-indexed gather peaks higher)."""
+    comps = np.empty(mats.shape[:-2] + (mats.shape[-1] * (mats.shape[-1] + 1) // 2,))
+    for (i, j), k in np.ndenumerate(pack_map(mats.shape[-1])):
+        if i <= j:
+            comps[..., k] = mats[..., i, j]
+    return comps
 
 
 def unpack_symmetric(comps: np.ndarray, n: int) -> np.ndarray:
     """Full symmetric n x n matrices from packed components (trailing axis)."""
-    mats = np.empty(comps.shape[:-1] + (n, n))
-    for k, (i, j) in enumerate(pack_indices(n)):
-        mats[..., i, j] = comps[..., k]
-        mats[..., j, i] = comps[..., k]
-    return mats
+    return comps[..., pack_map(n)]
 
 
 @dataclass(frozen=True)
@@ -135,7 +145,9 @@ class ScalarField:
 
 @dataclass(frozen=True)
 class MetricField:
-    """Symmetric matrix per node, stored packed (n(n+1)/2 entries)."""
+    """Symmetric matrix per node, stored packed (n(n+1)/2 entries in `pack_map`
+    order).  Construction writes the identity on the nodes off the mask, so
+    pointwise inversion and diagonalisation are defined everywhere."""
 
     lattice: Lattice
     comps: np.ndarray  # grid + (n(n+1)/2,)
@@ -146,36 +158,25 @@ class MetricField:
         nc = n * (n + 1) // 2
         if self.comps.shape != self.lattice.shape + (nc,):
             raise ValueError("component array does not match lattice shape")
-        object.__setattr__(self, "comps", _freeze(self.comps.astype(float)))
-        object.__setattr__(self, "mask", _freeze(self.mask.astype(bool)))
-        if not np.all(np.isfinite(self.comps[self.mask])):
+        mask = _freeze(self.mask.astype(bool))
+        eye = pack_symmetric(np.eye(n))
+        object.__setattr__(self, "comps", _freeze(np.where(mask[..., None], self.comps, eye)))
+        object.__setattr__(self, "mask", mask)
+        if not np.isfinite(self.comps).all():
             raise ValueError("non-finite metric component on a masked-valid node")
 
     @classmethod
-    def from_matrices(cls, lattice: Lattice, mats: np.ndarray, mask: np.ndarray,
-                      symmetry_tol: float = 1e-12) -> "MetricField":
-        n = lattice.n
+    def from_matrices(cls, lattice: Lattice, mats: np.ndarray, mask: np.ndarray) -> "MetricField":
         asym = np.abs(mats - np.swapaxes(mats, -1, -2))
         scale = np.abs(mats).max() or 1.0
-        if mask.any() and asym[mask].max() > symmetry_tol * scale:
+        if mask.any() and asym[mask].max() > 1e-12 * scale:
             raise ValueError("metric matrices are not symmetric")
-        comps = np.stack([mats[..., i, j] for i, j in pack_indices(n)], axis=-1)
-        return cls(lattice=lattice, comps=comps, mask=mask)
-
-    def padded(self) -> np.ndarray:
-        """Packed components with the identity off the mask, a fresh array."""
-        n = self.lattice.n
-        eye = np.eye(n)[tuple(np.array(pack_indices(n)).T)]
-        return np.where(self.mask[..., None], self.comps, eye)
+        return cls(lattice=lattice, comps=pack_symmetric(mats), mask=mask)
 
     def matrices(self) -> np.ndarray:
-        """Full symmetric matrices, shape grid + (n, n), a fresh array.
-
-        Nodes off the mask hold the identity, so pointwise inversion and
-        diagonalisation are defined everywhere; mask the result to read
-        only valid data.
-        """
-        return unpack_symmetric(self.padded(), self.lattice.n)
+        """Full symmetric matrices, shape grid + (n, n), a fresh array; the
+        identity off the mask, so mask the result to read only valid data."""
+        return unpack_symmetric(self.comps, self.lattice.n)
 
     def eigenvalues(self) -> np.ndarray:
         """Ascending eigenvalues at every node (ones off the mask), grid + (n,).
@@ -185,7 +186,7 @@ class MetricField:
         """
         if self.lattice.n != 2:
             return np.linalg.eigvalsh(self.matrices())
-        a, b, c = np.moveaxis(self.padded(), -1, 0)
+        a, b, c = np.moveaxis(self.comps, -1, 0)
         eigs = np.empty(a.shape + (2,))
         low, top = eigs[..., 0], eigs[..., 1]
         np.hypot(0.5 * (a - c), b, out=top)
@@ -213,7 +214,7 @@ class MetricField:
         n = self.lattice.n
         if n > 3:
             return np.linalg.inv(self.matrices())
-        p = np.moveaxis(self.padded(), -1, 0)
+        p = np.moveaxis(self.comps, -1, 0)
         out = np.empty(p.shape[1:] + (n, n))
         if n == 2:
             a, b, c = p
@@ -312,8 +313,9 @@ class JetField:
     """All partial derivatives of a field up to a given order.
 
     For a scalar base, block k has shape grid + (n,)*k.  For a metric
-    base, block k has shape grid + (n, n) + (n,)*k with the matrix axes
-    first; derivative axes are appended in differentiation order.
+    base, block k has shape grid + (n(n+1)/2,) + (n,)*k: the packed
+    component axis, in `pack_map` order, comes before the derivative axes,
+    which are appended in differentiation order.
     """
 
     blocks: tuple = field(repr=False)
@@ -326,14 +328,10 @@ def differentiate(f: Field, order: int) -> JetField:
         raise ValueError("order must be non-negative")
     if lat.m < 2 * order + 1:
         raise ValueError(f"order {order} too high for lattice with m={lat.m}")
-    if isinstance(f, ScalarField):
-        values = np.where(f.mask, f.values, 0.0)
-        raw = _jet_blocks(values, lat.n, lat.h, order)
-    else:
-        # move matrix axes in front of derivative axes by differentiating
-        # the matrix-valued array directly; roll acts on grid axes only
-        mats = np.where(f.mask[..., None, None], f.matrices(), 0.0)
-        raw = _jet_blocks(mats, lat.n, lat.h, order)
+    # roll acts on grid axes only, so a metric's component axis stays in front
+    values = (np.where(f.mask, f.values, 0.0) if isinstance(f, ScalarField)
+              else np.where(f.mask[..., None], f.comps, 0.0))
+    raw = _jet_blocks(values, lat.n, lat.h, order)
     mask = erode_mask(f.mask, order)
     blocks = tuple(_freeze(b) for b in raw)
     return JetField(blocks=blocks, mask=_freeze(mask))

@@ -140,8 +140,7 @@ class NormReport:
 def _metric_jet_component_fields(g: MetricField):
     """The packed metric components as scalar fields sharing g's lattice."""
     for c in range(g.comps.shape[-1]):
-        yield ScalarField(lattice=g.lattice, values=np.where(g.mask, g.comps[..., c], 0.0),
-                          mask=g.mask)
+        yield ScalarField(lattice=g.lattice, values=g.comps[..., c], mask=g.mask)
 
 
 def holder_chart_report(g: MetricField, m: int, alpha: float) -> NormReport:

@@ -9,7 +9,7 @@ from mollilab.atlas import (Atlas, BumpProfile, Chart, Transition, check_cover,
                             pullback_metric)
 from mollilab.atlas import assemble_mollified
 from mollilab.kernels import convolve, scale_kernel
-from mollilab.lattice import MetricField, make_lattice, sample_metric
+from mollilab.lattice import MetricField, make_lattice, pack_symmetric, sample_metric
 from mollilab.modelzoo import flat, get_geometry, sphere
 
 
@@ -191,6 +191,31 @@ class TestAssembly:
         kernel = scale_kernel(2, 0.6, lat.h)
         with pytest.raises(ValueError, match="r/2"):
             assemble_mollified(geo.atlas, samples, kernel)
+
+
+def _identity_off_mask(g: MetricField) -> bool:
+    off = g.comps[~g.mask]
+    eye = np.broadcast_to(pack_symmetric(np.eye(g.lattice.n)), off.shape)
+    return off.size > 0 and np.array_equal(off, eye)
+
+
+class TestPackedStorage:
+    """pullback_metric and assemble_mollified write the packed identity off
+    their output masks, like every other MetricField constructor."""
+
+    def test_pullback_identity_off_mask(self):
+        geo = sphere(2)
+        lat = geo.chart_lattice(41)
+        g = sample_metric(geo.atlas.chart("south").metric, lat)
+        out = pullback_metric(geo.atlas.transition("north", "south"), g, lat)
+        assert _identity_off_mask(out)
+
+    def test_assembly_identity_off_mask(self):
+        geo = get_geometry("pflat2")
+        samples = geo.sample_all(21)
+        kernel = scale_kernel(2, 0.3, geo.chart_lattice(21).h)
+        for gt in assemble_mollified(geo.atlas, samples, kernel).values():
+            assert _identity_off_mask(gt)
 
 
 class TestCheckCover:

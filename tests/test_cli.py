@@ -29,7 +29,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("field,value", [("m", 4), ("m", 80),
                                              ("alpha", 0.0), ("alpha", 1.0),
-                                             ("p", 1.0),
+                                             ("p", 1.0), ("order", -1),
                                              ("seed", -1)])
     def test_bad_values_rejected(self, field, value):
         cfg = ExperimentConfig(**{field: value})
@@ -222,6 +222,12 @@ class TestMainExitCodes:
                      "--out", str(out)])
         assert code == EXIT_CONFIG
         assert not out.exists()
+
+    def test_negative_order_is_config_error(self, capsys):
+        code = main(["norms", "--geometry", "sphere2", "--m", "21", "--order", "-1"])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err and "order" in err
 
     def test_numerical_error(self, tmp_path, capsys):
         # scale below the resolution limit: a numerical failure, not config

@@ -2,12 +2,14 @@
 import numpy as np
 import pytest
 
-from mollilab.curvature import (RiemannField, VectorSection, _lambda2, _wedge,
+from mollilab.atlas import assemble_mollified
+from mollilab.curvature import (RiemannField, VectorSection, _lambda2, _pair_axes, _wedge,
                                 ab_decomposition, invert_metric, riem_contract_field,
                                 riemann, scalar_curvature, sec_extreme_fields,
                                 sec_extremes, section_norm_fields, sectional_field)
-from mollilab.lattice import MetricField, make_lattice, sample_metric
-from mollilab.modelzoo import sphere
+from mollilab.kernels import scale_kernel
+from mollilab.lattice import MetricField, _jet_blocks, make_lattice, sample_metric
+from mollilab.modelzoo import get_geometry, sphere
 
 
 def _conformal(lam):
@@ -70,7 +72,7 @@ class TestInvertMetric:
         lat = make_lattice(2, 1.0, 11)
         g = sample_metric(_flat(2), lat)
         ginv = invert_metric(g)
-        assert np.allclose(ginv.matrices(), np.eye(2), atol=1e-14)
+        assert np.allclose(ginv, np.eye(2), atol=1e-14)
 
     def test_diagonal(self):
         lat = make_lattice(2, 1.0, 11)
@@ -83,7 +85,7 @@ class TestInvertMetric:
 
         g = sample_metric(gen, lat)
         ginv = invert_metric(g)
-        prod = np.einsum("...ij,...jk->...ik", g.matrices(), ginv.matrices())
+        prod = np.einsum("...ij,...jk->...ik", g.matrices(), ginv)
         assert np.abs(prod[g.mask] - np.eye(2)).max() < 1e-12
 
     def test_rejects_ill_conditioned(self):
@@ -153,6 +155,33 @@ class TestRiemann:
         A, B = ab_decomposition(sample_metric(gen, lat))
         assert np.abs(A.riem[A.mask]).max() < 1e-13
         assert np.abs(B.riem[B.mask]).max() < 1e-13
+
+
+def _full_matrix_hessian_part(g: MetricField) -> np.ndarray:
+    """A_IJ = 1/2 (g_ad,bc + g_bc,ad - g_ac,bd - g_bd,ac) from the jet of the
+    full n x n matrices, d2g[..., i, j, x, y] = d_y d_x g_ij."""
+    lat = g.lattice
+    mats = np.where(g.mask[..., None, None], g.matrices(), 0.0)
+    d2g = _jet_blocks(mats, lat.n, lat.h, 2)[2]
+    a, b, c, d = _pair_axes(lat.n)
+    A = 0.5 * (d2g[..., a, d, b, c] + d2g[..., b, c, a, d]
+               - d2g[..., a, c, b, d] - d2g[..., b, d, a, c])
+    return 0.5 * (A + np.swapaxes(A, -2, -1))
+
+
+@pytest.mark.parametrize("mollified", [False, True])
+def test_packed_jet_gives_full_matrix_hessian_part(mollified):
+    # the builder differentiates the packed components; the entries it reads
+    # are the same central differences as those of the full matrices
+    geo = get_geometry("sphere3")
+    lat = geo.chart_lattice(17)
+    samples = geo.sample_all(17)
+    if mollified:
+        samples = assemble_mollified(geo.atlas, samples, scale_kernel(3, 0.3, lat.h))
+    g = samples["north"]
+    A = ab_decomposition(g)[0]
+    assert A.mask.any()
+    assert np.array_equal(A.riem[A.mask], _full_matrix_hessian_part(g)[A.mask])
 
 
 class TestContractions:

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from mollilab.kernels import (bump_profile, convolve, kernel_lq_bound, kernel_lq_norm,
                               scale_kernel)
 from mollilab.lattice import (MetricField, ScalarField, central_diff, erode_mask,
-                              make_lattice, sample_metric, sample_scalar)
+                              make_lattice, pack_symmetric, sample_metric,
+                              sample_scalar)
 
 
 class TestBumpProfile:
@@ -133,6 +134,27 @@ class TestConvolve:
         assert isinstance(pg, MetricField)
         eigs = pg.eigenvalues()
         assert eigs[pg.mask][:, 0].min() > 0.0
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_metric_convolve_is_per_component(n):
+    lat = make_lattice(n, 1.0, 21 if n == 2 else 13)
+    mask = lat.ball_mask(0.8)
+    X = lat.coords()
+    mats = np.zeros(lat.shape + (n, n))
+    for a in range(n):
+        mats[..., a, a] = 2.0 + np.sin(3.0 * X[..., a])
+    mats[..., 0, 1] = mats[..., 1, 0] = 0.3 * X[..., 0] * X[..., -1]
+    g = MetricField.from_matrices(lat, mats, mask)
+    k = scale_kernel(n, 0.25, lat.h)
+    pg = convolve(k, g)
+    ref = np.stack([convolve(k, ScalarField(lattice=lat, values=g.comps[..., c],
+                                            mask=mask)).values
+                    for c in range(g.comps.shape[-1])], axis=-1)
+    assert np.array_equal(pg.comps[pg.mask], ref[pg.mask])
+    # the output is stored with the packed identity off its mask
+    eye = np.broadcast_to(pack_symmetric(np.eye(n)), pg.comps[~pg.mask].shape)
+    assert np.array_equal(pg.comps[~pg.mask], eye)
 
 
 def _commutation_defect(k, f: ScalarField, axis: int) -> float:

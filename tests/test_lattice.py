@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mollilab.lattice import (MetricField, ScalarField, central_diff, differentiate,
-                              erode_mask, make_lattice, sample_metric, sample_scalar)
+                              erode_mask, make_lattice, pack_map, pack_symmetric,
+                              sample_metric, sample_scalar, unpack_symmetric)
 
 
 class TestLattice:
@@ -174,6 +175,54 @@ class TestClosedFormAlgebra:
         packed[node] = comps
         with pytest.raises(np.linalg.LinAlgError, match=rf"{what} at node \({node[0]}, 1"):
             MetricField(lattice=lat, comps=packed, mask=g.mask).inverse()
+
+
+def _partial_metric(n, m=11):
+    """A random SPD field on the 0.7-ball with NaN garbage off it."""
+    lat = make_lattice(n, 1.0, m)
+    mask = lat.ball_mask(0.7)
+    comps = pack_symmetric(_spd_field(lat, 10.0, seed=n))
+    comps[~mask] = np.nan
+    return MetricField(lattice=lat, comps=comps, mask=mask), comps
+
+
+class TestPackedStorage:
+    """A metric is stored once: packed components in `np.triu_indices`
+    order, with the packed identity off the mask."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_identity_off_mask_after_construction(self, n):
+        g, comps = _partial_metric(n)
+        assert np.array_equal(g.comps[g.mask], comps[g.mask])
+        eye = np.broadcast_to(pack_symmetric(np.eye(n)), g.comps[~g.mask].shape)
+        assert np.array_equal(g.comps[~g.mask], eye)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_pack_round_trip_bit_exact(self, n):
+        lat = make_lattice(n, 1.0, 5)
+        mats = _spd_field(lat, 1e3, seed=n)
+        i, j = np.triu_indices(n)
+        assert np.array_equal(pack_map(n)[i, j], np.arange(i.size))
+        assert np.array_equal(pack_map(n), pack_map(n).T)
+        comps = pack_symmetric(mats)
+        assert np.array_equal(comps, mats[..., i, j])
+        assert np.array_equal(unpack_symmetric(comps, n), mats)
+        g = MetricField.from_matrices(lat, mats, lat.full_mask())
+        assert np.array_equal(g.comps, comps)
+        assert np.array_equal(g.matrices(), mats)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_differentiate_is_per_component(self, n):
+        g, _ = _partial_metric(n)
+        jet = differentiate(g, 2)
+        refs = [differentiate(ScalarField(lattice=g.lattice, values=g.comps[..., c],
+                                          mask=g.mask), 2)
+                for c in range(g.comps.shape[-1])]
+        for k in range(3):
+            assert jet.blocks[k].shape == g.comps.shape + (n,) * k
+            assert np.array_equal(jet.blocks[k],
+                                  np.stack([r.blocks[k] for r in refs], axis=n))
+        assert np.array_equal(jet.mask, refs[0].mask)
 
 
 class TestErodeMask:
