@@ -15,15 +15,14 @@ import sys
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
-from scipy import ndimage
 
 from .atlas import assemble_mollified, check_cover, make_bump_weights
 from .curvature import (VectorSection, riem_contract_field, riemann,
                         scalar_curvature, sec_extreme_fields, section_norm_fields)
 from .kernels import kernel_lq_bound, kernel_lq_norm, scale_kernel, convolve
-from .lattice import ScalarField, make_lattice, sample_scalar
+from .lattice import ScalarField, grow_box, make_lattice, sample_scalar
 from .modelzoo import get_geometry, parse_atlas_file
-from .norms import check_N0, holder_chart_report, holder_seminorm, sobolev_condition
+from .norms import chart_norm_report, check_N0, holder_seminorm
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -221,13 +220,6 @@ def _random_sections(n: int, count: int, seed: int) -> list[VectorSection]:
             for k in range(count)]
 
 
-def _ball_filter(values: np.ndarray, steps: int, mode: str) -> np.ndarray:
-    """Max-norm ball sup/inf over lattice nodes within `steps` nodes."""
-    size = 2 * steps + 1
-    filt = ndimage.maximum_filter if mode == "max" else ndimage.minimum_filter
-    return filt(values, size=size, mode="nearest")
-
-
 def _interval_distance(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.maximum(np.maximum(lo - x, x - hi), 0.0)
 
@@ -240,7 +232,10 @@ class DeviationRecord:
 
 
 def run_deviation(cfg: ExperimentConfig):
-    """Scale sweep of the one-sided curvature deviations of g^[t]."""
+    """Scale sweep of the one-sided curvature deviations of g^[t].  The ball
+    envelopes of the raw fields are built once and grown in place by `grow_box`
+    as the radius grows with t; they are exact, since max and negation are and
+    a clipped box equals the edge-replicating filter."""
     cfg.validate_common()
     geo = _geometry(cfg)
     scales = cfg.scales(geo.r)
@@ -252,13 +247,15 @@ def run_deviation(cfg: ExperimentConfig):
 
     base_R = riemann(g)
     lo0, hi0 = sec_extreme_fields(g, base_R)
-    lo0 = np.where(base_R.mask, lo0, np.inf)
-    hi0 = np.where(base_R.mask, hi0, -np.inf)
+    hi_ball = np.where(base_R.mask, hi0, -np.inf)
+    neg_lo_ball = np.where(base_R.mask, -lo0, -np.inf)  # the inf envelope, negated
     sections = _coordinate_sections(geo.n) + _random_sections(geo.n, 8, cfg.seed)
-    base_contr = [np.where(base_R.mask, c, -np.inf)
-                  for c in riem_contract_field(base_R, g, sections)]
+    sup_balls = [np.where(base_R.mask, c, -np.inf)
+                 for c in riem_contract_field(base_R, g, sections)]
     norm_fields = [np.maximum(nf, 1e-30) for nf in section_norm_fields(g, sections)]
     probe = lat.ball_mask(geo.r / 4.0, norm="max")
+    buf = np.empty(lat.shape)
+    grown = grown_sec = 0  # box steps already applied to each envelope
 
     records = []
     for t in scales:
@@ -271,18 +268,24 @@ def run_deviation(cfg: ExperimentConfig):
 
         # one-sided Riemann excess against the ball sup of the raw curvature
         steps = math.ceil(math.exp(Q) * t / lat.h) + 1
+        while grown < steps:
+            for sup0 in sup_balls:
+                grow_box(sup0, buf, geo.n)
+            grown += 1
         r_exc = 0.0
         contr = riem_contract_field(Rt, gt, sections)
-        for at, b0, nf in zip(contr, base_contr, norm_fields):
-            sup0 = _ball_filter(b0, steps, "max")
+        for at, sup0, nf in zip(contr, sup_balls, norm_fields):
             exc = (at - sup0) / nf
             r_exc = max(r_exc, float(exc[region].max()))
 
         # sectional extremes against the inflated reference interval
         steps_sec = math.ceil(t / lat.h) + 1
+        while grown_sec < steps_sec:
+            grow_box(hi_ball, buf, geo.n)
+            grow_box(neg_lo_ball, buf, geo.n)
+            grown_sec += 1
         lot, hit = sec_extreme_fields(gt, Rt)
-        lo_ball = _ball_filter(lo0, steps_sec, "min")
-        hi_ball = _ball_filter(hi0, steps_sec, "max")
+        lo_ball = -neg_lo_ball
         c = INTERVAL_SLACK * t
         cand = np.stack([lo_ball * (1 - c), lo_ball * (1 + c),
                          hi_ball * (1 - c), hi_ball * (1 + c)])
@@ -334,15 +337,9 @@ def run_norms(cfg: ExperimentConfig) -> str:
     cfg.validate_common()
     geo = _geometry(cfg)
     samples = geo.sample_all(cfg.m)
-    parts = []
-    for cid, g in sorted(samples.items()):
-        hol = holder_chart_report(g, cfg.order, cfg.alpha)
-        per_order, scaled = sobolev_condition(g, cfg.order, cfg.p)
-        parts.append(f"[chart {cid}]\n" + hol.to_text()
-                     + f"sobolev_Q={max(scaled, hol.N0_Q):.12g}\n"
-                     + "".join(f"sobolev_order{k}={per_order[k]:.12g}\n"
-                               for k in range(cfg.order + 1)))
-    return "\n".join(parts)
+    return "\n".join(f"[chart {cid}]\n"
+                     + chart_norm_report(g, cfg.order, cfg.alpha, cfg.p).to_text()
+                     for cid, g in sorted(samples.items()))
 
 
 def cmd_norms(cfg: ExperimentConfig) -> int:

@@ -32,6 +32,22 @@ def erode_mask(mask: np.ndarray, steps: int) -> np.ndarray:
     )
 
 
+def grow_box(a: np.ndarray, buf: np.ndarray, n: int) -> None:
+    """In place: a[x] <- max of a over the 3^n box around x (clipped at the edges).
+
+    Separable, one lattice axis at a time: buf[i] = max(a[i], a[i+1]), then
+    a[i] = max(buf[i-1], buf[i]), with buf[0] and buf[-1] at the two ends.
+    """
+    for ax in range(n):
+        lead = (slice(None),) * ax
+        head, tail = lead + (slice(None, -1),), lead + (slice(1, None),)
+        pair = buf[head]
+        np.maximum(a[head], a[tail], out=pair)
+        np.maximum(pair[head], pair[tail], out=a[lead + (slice(1, -1),)])
+        a[lead + (0,)] = pair[lead + (0,)]
+        a[lead + (-1,)] = pair[lead + (-1,)]
+
+
 def first_node(bad: np.ndarray) -> tuple[int, ...]:
     """Index of the first True entry of a boolean grid, in C order."""
     return tuple(int(i) for i in np.argwhere(bad)[0])

@@ -255,7 +255,8 @@ def parse_atlas_text(text: str) -> tuple[Atlas, int]:
     A `dim = N` line before the first section states the dimension
     (2 or 3); `[chart]` sections give `id`, `r` and `generator`,
     `[transition]` sections give `pair = a b` and `map`, where the map
-    sends b-coordinates to a-coordinates.  Returns the atlas and N.
+    sends b-coordinates to a-coordinates.  Chart ids are unique, all charts
+    share one finite r > 0, and pairs name declared charts.  Returns the atlas and N.
     """
     header: dict = {}
     sections = []
@@ -277,17 +278,27 @@ def parse_atlas_text(text: str) -> tuple[Atlas, int]:
     if header["dim"] not in ("2", "3"):
         raise ValueError(f"dim must be 2 or 3, got {header['dim']!r}")
     n = int(header["dim"])
-    charts = []
+    charts = {}
+    for fields in (f for kind, f in sections if kind == "chart"):
+        cid, r = fields["id"], float(fields["r"])
+        r0 = next(iter(charts.values())).r if charts else r
+        if cid in charts:
+            raise ValueError(f"duplicate chart id {cid!r}")
+        if not 0.0 < r < math.inf:
+            raise ValueError(f"chart {cid!r}: radius r must be positive and finite, got {r}")
+        if r != r0:
+            raise ValueError(f"chart {cid!r}: radius r={r} differs from the first chart's r={r0}")
+        make, params = _lookup(_GENERATORS, fields["generator"], "generator")
+        charts[cid] = Chart(id=cid, r=r, metric=make(params))
     transitions = {}
-    for kind, fields in sections:
-        if kind == "chart":
-            make, params = _lookup(_GENERATORS, fields["generator"], "generator")
-            charts.append(Chart(id=fields["id"], r=float(fields["r"]), metric=make(params)))
-        else:
-            a, b = fields["pair"].split()
-            make, params = _lookup(_MAPS, fields["map"], "transition map")
-            transitions.update(_transition_pair(a, b, *make(n, params)))
-    return Atlas(charts=tuple(charts), transitions=transitions), n
+    for fields in (f for kind, f in sections if kind == "transition"):
+        a, b = fields["pair"].split()
+        for cid in (a, b):
+            if cid not in charts:
+                raise ValueError(f"transition pair {a} {b} names undeclared chart {cid!r}")
+        make, params = _lookup(_MAPS, fields["map"], "transition map")
+        transitions.update(_transition_pair(a, b, *make(n, params)))
+    return Atlas(charts=tuple(charts.values()), transitions=transitions), n
 
 
 def parse_atlas_file(path) -> tuple[Atlas, int]:

@@ -4,7 +4,8 @@ Distances in the Hoelder seminorm use the max-norm on R^n.  The seminorm
 is exact over all pairs of valid nodes, with no sampled fallback: a
 running-max (grey dilation) filter gives it in O(m^{n+1}) operations, bit
 for bit equal to a scan of all O(m^{2n}) node offsets (see
-`holder_seminorm`).
+`holder_seminorm`).  A chart-norm report differentiates each packed metric
+component once, and its Hoelder and Sobolev norms read that one jet.
 """
 from __future__ import annotations
 
@@ -13,23 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import MetricField, ScalarField, central_diff, differentiate, erode_mask
-
-
-def _grow_box(a: np.ndarray, buf: np.ndarray, n: int) -> None:
-    """In place: a[x] <- max of a over the 3^n box around x (clipped at the edges).
-
-    Separable, one lattice axis at a time: buf[i] = max(a[i], a[i+1]), then
-    a[i] = max(buf[i-1], buf[i]), with buf[0] and buf[-1] at the two ends.
-    """
-    for ax in range(n):
-        lead = (slice(None),) * ax
-        head, tail = lead + (slice(None, -1),), lead + (slice(1, None),)
-        pair = buf[head]
-        np.maximum(a[head], a[tail], out=pair)
-        np.maximum(pair[head], pair[tail], out=a[lead + (slice(1, -1),)])
-        a[lead + (0,)] = pair[lead + (0,)]
-        a[lead + (-1,)] = pair[lead + (-1,)]
+from .lattice import (JetField, MetricField, ScalarField, central_diff, differentiate,
+                      erode_mask, grow_box)
 
 
 def holder_seminorm(values: np.ndarray, mask: np.ndarray, h: float, alpha: float) -> float:
@@ -62,13 +48,13 @@ def holder_seminorm(values: np.ndarray, mask: np.ndarray, h: float, alpha: float
     for d in range(1, max(mask.shape)):
         if not spread / (h * d) ** alpha > best:
             break
-        _grow_box(lo, buf, mask.ndim)
+        grow_box(lo, buf, mask.ndim)
         best = max(best, float((lo - hi).max()) / (h * d) ** alpha)
     return best
 
 
-def sobolev_norm(f: ScalarField, m: int, p: float) -> tuple:
-    """Quadrature L^p norms of the derivative blocks of orders 0..m.
+def sobolev_norm(jet: JetField, h: float, p: float) -> tuple:
+    """Quadrature L^p norms of each block of a jet on its mask (lattice spacing h).
 
     The pointwise norm of a derivative block is the max over components,
     matching the max-norm convention; quadrature weights are h^n with
@@ -76,13 +62,12 @@ def sobolev_norm(f: ScalarField, m: int, p: float) -> tuple:
     """
     if not 1.0 <= p < math.inf:
         raise ValueError(f"p must lie in [1, inf), got {p}")
-    lat = f.lattice
-    jet = differentiate(f, m)
-    cell = lat.h ** lat.n
+    mask = jet.mask
+    cell = h ** mask.ndim
     norms = []
-    for k in range(m + 1):
-        flat = np.abs(jet.blocks[k].reshape(lat.shape + (-1,))).max(axis=-1)
-        norms.append(float((np.sum(flat[jet.mask] ** p) * cell) ** (1.0 / p)))
+    for block in jet.blocks:
+        flat = np.abs(block.reshape(mask.shape + (-1,))).max(axis=-1)
+        norms.append(float((np.sum(flat[mask] ** p) * cell) ** (1.0 / p)))
     return tuple(norms)
 
 
@@ -122,51 +107,41 @@ def harmonic_defect(g: MetricField) -> float:
 class NormReport:
     """Chart-norm summary for one sampled metric."""
 
-    kind: str            # "holder(m,alpha)"
+    kind: str              # "holder(m,alpha)"
     r: float
-    seminorms: tuple     # per-order Hoelder seminorm
-    Q: float             # minimal Q for the Hoelder condition and the N0 bound
+    seminorms: tuple       # per-order Hoelder seminorm
+    Q: float               # minimal Q for the Hoelder condition and the N0 bound
     N0_Q: float
     harmonic_sup: float
+    sobolev_norms: tuple   # per-order L^p norm
+    sobolev_Q: float       # minimal Q for the Sobolev condition and the N0 bound
 
     def to_text(self) -> str:
         lines = [f"kind={self.kind}", f"r={self.r:.12g}", f"Q={self.Q:.12g}",
                  f"N0_Q={self.N0_Q:.12g}", f"harmonic_defect_sup={self.harmonic_sup:.12g}"]
-        for k, s in enumerate(self.seminorms):
-            lines.append(f"order{k}={s:.12g}")
+        lines += [f"order{k}={s:.12g}" for k, s in enumerate(self.seminorms)]
+        lines.append(f"sobolev_Q={self.sobolev_Q:.12g}")
+        lines += [f"sobolev_order{k}={s:.12g}" for k, s in enumerate(self.sobolev_norms)]
         return "\n".join(lines) + "\n"
 
 
-def _metric_jet_component_fields(g: MetricField):
-    """The packed metric components as scalar fields sharing g's lattice."""
+def chart_norm_report(g: MetricField, m: int, alpha: float, p: float) -> NormReport:
+    """Minimal Q for r^{k+alpha} ||grad^k g||_alpha <= Q (Hoelder) and for
+    r^{k-n/p} ||grad^k g||_{L^p} <= Q (Sobolev), k = 0..m, each lifted to the N0
+    bound, plus the harmonic defect.  Each packed component is differentiated
+    once, to order m; Hoelder order k reads block k on the mask eroded by k."""
+    lat = g.lattice
+    masks = [erode_mask(g.mask, k) for k in range(m + 1)]
+    semis = [0.0] * (m + 1)
+    lp = [0.0] * (m + 1)
     for c in range(g.comps.shape[-1]):
-        yield ScalarField(lattice=g.lattice, values=g.comps[..., c], mask=g.mask)
-
-
-def holder_chart_report(g: MetricField, m: int, alpha: float) -> NormReport:
-    """Minimal Q for condition r^{k+alpha} ||grad^k g||_alpha <= Q, plus N0 and harmonicity."""
-    lat = g.lattice
-    semis = []
-    for k in range(m + 1):
-        best = 0.0
-        for comp in _metric_jet_component_fields(g):
-            jet = differentiate(comp, k)
-            best = max(best, holder_seminorm(jet.blocks[k], jet.mask, lat.h, alpha))
-        semis.append(best)
-    Q = max(lat.r ** (k + alpha) * semis[k] for k in range(m + 1))
-    n0 = check_N0(g)
-    return NormReport(kind=f"holder({m},{alpha:g})", r=lat.r, seminorms=tuple(semis),
-                      Q=max(Q, n0), N0_Q=n0, harmonic_sup=harmonic_defect(g))
-
-
-def sobolev_condition(g: MetricField, m: int, p: float) -> tuple[tuple, float]:
-    """Per-order L^p norms of the metric jet (max over components) and the
-    minimal Q for r^{k-n/p} ||grad^k g||_{L^p} <= Q, without the N0 bound."""
-    lat = g.lattice
-    per_order = [0.0] * (m + 1)
-    for comp in _metric_jet_component_fields(g):
-        lp_norms = sobolev_norm(comp, m, p)
+        jet = differentiate(ScalarField(lattice=lat, values=g.comps[..., c], mask=g.mask), m)
         for k in range(m + 1):
-            per_order[k] = max(per_order[k], lp_norms[k])
-    Q = max(lat.r ** (k - lat.n / p) * per_order[k] for k in range(m + 1))
-    return tuple(per_order), Q
+            semis[k] = max(semis[k], holder_seminorm(jet.blocks[k], masks[k], lat.h, alpha))
+        lp = [max(a, b) for a, b in zip(lp, sobolev_norm(jet, lat.h, p))]
+    n0 = check_N0(g)
+    Q = max(lat.r ** (k + alpha) * semis[k] for k in range(m + 1))
+    sobolev_Q = max(lat.r ** (k - lat.n / p) * lp[k] for k in range(m + 1))
+    return NormReport(kind=f"holder({m},{alpha:g})", r=lat.r, seminorms=tuple(semis),
+                      Q=max(Q, n0), N0_Q=n0, harmonic_sup=harmonic_defect(g),
+                      sobolev_norms=tuple(lp), sobolev_Q=max(sobolev_Q, n0))

@@ -4,10 +4,19 @@ import subprocess
 import sys
 from pathlib import Path
 
+import math
+
 import numpy as np
 import pytest
+from scipy import ndimage
 
 import mollilab
+from mollilab import cli
+from mollilab.atlas import assemble_mollified
+from mollilab.curvature import (riem_contract_field, riemann, sec_extreme_fields,
+                                section_norm_fields)
+from mollilab.kernels import scale_kernel
+from mollilab.norms import check_N0
 
 from mollilab.cli import (EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, EXIT_VIOLATION,
                           ExperimentConfig, apply_overrides, fit_excess_decay, fmt,
@@ -88,7 +97,76 @@ class TestCurvatureCommand:
         assert "sec_min_t" in header and "scalar_t" in header
 
 
+def _refiltered_deviation_records(cfg):
+    """Reference: the deviation sweep refiltering every envelope from the raw
+    fields at each scale with ndimage's edge-replicating max/min filters."""
+    def ball_filter(values, steps, mode):
+        filt = ndimage.maximum_filter if mode == "max" else ndimage.minimum_filter
+        return filt(values, size=2 * steps + 1, mode="nearest")
+
+    geo = cli._geometry(cfg)
+    lat = geo.chart_lattice(cfg.m)
+    samples = geo.sample_all(cfg.m)
+    cid = geo.atlas.charts[0].id
+    g = samples[cid]
+    Q = check_N0(g)
+    base_R = riemann(g)
+    lo0, hi0 = sec_extreme_fields(g, base_R)
+    lo0 = np.where(base_R.mask, lo0, np.inf)
+    hi0 = np.where(base_R.mask, hi0, -np.inf)
+    sections = cli._coordinate_sections(geo.n) + cli._random_sections(geo.n, 8, cfg.seed)
+    base_contr = [np.where(base_R.mask, c, -np.inf)
+                  for c in riem_contract_field(base_R, g, sections)]
+    norm_fields = [np.maximum(nf, 1e-30) for nf in section_norm_fields(g, sections)]
+    probe = lat.ball_mask(geo.r / 4.0, norm="max")
+    records = []
+    for t in cfg.scales(geo.r):
+        gt = assemble_mollified(geo.atlas, samples, scale_kernel(geo.n, t, lat.h))[cid]
+        Rt = riemann(gt)
+        region = probe & Rt.mask & base_R.mask
+        steps = math.ceil(math.exp(Q) * t / lat.h) + 1
+        r_exc = 0.0
+        for at, b0, nf in zip(riem_contract_field(Rt, gt, sections), base_contr, norm_fields):
+            exc = (at - ball_filter(b0, steps, "max")) / nf
+            r_exc = max(r_exc, float(exc[region].max()))
+        steps_sec = math.ceil(t / lat.h) + 1
+        lot, hit = sec_extreme_fields(gt, Rt)
+        lo_ball = ball_filter(lo0, steps_sec, "min")
+        hi_ball = ball_filter(hi0, steps_sec, "max")
+        c = cli.INTERVAL_SLACK * t
+        cand = np.stack([lo_ball * (1 - c), lo_ball * (1 + c),
+                         hi_ball * (1 - c), hi_ball * (1 + c)])
+        ilo, ihi = cand.min(axis=0), cand.max(axis=0)
+        d = np.maximum(cli._interval_distance(lot, ilo, ihi),
+                       cli._interval_distance(hit, ilo, ihi))
+        records.append(cli.DeviationRecord(t=t, riem_excess=r_exc,
+                                           sec_excess=float(d[region].max())))
+    return records
+
+
 class TestDeviationCommand:
+    @pytest.mark.parametrize("m,t_min", [(17, 0.35), (21, 0.3)])
+    def test_grown_envelopes_equal_refiltered(self, m, t_min, monkeypatch):
+        intervals = []  # (lo, hi) of the reference interval over the whole grid
+
+        def recorded(x, lo, hi):
+            intervals.append((lo.copy(), hi.copy()))
+            return distance(x, lo, hi)
+
+        distance = cli._interval_distance
+        monkeypatch.setattr(cli, "_interval_distance", recorded)
+        cfg = ExperimentConfig(geometry="sphere3", m=m, t_min=t_min, t_max=0.6, t_count=5)
+        records, _ = run_deviation(cfg)
+        grown = intervals[:]
+        intervals.clear()
+        assert records == _refiltered_deviation_records(cfg)
+        assert len(grown) == len(intervals) == 10
+        for (lo, hi), (ref_lo, ref_hi) in zip(grown, intervals):
+            assert np.array_equal(lo, ref_lo) and np.array_equal(hi, ref_hi)
+        # nonzero excesses: the clamp at 0 does not hide the Riemann envelopes;
+        # at m=21 a ball one step short moves riem_excess
+        assert all(r.riem_excess > 0.005 for r in records[:3])
+
     def test_flat_deviation_at_floor_fit_skipped(self):
         cfg = ExperimentConfig(geometry="flat2-single", m=41,
                                t_min=0.1, t_max=0.4, t_count=5)
@@ -191,6 +269,24 @@ class TestCoverCommand:
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
         assert str(path) in err and "dim" in err
+
+
+    @pytest.mark.parametrize("charts,transition,chart", [
+        ("a 0", "", "'a'"), ("a -1", "", "'a'"), ("a nan", "", "'a'"), ("a inf", "", "'a'"),
+        ("a 1.0|b 0.5", "", "'b'"), ("a 1.0|a 1.0", "", "'a'"),
+        ("a 1.0", "a zz", "'zz'")])
+    def test_bad_atlas_chart_is_config_error(self, tmp_path, capsys, charts, transition,
+                                             chart):
+        path = tmp_path / "atlas.txt"
+        text = "dim = 2\n" + "".join(f"[chart]\nid = {cid}\nr = {r}\ngenerator = flat\n"
+                                     for cid, r in (c.split() for c in charts.split("|")))
+        if transition:
+            text += f"[transition]\npair = {transition}\nmap = affine theta=0.5\n"
+        path.write_text(text)
+        code = main(["cover-check", "--m", "21", "--atlas-file", str(path)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert str(path) in err and chart in err
 
 
 class TestMainExitCodes:

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
 from mollilab.lattice import (MetricField, ScalarField, central_diff, differentiate,
-                              erode_mask, make_lattice, pack_map, pack_symmetric,
+                              erode_mask, grow_box, make_lattice, pack_map, pack_symmetric,
                               sample_metric, sample_scalar, unpack_symmetric)
 
 
@@ -240,6 +241,23 @@ class TestErodeMask:
             cur = erode_mask(mask, steps)
             assert np.all(cur <= prev)
             prev = cur
+
+
+class TestGrowBox:
+    @pytest.mark.parametrize("n,m,comps", [(2, 9, ()), (2, 8, (3,)), (3, 7, ()), (3, 6, (2,))])
+    def test_steps_equal_edge_replicating_max_filter(self, n, m, comps):
+        """s box steps give the max over the clipped (2s+1)^n box, which is
+        ndimage's max filter with mode="nearest" over the lattice axes."""
+        rng = np.random.default_rng(10 * n + m)
+        a = rng.normal(size=(m,) * n + comps)
+        a[rng.random(a.shape) < 0.1] = -np.inf
+        a[rng.random(a.shape) < 0.05] = np.inf
+        grown, buf = a.copy(), np.empty_like(a)
+        for s in range(1, m):
+            grow_box(grown, buf, n)
+            size = (2 * s + 1,) * n + (1,) * len(comps)
+            ref = ndimage.maximum_filter(a, size=size, mode="nearest")
+            assert np.array_equal(grown, ref)
 
 
 class TestDifferentiate:

@@ -6,12 +6,11 @@ import pytest
 
 from mollilab import norms
 from mollilab.cli import ExperimentConfig, run_norms
-from mollilab.lattice import (ScalarField, differentiate, make_lattice, sample_metric,
-                              sample_scalar)
+from mollilab.lattice import (MetricField, ScalarField, differentiate, make_lattice,
+                              pack_symmetric, sample_metric, sample_scalar)
 from mollilab.modelzoo import get_geometry
-from mollilab.norms import (check_N0, det_bounds_ok, harmonic_defect,
-                            holder_chart_report, holder_seminorm, sobolev_condition,
-                            sobolev_norm)
+from mollilab.norms import (chart_norm_report, check_N0, det_bounds_ok, harmonic_defect,
+                            holder_seminorm, sobolev_norm)
 
 
 def _conformal_metric(lam):
@@ -48,6 +47,48 @@ def _offset_scan_seminorm(values, mask, lat, alpha):
             diff = np.abs(vals[shifted] - vals[base])[both].max()
             best = max(best, float(diff) / (lat.h * max(map(abs, d))) ** alpha)
     return best
+
+
+def _per_field_sobolev_norm(f, m, p):
+    """Reference: the per-field Sobolev norms, each field differentiated on its own."""
+    lat = f.lattice
+    jet = differentiate(f, m)
+    cell = lat.h ** lat.n
+    norms = []
+    for k in range(m + 1):
+        flat = np.abs(jet.blocks[k].reshape(lat.shape + (-1,))).max(axis=-1)
+        norms.append(float((np.sum(flat[jet.mask] ** p) * cell) ** (1.0 / p)))
+    return tuple(norms)
+
+
+def _component_fields(g):
+    for c in range(g.comps.shape[-1]):
+        yield ScalarField(lattice=g.lattice, values=g.comps[..., c], mask=g.mask)
+
+
+def _per_component_sobolev_condition(g, m, p):
+    """Reference: per-order L^p norms (max over components) and the Sobolev Q
+    without the N0 bound, one jet per component and call."""
+    lat = g.lattice
+    per_order = [0.0] * (m + 1)
+    for comp in _component_fields(g):
+        lp_norms = _per_field_sobolev_norm(comp, m, p)
+        for k in range(m + 1):
+            per_order[k] = max(per_order[k], lp_norms[k])
+    Q = max(lat.r ** (k - lat.n / p) * per_order[k] for k in range(m + 1))
+    return tuple(per_order), Q
+
+
+def _per_order_holder_seminorms(g, m, alpha):
+    """Reference: per-order Hoelder seminorms, a fresh order-k jet per component."""
+    semis = []
+    for k in range(m + 1):
+        best = 0.0
+        for comp in _component_fields(g):
+            jet = differentiate(comp, k)
+            best = max(best, holder_seminorm(jet.blocks[k], jet.mask, g.lattice.h, alpha))
+        semis.append(best)
+    return semis
 
 
 class TestHolderSeminorm:
@@ -100,8 +141,8 @@ class TestHolderSeminorm:
     def test_early_exit_stays_exact(self, monkeypatch):
         """The scan stops once spread / (h d)^alpha cannot beat the best value."""
         calls = []
-        grow = norms._grow_box
-        monkeypatch.setattr(norms, "_grow_box", lambda *args: calls.append(1) or grow(*args))
+        grow = norms.grow_box
+        monkeypatch.setattr(norms, "grow_box", lambda *args: calls.append(1) or grow(*args))
         lat = make_lattice(3, 1.0, 21)
         # a smooth bump of width ~0.3: no pair beyond a few steps can win
         f = sample_scalar(lambda X: np.exp(-(X**2).sum(axis=-1) / 0.1), lat)
@@ -119,7 +160,7 @@ class TestSobolevNorm:
     def test_constant(self):
         lat = make_lattice(2, 1.0, 21)
         f = sample_scalar(lambda X: np.full(X.shape[:-1], 2.0), lat)
-        lp_norms = sobolev_norm(f, 1, 2.0)
+        lp_norms = sobolev_norm(differentiate(f, 1), lat.h, 2.0)
         # quadrature volume: (m - 2) interior nodes per axis, weight h^2
         vol = ((lat.m - 2) * lat.h) ** 2
         assert lp_norms[0] == pytest.approx(2.0 * np.sqrt(vol), rel=1e-12)
@@ -128,7 +169,7 @@ class TestSobolevNorm:
     def test_sin_oracle(self):
         lat = make_lattice(2, np.pi, 161)
         f = sample_scalar(lambda X: np.sin(X[..., 0]), lat)
-        (lp0,) = sobolev_norm(f, 0, 2.0)
+        (lp0,) = sobolev_norm(differentiate(f, 0), lat.h, 2.0)
         # integral of sin^2 over [-pi,pi]^2 is 2 pi^2
         assert lp0 == pytest.approx(np.sqrt(2.0) * np.pi, rel=1e-2)
 
@@ -136,7 +177,7 @@ class TestSobolevNorm:
         lat = make_lattice(2, 1.0, 11)
         f = sample_scalar(lambda X: X[..., 0], lat)
         with pytest.raises(ValueError):
-            sobolev_norm(f, 1, 0.5)
+            sobolev_norm(differentiate(f, 1), lat.h, 0.5)
 
 
 class TestEigenvalueCondition:
@@ -205,7 +246,7 @@ class TestChartReports:
     def test_holder_report_flat(self):
         lat = make_lattice(2, 1.0, 21)
         g = sample_metric(_conformal_metric(lambda X: np.ones(X.shape[:-1])), lat)
-        rep = holder_chart_report(g, 1, 0.5)
+        rep = chart_norm_report(g, 1, 0.5, 8.0)
         assert rep.Q == pytest.approx(0.0, abs=1e-12)
         assert rep.harmonic_sup == pytest.approx(0.0, abs=1e-13)
 
@@ -217,7 +258,7 @@ class TestChartReports:
         assert [b.split("]", 1)[0] for b in blocks] == sorted(samples)
         for block, (cid, g) in zip(blocks, sorted(samples.items())):
             vals = dict(line.split("=", 1) for line in block.splitlines()[1:] if "=" in line)
-            _, q = sobolev_condition(g, cfg.order, cfg.p)
+            _, q = _per_component_sobolev_condition(g, cfg.order, cfg.p)
             assert vals["sobolev_Q"] == f"{max(q, check_N0(g)):.12g}"
             assert float(vals["sobolev_Q"]) >= float(vals["N0_Q"])
 
@@ -228,7 +269,7 @@ class TestChartReports:
             np.stack([2.0 + np.sin(3 * X[..., 0]) * X[..., 1], 0.3 * np.cos(X.sum(-1))], -1),
             np.stack([0.3 * np.cos(X.sum(-1)), 1.5 + np.abs(X[..., 0]) ** 0.7], -1)], -2), lat)
         alpha = 0.6
-        rep = holder_chart_report(g, 1, alpha)
+        rep = chart_norm_report(g, 1, alpha, 8.0)
         for k in range(2):
             ref = 0.0
             for c in range(g.comps.shape[-1]):
@@ -240,5 +281,28 @@ class TestChartReports:
     def test_report_serializes(self):
         lat = make_lattice(2, 1.0, 11)
         g = sample_metric(_conformal_metric(lambda X: np.ones(X.shape[:-1])), lat)
-        text = holder_chart_report(g, 1, 0.5).to_text()
+        text = chart_norm_report(g, 1, 0.5, 8.0).to_text()
         assert "Q=" in text and "order0=" in text
+
+    @pytest.mark.parametrize("n,m", [(2, 21), (3, 13)])
+    def test_one_jet_equals_per_order_reports(self, n, m):
+        """One order-2 jet per component gives every seminorm, L^p norm and Q
+        bit for bit; the partial mask makes the Hoelder and Sobolev masks differ."""
+        rng = np.random.default_rng(7 * n + m)
+        lat = make_lattice(n, 0.8, m)
+        X = lat.coords()
+        A = rng.normal(size=(n, n, n)) * 0.3
+        mats = np.eye(n) + np.einsum("...k,kij->...ij", np.sin(2.0 * X), A + A.transpose(1, 0, 2))
+        mats = mats @ np.swapaxes(mats, -1, -2)  # SPD
+        mask = lat.ball_mask(0.75)
+        g = MetricField(lattice=lat, comps=pack_symmetric(mats), mask=mask)
+        alpha, p = 0.4, 3.0
+        rep = chart_norm_report(g, 2, alpha, p)
+        semis = _per_order_holder_seminorms(g, 2, alpha)
+        lp, sob_q = _per_component_sobolev_condition(g, 2, p)
+        n0 = check_N0(g)
+        assert rep.seminorms == tuple(semis) and all(s > 0 for s in semis)
+        assert rep.sobolev_norms == lp
+        assert rep.Q == max(max(lat.r ** (k + alpha) * semis[k] for k in range(3)), n0)
+        assert rep.sobolev_Q == max(sob_q, n0)
+        assert rep.N0_Q == n0 > 0
