@@ -1,13 +1,15 @@
 """Charts with analytic transitions, bump-based partitions of unity, and
 assembly of the globally mollified metric from per-chart mollifications.
 
+An `Atlas` makes its partition of unity when it is constructed.
 Transitions are closed-form only (the shipped ones are built in
 `modelzoo`); off-node metric values under pullback come from local cubic
 Lagrange interpolation of the sampled field.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -29,10 +31,8 @@ class Chart:
 
 @dataclass(frozen=True)
 class Transition:
-    """tau = psi_to^{-1} o psi_frm: maps frm-chart coordinates to to-chart ones."""
+    """tau = psi_to^{-1} o psi_frm, the atlas entry keyed (frm, to), and its Jacobian."""
 
-    frm: str
-    to: str
     map: object       # callable (..., n) -> (..., n)
     jacobian: object  # callable (..., n) -> (..., n, n)
 
@@ -64,14 +64,27 @@ class BumpProfile:
         return _smoothstep(u)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Atlas:
-    """A finite chart family with analytic transitions and bump weights."""
+    """A finite chart family with analytic transitions and its partition of
+    unity rho_i = b_i / sum_j b_j.  The bump is 1 at least on
+    B(0, r e^{-2Q}/2) and supported in B(0, 3r/4); `plateau` may widen it
+    (never narrow it) so the shipped models get denominator >= 1 where covered.
+    """
 
     charts: tuple
     transitions: dict          # (frm_id, to_id) -> Transition
-    bump: BumpProfile | None = None
-    Q: float | None = None     # eigenvalue-condition bound of the generators
+    Q: float                   # eigenvalue-condition bound of the generators
+    plateau: InitVar[float | None] = None
+    bump: BumpProfile = field(init=False)
+
+    def __post_init__(self, plateau):
+        r = self.r
+        base_plateau = 0.5 * r * np.exp(-2.0 * self.Q)
+        plateau = base_plateau if plateau is None else max(plateau, base_plateau)
+        if plateau >= 0.75 * r:
+            raise ValueError("bump plateau must stay below the 3r/4 support")
+        object.__setattr__(self, "bump", BumpProfile(plateau=plateau, support=0.75 * r))
 
     @property
     def r(self) -> float:
@@ -84,8 +97,6 @@ class Atlas:
         raise KeyError(cid)
 
     def transition(self, frm: str, to: str) -> Transition | None:
-        if frm == to:
-            return None
         return self.transitions.get((frm, to))
 
     # -- bump weights -----------------------------------------------------
@@ -108,40 +119,18 @@ class Atlas:
         d = np.where(np.isfinite(d), d, np.inf)
         return np.where(d < self.r, d, np.inf)
 
-    def bump_value(self, i: str, j: str, X: np.ndarray) -> np.ndarray:
-        """b_i at points X of chart j (zero outside chart i's image)."""
-        if self.bump is None:
-            raise ValueError("call make_bump_weights first")
-        d = self.chart_distance(i, j, X)
-        out = np.zeros(X.shape[:-1])
-        fin = np.isfinite(d)
-        out[fin] = self.bump(d[fin])
-        return out
-
     def weights(self, j: str, X: np.ndarray) -> tuple[dict, np.ndarray]:
         """rho_i(x) for all charts i at points X of chart j, plus the denominator."""
-        bs = {c.id: self.bump_value(c.id, j, X) for c in self.charts}
+        bs = {}
+        for c in self.charts:
+            d = self.chart_distance(c.id, j, X)
+            b = bs[c.id] = np.zeros(X.shape[:-1])
+            fin = np.isfinite(d)
+            b[fin] = self.bump(d[fin])
         denom = sum(bs.values())
         safe = np.where(denom > 0.0, denom, 1.0)
         rho = {cid: np.where(denom > 0.0, b / safe, 0.0) for cid, b in bs.items()}
         return rho, denom
-
-
-def make_bump_weights(atlas: Atlas, Q: float, plateau: float | None = None) -> Atlas:
-    """Populate the partition of unity rho_i = b_i / sum_j b_j.
-
-    The bump is 1 at least on B(0, r e^{-2Q}/2) and supported in
-    B(0, 3r/4).  The plateau may be widened (never narrowed below the
-    default) so the shipped model atlases satisfy the denominator >= 1
-    condition on the covered region.
-    """
-    r = atlas.r
-    base_plateau = 0.5 * r * np.exp(-2.0 * Q)
-    plateau = base_plateau if plateau is None else max(plateau, base_plateau)
-    if plateau >= 0.75 * r:
-        raise ValueError("bump plateau must stay below the 3r/4 support")
-    return Atlas(charts=atlas.charts, transitions=atlas.transitions,
-                 bump=BumpProfile(plateau=plateau, support=0.75 * r), Q=Q)
 
 
 # ---------------------------------------------------------------------------
@@ -171,8 +160,6 @@ def _lagrange_cubic(axes, values, pts):
     Node-exact with per-cell support, so rough data far away cannot bleed
     into smooth regions the way a global spline fit can.
     """
-    import itertools
-
     n = len(axes)
     npts = pts.shape[0]
     base = []
@@ -249,8 +236,6 @@ def assemble_mollified(atlas: Atlas, samples: dict, kernel: ScaledKernel) -> dic
     lattice.  The output is defined where the partition denominator is at
     least 1 and every contributing term has valid data.
     """
-    if atlas.bump is None:
-        raise ValueError("atlas has no partition of unity; call make_bump_weights")
     t = kernel.t
     r = atlas.r
     if not 0.0 < t < r / 2.0:
@@ -278,13 +263,13 @@ def assemble_mollified(atlas: Atlas, samples: dict, kernel: ScaledKernel) -> dic
         covered = lat.ball_mask(r / 2.0)
         if not (mask & covered).any():
             raise ValueError("scale too large: assembled metric covers nothing")
-        field = MetricField(lattice=lat, comps=total, mask=mask)
-        eigs = field.eigenvalues()
+        gt = MetricField(lattice=lat, comps=total, mask=mask)
+        eigs = gt.eigenvalues()
         bad = mask & (eigs[..., 0] <= 0.0)
         if bad.any():
             raise ValueError(f"assembled metric not positive-definite at node "
                              f"{first_node(bad)} of chart {cj.id!r}")
-        out[cj.id] = field
+        out[cj.id] = gt
     return out
 
 
@@ -295,22 +280,24 @@ def assemble_mollified(atlas: Atlas, samples: dict, kernel: ScaledKernel) -> dic
 class CoverReport:
     covered: bool
     N: int
+    partition_sum_dev: float
 
 
 def check_cover(atlas: Atlas, lattice: Lattice) -> CoverReport:
-    """Check the per-chart declared region against the shrunken chart balls
-    and compute the realized overlap count N.
+    """Check the per-chart declared region against the shrunken chart balls,
+    and compute the realized overlap count N and the largest |sum_i rho_i - 1|.
 
-    The declared region is the r/2 ball of each chart and the shrunken
-    balls have radius r e^{-Q} / 2 (Q = 0 when unset).
+    The declared region is the r/2 ball of each chart, the shrunken balls
+    have radius r e^{-Q} / 2, and the sum is taken where denominator >= 1.
     """
     r = atlas.r
-    shrink = 0.5 * r * np.exp(-(atlas.Q or 0.0))
+    shrink = 0.5 * r * np.exp(-atlas.Q)
+    X = lattice.coords()
+    region = lattice.ball_mask(r / 2.0)
     covered = True
     overlap = 0
+    sum_dev = 0.0
     for cj in atlas.charts:
-        X = lattice.coords()
-        region = lattice.ball_mask(r / 2.0)
         hit = np.zeros(lattice.shape, dtype=bool)
         count = np.zeros(lattice.shape, dtype=int)
         for ci in atlas.charts:
@@ -319,4 +306,8 @@ def check_cover(atlas: Atlas, lattice: Lattice) -> CoverReport:
             count += (d < r).astype(int)
         covered &= bool(hit[region].all())
         overlap = max(overlap, int(count[region].max()))
-    return CoverReport(covered=covered, N=overlap)
+        rho, denom = atlas.weights(cj.id, X)
+        glued = region & (denom >= 1.0 - COVER_TOL)
+        if glued.any():
+            sum_dev = max(sum_dev, float(np.abs(sum(rho.values()) - 1.0)[glued].max()))
+    return CoverReport(covered=covered, N=overlap, partition_sum_dev=sum_dev)

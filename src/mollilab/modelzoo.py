@@ -5,8 +5,8 @@ related stereographic charts, and the Poincare ball.  Each constant-
 curvature model carries its closed-form sectional curvature as
 `reference_sec`; the tests check that the sampled curvature converges to
 it.  Rough perturbations produce metrics of limited smoothness for the
-scaling experiments.  Plain-text atlas descriptions are built from
-the same conformal factors and transition maps as the shipped models.
+scaling experiments.  Plain-text atlas descriptions use the same conformal
+factors and transition maps and give the same `ModelGeometry`, with Q = 0.
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .atlas import Atlas, BumpProfile, Chart, Transition, make_bump_weights
+from .atlas import Atlas, BumpProfile, Chart, Transition
 from .lattice import Lattice, make_lattice, sample_metric
 
 
@@ -84,8 +84,8 @@ def _rigid_motion(n: int, theta: float, shift: float) -> tuple:
 
 def _transition_pair(a: str, b: str, fwd, fwd_jac, bwd, bwd_jac) -> dict:
     """Transitions b -> a by (fwd, fwd_jac) and a -> b by (bwd, bwd_jac)."""
-    return {(b, a): Transition(frm=b, to=a, map=fwd, jacobian=fwd_jac),
-            (a, b): Transition(frm=a, to=b, map=bwd, jacobian=bwd_jac)}
+    return {(b, a): Transition(map=fwd, jacobian=fwd_jac),
+            (a, b): Transition(map=bwd, jacobian=bwd_jac)}
 
 
 @dataclass(frozen=True)
@@ -124,8 +124,7 @@ def flat(n: int, n_charts: int = 2) -> ModelGeometry:
         transitions = _transition_pair("a", "b", *_rigid_motion(n, math.pi / 6.0, r / 4.0))
     elif n_charts != 1:
         raise ValueError("flat ships with 1 or 2 charts")
-    atl = Atlas(charts=tuple(charts), transitions=transitions)
-    atl = make_bump_weights(atl, Q=0.0, plateau=0.625 * r)
+    atl = Atlas(charts=tuple(charts), transitions=transitions, Q=0.0, plateau=0.625 * r)
     return ModelGeometry(n=n, atlas=atl, reference_sec=0.0, curvature_radius=r)
 
 
@@ -142,8 +141,7 @@ def sphere(n: int, R: float = 1.0) -> ModelGeometry:
     # the inversion is an involution: the same map in both directions
     transitions = _transition_pair("north", "south", *(2 * _inversion(R)))
     Q = _eig_bound_Q(lam(np.full(n, r)), 4.0 * R**2)  # lam is smallest at a cube corner
-    atl = Atlas(charts=charts, transitions=transitions)
-    atl = make_bump_weights(atl, Q=Q, plateau=0.55 * r)
+    atl = Atlas(charts=charts, transitions=transitions, Q=Q, plateau=0.55 * r)
     return ModelGeometry(n=n, atlas=atl, reference_sec=1.0 / R**2, curvature_radius=R)
 
 
@@ -154,8 +152,7 @@ def hyperbolic(n: int) -> ModelGeometry:
     r = 0.5  # cube corners stay inside the unit ball for n <= 3
     charts = (Chart(id="ball", r=r, metric=_conformal(_poincare_factor)),)
     Q = _eig_bound_Q(_poincare_factor(np.zeros(n)), _poincare_factor(np.full(n, r)))
-    atl = Atlas(charts=charts, transitions={})
-    atl = make_bump_weights(atl, Q=Q, plateau=0.625 * r)
+    atl = Atlas(charts=charts, transitions={}, Q=Q, plateau=0.625 * r)
     return ModelGeometry(n=n, atlas=atl, reference_sec=-1.0, curvature_radius=0.4)
 
 
@@ -193,9 +190,8 @@ def perturb(geometry: ModelGeometry, a: float, alpha: float,
         raise ValueError("perturbation amplitude exceeds the positive-definiteness cap")
 
     chart = Chart(id=base_chart.id, r=r, metric=gen)
-    atl = Atlas(charts=(chart,), transitions={})
-    atl = make_bump_weights(atl, Q=geometry.atlas.Q or 0.0,
-                            plateau=geometry.atlas.bump.plateau)
+    atl = Atlas(charts=(chart,), transitions={}, Q=geometry.atlas.Q,
+                plateau=geometry.atlas.bump.plateau)
     ref = geometry.reference_sec if a == 0.0 else None
     return ModelGeometry(n=n, atlas=atl,
                          reference_sec=ref, curvature_radius=geometry.curvature_radius)
@@ -220,56 +216,68 @@ def get_geometry(name: str, R: float = 1.0, amp: float = 0.1,
     return table[name]()
 
 
+# each entry: (parameter names, builder from the parsed parameters)
 _GENERATORS = {
-    "flat": lambda params: _conformal(_unit_factor),
-    "sphere_conformal": lambda params: _conformal(_sphere_factor(params.get("R", 1.0))),
-    "poincare_ball": lambda params: _conformal(_poincare_factor),
+    "flat": ((), lambda p: _conformal(_unit_factor)),
+    "sphere_conformal": (("R",), lambda p: _conformal(_sphere_factor(p.get("R", 1.0)))),
+    "poincare_ball": ((), lambda p: _conformal(_poincare_factor)),
 }
 
-# each entry returns (map, Jacobian, inverse map, its Jacobian)
+# each builder returns (map, Jacobian, inverse map, its Jacobian)
 _MAPS = {
-    "inversion": lambda n, params: 2 * _inversion(params.get("R", 1.0)),
-    "affine": lambda n, params: _rigid_motion(n, params.get("theta", 0.0),
-                                              params.get("shift", 0.0)),
+    "inversion": (("R",), lambda n, p: 2 * _inversion(p.get("R", 1.0))),
+    "affine": (("theta", "shift"),
+               lambda n, p: _rigid_motion(n, p.get("theta", 0.0), p.get("shift", 0.0))),
 }
 
-
-def _parse_params(tokens) -> dict:
-    out = {}
-    for tok in tokens:
-        key, _, val = tok.partition("=")
-        out[key] = float(val)
-    return out
+# the keys each part of a description defines: the header, then each section
+_KEYS = {"": ("dim",), "chart": ("id", "r", "generator"), "transition": ("pair", "map")}
 
 
 def _lookup(table: dict, spec: str, kind: str):
-    name, *rest = spec.split()
+    """The builder `spec` names and its `name=value` parameters."""
+    name, *tokens = spec.split()
     if name not in table:
         raise ValueError(f"unknown {kind} {name!r}")
-    return table[name], _parse_params(rest)
+    names, make = table[name]
+    params = {}
+    for tok in tokens:
+        key, _, val = tok.partition("=")
+        try:
+            params[key] = float(val)
+        except ValueError:
+            key = None  # not name=value
+        if key not in names:
+            raise ValueError(f"{kind} {name!r} takes name=value parameters "
+                             f"{list(names)}, got {tok!r}")
+    return make, params
 
 
-def parse_atlas_text(text: str) -> tuple[Atlas, int]:
-    """Build an Atlas from the plain-text chart/transition description.
+def parse_atlas_text(text: str) -> ModelGeometry:
+    """Build a geometry from the plain-text chart/transition description.
 
     A `dim = N` line before the first section states the dimension
     (2 or 3); `[chart]` sections give `id`, `r` and `generator`,
     `[transition]` sections give `pair = a b` and `map`, where the map
     sends b-coordinates to a-coordinates.  Chart ids are unique, all charts
-    share one finite r > 0, and pairs name declared charts.  Returns the atlas and N.
+    share one finite r > 0, and pairs name declared charts; any other line
+    or parameter is an error.  The atlas has Q = 0, so its plateau is r/2.
     """
     header: dict = {}
     sections = []
-    fields = header
-    for raw in text.splitlines():
+    kind, fields = "", header
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if line in ("[chart]", "[transition]"):
-            fields = {}
-            sections.append((line[1:-1], fields))
+            kind, fields = line[1:-1], {}
+            sections.append((kind, fields))
             continue
-        key, _, val = line.partition("=")
+        key, sep, val = line.partition("=")
+        if not sep or key.strip() not in _KEYS[kind]:
+            raise ValueError(f"line {lineno}: expected [chart], [transition] or "
+                             f"key = value with a key in {list(_KEYS[kind])}, got {line!r}")
         fields[key.strip()] = val.strip()
     if not any(kind == "chart" for kind, _ in sections):
         raise ValueError("atlas description contains no charts")
@@ -298,9 +306,10 @@ def parse_atlas_text(text: str) -> tuple[Atlas, int]:
                 raise ValueError(f"transition pair {a} {b} names undeclared chart {cid!r}")
         make, params = _lookup(_MAPS, fields["map"], "transition map")
         transitions.update(_transition_pair(a, b, *make(n, params)))
-    return Atlas(charts=tuple(charts.values()), transitions=transitions), n
+    atl = Atlas(charts=tuple(charts.values()), transitions=transitions, Q=0.0)
+    return ModelGeometry(n=n, atlas=atl, reference_sec=None, curvature_radius=atl.r)
 
 
-def parse_atlas_file(path) -> tuple[Atlas, int]:
+def parse_atlas_file(path) -> ModelGeometry:
     with open(path) as fh:
         return parse_atlas_text(fh.read())

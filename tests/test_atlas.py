@@ -1,16 +1,18 @@
 """Tests for charts, partitions of unity, pullbacks, and global assembly."""
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mollilab.atlas import (Atlas, BumpProfile, Chart, Transition, check_cover,
-                            interpolate_metric, make_bump_weights,
-                            pullback_metric)
+                            interpolate_metric, pullback_metric)
 from mollilab.atlas import assemble_mollified
 from mollilab.kernels import convolve, scale_kernel
 from mollilab.lattice import MetricField, make_lattice, pack_symmetric, sample_metric
-from mollilab.modelzoo import flat, get_geometry, sphere
+from mollilab.modelzoo import flat, get_geometry, parse_atlas_file, sphere
+
+TWO_ATLAS = Path(__file__).resolve().parent.parent / "examples" / "two.atlas"
 
 
 class TestBumpProfile:
@@ -61,15 +63,16 @@ class TestPartitionOfUnity:
             total = sum(rho.values())
             assert np.abs(total[covered] - 1.0).max() < 1e-12
 
-    def test_weights_require_bump(self):
-        atl = Atlas(charts=(Chart(id="a", r=1.0, metric=None),), transitions={})
-        with pytest.raises(ValueError, match="make_bump_weights"):
-            atl.bump_value("a", "a", np.zeros((1, 2)))
-
     def test_plateau_never_narrowed_below_default(self):
-        atl = Atlas(charts=(Chart(id="a", r=1.0, metric=None),), transitions={})
-        out = make_bump_weights(atl, Q=0.0, plateau=0.01)
+        out = Atlas(charts=(Chart(id="a", r=1.0, metric=None),), transitions={},
+                    Q=0.0, plateau=0.01)
         assert out.bump.plateau == pytest.approx(0.5, abs=1e-14)
+
+    def test_plateau_at_support_rejected_at_construction(self):
+        r = 1.0
+        with pytest.raises(ValueError, match="3r/4"):
+            Atlas(charts=(Chart(id="a", r=r, metric=None),), transitions={},
+                  Q=0.0, plateau=0.8 * r)
 
 
 class TestPullback:
@@ -77,7 +80,7 @@ class TestPullback:
         lat = make_lattice(2, 1.0, 41)
         g = sample_metric(lambda X: (1.0 + 0.2 * np.sin(X[..., 0]))[..., None, None]
                           * np.eye(2), lat)
-        tr = Transition(frm="a", to="a", map=lambda X: X,
+        tr = Transition(map=lambda X: X,
                         jacobian=lambda X: np.broadcast_to(
                             np.eye(2), X.shape[:-1] + (2, 2)))
         out = pullback_metric(tr, g, lat)
@@ -88,8 +91,7 @@ class TestPullback:
         A = np.array([[1.0, 0.3], [0.0, 0.8]])
         g = sample_metric(lambda X: np.broadcast_to(
             np.diag([2.0, 3.0]), X.shape[:-1] + (2, 2)), lat)
-        tr = Transition(frm="b", to="a",
-                        map=lambda X: np.einsum("ij,...j->...i", A, X),
+        tr = Transition(map=lambda X: np.einsum("ij,...j->...i", A, X),
                         jacobian=lambda X: np.broadcast_to(
                             A, X.shape[:-1] + (2, 2)))
         out = pullback_metric(tr, g, lat)
@@ -231,15 +233,14 @@ class TestCheckCover:
         charts = (Chart(id="a", r=1.0, metric=delta),
                   Chart(id="b", r=1.0, metric=delta))
         transitions = {
-            ("b", "a"): Transition(frm="b", to="a", map=lambda Y: Y + shift,
+            ("b", "a"): Transition(map=lambda Y: Y + shift,
                                    jacobian=lambda Y: np.broadcast_to(
                                        np.eye(2), Y.shape[:-1] + (2, 2))),
-            ("a", "b"): Transition(frm="a", to="b", map=lambda X: X - shift,
+            ("a", "b"): Transition(map=lambda X: X - shift,
                                    jacobian=lambda X: np.broadcast_to(
                                        np.eye(2), X.shape[:-1] + (2, 2))),
         }
-        atl = Atlas(charts=charts, transitions=transitions)
-        atl = make_bump_weights(atl, Q=1.0)
+        atl = Atlas(charts=charts, transitions=transitions, Q=1.0)
         rep = check_cover(atl, make_lattice(2, 1.0, 41))
         assert not rep.covered
         assert rep.N == 1
@@ -254,6 +255,22 @@ class TestCheckCover:
         n41 = check_cover(geo.atlas, geo.chart_lattice(41)).N
         n81 = check_cover(geo.atlas, geo.chart_lattice(81)).N
         assert n41 == n81
+
+    @pytest.mark.parametrize("source,m", [("sphere2", 41), ("sphere3", 21),
+                                          ("flat3", 21), ("two.atlas", 21)])
+    def test_partition_sum_dev_matches_reference(self, source, m):
+        geo = parse_atlas_file(TWO_ATLAS) if source == "two.atlas" else get_geometry(source)
+        atlas, lat = geo.atlas, geo.chart_lattice(m)
+        # reference: the partition-sum loop the cover command ran on its own
+        X = lat.coords()
+        sum_dev = 0.0
+        for c in atlas.charts:
+            rho, denom = atlas.weights(c.id, X)
+            covered = lat.ball_mask(atlas.r / 2.0) & (denom >= 1.0 - 1e-9)
+            total = sum(rho.values())
+            if covered.any():
+                sum_dev = max(sum_dev, float(np.abs(total - 1.0)[covered].max()))
+        assert check_cover(atlas, lat).partition_sum_dev == sum_dev
 
 
 class TestChartDistance:

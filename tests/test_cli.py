@@ -25,6 +25,9 @@ from mollilab.cli import (EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, EXIT_VIOLATION,
                           run_norms, write_csv)
 
 
+EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
+
+
 def _read_csv(path):
     lines = path.read_text().splitlines()
     header = lines[0].split(",")
@@ -50,10 +53,19 @@ class TestConfig:
         with pytest.raises(ValueError, match="at least 5"):
             cfg.scales(1.0)
 
-    def test_scale_sweep_bounded_by_half_radius(self):
-        cfg = ExperimentConfig(t_min=0.05, t_max=0.9)
-        with pytest.raises(ValueError, match="r/2"):
-            cfg.scales(1.0)
+    def test_scale_sweep_bounded_by_half_radius(self, tmp_path, capsys):
+        # the sweep ends at t_max itself, so t_max = r/2 is out of range too
+        for t_max in (0.9, 0.5):
+            cfg = ExperimentConfig(t_min=0.05, t_max=t_max)
+            with pytest.raises(ValueError, match="r/2"):
+                cfg.scales(1.0)
+        out = tmp_path / "dev.csv"
+        code = main(["deviation", "--geometry", "hyperbolic3", "--m", "21",
+                     "--t-min", "0.1", "--t-max", "0.25", "--t-count", "5",
+                     "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert "r/2" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_config_file_overrides(self, tmp_path):
         path = tmp_path / "exp.cfg"
@@ -241,23 +253,24 @@ class TestLemmasCommand:
 
 class TestCoverCommand:
     def test_flat_single_chart(self):
-        report, sum_dev = run_cover(ExperimentConfig(geometry="flat2-single", m=21))
+        report = run_cover(ExperimentConfig(geometry="flat2-single", m=21))
         assert report.covered
         assert report.N == 1
-        assert sum_dev < 1e-12
+        assert report.partition_sum_dev < 1e-12
 
     def test_sphere_partition_and_overlap(self):
-        report, sum_dev = run_cover(ExperimentConfig(geometry="sphere2", m=41))
+        report = run_cover(ExperimentConfig(geometry="sphere2", m=41))
         assert report.N == 2
-        assert sum_dev < 1e-12
+        assert report.partition_sum_dev < 1e-12
 
     def test_atlas_file(self, tmp_path):
         path = tmp_path / "atlas.txt"
         path.write_text(
             "dim = 2\n[chart]\nid = a\nr = 1.0\ngenerator = flat\n")
-        report, _ = run_cover(ExperimentConfig(geometry="flat2", m=21,
-                                               atlas_file=str(path)))
-        assert report.covered
+        for atlas_file in (path, EXAMPLES / "two.atlas"):
+            report = run_cover(ExperimentConfig(geometry="flat2", m=21,
+                                                atlas_file=str(atlas_file)))
+            assert report.covered
 
     @pytest.mark.parametrize("dim_line", ["", "dim = 4\n", "dim = two\n"])
     def test_atlas_file_without_valid_dim_is_config_error(self, tmp_path, capsys,
@@ -287,6 +300,23 @@ class TestCoverCommand:
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
         assert str(path) in err and chart in err
+
+    @pytest.mark.parametrize("body,culprit", [
+        ("[Chart]\nid = c\nr = 1.0\ngenerator = flat\n", "line 10"),
+        ("theta 0.5\n", "line 10"),
+        ("dim = 2\n", "line 10"),
+        ("[transition]\npair = a b\nmap = affine thta=0.5 shift=10\n", "'thta=0.5'"),
+        ("[transition]\npair = a b\nmap = affine theta\n", "'theta'"),
+        ("[chart]\nid = c\nr = 1.0\ngenerator = flat extra\n", "'extra'"),
+        ("[chart]\nid = c\nr = 1.0\ngenerator = sphere_conformal R=x\n", "'R=x'")])
+    def test_malformed_atlas_file_is_config_error(self, tmp_path, capsys, body, culprit):
+        path = tmp_path / "atlas.txt"
+        charts = "".join(f"[chart]\nid = {cid}\nr = 1.0\ngenerator = flat\n" for cid in "ab")
+        path.write_text("dim = 2\n" + charts + body)
+        code = main(["cover-check", "--m", "21", "--atlas-file", str(path)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert str(path) in err and culprit in err
 
 
 class TestMainExitCodes:

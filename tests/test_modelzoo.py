@@ -123,6 +123,12 @@ class TestPerturbation:
         with pytest.raises(ValueError, match="alpha"):
             perturb(flat(2, n_charts=1), 0.1, 1.5)
 
+    def test_partition_of_unity_carried_over(self):
+        base = flat(2, n_charts=1).atlas
+        atl = get_geometry("pflat2").atlas
+        assert atl.bump == base.bump
+        assert atl.Q == base.Q
+
 
 class TestAtlasText:
     def test_parse_sphere_description(self):
@@ -140,13 +146,21 @@ class TestAtlasText:
         pair = north south
         map = inversion R=1.0
         """
-        atl, n = parse_atlas_text(text)
-        assert n == 2
+        geo = parse_atlas_text(text)
+        atl = geo.atlas
+        assert geo.n == 2
         assert len(atl.charts) == 2
         assert atl.transition("north", "south") is not None
         X = np.array([[1.0, 0.0]])
         G = atl.chart("north").metric(X)
         assert G[0, 0, 0] == pytest.approx(1.0)  # 4/(1+1)^2
+
+    def test_description_is_a_model_geometry(self):
+        geo = parse_atlas_text("dim = 3\n[chart]\nid = a\nr = 0.5\ngenerator = poincare_ball\n")
+        assert (geo.n, geo.r, geo.curvature_radius) == (3, 0.5, 0.5)
+        assert geo.reference_sec is None
+        assert geo.atlas.Q == 0.0
+        assert geo.atlas.bump.plateau == 0.25  # r/2 when Q = 0
 
     def test_parse_rejects_empty(self):
         with pytest.raises(ValueError, match="no charts"):
