@@ -24,36 +24,54 @@ eigenvalues of the pencil (R, G).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .lattice import Lattice, MetricField, differentiate, first_node, pack_map
+from .lattice import (Lattice, MetricField, central_diff, central_diff2, erode_mask,
+                      first_node, pack_map)
 
 COND_LIMIT = 1e12
 DEGENERATE_GRAM = 1e-12
+# Grid nodes per slab of the streamed Riemann builder, which takes
+# max(1, SLAB_NODES // m^(n-1)) whole axis-0 planes at a time.  Smaller
+# slabs pay more per-slab overhead (2-d, m = 161); at 4096 the larger slab
+# temporaries tripled the page faults of a 3-d m = 25 curvature run.
+SLAB_NODES = 2048
 
 
-def invert_metric(g: MetricField) -> np.ndarray:
+def invert_metric(g: MetricField, stage: str = "invert_metric", origin: int = 0) -> np.ndarray:
     """g^-1 as matrices, grid + (n, n) (the identity off the mask), after
     checking every valid node for positive definiteness and a condition
-    number of at most COND_LIMIT (nodes off the mask have eigenvalues 1)."""
+    number of at most COND_LIMIT (nodes off the mask have eigenvalues 1).
+
+    A failed check names `stage` and the first bad node, its index shifted
+    by `origin` on every axis: a caller passing a crop of its grid that
+    starts at node (origin,) * n reports the node in its own grid.
+    """
     eigs = g.eigenvalues()
     not_pd = eigs[..., 0] <= 0.0
     if not_pd.any():
-        raise ValueError(f"metric not positive-definite at node {first_node(not_pd)}")
+        node = _shifted(first_node(not_pd), origin)
+        raise ValueError(f"{stage}: metric not positive-definite at node {node}")
     cond = eigs[..., -1] / eigs[..., 0]
     ill = cond > COND_LIMIT
     if ill.any():
         node = first_node(ill)
-        raise ValueError(f"metric condition number {cond[node]:.3g} exceeds 1e12 "
-                         f"at node {node}")
+        raise ValueError(f"{stage}: metric condition number {cond[node]:.3g} exceeds "
+                         f"1e12 at node {_shifted(node, origin)}")
     return g.inverse()
 
 
-def _crop_to_mask(g: MetricField, pad: int = 2):
+def _shifted(node: tuple[int, ...], origin: int) -> tuple[int, ...]:
+    return tuple(i + origin for i in node)
+
+
+def _crop_to_mask(g: MetricField, pad: int = 2) -> tuple[MetricField, int]:
     """Restrict a field to the centred cube bounding its mask, plus a
     stencil pad.  Heavily eroded masks (large smoothing scales) then cost
-    proportionally less; returns (field, None) when nothing can be cut."""
+    proportionally less.  Returns (field, trim): the crop starts at node
+    (trim,) * n of g's grid, and trim = 0 returns g itself."""
     mask = g.mask
     if not mask.any():
         raise ValueError("field mask is empty")
@@ -65,24 +83,12 @@ def _crop_to_mask(g: MetricField, pad: int = 2):
     trim = max(trim - pad, 0)
     trim = min(trim, (m - 5) // 2)
     if trim <= 0:
-        return g, None
-    sl = tuple(slice(trim, m - trim) for _ in range(mask.ndim))
+        return g, 0
+    sl = (slice(trim, m - trim),) * mask.ndim
     lat = g.lattice
     m2 = m - 2 * trim
     lat2 = Lattice(n=lat.n, r=lat.r * (m2 - 1) / (m - 1), m=m2)
-    g2 = MetricField(lattice=lat2, comps=g.comps[sl], mask=mask[sl])
-    return g2, sl
-
-
-def _paste_full(g: MetricField, riem: np.ndarray, mask: np.ndarray, sl) -> RiemannField:
-    """A curvature operator computed on the crop `sl` of g's grid, embedded back in it."""
-    if sl is not None:
-        full = np.zeros(g.mask.shape + riem.shape[-2:])
-        full[sl] = riem
-        fmask = np.zeros_like(g.mask)
-        fmask[sl] = mask
-        riem, mask = full, fmask
-    return RiemannField(lattice=g.lattice, riem=riem, mask=mask)
+    return MetricField(lattice=lat2, comps=g.comps[sl], mask=mask[sl]), int(trim)
 
 
 def _s_tensor(dg: np.ndarray) -> np.ndarray:
@@ -140,38 +146,110 @@ def _symmetrized(x: np.ndarray) -> np.ndarray:
     return 0.5 * (x + np.swapaxes(x, -2, -1))
 
 
-def _riemann_parts(g: MetricField):
-    """(A, B, mask, sl): the Hessian part and the remainder of the curvature
-    operator on the crop `sl` of g to its mask, and their valid mask."""
-    gc, sl = _crop_to_mask(g)
-    ginv = invert_metric(gc)
-    jet = differentiate(gc, 2)
-    _, dg, d2g = jet.blocks  # d2g[..., P[i, j], x, y] = d_y d_x g_ij
-    P = pack_map(gc.lattice.n)
-    a, b, c, d = _pair_axes(gc.lattice.n)
-    A = 0.5 * (d2g[..., P[a, d], b, c] + d2g[..., P[b, c], a, d]
-               - d2g[..., P[a, c], b, d] - d2g[..., P[b, d], a, c])
+@lru_cache(maxsize=None)
+def _slab_index(n: int):
+    """What the slab builder indexes with in dimension n: the packing map P,
+    the pair axes (a, b, c, d), the indices (..., k, x, y) into
+    d2g[..., k, x, y] = d_y d_x g_k of the four terms of
+    A_IJ = 1/2 (g_ad,bc + g_bc,ad - g_ac,bd - g_bd,ac), and the entries of
+    d2g those terms read, as {(x, y): sorted components k}."""
+    P = pack_map(n)
+    a, b, c, d = _pair_axes(n)
+    terms = ((P[a, d], b, c), (P[b, c], a, d), (P[a, c], b, d), (P[b, d], a, c))
+    groups: dict = {}
+    for term in terms:
+        for k, x, y in zip(*(t.ravel().tolist() for t in np.broadcast_arrays(*term))):
+            groups.setdefault((x, y), set()).add(k)
+    return (P, (a, b, c, d), tuple((...,) + t for t in terms),
+            {xy: sorted(ks) for xy, ks in groups.items()})
+
+
+def _cdiff(v: np.ndarray, ax: int, h: float) -> np.ndarray:
+    """`central_diff` along grid axis ax of a slab that carries one halo
+    plane on each side of axis 0, dropping the halo.  Along axis 0 the halo
+    stands in for np.roll's wrap; the other axes are whole and still roll."""
+    if ax == 0:
+        return (v[2:] - v[:-2]) / (2.0 * h)
+    return central_diff(v[1:-1], ax, h)
+
+
+def _cdiff2(v: np.ndarray, ax: int, h: float) -> np.ndarray:
+    """`central_diff2` along grid axis ax of a slab with one halo plane, likewise."""
+    if ax == 0:
+        return (v[2:] - 2.0 * v[1:-1] + v[:-2]) / h**2
+    return central_diff2(v[1:-1], ax, h)
+
+
+def _slab_parts(gc: MetricField, ginv: np.ndarray, i0: int, i1: int):
+    """(A, B), symmetrized, on the planes i0 <= i < i1 along axis 0 of gc.
+
+    The slab reads its planes and a 2-plane halo with wrapped indices, so
+    every difference is the one the np.roll jet of the whole grid takes,
+    off-mask garbage included.  It forms dg, and of d2g only the entries
+    A reads: pure ones by the compact stencil, mixed ones d_y d_x g_k
+    nested in that order.
+    """
+    lat = gc.lattice
+    n, h = lat.n, lat.h
+    P, (a, b, c, d), terms, groups = _slab_index(n)
+    planes = np.arange(i0 - 2, i1 + 2) % lat.m
+    vals = np.where(gc.mask[planes][..., None], gc.comps[planes], 0.0)
+    d1 = np.stack([_cdiff(vals, ax, h) for ax in range(n)], axis=-1)  # planes i0-1 .. i1
+    d2 = np.empty((i1 - i0,) + vals.shape[1:] + (n, n))
+    for (x, y), ks in groups.items():
+        d2[..., ks, x, y] = (_cdiff2(vals[1:-1, ..., ks], x, h) if x == y
+                             else _cdiff(d1[..., ks, x], y, h))
+    t1, t2, t3, t4 = terms
+    A = 0.5 * (d2[t1] + d2[t2] - d2[t3] - d2[t4])
     # 1/4 g^pq S_p,bc S_q,ad = 1/2 Gamma^q_bc S_q,ad, Gamma^q_bc = g^qp S_p,bc / 2
-    S = _s_tensor(dg[..., P, :])
-    gamma = 0.5 * _contract_first(ginv, S)
+    S = _s_tensor(d1[1:-1][..., P, :])
+    gamma = 0.5 * _contract_first(ginv[i0:i1], S)
     B = 0.5 * sum(gamma[..., q, b, c] * S[..., q, a, d]
-                  - gamma[..., q, b, d] * S[..., q, a, c] for q in range(gc.lattice.n))
+                  - gamma[..., q, b, d] * S[..., q, a, c] for q in range(n))
     # nested central differences in the other order differ in round-off
-    return _symmetrized(A), _symmetrized(B), jet.mask, sl
+    return _symmetrized(A), _symmetrized(B)
+
+
+def _riemann_parts(g: MetricField, summed: bool):
+    """([A + B] if summed else [A, B], mask): the Hessian part and the
+    remainder of the curvature operator of g, and their valid mask.
+
+    The crop of g to its mask is streamed in slabs of about SLAB_NODES
+    nodes, whole planes along axis 0, into preallocated full-grid outputs
+    (zero outside the crop); the peak is the input, g^-1 on the crop, the
+    outputs and one slab's temporaries.
+    """
+    gc, trim = _crop_to_mask(g)
+    ginv = invert_metric(gc, "riemann", trim)
+    n, m = gc.lattice.n, gc.lattice.m
+    crop = (slice(trim, trim + m),) * n
+    pairs = n * (n - 1) // 2
+    outs = [np.zeros(g.mask.shape + (pairs, pairs)) for _ in range(1 if summed else 2)]
+    mask = np.zeros_like(g.mask)
+    mask[crop] = erode_mask(gc.mask, 2)
+    step = max(1, SLAB_NODES // m ** (n - 1))
+    for i0 in range(0, m, step):
+        i1 = min(i0 + step, m)
+        A, B = _slab_parts(gc, ginv, i0, i1)
+        if summed:
+            np.add(A, B, out=outs[0][crop][i0:i1])
+        else:
+            outs[0][crop][i0:i1], outs[1][crop][i0:i1] = A, B
+    return outs, mask
 
 
 def riemann(g: MetricField) -> RiemannField:
     """The curvature operator R_IJ = R_abcd = A_IJ + B_IJ of g."""
-    A, B, mask, sl = _riemann_parts(g)
-    A += B
-    return _paste_full(g, A, mask, sl)
+    (riem,), mask = _riemann_parts(g, summed=True)
+    return RiemannField(lattice=g.lattice, riem=riem, mask=mask)
 
 
 def ab_decomposition(g: MetricField) -> tuple[RiemannField, RiemannField]:
     """Split the curvature operator into the part A linear in Hess g and the
     remainder B, quadratic in grad g with coefficients g^-1; A + B = R."""
-    A, B, mask, sl = _riemann_parts(g)
-    return _paste_full(g, A, mask, sl), _paste_full(g, B, mask, sl)
+    (A, B), mask = _riemann_parts(g, summed=False)
+    return (RiemannField(lattice=g.lattice, riem=A, mask=mask),
+            RiemannField(lattice=g.lattice, riem=B, mask=mask))
 
 
 def scalar_curvature(g: MetricField, R: RiemannField) -> np.ndarray:

@@ -259,27 +259,36 @@ def parse_atlas_text(text: str) -> ModelGeometry:
     A `dim = N` line before the first section states the dimension
     (2 or 3); `[chart]` sections give `id`, `r` and `generator`,
     `[transition]` sections give `pair = a b` and `map`, where the map
-    sends b-coordinates to a-coordinates.  Chart ids are unique, all charts
-    share one finite r > 0, and pairs name declared charts; any other line
-    or parameter is an error.  The atlas has Q = 0, so its plateau is r/2.
+    sends b-coordinates to a-coordinates.  Each section gives each of its
+    keys exactly once.  Chart ids are unique, all charts share one finite
+    r > 0, and pairs name declared charts; any other line or parameter is
+    an error.  The atlas has Q = 0, so its plateau is r/2.
     """
     header: dict = {}
-    sections = []
-    kind, fields = "", header
+    sections = []  # (kind, line of the section header, fields)
+    kind, fields, seen = "", header, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if line in ("[chart]", "[transition]"):
-            kind, fields = line[1:-1], {}
-            sections.append((kind, fields))
+            kind, fields, seen = line[1:-1], {}, {}
+            sections.append((kind, lineno, fields))
             continue
         key, sep, val = line.partition("=")
-        if not sep or key.strip() not in _KEYS[kind]:
+        key = key.strip()
+        if not sep or key not in _KEYS[kind]:
             raise ValueError(f"line {lineno}: expected [chart], [transition] or "
                              f"key = value with a key in {list(_KEYS[kind])}, got {line!r}")
-        fields[key.strip()] = val.strip()
-    if not any(kind == "chart" for kind, _ in sections):
+        if key in seen:
+            raise ValueError(f"line {lineno}: key {key!r} repeats line {seen[key]}")
+        seen[key] = lineno
+        fields[key] = val.strip()
+    for kind, lineno, fields in sections:
+        for key in _KEYS[kind]:
+            if key not in fields:
+                raise ValueError(f"line {lineno}: [{kind}] section lacks key {key!r}")
+    if not any(kind == "chart" for kind, _, _ in sections):
         raise ValueError("atlas description contains no charts")
     if "dim" not in header:
         raise ValueError("missing 'dim = N' line")
@@ -287,7 +296,7 @@ def parse_atlas_text(text: str) -> ModelGeometry:
         raise ValueError(f"dim must be 2 or 3, got {header['dim']!r}")
     n = int(header["dim"])
     charts = {}
-    for fields in (f for kind, f in sections if kind == "chart"):
+    for fields in (f for kind, _, f in sections if kind == "chart"):
         cid, r = fields["id"], float(fields["r"])
         r0 = next(iter(charts.values())).r if charts else r
         if cid in charts:
@@ -299,7 +308,7 @@ def parse_atlas_text(text: str) -> ModelGeometry:
         make, params = _lookup(_GENERATORS, fields["generator"], "generator")
         charts[cid] = Chart(id=cid, r=r, metric=make(params))
     transitions = {}
-    for fields in (f for kind, f in sections if kind == "transition"):
+    for fields in (f for kind, _, f in sections if kind == "transition"):
         a, b = fields["pair"].split()
         for cid in (a, b):
             if cid not in charts:

@@ -308,7 +308,14 @@ class TestCoverCommand:
         ("[transition]\npair = a b\nmap = affine thta=0.5 shift=10\n", "'thta=0.5'"),
         ("[transition]\npair = a b\nmap = affine theta\n", "'theta'"),
         ("[chart]\nid = c\nr = 1.0\ngenerator = flat extra\n", "'extra'"),
-        ("[chart]\nid = c\nr = 1.0\ngenerator = sphere_conformal R=x\n", "'R=x'")])
+        ("[chart]\nid = c\nr = 1.0\ngenerator = sphere_conformal R=x\n", "'R=x'"),
+        ("[chart]\nid = c\nr = 1.0\n", "line 10: [chart] section lacks key 'generator'"),
+        ("[transition]\nmap = affine theta=0.5\n",
+         "line 10: [transition] section lacks key 'pair'"),
+        ("[chart]\nid = c\nr = 1.0\nr = 0.5\ngenerator = flat\n",
+         "line 13: key 'r' repeats line 12"),
+        ("[transition]\npair = a b\nmap = affine theta=0.5\nmap = affine theta=0.1\n",
+         "line 13: key 'map' repeats line 12")])
     def test_malformed_atlas_file_is_config_error(self, tmp_path, capsys, body, culprit):
         path = tmp_path / "atlas.txt"
         charts = "".join(f"[chart]\nid = {cid}\nr = 1.0\ngenerator = flat\n" for cid in "ab")

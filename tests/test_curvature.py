@@ -1,14 +1,19 @@
 """Tests for Riemann curvature and sectional data."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from mollilab.atlas import assemble_mollified
-from mollilab.curvature import (RiemannField, VectorSection, _lambda2, _pair_axes, _wedge,
-                                ab_decomposition, invert_metric, riem_contract_field,
-                                riemann, scalar_curvature, sec_extreme_fields,
-                                sec_extremes, section_norm_fields, sectional_field)
+import mollilab.curvature as curvature
+from mollilab.curvature import (RiemannField, VectorSection, _contract_first, _crop_to_mask,
+                                _lambda2, _pair_axes, _s_tensor, _wedge, ab_decomposition,
+                                invert_metric, riem_contract_field, riemann,
+                                scalar_curvature, sec_extreme_fields, sec_extremes,
+                                section_norm_fields, sectional_field)
 from mollilab.kernels import scale_kernel
-from mollilab.lattice import MetricField, _jet_blocks, make_lattice, sample_metric
+from mollilab.lattice import (MetricField, _jet_blocks, differentiate, make_lattice,
+                              pack_map, pack_symmetric, sample_metric)
 from mollilab.modelzoo import get_geometry, sphere
 
 
@@ -182,6 +187,90 @@ def test_packed_jet_gives_full_matrix_hessian_part(mollified):
     A = ab_decomposition(g)[0]
     assert A.mask.any()
     assert np.array_equal(A.riem[A.mask], _full_matrix_hessian_part(g)[A.mask])
+
+
+def _whole_grid_parts(g: MetricField):
+    """The builder before streaming, kept as the reference: A and B from the
+    whole differentiate(g, 2) jet of the crop of g to its mask, symmetrized
+    and pasted into g's grid, with their valid mask."""
+    gc, trim = _crop_to_mask(g)
+    n = gc.lattice.n
+    jet = differentiate(gc, 2)
+    _, dg, d2g = jet.blocks
+    P = pack_map(n)
+    a, b, c, d = _pair_axes(n)
+    A = 0.5 * (d2g[..., P[a, d], b, c] + d2g[..., P[b, c], a, d]
+               - d2g[..., P[a, c], b, d] - d2g[..., P[b, d], a, c])
+    S = _s_tensor(dg[..., P, :])
+    gamma = 0.5 * _contract_first(gc.inverse(), S)
+    B = 0.5 * sum(gamma[..., q, b, c] * S[..., q, a, d]
+                  - gamma[..., q, b, d] * S[..., q, a, c] for q in range(n))
+    crop = (slice(trim, trim + gc.lattice.m),) * n
+    parts = []
+    for x in (A, B):
+        full = np.zeros(g.mask.shape + x.shape[-2:])
+        full[crop] = 0.5 * (x + np.swapaxes(x, -2, -1))
+        parts.append(full)
+    mask = np.zeros_like(g.mask)
+    mask[crop] = jet.mask
+    return parts[0], parts[1], mask
+
+
+SHIPPED = ["flat2", "flat3", "flat2-single", "flat3-single", "sphere2", "sphere3",
+           "hyperbolic2", "hyperbolic3", "pflat2", "pflat3"]
+
+
+class TestStreamedBuilder:
+    @pytest.mark.parametrize("name", SHIPPED)
+    def test_bit_equal_to_whole_grid_jet(self, name, monkeypatch):
+        # raw and mollified charts (the one-chart models' mollified masks
+        # are cropped), with the default slab and with slabs of m^(n-1) and
+        # 3 m^(n-1) nodes: one and three planes of a whole chart, so the
+        # last slab is short and the halo wraps at both ends
+        geo = get_geometry(name)
+        m = 21 if geo.n == 2 else 13
+        lat = geo.chart_lattice(m)
+        samples = geo.sample_all(m)
+        mollified = assemble_mollified(geo.atlas, samples,
+                                       scale_kernel(geo.n, 0.4 * geo.r, lat.h))
+        default = curvature.SLAB_NODES
+        for g in (*samples.values(), *mollified.values()):
+            A_ref, B_ref, mask_ref = _whole_grid_parts(g)
+            for slab in (default, m ** (geo.n - 1), 3 * m ** (geo.n - 1)):
+                monkeypatch.setattr(curvature, "SLAB_NODES", slab)
+                R = riemann(g)
+                A, B = ab_decomposition(g)
+                assert np.array_equal(R.riem, A_ref + B_ref)
+                assert np.array_equal(A.riem, A_ref) and np.array_equal(B.riem, B_ref)
+                for part in (R, A, B):
+                    assert np.array_equal(part.mask, mask_ref)
+        assert any(not g.mask.all() for g in mollified.values())
+
+    def test_peak_memory_at_most_half_of_whole_grid_jet(self):
+        g = get_geometry("sphere3").sample_all(41)["north"]
+        peaks = []
+        for build in (_whole_grid_parts, riemann):
+            tracemalloc.start()
+            build(g)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert peaks[1] <= 0.5 * peaks[0]
+
+    def test_metric_checks_name_the_node_in_the_chart_grid(self):
+        # the mask is the max-norm 0.4 ball, so the builder crops 4 nodes
+        # from every side; the node must still be named in g's own grid
+        lat = make_lattice(3, 1.0, 21)
+        comps = np.broadcast_to(pack_symmetric(np.eye(3)), lat.shape + (6,)).copy()
+        comps[12, 10, 9] = pack_symmetric(np.diag([1.0, -1.0, 1.0]))
+        g = MetricField(lattice=lat, comps=comps, mask=lat.ball_mask(0.4, norm="max"))
+        with pytest.raises(ValueError, match=r"^riemann: metric not positive-definite "
+                                             r"at node \(12, 10, 9\)$"):
+            riemann(g)
+        comps[12, 10, 9] = pack_symmetric(np.diag([1.0, 1e-13, 1.0]))
+        g = MetricField(lattice=lat, comps=comps, mask=g.mask)
+        with pytest.raises(ValueError, match=r"^riemann: metric condition number 1e\+13 "
+                                             r"exceeds 1e12 at node \(12, 10, 9\)$"):
+            ab_decomposition(g)
 
 
 class TestContractions:
