@@ -14,7 +14,7 @@ from dataclasses import InitVar, dataclass, field
 import numpy as np
 
 from .kernels import ScaledKernel, convolve
-from .lattice import Lattice, MetricField, first_node, pack_symmetric, unpack_symmetric
+from .lattice import Lattice, MetricField, check_definite, pack_symmetric, unpack_symmetric
 
 COVER_TOL = 1e-9
 WEIGHT_EPS = 1e-14
@@ -146,7 +146,7 @@ def _valid_box(mask: np.ndarray):
     for _ in range(mask.shape[0]):
         sl = tuple(slice(a, b + 1) for a, b in zip(lo, hi))
         if mask[sl].all():
-            return sl, lo, hi
+            return sl
         lo = lo + 1
         hi = hi - 1
         if np.any(hi < lo):
@@ -192,7 +192,7 @@ def _lagrange_cubic(axes, values, pts):
 def interpolate_metric(g: MetricField, points: np.ndarray):
     """Metric matrices at off-node points; NaN rows where out of range."""
     lat = g.lattice
-    sl, lo, hi = _valid_box(g.mask)
+    sl = _valid_box(g.mask)
     axes = [lat.axis_nodes()[s] for s in sl]
     n = lat.n
     nc = g.comps.shape[-1]
@@ -264,11 +264,7 @@ def assemble_mollified(atlas: Atlas, samples: dict, kernel: ScaledKernel) -> dic
         if not (mask & covered).any():
             raise ValueError("scale too large: assembled metric covers nothing")
         gt = MetricField(lattice=lat, comps=total, mask=mask)
-        eigs = gt.eigenvalues()
-        bad = mask & (eigs[..., 0] <= 0.0)
-        if bad.any():
-            raise ValueError(f"assembled metric not positive-definite at node "
-                             f"{first_node(bad)} of chart {cj.id!r}")
+        check_definite(gt, f"assemble_mollified: chart {cj.id!r}")
         out[cj.id] = gt
     return out
 

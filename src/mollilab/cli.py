@@ -17,8 +17,8 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .atlas import assemble_mollified, check_cover
-from .curvature import (VectorSection, riem_contract_field, riemann,
-                        scalar_curvature, sec_extreme_fields, section_norm_fields)
+from .curvature import (riem_contract_field, riemann, scalar_curvature, sec_extreme_fields,
+                        section_norm_fields)
 from .kernels import kernel_lq_bound, kernel_lq_norm, scale_kernel, convolve
 from .lattice import ScalarField, grow_box, make_lattice, sample_scalar
 from .modelzoo import get_geometry, parse_atlas_file
@@ -31,6 +31,7 @@ EXIT_VIOLATION = 3
 
 NOISE_FLOOR = 1e-9
 LEMMA_SLACK = 1.05
+LEMMA_PAIRS = 20
 INTERVAL_SLACK = 1.0  # relative inflation of the reference interval, per unit t
 
 
@@ -207,17 +208,15 @@ def cmd_curvature(cfg: ExperimentConfig) -> int:
 # ---------------------------------------------------------------------------
 # deviation experiment
 
-def _coordinate_sections(n: int) -> list[VectorSection]:
-    eye = np.eye(n)
-    return [VectorSection(v=eye[s], w1=eye[mu], w2=eye[nu], xi=eye[rho])
-            for s, mu, nu, rho in itertools.product(range(n), repeat=4) if mu != nu]
+def _coordinate_sections(n: int) -> np.ndarray:
+    """Every coordinate section (e_s, e_mu, e_nu, e_rho) with mu != nu, shape (S, 4, n)."""
+    return np.eye(n)[[idx for idx in itertools.product(range(n), repeat=4)
+                      if idx[1] != idx[2]]]
 
 
-def _random_sections(n: int, count: int, seed: int) -> list[VectorSection]:
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    raw = rng.standard_normal((count, 4, n))
-    return [VectorSection(v=raw[k, 0], w1=raw[k, 1], w2=raw[k, 2], xi=raw[k, 3])
-            for k in range(count)]
+def _random_sections(n: int, count: int, seed: int) -> np.ndarray:
+    """`count` seeded Gaussian sections, shape (count, 4, n)."""
+    return np.random.Generator(np.random.Philox(key=seed)).standard_normal((count, 4, n))
 
 
 def _interval_distance(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -249,7 +248,8 @@ def run_deviation(cfg: ExperimentConfig):
     lo0, hi0 = sec_extreme_fields(g, base_R)
     hi_ball = np.where(base_R.mask, hi0, -np.inf)
     neg_lo_ball = np.where(base_R.mask, -lo0, -np.inf)  # the inf envelope, negated
-    sections = _coordinate_sections(geo.n) + _random_sections(geo.n, 8, cfg.seed)
+    sections = np.concatenate([_coordinate_sections(geo.n),
+                               _random_sections(geo.n, 8, cfg.seed)])
     sup_balls = [np.where(base_R.mask, c, -np.inf)
                  for c in riem_contract_field(base_R, g, sections)]
     norm_fields = [np.maximum(nf, 1e-30) for nf in section_norm_fields(g, sections)]
@@ -295,16 +295,15 @@ def run_deviation(cfg: ExperimentConfig):
         s_exc = float(d[region].max())
         records.append(DeviationRecord(t=t, riem_excess=r_exc, sec_excess=s_exc))
 
-    summary = fit_excess_decay([r.t for r in records], [r.sec_excess for r in records],
-                               floor=NOISE_FLOOR)
+    summary = fit_excess_decay([r.t for r in records], [r.sec_excess for r in records])
     return records, summary
 
 
-def fit_excess_decay(ts, excesses, floor: float = NOISE_FLOOR) -> dict:
-    """Log-log slope of the excesses that sit above the noise floor."""
+def fit_excess_decay(ts, excesses) -> dict:
+    """Log-log slope of the excesses that sit above NOISE_FLOOR."""
     ts = np.asarray(ts, dtype=float)
     ex = np.asarray(excesses, dtype=float)
-    keep = ex > floor
+    keep = ex > NOISE_FLOOR
     if keep.sum() < 2:
         return {"fit": "excess at noise floor; exponent fit skipped",
                 "slope": None, "intercept": None, "residual": None}
@@ -335,6 +334,8 @@ def cmd_deviation(cfg: ExperimentConfig) -> int:
 
 def run_norms(cfg: ExperimentConfig) -> str:
     cfg.validate_common()
+    if cfg.m < 2 * cfg.order + 1:
+        raise ConfigError(f"order {cfg.order} needs m >= {2 * cfg.order + 1}, got m={cfg.m}")
     geo = _geometry(cfg)
     samples = geo.sample_all(cfg.m)
     return "\n".join(f"[chart {cid}]\n"
@@ -350,7 +351,7 @@ def cmd_norms(cfg: ExperimentConfig) -> int:
 # ---------------------------------------------------------------------------
 # lemma suite
 
-def _lemma_family(n: int, r: float, m: int, alpha: float, seed: int, count: int = 20):
+def _lemma_family(n: int, r: float, m: int, alpha: float, seed: int):
     """Deterministic test pairs (f, a): smooth-ish f and alpha-Hoelder a."""
     lat = make_lattice(n, r, m)
     rng = np.random.Generator(np.random.Philox(key=seed))
@@ -365,7 +366,7 @@ def _lemma_family(n: int, r: float, m: int, alpha: float, seed: int, count: int 
                          lambda X: np.abs(X[..., 0]) ** alpha))
     pairs.append(from_fn(lambda X: np.sqrt((X**2).sum(-1)) ** (1.0 + alpha),
                          lambda X: np.cos(X[..., 1])))
-    while len(pairs) < count:
+    while len(pairs) < LEMMA_PAIRS:
         w = rng.uniform(0.5, 3.0, size=(2, n))
         ph = rng.uniform(0, 2 * np.pi, size=2)
         amp = rng.uniform(0.2, 1.5, size=2)
@@ -527,7 +528,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = config_from_args(args)
-        cfg.validate_common()
     except (ConfigError, OSError) as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return EXIT_CONFIG

@@ -28,11 +28,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lattice import (Lattice, MetricField, central_diff, central_diff2, erode_mask,
-                      first_node, pack_map)
+from .lattice import (Lattice, MetricField, central_diff, central_diff2, check_definite,
+                      erode_mask, first_node, pack_map)
 
 COND_LIMIT = 1e12
-DEGENERATE_GRAM = 1e-12
 # Grid nodes per slab of the streamed Riemann builder, which takes
 # max(1, SLAB_NODES // m^(n-1)) whole axis-0 planes at a time.  Smaller
 # slabs pay more per-slab overhead (2-d, m = 161); at 4096 the larger slab
@@ -42,36 +41,24 @@ SLAB_NODES = 2048
 
 def invert_metric(g: MetricField, stage: str = "invert_metric", origin: int = 0) -> np.ndarray:
     """g^-1 as matrices, grid + (n, n) (the identity off the mask), after
-    checking every valid node for positive definiteness and a condition
-    number of at most COND_LIMIT (nodes off the mask have eigenvalues 1).
-
-    A failed check names `stage` and the first bad node, its index shifted
-    by `origin` on every axis: a caller passing a crop of its grid that
-    starts at node (origin,) * n reports the node in its own grid.
-    """
-    eigs = g.eigenvalues()
-    not_pd = eigs[..., 0] <= 0.0
-    if not_pd.any():
-        node = _shifted(first_node(not_pd), origin)
-        raise ValueError(f"{stage}: metric not positive-definite at node {node}")
+    `check_definite` and a check that no node's condition number exceeds
+    COND_LIMIT; a failure names `stage` and the node as `check_definite` does."""
+    eigs = check_definite(g, stage, origin)
     cond = eigs[..., -1] / eigs[..., 0]
     ill = cond > COND_LIMIT
     if ill.any():
         node = first_node(ill)
         raise ValueError(f"{stage}: metric condition number {cond[node]:.3g} exceeds "
-                         f"1e12 at node {_shifted(node, origin)}")
+                         f"1e12 at node {tuple(i + origin for i in node)}")
     return g.inverse()
 
 
-def _shifted(node: tuple[int, ...], origin: int) -> tuple[int, ...]:
-    return tuple(i + origin for i in node)
-
-
-def _crop_to_mask(g: MetricField, pad: int = 2) -> tuple[MetricField, int]:
+def _crop_to_mask(g: MetricField) -> tuple[MetricField, int]:
     """Restrict a field to the centred cube bounding its mask, plus a
-    stencil pad.  Heavily eroded masks (large smoothing scales) then cost
-    proportionally less.  Returns (field, trim): the crop starts at node
-    (trim,) * n of g's grid, and trim = 0 returns g itself."""
+    2-node pad for the Riemann stencils.  Heavily eroded masks (large
+    smoothing scales) then cost proportionally less.  Returns (field, trim):
+    the crop starts at node (trim,) * n of g's grid, and trim = 0 returns g
+    itself."""
     mask = g.mask
     if not mask.any():
         raise ValueError("field mask is empty")
@@ -80,7 +67,7 @@ def _crop_to_mask(g: MetricField, pad: int = 2) -> tuple[MetricField, int]:
     for ax in range(mask.ndim):
         hit = np.where(mask.any(axis=tuple(a for a in range(mask.ndim) if a != ax)))[0]
         trim = min(trim, hit[0], m - 1 - hit[-1])
-    trim = max(trim - pad, 0)
+    trim = max(trim - 2, 0)
     trim = min(trim, (m - 5) // 2)
     if trim <= 0:
         return g, 0
@@ -257,16 +244,6 @@ def scalar_curvature(g: MetricField, R: RiemannField) -> np.ndarray:
     return 2.0 * np.einsum("...IJ,...IJ->...", _lambda2(g.inverse()), R.riem)
 
 
-@dataclass(frozen=True)
-class VectorSection:
-    """Three constant vector fields and one constant covector probe."""
-
-    v: np.ndarray
-    w1: np.ndarray
-    w2: np.ndarray
-    xi: np.ndarray
-
-
 def _fold(coef: np.ndarray) -> np.ndarray:
     """Sum a coefficient array over the pairs (i, j), (j, i) of its last two
     axes, which multiply the same entry of a symmetric matrix; the result's
@@ -286,15 +263,10 @@ def _combine(coef: np.ndarray, terms) -> np.ndarray:
     return out
 
 
-def _stack_sections(sections, n: int):
-    """(v, w1, w2, xi), each stacked over the sections, shape (S, n)."""
-    return [np.array([getattr(s, name) for s in sections], dtype=float).reshape(-1, n)
-            for name in ("v", "w1", "w2", "xi")]
-
-
-def riem_contract_field(R: RiemannField, g: MetricField, sections) -> list[np.ndarray]:
+def riem_contract_field(R: RiemannField, g: MetricField,
+                        sections: np.ndarray) -> list[np.ndarray]:
     """R^r_{smn} xi_r v^s w1^m w2^n = (g^-1 xi ^ v)^T R (w1 ^ w2) as a scalar
-    field, one per section.
+    field, one per section; `sections` has shape (S, 4, n), rows (v, w1, w2, xi).
 
     The contraction is bilinear in (g^-1, R) with constant coefficients,
     sum g^ir R_IJ xi_r (e_i ^ v)_I (w1 ^ w2)_J, so each field is a
@@ -302,7 +274,7 @@ def riem_contract_field(R: RiemannField, g: MetricField, sections) -> list[np.nd
     formed once for all sections.
     """
     n = g.lattice.n
-    v, w1, w2, xi = _stack_sections(sections, n)
+    v, w1, w2, xi = np.moveaxis(sections, 1, 0)
     ei_v = _wedge(np.eye(n), v[:, None, :])  # (S, i, I)
     coef = np.einsum("sr,siI,sJ->sIJir", xi, ei_v, _wedge(w1, w2))
     coef = _fold(np.moveaxis(_fold(coef), -1, 1))  # (S, ir, IJ)
@@ -313,8 +285,9 @@ def riem_contract_field(R: RiemannField, g: MetricField, sections) -> list[np.nd
     return [_combine(c.ravel(), products) for c in coef]
 
 
-def section_norm_fields(g: MetricField, sections) -> list[np.ndarray]:
-    """Per-node product |v|_g |w1|_g |w2|_g |xi|_{g^-1} for each section.
+def section_norm_fields(g: MetricField, sections: np.ndarray) -> list[np.ndarray]:
+    """Per-node product |v|_g |w1|_g |w2|_g |xi|_{g^-1} for each section
+    (shape (S, 4, n), rows (v, w1, w2, xi)).
 
     Nodes off the mask see the identity metric.  Each squared norm is
     sum_{i<=j} c_ij(u) g_ij over the packed components, with the inverse
@@ -324,25 +297,10 @@ def section_norm_fields(g: MetricField, sections) -> list[np.ndarray]:
     ginv = g.inverse()
     inv_comps = [ginv[..., i, j] for i, j in zip(*np.triu_indices(g.lattice.n))]
     coefs = [_fold(u[:, :, None] * u[:, None, :])  # c_ij(u), shape (S, ij)
-             for u in _stack_sections(sections, g.lattice.n)]
+             for u in np.moveaxis(sections, 1, 0)]
     return [np.sqrt(_combine(cv, comps)) * np.sqrt(_combine(c1, comps))
             * np.sqrt(_combine(c2, comps)) * np.sqrt(_combine(cx, inv_comps))
             for cv, c1, c2, cx in zip(*coefs)]
-
-
-def sectional_field(g: MetricField, R: RiemannField,
-                    v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Sectional curvature of the constant plane (v, w) at every node.
-
-    Nodes where |v ^ w|_g^2 < DEGENERATE_GRAM get NaN.
-    """
-    om = _wedge(np.asarray(v, dtype=float), np.asarray(w, dtype=float))
-    gram = np.einsum("...IJ,I,J->...", _lambda2(g.matrices()), om, om)
-    num = np.einsum("...IJ,I,J->...", R.riem, om, om)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sec = num / gram
-    sec[gram < DEGENERATE_GRAM] = np.nan
-    return sec
 
 
 def _lower_inverse(L: np.ndarray) -> np.ndarray:

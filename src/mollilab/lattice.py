@@ -103,10 +103,6 @@ class Lattice:
     def shape(self) -> tuple[int, ...]:
         return (self.m,) * self.n
 
-    @property
-    def origin_index(self) -> tuple[int, ...]:
-        return ((self.m - 1) // 2,) * self.n
-
     def axis_nodes(self) -> np.ndarray:
         return np.linspace(-self.r, self.r, self.m)
 
@@ -275,6 +271,20 @@ def sample_scalar(fn, lattice: Lattice) -> ScalarField:
     return ScalarField(lattice=lattice, values=values, mask=lattice.full_mask())
 
 
+def check_definite(g: MetricField, stage: str, origin: int = 0) -> np.ndarray:
+    """g.eigenvalues(), after checking that every node is positive definite
+    (nodes off the mask have eigenvalues 1).  A failure names `stage` and the
+    first bad node, its index shifted by `origin` on every axis: a caller
+    passing a crop of its grid that starts at node (origin,) * n reports the
+    node in its own grid."""
+    eigs = g.eigenvalues()
+    bad = eigs[..., 0] <= 0.0
+    if bad.any():
+        node = tuple(i + origin for i in first_node(bad))
+        raise ValueError(f"{stage}: metric not positive-definite at node {node}")
+    return eigs
+
+
 def sample_metric(fn, lattice: Lattice) -> MetricField:
     mats = np.asarray(fn(lattice.coords()), dtype=float)
     n = lattice.n
@@ -283,11 +293,9 @@ def sample_metric(fn, lattice: Lattice) -> MetricField:
     bad = ~np.isfinite(mats).all(axis=(-2, -1))
     if bad.any():
         raise ValueError(f"non-finite metric value at node {first_node(bad)}")
-    eigs = np.linalg.eigvalsh(0.5 * (mats + np.swapaxes(mats, -1, -2)))
-    not_pd = eigs[..., 0] <= 0.0
-    if not_pd.any():
-        raise ValueError(f"metric not positive-definite at node {first_node(not_pd)}")
-    return MetricField.from_matrices(lattice, mats, lattice.full_mask())
+    g = MetricField.from_matrices(lattice, mats, lattice.full_mask())
+    check_definite(g, "sample_metric")
+    return g
 
 
 # ---------------------------------------------------------------------------

@@ -156,9 +156,9 @@ def hyperbolic(n: int) -> ModelGeometry:
     return ModelGeometry(n=n, atlas=atl, reference_sec=-1.0, curvature_radius=0.4)
 
 
-def perturb(geometry: ModelGeometry, a: float, alpha: float,
-            x0: tuple | None = None) -> ModelGeometry:
-    """Add a C^{1,alpha}-but-not-C^2 component bump a w(x)|x-x0|^{1+alpha} u u^T.
+def perturb(geometry: ModelGeometry, a: float, alpha: float) -> ModelGeometry:
+    """Add a C^{1,alpha}-but-not-C^2 component bump a w(x)|x|^{1+alpha} u u^T,
+    centred at the chart origin, with u the unit diagonal direction.
 
     Only single-chart geometries can be perturbed (the perturbation is
     expressed in one chart's coordinates).
@@ -170,21 +170,20 @@ def perturb(geometry: ModelGeometry, a: float, alpha: float,
     base_chart = geometry.atlas.charts[0]
     n = geometry.n
     r = base_chart.r
-    x0 = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float)
     shape_bump = BumpProfile(plateau=0.35 * r, support=0.7 * r)
     u = np.ones(n) / math.sqrt(n)
     E = np.outer(u, u)
     base_gen = base_chart.metric
 
     def gen(X):
-        d = np.sqrt(((X - x0) ** 2).sum(axis=-1))
+        d = np.sqrt((X**2).sum(axis=-1))
         amp = a * shape_bump(d) * d ** (1.0 + alpha)
         return base_gen(X) + amp[..., None, None] * E
 
     # amplitude cap: perturbation stays below half the base's smallest eigenvalue
     probe = make_lattice(n, r, 41)
     base_eigs = np.linalg.eigvalsh(base_gen(probe.coords()))
-    d = np.sqrt(((probe.coords() - x0) ** 2).sum(axis=-1))
+    d = np.sqrt((probe.coords() ** 2).sum(axis=-1))
     peak = abs(a) * float((shape_bump(d) * d ** (1.0 + alpha)).max())
     if peak > 0.5 * float(base_eigs[..., 0].min()):
         raise ValueError("perturbation amplitude exceeds the positive-definiteness cap")

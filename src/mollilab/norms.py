@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import (JetField, MetricField, ScalarField, central_diff, differentiate,
-                      erode_mask, grow_box)
+from .lattice import (JetField, MetricField, ScalarField, central_diff, check_definite,
+                      differentiate, erode_mask, grow_box)
 
 
 def holder_seminorm(values: np.ndarray, mask: np.ndarray, h: float, alpha: float) -> float:
@@ -73,10 +73,7 @@ def sobolev_norm(jet: JetField, h: float, p: float) -> tuple:
 
 def check_N0(g: MetricField) -> float:
     """Minimal Q with e^{-2Q} <= eigenvalues of g <= e^{2Q} at every valid node."""
-    eigs = g.eigenvalues()[g.mask]
-    if eigs.min() <= 0.0:
-        raise ValueError("metric not positive-definite on a valid node")
-    logs = np.log(eigs)
+    logs = np.log(check_definite(g, "check_N0")[g.mask])
     return 0.5 * float(np.abs(logs).max())
 
 

@@ -126,7 +126,8 @@ def _refiltered_deviation_records(cfg):
     lo0, hi0 = sec_extreme_fields(g, base_R)
     lo0 = np.where(base_R.mask, lo0, np.inf)
     hi0 = np.where(base_R.mask, hi0, -np.inf)
-    sections = cli._coordinate_sections(geo.n) + cli._random_sections(geo.n, 8, cfg.seed)
+    sections = np.concatenate([cli._coordinate_sections(geo.n),
+                               cli._random_sections(geo.n, 8, cfg.seed)])
     base_contr = [np.where(base_R.mask, c, -np.inf)
                   for c in riem_contract_field(base_R, g, sections)]
     norm_fields = [np.maximum(nf, 1e-30) for nf in section_norm_fields(g, sections)]
@@ -357,10 +358,12 @@ class TestMainExitCodes:
         assert not out.exists()
 
     def test_negative_order_is_config_error(self, capsys):
-        code = main(["norms", "--geometry", "sphere2", "--m", "21", "--order", "-1"])
-        assert code == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert "config error" in err and "order" in err
+        # an order the lattice cannot difference (m < 2 order + 1) is a config error too
+        for m, order, named in (("21", "-1", "order"), ("5", "3", "m=5")):
+            code = main(["norms", "--geometry", "sphere2", "--m", m, "--order", order])
+            assert code == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert "config error" in err and "order" in err and named in err
 
     def test_numerical_error(self, tmp_path, capsys):
         # scale below the resolution limit: a numerical failure, not config

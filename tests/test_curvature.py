@@ -6,15 +6,16 @@ import pytest
 
 from mollilab.atlas import assemble_mollified
 import mollilab.curvature as curvature
-from mollilab.curvature import (RiemannField, VectorSection, _contract_first, _crop_to_mask,
-                                _lambda2, _pair_axes, _s_tensor, _wedge, ab_decomposition,
+from mollilab.curvature import (RiemannField, _contract_first, _crop_to_mask, _lambda2,
+                                _pair_axes, _s_tensor, _wedge, ab_decomposition,
                                 invert_metric, riem_contract_field, riemann,
                                 scalar_curvature, sec_extreme_fields, sec_extremes,
-                                section_norm_fields, sectional_field)
+                                section_norm_fields)
 from mollilab.kernels import scale_kernel
 from mollilab.lattice import (MetricField, _jet_blocks, differentiate, make_lattice,
                               pack_map, pack_symmetric, sample_metric)
 from mollilab.modelzoo import get_geometry, sphere
+from mollilab.norms import check_N0
 
 
 def _conformal(lam):
@@ -62,6 +63,22 @@ def _full_tensor(riem, n):
             full[..., p, q, r, s] = full[..., q, p, s, r] = x
             full[..., q, p, r, s] = full[..., p, q, s, r] = -x
     return full
+
+
+DEGENERATE_GRAM = 1e-12
+
+
+def sectional_field(g, R, v, w):
+    """Reference: the sectional curvature of the constant plane (v, w) at
+    every node, K = om^T R om / om^T (Lambda^2 g) om with om = v ^ w; NaN
+    where |v ^ w|_g^2 < DEGENERATE_GRAM."""
+    om = _wedge(np.asarray(v, dtype=float), np.asarray(w, dtype=float))
+    gram = np.einsum("...IJ,I,J->...", _lambda2(g.matrices()), om, om)
+    num = np.einsum("...IJ,I,J->...", R.riem, om, om)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sec = num / gram
+    sec[gram < DEGENERATE_GRAM] = np.nan
+    return sec
 
 
 def _plane_family(n=3, count=32, seed=0):
@@ -112,6 +129,19 @@ class TestInvertMetric:
         comps[3, 4] = comps[5, 0] = [1.0, 2.0, 1.0]
         with pytest.raises(ValueError, match=r"not positive-definite at node \(3, 4\)"):
             invert_metric(MetricField(lattice=lat, comps=comps, mask=mask))
+        # every stage runs the one definiteness check and names itself
+        with pytest.raises(ValueError, match=r"^check_N0: metric not positive-definite "
+                                             r"at node \(3, 4\)$"):
+            check_N0(MetricField(lattice=lat, comps=comps, mask=mask))
+
+        def gen(X):
+            mats = np.broadcast_to(np.eye(2), X.shape[:-1] + (2, 2)).copy()
+            mats[2, 7] = [[1.0, 2.0], [2.0, 1.0]]
+            return mats
+
+        with pytest.raises(ValueError, match=r"^sample_metric: metric not positive-definite "
+                                             r"at node \(2, 7\)$"):
+            sample_metric(gen, lat)
         comps[3, 4] = comps[5, 0] = [1.0, 0.0, 1.0]
         comps[6, 2] = [1.0, 0.0, 1e-13]
         with pytest.raises(ValueError, match=r"condition number 1e\+13 exceeds 1e12 "
@@ -278,10 +308,10 @@ class TestContractions:
         lat = make_lattice(2, 0.5, 21)
         g = sample_metric(_conformal(_poincare_lam()), lat)
         R = riemann(g)
-        s = VectorSection(v=np.array([1.0, 0.3]), w1=np.array([0.2, 1.0]),
-                          w2=np.array([1.0, -1.0]), xi=np.array([0.5, 0.5]))
-        s2 = VectorSection(v=2.0 * s.v, w1=s.w1, w2=s.w2, xi=s.xi)
-        val, val2 = riem_contract_field(R, g, [s, s2])
+        s = np.array([[1.0, 0.3], [0.2, 1.0], [1.0, -1.0], [0.5, 0.5]])  # v, w1, w2, xi
+        s2 = s.copy()
+        s2[0] *= 2.0
+        val, val2 = riem_contract_field(R, g, np.stack([s, s2]))
         assert np.allclose(val2[R.mask], 2.0 * val[R.mask], rtol=1e-12, atol=0.0)
 
     def test_matches_full_tensor_contraction(self):
@@ -289,13 +319,12 @@ class TestContractions:
         g = sample_metric(_smooth_metric(1), lat)
         R = riemann(g)
         rng = np.random.Generator(np.random.Philox(key=5))
-        sections = [VectorSection(*rng.standard_normal((4, 3))) for _ in range(3)]
+        sections = rng.standard_normal((3, 4, 3))
         full = _full_tensor(R.riem, 3)
         ginv = np.linalg.inv(g.matrices())
-        for s, got in zip(sections, riem_contract_field(R, g, sections)):
+        for (v, w1, w2, xi), got in zip(sections, riem_contract_field(R, g, sections)):
             # R^r_{smn} xi_r v^s w1^m w2^n with the first index raised by g^-1
-            want = np.einsum("...rsmn,...r,s,m,n->...", full, ginv @ s.xi,
-                             s.v, s.w1, s.w2)
+            want = np.einsum("...rsmn,...r,s,m,n->...", full, ginv @ xi, v, w1, w2)
             scale = np.abs(want[R.mask]).max()
             assert np.abs((got - want)[R.mask]).max() < 1e-12 * scale
 
@@ -303,16 +332,16 @@ class TestContractions:
         lat = make_lattice(3, 0.5, 9)
         g = sample_metric(_conformal(_poincare_lam()), lat)
         rng = np.random.Generator(np.random.Philox(key=3))
-        sections = [VectorSection(*rng.standard_normal((4, 3))) for _ in range(3)]
+        sections = rng.standard_normal((3, 4, 3))
         fields = section_norm_fields(g, sections)
-        nodes = [lat.origin_index, (3, 5, 4), (2, 2, 6)]
-        for s, nf in zip(sections, fields):
+        nodes = [(4, 4, 4), (3, 5, 4), (2, 2, 6)]  # (4, 4, 4) is the origin
+        for (v, w1, w2, xi), nf in zip(sections, fields):
             assert nf.shape == lat.shape
             for node in nodes:
                 gm = g.matrices()[node]
                 gi = np.linalg.inv(gm)
-                prod = (np.sqrt(s.v @ gm @ s.v) * np.sqrt(s.w1 @ gm @ s.w1)
-                        * np.sqrt(s.w2 @ gm @ s.w2) * np.sqrt(s.xi @ gi @ s.xi))
+                prod = (np.sqrt(v @ gm @ v) * np.sqrt(w1 @ gm @ w1)
+                        * np.sqrt(w2 @ gm @ w2) * np.sqrt(xi @ gi @ xi))
                 assert nf[node] == pytest.approx(prod, rel=1e-13)
 
 
@@ -320,8 +349,8 @@ def _contract_per_section(R, g, sections):
     """The per-section formula that `riem_contract_field` replaced: one
     batched matvec g^-1 xi and one R (w1 ^ w2) per section."""
     ginv = np.linalg.inv(g.matrices())
-    return [np.einsum("...I,...I->...", _wedge(ginv @ s.xi, s.v), R.riem @ _wedge(s.w1, s.w2))
-            for s in sections]
+    return [np.einsum("...I,...I->...", _wedge(ginv @ xi, v), R.riem @ _wedge(w1, w2))
+            for v, w1, w2, xi in sections]
 
 
 def _norms_per_section(g, sections):
@@ -332,8 +361,8 @@ def _norms_per_section(g, sections):
     def norm(a, u):
         return np.sqrt(np.einsum("...ij,i,j->...", a, u, u))
 
-    return [norm(mats, s.v) * norm(mats, s.w1) * norm(mats, s.w2) * norm(ginv, s.xi)
-            for s in sections]
+    return [norm(mats, v) * norm(mats, w1) * norm(mats, w2) * norm(ginv, xi)
+            for v, w1, w2, xi in sections]
 
 
 class TestContractionsMatchPerSectionFormula:
@@ -343,16 +372,16 @@ class TestContractionsMatchPerSectionFormula:
         g = sample_metric(_smooth_metric(7, n=n), lat)
         R = riemann(g)
         rng = np.random.Generator(np.random.Philox(key=11))
-        eye = np.eye(n)
-        sections = [VectorSection(*rng.standard_normal((4, n))) for _ in range(6)]
-        sections.append(VectorSection(v=eye[0], w1=eye[1], w2=eye[0], xi=eye[-1]))
+        sections = np.concatenate([rng.standard_normal((6, 4, n)),
+                                   np.eye(n)[[[0, 1, 0, n - 1]]]])
         got = riem_contract_field(R, g, sections)
-        for s, c, want in zip(sections, got, _contract_per_section(R, g, sections)):
+        for (v, w1, w2, xi), c, want in zip(sections, got,
+                                            _contract_per_section(R, g, sections)):
             assert c.shape == lat.shape and c.flags.c_contiguous
             # relative to the size of the terms: |g^-1 xi| |v| |R| |w1 ^ w2|
-            terms = (np.linalg.norm(np.linalg.inv(g.matrices()) @ s.xi, axis=-1)
-                     * np.linalg.norm(s.v) * np.abs(R.riem).max(axis=(-2, -1))
-                     * np.linalg.norm(_wedge(s.w1, s.w2)))
+            terms = (np.linalg.norm(np.linalg.inv(g.matrices()) @ xi, axis=-1)
+                     * np.linalg.norm(v) * np.abs(R.riem).max(axis=(-2, -1))
+                     * np.linalg.norm(_wedge(w1, w2)))
             assert np.all(np.abs(c - want)[R.mask] <= 1e-13 * terms[R.mask])
 
     @pytest.mark.parametrize("n", [2, 3])
@@ -364,8 +393,8 @@ class TestContractionsMatchPerSectionFormula:
         comps[~mask] = np.nan  # off the mask both see the identity metric
         g = MetricField(lattice=lat, comps=comps, mask=mask)
         rng = np.random.Generator(np.random.Philox(key=12))
-        sections = [VectorSection(*rng.standard_normal((4, n))) for _ in range(6)]
-        sections.append(VectorSection(*np.eye(n)[[0, 1, 0, n - 1]]))
+        sections = np.concatenate([rng.standard_normal((6, 4, n)),
+                                   np.eye(n)[[[0, 1, 0, n - 1]]]])
         for got, want in zip(section_norm_fields(g, sections), _norms_per_section(g, sections)):
             assert got.shape == lat.shape
             assert np.all(np.abs(got / want - 1.0) <= 1e-13)
@@ -373,8 +402,9 @@ class TestContractionsMatchPerSectionFormula:
     def test_no_sections(self):
         lat = make_lattice(2, 0.5, 9)
         g = sample_metric(_flat(2), lat)
-        assert riem_contract_field(riemann(g), g, []) == []
-        assert section_norm_fields(g, []) == []
+        none = np.empty((0, 4, 2))
+        assert riem_contract_field(riemann(g), g, none) == []
+        assert section_norm_fields(g, none) == []
 
 
 class TestSectional:

@@ -19,7 +19,7 @@ class TestLattice:
 
     def test_origin_is_node(self):
         lat = make_lattice(3, 2.0, 7)
-        assert np.allclose(lat.coords()[lat.origin_index], 0.0)
+        assert np.allclose(lat.coords()[3, 3, 3], 0.0)
 
     def test_axis_nodes_span(self):
         lat = make_lattice(2, 1.5, 9)
@@ -39,14 +39,14 @@ class TestLattice:
         cheb = lat.ball_mask(0.5, norm="max")
         # corner node (0.5, 0.5): inside the max-ball, outside the 2-ball
         assert cheb.sum() > euclid.sum()
-        assert euclid[lat.origin_index]
+        assert euclid[2, 2]
 
 
 class TestFields:
     def test_sample_scalar(self):
         lat = make_lattice(2, 1.0, 11)
         f = sample_scalar(lambda X: X[..., 0] + 2 * X[..., 1], lat)
-        assert f.values[lat.origin_index] == 0.0
+        assert f.values[5, 5] == 0.0
         assert f.mask.all()
 
     def test_sample_rejects_nonfinite(self):
