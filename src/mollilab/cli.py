@@ -12,7 +12,7 @@ import argparse
 import itertools
 import math
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -82,7 +82,7 @@ class ExperimentConfig:
 
 def load_config_file(path) -> dict:
     """key=value lines; '#' starts a comment; keys may use '-' or '_'."""
-    out = {}
+    out, lines = {}, {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -91,24 +91,38 @@ def load_config_file(path) -> dict:
             key, sep, val = line.partition("=")
             if not sep or not key.strip():
                 raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
-            out[key.strip().replace("-", "_")] = val.strip()
+            key = key.strip().replace("-", "_")
+            if key in lines:
+                raise ConfigError(f"{path}:{lineno}: key {key!r} repeats line {lines[key]}")
+            out[key], lines[key] = val.strip(), lineno
     return out
 
 
-_FIELD_TYPES = {
-    "geometry": str, "R": float, "amp": float, "m": int, "t": float,
-    "t_min": float, "t_max": float, "t_count": int, "alpha": float,
-    "p": float, "order": int, "seed": int, "out": str, "atlas_file": str,
+_ALL = ("curvature", "deviation", "norms", "lemmas", "cover-check")
+_CHARTED = ("curvature", "deviation", "norms", "cover-check")  # the ones that build a geometry
+
+# Each setting's type and the subcommands whose run_* reads it; a subcommand
+# takes a flag or config key only for the settings it reads.  --seed stays on
+# every subcommand, so one seeded argv runs any of them.
+_SETTINGS = {
+    "geometry": (str, _CHARTED), "R": (float, _CHARTED), "amp": (float, _CHARTED),
+    "m": (int, _ALL), "t": (float, ("curvature",)), "t_min": (float, ("deviation",)),
+    "t_max": (float, ("deviation",)), "t_count": (int, ("deviation",)),
+    "alpha": (float, _ALL), "p": (float, ("norms", "lemmas")), "order": (int, ("norms",)),
+    "seed": (int, _ALL), "out": (str, _ALL), "atlas_file": (str, ("cover-check",)),
 }
 
 
-def apply_overrides(cfg: ExperimentConfig, overrides: dict) -> ExperimentConfig:
+def apply_overrides(cfg: ExperimentConfig, overrides: dict, command: str) -> ExperimentConfig:
     values = {}
     for key, raw in overrides.items():
-        if key not in _FIELD_TYPES:
+        if key not in _SETTINGS:
             raise ConfigError(f"unknown config key {key!r}")
+        kind, readers = _SETTINGS[key]
+        if command not in readers:
+            raise ConfigError(f"config key {key!r} is not read by {command}")
         try:
-            values[key] = _FIELD_TYPES[key](raw)
+            values[key] = kind(raw)
         except ValueError as exc:
             raise ConfigError(f"bad value for {key}: {raw!r}") from exc
     return replace(cfg, **values)
@@ -264,7 +278,8 @@ def run_deviation(cfg: ExperimentConfig):
         Rt = riemann(gt)
         region = probe & Rt.mask & base_R.mask
         if not region.any():
-            raise ValueError(f"probe region empty at scale t={t}")
+            raise ValueError(f"chart {cid!r} keeps no valid probe node after riemann "
+                             f"of the mollified metric at t={t}")
 
         # one-sided Riemann excess against the ball sup of the raw curvature
         steps = math.ceil(math.exp(Q) * t / lat.h) + 1
@@ -351,9 +366,9 @@ def cmd_norms(cfg: ExperimentConfig) -> int:
 # ---------------------------------------------------------------------------
 # lemma suite
 
-def _lemma_family(n: int, r: float, m: int, alpha: float, seed: int):
-    """Deterministic test pairs (f, a): smooth-ish f and alpha-Hoelder a."""
-    lat = make_lattice(n, r, m)
+def _lemma_family(m: int, alpha: float, seed: int):
+    """Deterministic test pairs (f, a) on the 2-d r=1 lattice: smooth-ish f, Hoelder a."""
+    lat = make_lattice(2, 1.0, m)
     rng = np.random.Generator(np.random.Philox(key=seed))
     pairs = []
 
@@ -367,10 +382,10 @@ def _lemma_family(n: int, r: float, m: int, alpha: float, seed: int):
     pairs.append(from_fn(lambda X: np.sqrt((X**2).sum(-1)) ** (1.0 + alpha),
                          lambda X: np.cos(X[..., 1])))
     while len(pairs) < LEMMA_PAIRS:
-        w = rng.uniform(0.5, 3.0, size=(2, n))
+        w = rng.uniform(0.5, 3.0, size=(2, lat.n))
         ph = rng.uniform(0, 2 * np.pi, size=2)
         amp = rng.uniform(0.2, 1.5, size=2)
-        c = rng.uniform(-r / 2, r / 2)
+        c = rng.uniform(-lat.r / 2, lat.r / 2)
         kind = rng.integers(0, 2)
 
         def ffn(X, w=w[0], ph=ph[0], amp=amp[0]):
@@ -394,9 +409,8 @@ def run_lemmas(cfg: ExperimentConfig):
     must have ratio <= 1 exactly; the rest allow 5 percent quadrature slack.
     """
     cfg.validate_common()
-    n = 2
-    r = 1.0
-    lat, pairs = _lemma_family(n, r, cfg.m, cfg.alpha, cfg.seed)
+    lat, pairs = _lemma_family(cfg.m, cfg.alpha, cfg.seed)
+    n, r = lat.n, lat.r
     q = cfg.p / (cfg.p - 1.0)
     scales = list(np.geomspace(4.0 * lat.h, r / 8.0, 5))
 
@@ -496,12 +510,14 @@ class _ArgumentParser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     ap = _ArgumentParser(prog="labcli", description="mollified-metric experiments")
     sub = ap.add_subparsers(dest="command", required=True)
-    for name in ("curvature", "deviation", "norms", "lemmas", "cover-check"):
-        p = sub.add_parser(name)
-        # one flag per config field, e.g. t_min -> --t-min, with its default
-        for f in fields(ExperimentConfig):
-            p.add_argument("--" + f.name.replace("_", "-"), type=_FIELD_TYPES[f.name],
-                           default=f.default)
+    for command in _ALL:
+        p = sub.add_parser(command)
+        # one flag per setting the subcommand reads, e.g. t_min -> --t-min;
+        # an absent flag leaves the setting's ExperimentConfig default
+        for name, (kind, readers) in _SETTINGS.items():
+            if command in readers:
+                p.add_argument("--" + name.replace("_", "-"), type=kind,
+                               default=argparse.SUPPRESS)
         p.add_argument("--config", default=None,
                        help="key=value file; entries override flags")
     return ap
@@ -517,10 +533,9 @@ _COMMANDS = {
 
 
 def config_from_args(args) -> ExperimentConfig:
-    cfg = ExperimentConfig(**{f.name: getattr(args, f.name)
-                              for f in fields(ExperimentConfig)})
+    cfg = ExperimentConfig(**{k: v for k, v in vars(args).items() if k in _SETTINGS})
     if args.config is not None:
-        cfg = apply_overrides(cfg, load_config_file(args.config))
+        cfg = apply_overrides(cfg, load_config_file(args.config), args.command)
     return cfg
 
 

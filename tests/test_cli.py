@@ -27,6 +27,16 @@ from mollilab.cli import (EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, EXIT_VIOLATION,
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 
+# the settings each subcommand reads, and a valid value of each setting some subcommand does not
+_READS = {"curvature": "geometry R amp m t alpha seed out",
+          "deviation": "geometry R amp m t_min t_max t_count alpha seed out",
+          "norms": "geometry R amp m alpha p order seed out",
+          "lemmas": "m alpha p seed out",
+          "cover-check": "geometry R amp m alpha seed out atlas_file"}
+_SETTING_VALUES = {"geometry": "flat2", "R": "1.0", "amp": "0.3", "t": "0.2", "t_min": "0.1",
+                   "t_max": "0.2", "t_count": "5", "p": "2.0", "order": "1",
+                   "atlas_file": str(EXAMPLES / "two.atlas")}
+
 
 def _read_csv(path):
     lines = path.read_text().splitlines()
@@ -70,20 +80,23 @@ class TestConfig:
     def test_config_file_overrides(self, tmp_path):
         path = tmp_path / "exp.cfg"
         path.write_text("geometry = sphere2  # comment\nm = 41\nt-count = 6\n")
-        cfg = apply_overrides(ExperimentConfig(), load_config_file(path))
+        cfg = apply_overrides(ExperimentConfig(), load_config_file(path), "deviation")
         assert cfg.geometry == "sphere2"
         assert cfg.m == 41
         assert cfg.t_count == 6
 
     def test_malformed_config_file(self, tmp_path):
         path = tmp_path / "bad.cfg"
-        path.write_text("geometry sphere2\n")
-        with pytest.raises(ValueError, match="key=value"):
-            load_config_file(path)
+        for body, match in (("geometry sphere2\n", "key=value"),
+                            ("m = 21\ngeometry = flat2\nm = 41\n", ":3: key 'm' repeats line 1"),
+                            ("t-count = 6\nt_count = 7\n", ":2: key 't_count' repeats line 1")):
+            path.write_text(body)
+            with pytest.raises(ValueError, match=match):
+                load_config_file(path)
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown config key"):
-            apply_overrides(ExperimentConfig(), {"gamma": "1"})
+            apply_overrides(ExperimentConfig(), {"gamma": "1"}, "curvature")
 
 
 class TestCurvatureCommand:
@@ -375,16 +388,37 @@ class TestMainExitCodes:
         assert "numerical failure" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv,chart,t", [
-        (["--geometry", "flat3-single", "--m", "9", "--t", "0.45"], "a", "0.45"),
-        (["--geometry", "sphere2", "--m", "7", "--t", "0.9"], "north", "0.9")])
+        (["curvature", "--geometry", "flat3-single", "--m", "9", "--t", "0.45"], "a", "0.45"),
+        (["curvature", "--geometry", "sphere2", "--m", "7", "--t", "0.9"], "north", "0.9"),
+        (["deviation", "--geometry", "hyperbolic2", "--m", "7", "--t-min", "0.17",
+          "--t-max", "0.2", "--t-count", "5"], "ball", "0.17")])
     def test_mollified_mask_eroded_to_nothing(self, tmp_path, capsys, argv, chart, t):
         # riemann erodes the mollified mask away: an empty table is a failure
         out = tmp_path / "c.csv"
-        code = main(["curvature", *argv, "--out", str(out)])
+        code = main([*argv, "--out", str(out)])
         assert code == EXIT_NUMERICAL
         assert not out.exists()
         err = capsys.readouterr().err
         assert f"chart {chart!r}" in err and "riemann" in err and f"t={t}" in err
+
+    @pytest.mark.parametrize("command,name", [
+        (command, name) for command, reads in _READS.items()
+        for name in _SETTING_VALUES if name not in reads.split()])
+    def test_unread_setting_is_config_error(self, tmp_path, capsys, command, name):
+        # a setting the subcommand never reads is refused, as a flag and as a config key
+        out = tmp_path / "o.csv"
+        argv = [command, "--m", "21", "--out", str(out)]
+        flag = "--" + name.replace("_", "-")
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, flag, _SETTING_VALUES[name]])
+        assert exc.value.code == EXIT_CONFIG
+        assert flag in capsys.readouterr().err
+        cfgf = tmp_path / "exp.cfg"
+        cfgf.write_text(f"{name} = {_SETTING_VALUES[name]}\n")
+        assert main([*argv, "--config", str(cfgf)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"config key {name!r}" in err and command in err
+        assert not out.exists()
 
     def test_violation_exit_reserved_for_lemmas(self):
         # the shipped kernels satisfy the inequalities, so exit 3 does not
