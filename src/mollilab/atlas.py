@@ -280,30 +280,27 @@ class CoverReport:
 
 
 def check_cover(atlas: Atlas, lattice: Lattice) -> CoverReport:
-    """Check the per-chart declared region against the shrunken chart balls,
-    and compute the realized overlap count N and the largest |sum_i rho_i - 1|.
+    """Cover report over the declared region, the r/2 ball of each chart.
 
-    The declared region is the r/2 ball of each chart, the shrunken balls
-    have radius r e^{-Q} / 2, and the sum is taken where denominator >= 1.
+    A chart is covered when its partition denominator is at least
+    1 - COVER_TOL on every node of the region, the condition under which
+    `assemble_mollified` glues there.  N is the largest number of charts
+    that contain a region node, and the partition-sum deviation is the
+    largest |sum_i rho_i - 1| over the glued nodes of the region.
     """
     r = atlas.r
-    shrink = 0.5 * r * np.exp(-atlas.Q)
     X = lattice.coords()
     region = lattice.ball_mask(r / 2.0)
     covered = True
     overlap = 0
     sum_dev = 0.0
     for cj in atlas.charts:
-        hit = np.zeros(lattice.shape, dtype=bool)
-        count = np.zeros(lattice.shape, dtype=int)
-        for ci in atlas.charts:
-            d = atlas.chart_distance(ci.id, cj.id, X)
-            hit |= d <= shrink + 1e-12
-            count += (d < r).astype(int)
-        covered &= bool(hit[region].all())
+        count = sum((atlas.chart_distance(ci.id, cj.id, X) < r).astype(int)
+                    for ci in atlas.charts)
         overlap = max(overlap, int(count[region].max()))
         rho, denom = atlas.weights(cj.id, X)
         glued = region & (denom >= 1.0 - COVER_TOL)
+        covered &= np.array_equal(glued, region)
         if glued.any():
             sum_dev = max(sum_dev, float(np.abs(sum(rho.values()) - 1.0)[glued].max()))
     return CoverReport(covered=covered, N=overlap, partition_sum_dev=sum_dev)

@@ -508,10 +508,12 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = _ArgumentParser(prog="labcli", description="mollified-metric experiments")
+    # no abbreviations: a flag has one spelling, as a config key does
+    ap = _ArgumentParser(prog="labcli", description="mollified-metric experiments",
+                         allow_abbrev=False)
     sub = ap.add_subparsers(dest="command", required=True)
     for command in _ALL:
-        p = sub.add_parser(command)
+        p = sub.add_parser(command, allow_abbrev=False)
         # one flag per setting the subcommand reads, e.g. t_min -> --t-min;
         # an absent flag leaves the setting's ExperimentConfig default
         for name, (kind, readers) in _SETTINGS.items():

@@ -1,5 +1,5 @@
-"""Curvature of sampled metrics: the Riemann tensor and its split into the
-Hessian part and the remainder, sectional, scalar and contracted curvature.
+"""Curvature of sampled metrics: the Riemann tensor, built as the Hessian
+part plus the remainder, sectional, scalar and contracted curvature.
 
 The Riemann tensor is stored all-lower-index, as the symmetric operator on
 bivectors.  Over the N = n(n-1)/2 index pairs I = (a, b), a < b, and
@@ -197,46 +197,27 @@ def _slab_parts(gc: MetricField, ginv: np.ndarray, i0: int, i1: int):
     return _symmetrized(A), _symmetrized(B)
 
 
-def _riemann_parts(g: MetricField, summed: bool):
-    """([A + B] if summed else [A, B], mask): the Hessian part and the
-    remainder of the curvature operator of g, and their valid mask.
+def riemann(g: MetricField) -> RiemannField:
+    """The curvature operator R_IJ = R_abcd = A_IJ + B_IJ of g.
 
     The crop of g to its mask is streamed in slabs of about SLAB_NODES
-    nodes, whole planes along axis 0, into preallocated full-grid outputs
-    (zero outside the crop); the peak is the input, g^-1 on the crop, the
-    outputs and one slab's temporaries.
+    nodes, whole planes along axis 0, into one preallocated full-grid
+    output (zero outside the crop); the peak is the input, g^-1 on the
+    crop, the output and one slab's temporaries.
     """
     gc, trim = _crop_to_mask(g)
     ginv = invert_metric(gc, "riemann", trim)
     n, m = gc.lattice.n, gc.lattice.m
     crop = (slice(trim, trim + m),) * n
     pairs = n * (n - 1) // 2
-    outs = [np.zeros(g.mask.shape + (pairs, pairs)) for _ in range(1 if summed else 2)]
+    riem = np.zeros(g.mask.shape + (pairs, pairs))
     mask = np.zeros_like(g.mask)
     mask[crop] = erode_mask(gc.mask, 2)
     step = max(1, SLAB_NODES // m ** (n - 1))
     for i0 in range(0, m, step):
         i1 = min(i0 + step, m)
-        A, B = _slab_parts(gc, ginv, i0, i1)
-        if summed:
-            np.add(A, B, out=outs[0][crop][i0:i1])
-        else:
-            outs[0][crop][i0:i1], outs[1][crop][i0:i1] = A, B
-    return outs, mask
-
-
-def riemann(g: MetricField) -> RiemannField:
-    """The curvature operator R_IJ = R_abcd = A_IJ + B_IJ of g."""
-    (riem,), mask = _riemann_parts(g, summed=True)
+        np.add(*_slab_parts(gc, ginv, i0, i1), out=riem[crop][i0:i1])
     return RiemannField(lattice=g.lattice, riem=riem, mask=mask)
-
-
-def ab_decomposition(g: MetricField) -> tuple[RiemannField, RiemannField]:
-    """Split the curvature operator into the part A linear in Hess g and the
-    remainder B, quadratic in grad g with coefficients g^-1; A + B = R."""
-    (A, B), mask = _riemann_parts(g, summed=False)
-    return (RiemannField(lattice=g.lattice, riem=A, mask=mask),
-            RiemannField(lattice=g.lattice, riem=B, mask=mask))
 
 
 def scalar_curvature(g: MetricField, R: RiemannField) -> np.ndarray:
@@ -332,13 +313,3 @@ def sec_extreme_fields(g: MetricField, R: RiemannField):
     Linv = _lower_inverse(np.linalg.cholesky(G))
     ev = np.linalg.eigvalsh(Linv @ R.riem @ np.swapaxes(Linv, -2, -1))
     return ev[..., 0], ev[..., -1]
-
-
-def sec_extremes(g: MetricField, R: RiemannField,
-                 region: np.ndarray) -> tuple[float, float]:
-    """(minSec, maxSec) over all 2-planes at the valid nodes of region."""
-    region = region & R.mask
-    if not region.any():
-        raise ValueError("empty region")
-    lo, hi = sec_extreme_fields(g, R)
-    return float(lo[region].min()), float(hi[region].max())

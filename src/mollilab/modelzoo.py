@@ -161,7 +161,10 @@ def perturb(geometry: ModelGeometry, a: float, alpha: float) -> ModelGeometry:
     centred at the chart origin, with u the unit diagonal direction.
 
     Only single-chart geometries can be perturbed (the perturbation is
-    expressed in one chart's coordinates).
+    expressed in one chart's coordinates).  The declared Q bounds the
+    perturbed generator by Weyl's inequality: the base eigenvalues lie in
+    [e^{-2Q_b}, e^{2Q_b}], u u^T has eigenvalues 0 and 1, and
+    P >= sup_d w(d) d^{1+alpha}.
     """
     if len(geometry.atlas.charts) != 1:
         raise ValueError("perturb requires a single-chart geometry")
@@ -180,17 +183,19 @@ def perturb(geometry: ModelGeometry, a: float, alpha: float) -> ModelGeometry:
         amp = a * shape_bump(d) * d ** (1.0 + alpha)
         return base_gen(X) + amp[..., None, None] * E
 
-    # amplitude cap: perturbation stays below half the base's smallest eigenvalue
-    probe = make_lattice(n, r, 41)
-    base_eigs = np.linalg.eigvalsh(base_gen(probe.coords()))
-    d = np.sqrt((probe.coords() ** 2).sum(axis=-1))
-    peak = abs(a) * float((shape_bump(d) * d ** (1.0 + alpha)).max())
-    if peak > 0.5 * float(base_eigs[..., 0].min()):
+    # w is non-increasing and d^{1+alpha} increasing, so on each cell of a
+    # radial grid w(d_k) d_{k+1}^{1+alpha} bounds the profile from above
+    d = np.linspace(0.0, shape_bump.support, 20001)
+    P = float((shape_bump(d[:-1]) * d[1:] ** (1.0 + alpha)).max())
+    Qb = geometry.atlas.Q
+    # amplitude cap: the perturbation stays below half the base's eigenvalue bound
+    if abs(a) * P > 0.5 * math.exp(-2.0 * Qb):
         raise ValueError("perturbation amplitude exceeds the positive-definiteness cap")
+    Q = max(Qb, 0.5 * math.log(math.exp(2.0 * Qb) + max(a, 0.0) * P),
+            -0.5 * math.log(math.exp(-2.0 * Qb) - max(-a, 0.0) * P))
 
     chart = Chart(id=base_chart.id, r=r, metric=gen)
-    atl = Atlas(charts=(chart,), transitions={}, Q=geometry.atlas.Q,
-                plateau=geometry.atlas.bump.plateau)
+    atl = Atlas(charts=(chart,), transitions={}, Q=Q, plateau=geometry.atlas.bump.plateau)
     ref = geometry.reference_sec if a == 0.0 else None
     return ModelGeometry(n=n, atlas=atl,
                          reference_sec=ref, curvature_radius=geometry.curvature_radius)

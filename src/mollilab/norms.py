@@ -77,13 +77,6 @@ def check_N0(g: MetricField) -> float:
     return 0.5 * float(np.abs(logs).max())
 
 
-def det_bounds_ok(g: MetricField, Q: float, rtol: float = 1e-12) -> bool:
-    """det(g) in [e^{-2Qn}, e^{2Qn}] node-wise (checked in log space)."""
-    n = g.lattice.n
-    logdet = np.log(g.eigenvalues()[g.mask]).sum(axis=-1)
-    return bool(np.all(logdet <= 2 * Q * n + rtol) and np.all(logdet >= -2 * Q * n - rtol))
-
-
 def harmonic_defect(g: MetricField) -> float:
     """sup over valid nodes and coordinates k of |Delta_g x_k|, with
     Delta_g f = |g|^{-1/2} d_i(|g|^{1/2} g^{ij} d_j f); 0 on an empty mask."""

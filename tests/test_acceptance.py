@@ -12,11 +12,12 @@ import pytest
 from mollilab.atlas import assemble_mollified, check_cover, pullback_metric
 from mollilab.cli import (EXIT_OK, ExperimentConfig, lemma_violations, main,
                           run_deviation, run_lemmas)
-from mollilab.curvature import ab_decomposition, riemann, sec_extremes
+from mollilab.curvature import (_pair_axes, _slab_parts, invert_metric, riemann,
+                                sec_extreme_fields)
 from mollilab.kernels import scale_kernel
 from mollilab.lattice import make_lattice, sample_metric
 from mollilab.modelzoo import get_geometry
-from mollilab.norms import check_N0, det_bounds_ok
+from mollilab.norms import check_N0
 
 
 def _verdict(num: int, name: str, ok: bool, detail: str) -> None:
@@ -65,9 +66,9 @@ def test_criterion_2_constant_curvature_convergence():
             lat = make_lattice(geo.n, geo.curvature_radius, m)
             g = sample_metric(geo.atlas.charts[0].metric, lat)
             R = riemann(g)
-            region = lat.ball_mask(geo.curvature_radius / 2.0)
-            lo, hi = sec_extremes(g, R, region)
-            errs.append(max(abs(lo - expect), abs(hi - expect)))
+            region = lat.ball_mask(geo.curvature_radius / 2.0) & R.mask
+            lo, hi = sec_extreme_fields(g, R)
+            errs.append(max(abs(lo[region].min() - expect), abs(hi[region].max() - expect)))
             hs.append(lat.h)
         order = float(np.polyfit(np.log(hs), np.log(errs), 1)[0])
         details.append(f"{name}: order={order:.2f} err161={errs[-1]:.2e}")
@@ -91,9 +92,9 @@ def test_criterion_2_constant_curvature_convergence_3d():
             lat = make_lattice(geo.n, geo.curvature_radius, m)
             g = sample_metric(geo.atlas.charts[0].metric, lat)
             R = riemann(g)
-            region = lat.ball_mask(geo.curvature_radius / 2.0)
-            lo, hi = sec_extremes(g, R, region)
-            errs.append(max(abs(lo - expect), abs(hi - expect)))
+            region = lat.ball_mask(geo.curvature_radius / 2.0) & R.mask
+            lo, hi = sec_extreme_fields(g, R)
+            errs.append(max(abs(lo[region].min() - expect), abs(hi[region].max() - expect)))
             hs.append(lat.h)
         order = float(np.polyfit(np.log(hs), np.log(errs), 1)[0])
         details.append(f"{name}: order={order:.2f} err41={errs[-1]:.2e}")
@@ -102,22 +103,57 @@ def test_criterion_2_constant_curvature_convergence_3d():
     _verdict(2, "constant-curvature convergence, 3-d", ok, "; ".join(details))
 
 
+def _conformal_parts(X, eps):
+    """Closed-form A and B of g = lam delta with lam = 4 / (1 + eps |x|^2)^2,
+    the unit sphere's stereographic factor for eps = 1 and the Poincare
+    ball's for eps = -1, from the gradient and Hessian of lam:
+    A_abcd = 1/2 (d_ad lam,bc + d_bc lam,ad - d_ac lam,bd - d_bd lam,ac) and
+    B_abcd = 1/(4 lam) sum_p (S_p,bc S_p,ad - S_p,bd S_p,ac), with
+    S_m,kl = d_mk lam,l + d_ml lam,k - d_kl lam,m."""
+    n = X.shape[-1]
+    eye = np.eye(n)
+    q = 1.0 + eps * (X**2).sum(axis=-1)
+    grad = -16.0 * eps * X / q[..., None] ** 3
+    hess = (-16.0 * eps * eye / q[..., None, None] ** 3
+            + 96.0 * X[..., :, None] * X[..., None, :] / q[..., None, None] ** 4)
+    a, b, c, d = _pair_axes(n)
+    A = 0.5 * (eye[a, d] * hess[..., b, c] + eye[b, c] * hess[..., a, d]
+               - eye[a, c] * hess[..., b, d] - eye[b, d] * hess[..., a, c])
+    S = (eye[:, :, None] * grad[..., None, None, :] + eye[:, None, :] * grad[..., None, :, None]
+         - eye * grad[..., :, None, None])
+    B = sum(S[..., p, b, c] * S[..., p, a, d] - S[..., p, b, d] * S[..., p, a, c]
+            for p in range(n)) * (q**2 / 16.0)[..., None, None]
+    return A, B
+
+
 def test_criterion_3_curvature_decomposition():
-    """The second-derivative part plus the lower-order part reproduces the
-    Riemann tensor to 1e-10 relative on curved models at m = 41."""
+    """The Hessian part A and the remainder B of the Riemann builder each
+    converge to their closed forms on the conformally flat sphere2 and
+    hyperbolic3 charts, at order >= 1.8 in relative max error on the r/2
+    ball (measured 1.99 to 2.02)."""
     ok = True
     details = []
-    for name in ("sphere2", "hyperbolic3"):
+    for name, eps, ms in (("sphere2", 1.0, (41, 81, 161)),
+                          ("hyperbolic3", -1.0, (17, 25, 33, 41))):
         geo = get_geometry(name)
-        g = geo.sample_all(41)[geo.atlas.charts[0].id]
-        R = riemann(g)
-        A, B = ab_decomposition(g)
-        scale = np.abs(R.riem[R.mask]).max()
-        rel = float(np.abs((A.riem + B.riem - R.riem)[R.mask]).max() / scale)
-        details.append(f"{name}: rel={rel:.2e}")
-        ok &= rel <= 1e-10
-        assert rel <= 1e-10, name
-    _verdict(3, "A + B = Riemann", ok, "; ".join(details))
+        errs, hs = {"A": [], "B": []}, []
+        for m in ms:
+            lat = geo.chart_lattice(m)
+            g = geo.sample_all(m)[geo.atlas.charts[0].id]
+            # the samples' mask is the whole chart, so the builder's one
+            # slab is the whole grid and the r/2 ball keeps clear of its edge
+            parts = _slab_parts(g, invert_metric(g), 0, m)
+            region = lat.ball_mask(geo.r / 2.0)
+            for key, got, want in zip("AB", parts, _conformal_parts(lat.coords(), eps)):
+                scale = np.abs(want[region]).max()
+                errs[key].append(float(np.abs((got - want)[region]).max() / scale))
+            hs.append(lat.h)
+        for key, e in errs.items():
+            order = float(np.polyfit(np.log(hs), np.log(e), 1)[0])
+            details.append(f"{name} {key}: order={order:.2f} rel={e[-1]:.2e}")
+            ok &= order >= 1.8
+            assert order >= 1.8, (name, key)
+    _verdict(3, "Hessian part and remainder converge", ok, "; ".join(details))
 
 
 def test_criterion_4_kernel_inequalities():
@@ -217,8 +253,9 @@ def test_criterion_7_interval_excess_decay():
 
 
 def test_criterion_8_determinant_bounds():
-    """Every shipped geometry satisfies det(g) in [e^{-2Qn}, e^{2Qn}] with
-    Q from the eigenvalue condition."""
+    """Every chart of every shipped geometry keeps the eigenvalues of its
+    samples in [e^{-2Q}, e^{2Q}] for the atlas's declared Q, the bound that
+    sets the bump plateau; det(g) in [e^{-2Qn}, e^{2Qn}] follows."""
     names = ["flat2", "flat3", "flat2-single", "flat3-single", "sphere2",
              "sphere3", "hyperbolic2", "hyperbolic3", "pflat2", "pflat3"]
     ok = True
@@ -226,12 +263,12 @@ def test_criterion_8_determinant_bounds():
     for name in names:
         geo = get_geometry(name)
         for g in geo.sample_all(21).values():
-            Q = check_N0(g)
-            good = det_bounds_ok(g, Q)
+            need = check_N0(g)
+            good = need <= geo.atlas.Q * (1.0 + 1e-12)
             ok &= good
-            qs.append(f"{name}:Q={Q:.2f}")
+            qs.append(f"{name}:Q={geo.atlas.Q:.4g}>={need:.4g}")
             assert good, name
-    _verdict(8, "determinant bounds", ok, " ".join(qs[:6]) + " ...")
+    _verdict(8, "declared Q bounds the samples", ok, " ".join(qs))
 
 
 def test_criterion_9_cli_determinism(tmp_path):

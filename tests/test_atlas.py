@@ -245,6 +245,17 @@ class TestCheckCover:
         assert not rep.covered
         assert rep.N == 1
 
+    @pytest.mark.parametrize("source,m", [
+        *((name, 41) for name in ("flat2", "flat3", "flat2-single", "flat3-single",
+                                  "sphere2", "sphere3", "hyperbolic2", "hyperbolic3",
+                                  "pflat2", "pflat3")),
+        ("two.atlas", 21)])
+    def test_shipped_atlases_cover(self, source, m):
+        # the partition denominator is >= 1 on every chart's r/2 ball, also
+        # where the eigenvalue bound Q is far from 0
+        geo = parse_atlas_file(TWO_ATLAS) if source == "two.atlas" else get_geometry(source)
+        assert check_cover(geo.atlas, geo.chart_lattice(m)).covered
+
     def test_sphere_overlap_count(self):
         geo = sphere(2)
         rep = check_cover(geo.atlas, geo.chart_lattice(41))

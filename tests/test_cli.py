@@ -455,13 +455,20 @@ class TestMainExitCodes:
 
 
     @pytest.mark.parametrize("argv", [["curvature", "--m", "seven"],
-                                      ["deviation", "--interval-slack", "1.0"], []])
-    def test_usage_error_is_config_error(self, argv, capsys):
+                                      ["deviation", "--interval-slack", "1.0"], [],
+                                      # a flag has one spelling: a prefix is unknown
+                                      ["curvature", "--geo", "flat2", "--m", "21"],
+                                      ["deviation", "--t-m", "0.1", "--m", "21"],
+                                      ["cover-check", "--atl", str(EXAMPLES / "two.atlas"),
+                                       "--m", "21"]])
+    def test_usage_error_is_config_error(self, tmp_path, argv, capsys):
         # argparse would exit 2, which labcli reserves for numerical failure
+        out = tmp_path / "o.csv"
         with pytest.raises(SystemExit) as exc:
-            main(argv)
+            main([*argv, "--out", str(out)])
         assert exc.value.code == EXIT_CONFIG
         assert "usage: labcli" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [["--help"], ["deviation", "--help"]])
     def test_help_exits_ok(self, argv, capsys):

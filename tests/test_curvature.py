@@ -7,13 +7,12 @@ import pytest
 from mollilab.atlas import assemble_mollified
 import mollilab.curvature as curvature
 from mollilab.curvature import (RiemannField, _contract_first, _crop_to_mask, _lambda2,
-                                _pair_axes, _s_tensor, _wedge, ab_decomposition,
-                                invert_metric, riem_contract_field, riemann,
-                                scalar_curvature, sec_extreme_fields, sec_extremes,
-                                section_norm_fields)
+                                _pair_axes, _s_tensor, _slab_parts, _wedge, invert_metric,
+                                riem_contract_field, riemann, scalar_curvature,
+                                sec_extreme_fields, section_norm_fields)
 from mollilab.kernels import scale_kernel
-from mollilab.lattice import (MetricField, _jet_blocks, differentiate, make_lattice,
-                              pack_map, pack_symmetric, sample_metric)
+from mollilab.lattice import (MetricField, _jet_blocks, differentiate, erode_mask,
+                              make_lattice, pack_map, pack_symmetric, sample_metric)
 from mollilab.modelzoo import get_geometry, sphere
 from mollilab.norms import check_N0
 
@@ -79,6 +78,21 @@ def sectional_field(g, R, v, w):
         sec = num / gram
     sec[gram < DEGENERATE_GRAM] = np.nan
     return sec
+
+
+def _parts(g):
+    """The Hessian part A and the remainder B of the crop of g to its mask,
+    built as one slab, with the valid mask of the crop."""
+    gc, trim = _crop_to_mask(g)
+    A, B = _slab_parts(gc, invert_metric(gc, "riemann", trim), 0, gc.lattice.m)
+    return A, B, erode_mask(gc.mask, 2)
+
+
+def _sec_range(g, R, region):
+    """(min, max) of the exact sectional extremes over region & R.mask."""
+    region = region & R.mask
+    lo, hi = sec_extreme_fields(g, R)
+    return lo[region].min(), hi[region].max()
 
 
 def _plane_family(n=3, count=32, seed=0):
@@ -160,8 +174,8 @@ class TestRiemann:
         g = sample_metric(_smooth_metric(0), lat)
         R = riemann(g)
         assert R.riem.shape == lat.shape + (3, 3)
-        for part in (R, *ab_decomposition(g)):
-            assert np.array_equal(part.riem, np.swapaxes(part.riem, -2, -1))
+        for part in (R.riem, *_parts(g)[:2]):
+            assert np.array_equal(part, np.swapaxes(part, -2, -1))
 
     def test_constant_coefficient_metric_flat(self):
         lat = make_lattice(2, 1.0, 11)
@@ -172,24 +186,15 @@ class TestRiemann:
         R = riemann(sample_metric(gen, lat))
         assert np.abs(R.riem[R.mask]).max() < 1e-13
 
-    def test_decomposition_sums_to_riemann(self):
-        lat = make_lattice(2, 0.5, 21)
-        g = sample_metric(_conformal(_poincare_lam()), lat)
-        R = riemann(g)
-        A, B = ab_decomposition(g)
-        total = A.riem + B.riem
-        scale = np.abs(R.riem[R.mask]).max()
-        assert np.abs((total - R.riem)[R.mask]).max() < 1e-12 * scale
-
     def test_decomposition_constant_metric_both_zero(self):
         lat = make_lattice(2, 1.0, 11)
 
         def gen(X):
             return np.broadcast_to(np.diag([2.0, 3.0]), X.shape[:-1] + (2, 2))
 
-        A, B = ab_decomposition(sample_metric(gen, lat))
-        assert np.abs(A.riem[A.mask]).max() < 1e-13
-        assert np.abs(B.riem[B.mask]).max() < 1e-13
+        A, B, mask = _parts(sample_metric(gen, lat))
+        assert np.abs(A[mask]).max() < 1e-13
+        assert np.abs(B[mask]).max() < 1e-13
 
 
 def _full_matrix_hessian_part(g: MetricField) -> np.ndarray:
@@ -213,10 +218,10 @@ def test_packed_jet_gives_full_matrix_hessian_part(mollified):
     samples = geo.sample_all(17)
     if mollified:
         samples = assemble_mollified(geo.atlas, samples, scale_kernel(3, 0.3, lat.h))
-    g = samples["north"]
-    A = ab_decomposition(g)[0]
-    assert A.mask.any()
-    assert np.array_equal(A.riem[A.mask], _full_matrix_hessian_part(g)[A.mask])
+    gc = _crop_to_mask(samples["north"])[0]
+    A, _, mask = _parts(gc)
+    assert mask.any()
+    assert np.array_equal(A[mask], _full_matrix_hessian_part(gc)[mask])
 
 
 def _whole_grid_parts(g: MetricField):
@@ -269,11 +274,8 @@ class TestStreamedBuilder:
             for slab in (default, m ** (geo.n - 1), 3 * m ** (geo.n - 1)):
                 monkeypatch.setattr(curvature, "SLAB_NODES", slab)
                 R = riemann(g)
-                A, B = ab_decomposition(g)
                 assert np.array_equal(R.riem, A_ref + B_ref)
-                assert np.array_equal(A.riem, A_ref) and np.array_equal(B.riem, B_ref)
-                for part in (R, A, B):
-                    assert np.array_equal(part.mask, mask_ref)
+                assert np.array_equal(R.mask, mask_ref)
         assert any(not g.mask.all() for g in mollified.values())
 
     def test_peak_memory_at_most_half_of_whole_grid_jet(self):
@@ -300,7 +302,7 @@ class TestStreamedBuilder:
         g = MetricField(lattice=lat, comps=comps, mask=g.mask)
         with pytest.raises(ValueError, match=r"^riemann: metric condition number 1e\+13 "
                                              r"exceeds 1e12 at node \(12, 10, 9\)$"):
-            ab_decomposition(g)
+            riemann(g)
 
 
 class TestContractions:
@@ -452,7 +454,7 @@ class TestSectional:
             g = sample_metric(_conformal(lam), lat)
             R = riemann(g)
             region = lat.ball_mask(0.2)
-            lo, hi = sec_extremes(g, R, region)
+            lo, hi = _sec_range(g, R, region)
             errs.append(max(abs(lo - expect), abs(hi - expect)))
             hs.append(lat.h)
         assert np.polyfit(np.log(hs), np.log(errs), 1)[0] >= 1.8
@@ -461,7 +463,7 @@ class TestSectional:
         lat = make_lattice(3, 0.4, 21)
         g = sample_metric(_conformal(_sphere_lam()), lat)
         R = riemann(g)
-        lo, hi = sec_extremes(g, R, lat.ball_mask(0.2))
+        lo, hi = _sec_range(g, R, lat.ball_mask(0.2))
         assert lo <= hi
 
     def test_extreme_fields_bracket_plane_values(self):

@@ -127,7 +127,8 @@ class TestPerturbation:
         base = flat(2, n_charts=1).atlas
         atl = get_geometry("pflat2").atlas
         assert atl.bump == base.bump
-        assert atl.Q == base.Q
+        # the declared Q grows with the perturbation, the plateau does not
+        assert atl.Q > base.Q
 
 
 class TestAtlasText:
@@ -178,3 +179,15 @@ class TestGeometryQ:
 
     def test_flat_Q_zero(self):
         assert flat(2).atlas.Q == 0.0
+
+    @pytest.mark.parametrize("amp", [0.3, -0.3])
+    @pytest.mark.parametrize("alpha", [0.2, 0.6, 0.9])
+    def test_perturbed_Q_bounds_samples(self, amp, alpha):
+        # the declared Q bounds the samples at every resolution, and stays
+        # within 1 % of the finest one, so a loose Q cannot pass
+        from mollilab.norms import check_N0
+        geo = perturb(flat(2, n_charts=1), amp, alpha)
+        for m in (21, 41, 81, 161):
+            need = check_N0(geo.sample_all(m)["a"])
+            assert need <= geo.atlas.Q
+        assert geo.atlas.Q <= 1.01 * need

@@ -9,7 +9,7 @@ from mollilab.cli import ExperimentConfig, run_norms
 from mollilab.lattice import (MetricField, ScalarField, differentiate, make_lattice,
                               pack_symmetric, sample_metric, sample_scalar)
 from mollilab.modelzoo import get_geometry
-from mollilab.norms import (chart_norm_report, check_N0, det_bounds_ok, harmonic_defect,
+from mollilab.norms import (chart_norm_report, check_N0, harmonic_defect,
                             holder_seminorm, sobolev_norm)
 
 
@@ -211,14 +211,6 @@ class TestEigenvalueCondition:
         q1 = check_N0(sample_metric(gen, lat))
         q2 = check_N0(sample_metric(gen_d, lat))
         assert q1 == pytest.approx(q2, rel=1e-12)
-
-    def test_det_bounds_follow_from_Q(self):
-        lat = make_lattice(3, 1.0, 11)
-        g = sample_metric(_conformal_metric(
-            lambda X: 1.0 + 0.5 * np.sin(X[..., 0])), lat)
-        Q = check_N0(g)
-        assert det_bounds_ok(g, Q)
-        assert not det_bounds_ok(g, Q / 10.0)
 
 
 class TestHarmonicDefect:
