@@ -90,12 +90,6 @@ class Atlas:
     def r(self) -> float:
         return self.charts[0].r
 
-    def chart(self, cid: str) -> Chart:
-        for c in self.charts:
-            if c.id == cid:
-                return c
-        raise KeyError(cid)
-
     def transition(self, frm: str, to: str) -> Transition | None:
         return self.transitions.get((frm, to))
 
@@ -121,10 +115,14 @@ class Atlas:
 
     def weights(self, j: str, X: np.ndarray) -> tuple[dict, np.ndarray]:
         """rho_i(x) for all charts i at points X of chart j, plus the denominator."""
+        return self.partition({c.id: self.chart_distance(c.id, j, X) for c in self.charts})
+
+    def partition(self, dists: dict) -> tuple[dict, np.ndarray]:
+        """`weights` from the distances chart_distance(i, j, X) of every chart i,
+        keyed by chart id."""
         bs = {}
-        for c in self.charts:
-            d = self.chart_distance(c.id, j, X)
-            b = bs[c.id] = np.zeros(X.shape[:-1])
+        for cid, d in dists.items():
+            b = bs[cid] = np.zeros(d.shape)
             fin = np.isfinite(d)
             b[fin] = self.bump(d[fin])
         denom = sum(bs.values())
@@ -295,10 +293,10 @@ def check_cover(atlas: Atlas, lattice: Lattice) -> CoverReport:
     overlap = 0
     sum_dev = 0.0
     for cj in atlas.charts:
-        count = sum((atlas.chart_distance(ci.id, cj.id, X) < r).astype(int)
-                    for ci in atlas.charts)
+        dists = {ci.id: atlas.chart_distance(ci.id, cj.id, X) for ci in atlas.charts}
+        count = sum(np.isfinite(d).astype(int) for d in dists.values())
         overlap = max(overlap, int(count[region].max()))
-        rho, denom = atlas.weights(cj.id, X)
+        rho, denom = atlas.partition(dists)
         glued = region & (denom >= 1.0 - COVER_TOL)
         covered &= np.array_equal(glued, region)
         if glued.any():

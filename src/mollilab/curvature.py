@@ -28,29 +28,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lattice import (Lattice, MetricField, central_diff, central_diff2, check_definite,
-                      erode_mask, first_node, pack_map)
+from .lattice import Lattice, MetricField, central_diff, central_diff2, erode_mask, pack_map
 
-COND_LIMIT = 1e12
 # Grid nodes per slab of the streamed Riemann builder, which takes
 # max(1, SLAB_NODES // m^(n-1)) whole axis-0 planes at a time.  Smaller
 # slabs pay more per-slab overhead (2-d, m = 161); at 4096 the larger slab
 # temporaries tripled the page faults of a 3-d m = 25 curvature run.
 SLAB_NODES = 2048
-
-
-def invert_metric(g: MetricField, stage: str = "invert_metric", origin: int = 0) -> np.ndarray:
-    """g^-1 as matrices, grid + (n, n) (the identity off the mask), after
-    `check_definite` and a check that no node's condition number exceeds
-    COND_LIMIT; a failure names `stage` and the node as `check_definite` does."""
-    eigs = check_definite(g, stage, origin)
-    cond = eigs[..., -1] / eigs[..., 0]
-    ill = cond > COND_LIMIT
-    if ill.any():
-        node = first_node(ill)
-        raise ValueError(f"{stage}: metric condition number {cond[node]:.3g} exceeds "
-                         f"1e12 at node {tuple(i + origin for i in node)}")
-    return g.inverse()
 
 
 def _crop_to_mask(g: MetricField) -> tuple[MetricField, int]:
@@ -202,13 +186,18 @@ def riemann(g: MetricField) -> RiemannField:
 
     The crop of g to its mask is streamed in slabs of about SLAB_NODES
     nodes, whole planes along axis 0, into one preallocated full-grid
-    output (zero outside the crop); the peak is the input, g^-1 on the
-    crop, the output and one slab's temporaries.
+    output (zero outside the crop); the peak is the input, g^-1, the output
+    and one slab's temporaries.
+
+    g must be a checked metric (`lattice.check_definite`), as
+    `sample_metric` and `assemble_mollified` make; it is not checked again
+    here, and a singular node only raises LinAlgError from
+    `MetricField.inverse`.
     """
     gc, trim = _crop_to_mask(g)
-    ginv = invert_metric(gc, "riemann", trim)
     n, m = gc.lattice.n, gc.lattice.m
     crop = (slice(trim, trim + m),) * n
+    ginv = g.inverse()[crop]
     pairs = n * (n - 1) // 2
     riem = np.zeros(g.mask.shape + (pairs, pairs))
     mask = np.zeros_like(g.mask)

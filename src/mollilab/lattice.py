@@ -18,6 +18,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import ndimage
 
+# Largest eigenvalue ratio `check_definite` accepts at a node.
+COND_LIMIT = 1e12
+
 
 def _box_structure(n: int) -> np.ndarray:
     return np.ones((3,) * n, dtype=bool)
@@ -179,9 +182,15 @@ class MetricField:
 
     @classmethod
     def from_matrices(cls, lattice: Lattice, mats: np.ndarray, mask: np.ndarray) -> "MetricField":
-        asym = np.abs(mats - np.swapaxes(mats, -1, -2))
-        scale = np.abs(mats).max() or 1.0
-        if mask.any() and asym[mask].max() > 1e-12 * scale:
+        """The field of symmetric matrices `mats` (grid + (n, n)), after checking
+        that they are finite and symmetric on the mask; only the upper triangle
+        is stored."""
+        bad = mask & ~np.isfinite(mats).all(axis=(-2, -1))
+        if bad.any():
+            raise ValueError(f"non-finite metric value at node {first_node(bad)}")
+        on = mats if mask.all() else mats[mask]  # no copy when nothing is masked
+        scale = np.abs(on).max(initial=0.0) or 1.0
+        if np.abs(on - np.swapaxes(on, -1, -2)).max(initial=0.0) > 1e-12 * scale:
             raise ValueError("metric matrices are not symmetric")
         return cls(lattice=lattice, comps=pack_symmetric(mats), mask=mask)
 
@@ -271,17 +280,20 @@ def sample_scalar(fn, lattice: Lattice) -> ScalarField:
     return ScalarField(lattice=lattice, values=values, mask=lattice.full_mask())
 
 
-def check_definite(g: MetricField, stage: str, origin: int = 0) -> np.ndarray:
+def check_definite(g: MetricField, stage: str) -> np.ndarray:
     """g.eigenvalues(), after checking that every node is positive definite
-    (nodes off the mask have eigenvalues 1).  A failure names `stage` and the
-    first bad node, its index shifted by `origin` on every axis: a caller
-    passing a crop of its grid that starts at node (origin,) * n reports the
-    node in its own grid."""
+    with condition number at most COND_LIMIT (nodes off the mask have
+    eigenvalues 1).  A failure names `stage` and the first bad node."""
     eigs = g.eigenvalues()
     bad = eigs[..., 0] <= 0.0
     if bad.any():
-        node = tuple(i + origin for i in first_node(bad))
-        raise ValueError(f"{stage}: metric not positive-definite at node {node}")
+        raise ValueError(f"{stage}: metric not positive-definite at node {first_node(bad)}")
+    cond = eigs[..., -1] / eigs[..., 0]
+    ill = cond > COND_LIMIT
+    if ill.any():
+        node = first_node(ill)
+        raise ValueError(f"{stage}: metric condition number {cond[node]:.3g} exceeds "
+                         f"1e12 at node {node}")
     return eigs
 
 
@@ -290,9 +302,6 @@ def sample_metric(fn, lattice: Lattice) -> MetricField:
     n = lattice.n
     if mats.shape != lattice.shape + (n, n):
         raise ValueError("metric generator returned wrong shape")
-    bad = ~np.isfinite(mats).all(axis=(-2, -1))
-    if bad.any():
-        raise ValueError(f"non-finite metric value at node {first_node(bad)}")
     g = MetricField.from_matrices(lattice, mats, lattice.full_mask())
     check_definite(g, "sample_metric")
     return g

@@ -12,7 +12,7 @@ import pytest
 from mollilab.atlas import assemble_mollified, check_cover, pullback_metric
 from mollilab.cli import (EXIT_OK, ExperimentConfig, lemma_violations, main,
                           run_deviation, run_lemmas)
-from mollilab.curvature import (_pair_axes, _slab_parts, invert_metric, riemann,
+from mollilab.curvature import (_pair_axes, _slab_parts, riemann,
                                 sec_extreme_fields)
 from mollilab.kernels import scale_kernel
 from mollilab.lattice import make_lattice, sample_metric
@@ -142,7 +142,7 @@ def test_criterion_3_curvature_decomposition():
             g = geo.sample_all(m)[geo.atlas.charts[0].id]
             # the samples' mask is the whole chart, so the builder's one
             # slab is the whole grid and the r/2 ball keeps clear of its edge
-            parts = _slab_parts(g, invert_metric(g), 0, m)
+            parts = _slab_parts(g, g.inverse(), 0, m)
             region = lat.ball_mask(geo.r / 2.0)
             for key, got, want in zip("AB", parts, _conformal_parts(lat.coords(), eps)):
                 scale = np.abs(want[region]).max()

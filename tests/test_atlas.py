@@ -101,10 +101,11 @@ class TestPullback:
     def test_sphere_transition_reproduces_generator(self):
         geo = sphere(2)
         lat = geo.chart_lattice(161)
-        g = sample_metric(geo.atlas.chart("south").metric, lat)
+        north, south = geo.atlas.charts
+        g = sample_metric(south.metric, lat)
         tr = geo.atlas.transition("north", "south")
         out = pullback_metric(tr, g, lat)
-        target = sample_metric(geo.atlas.chart("north").metric, lat)
+        target = sample_metric(north.metric, lat)
         region = out.mask & lat.ball_mask(geo.r / 2.0)
         # exclude the neighbourhood of the chart centre, where the image
         # under inversion leaves the sampled box
@@ -208,7 +209,8 @@ class TestPackedStorage:
     def test_pullback_identity_off_mask(self):
         geo = sphere(2)
         lat = geo.chart_lattice(41)
-        g = sample_metric(geo.atlas.chart("south").metric, lat)
+        _, south = geo.atlas.charts
+        g = sample_metric(south.metric, lat)
         out = pullback_metric(geo.atlas.transition("north", "south"), g, lat)
         assert _identity_off_mask(out)
 
@@ -260,6 +262,23 @@ class TestCheckCover:
         geo = sphere(2)
         rep = check_cover(geo.atlas, geo.chart_lattice(41))
         assert rep.N == 2
+
+    def test_each_transition_map_evaluated_once(self, monkeypatch):
+        # the overlap count and the partition read the same chart distances
+        geo = sphere(2)
+        calls = {key: 0 for key in geo.atlas.transitions}
+
+        def counted(key, tr):
+            def map_(X):
+                calls[key] += 1
+                return tr.map(X)
+            return Transition(map=map_, jacobian=tr.jacobian)
+
+        for key, tr in list(geo.atlas.transitions.items()):
+            monkeypatch.setitem(geo.atlas.transitions, key, counted(key, tr))
+        rep = check_cover(geo.atlas, geo.chart_lattice(41))
+        assert (rep.covered, rep.N) == (True, 2)
+        assert calls == {("north", "south"): 1, ("south", "north"): 1}
 
     def test_overlap_count_invariant_under_resolution(self):
         geo = sphere(2)

@@ -16,6 +16,7 @@ from mollilab.atlas import assemble_mollified
 from mollilab.curvature import (riem_contract_field, riemann, sec_extreme_fields,
                                 section_norm_fields)
 from mollilab.kernels import scale_kernel
+from mollilab.lattice import MetricField
 from mollilab.norms import check_N0
 
 from mollilab.cli import (EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, EXIT_VIOLATION,
@@ -120,6 +121,22 @@ class TestCurvatureCommand:
     def test_mollified_columns_present_when_t_set(self):
         header, _ = run_curvature(ExperimentConfig(geometry="flat2", m=41, t=0.2))
         assert "sec_min_t" in header and "scalar_t" in header
+
+    def test_each_metric_diagonalised_once(self, tmp_path, monkeypatch):
+        # two sampled charts and two glued g^[t]: each is checked where it
+        # is made, and the Riemann builder reads it without a second check
+        calls = []
+        eigenvalues = MetricField.eigenvalues
+
+        def counted(g):
+            calls.append(g)
+            return eigenvalues(g)
+
+        monkeypatch.setattr(MetricField, "eigenvalues", counted)
+        code = main(["curvature", "--geometry", "sphere3", "--m", "25", "--t", "0.3",
+                     "--out", str(tmp_path / "c.csv")])
+        assert code == EXIT_OK
+        assert len(calls) == 4
 
 
 def _refiltered_deviation_records(cfg):

@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
-from mollilab.lattice import (MetricField, ScalarField, central_diff, differentiate,
-                              erode_mask, grow_box, make_lattice, pack_map, pack_symmetric,
-                              sample_metric, sample_scalar, unpack_symmetric)
+from mollilab.lattice import (MetricField, ScalarField, central_diff, check_definite,
+                              differentiate, erode_mask, grow_box, make_lattice, pack_map,
+                              pack_symmetric, sample_metric, sample_scalar, unpack_symmetric)
+from mollilab.norms import check_N0
 
 
 class TestLattice:
@@ -92,6 +93,82 @@ class TestFields:
         assert np.array_equal(mats[mask][:, 1, 0], comps[mask][:, 1])
         assert np.abs((inv @ mats)[mask] - np.eye(2)).max() < 1e-14
         assert np.all(eigs[mask] > 0.0)
+
+
+    def test_from_matrices_rejects_nonfinite_lower_triangle(self):
+        # only the upper triangle is stored, so the lower one is checked first
+        lat = make_lattice(2, 1.0, 5)
+        mats = np.broadcast_to(np.eye(2), lat.shape + (2, 2)).copy()
+        for bad in (np.nan, np.inf):
+            mats[3, 1, 1, 0] = bad
+            with pytest.raises(ValueError, match=r"^non-finite metric value at node \(3, 1\)$"):
+                MetricField.from_matrices(lat, mats, lat.full_mask())
+        mask = lat.full_mask()
+        mask[3, 1] = False
+        g = MetricField.from_matrices(lat, mats, mask)
+        assert np.array_equal(g.matrices()[3, 1], np.eye(2))
+
+    def test_from_matrices_symmetry_ignores_nodes_off_the_mask(self):
+        # a NaN off the mask must not switch off the symmetry test on it
+        lat = make_lattice(2, 1.0, 5)
+        mats = np.broadcast_to(np.eye(2), lat.shape + (2, 2)).copy()
+        mask = lat.full_mask()
+        mats[0, 0] = np.nan
+        mask[0, 0] = False
+        mats[2, 3, 0, 1] = 0.5
+        with pytest.raises(ValueError, match="not symmetric"):
+            MetricField.from_matrices(lat, mats, mask)
+
+
+class TestCheckDefinite:
+    """One check, where a metric is made: positive definite with condition
+    number at most COND_LIMIT, naming the stage and the first bad node."""
+
+    def test_names_first_bad_node(self):
+        lat = make_lattice(2, 1.0, 11)
+        comps = np.broadcast_to([1.0, 0.0, 1.0], lat.shape + (3,)).copy()
+        mask = lat.full_mask()
+        comps[1, 1] = [1.0, 2.0, 1.0]        # indefinite, but off the mask
+        mask[1, 1] = False
+        comps[3, 4] = comps[5, 0] = [1.0, 2.0, 1.0]
+        g = MetricField(lattice=lat, comps=comps, mask=mask)
+        for stage, check in (("stage", lambda g: check_definite(g, "stage")),
+                             ("check_N0", check_N0)):
+            with pytest.raises(ValueError, match=rf"^{stage}: metric not positive-definite "
+                                                 r"at node \(3, 4\)$"):
+                check(g)
+
+        def gen(X):
+            mats = np.broadcast_to(np.eye(2), X.shape[:-1] + (2, 2)).copy()
+            mats[2, 7] = [[1.0, 2.0], [2.0, 1.0]]
+            return mats
+
+        with pytest.raises(ValueError, match=r"^sample_metric: metric not positive-definite "
+                                             r"at node \(2, 7\)$"):
+            sample_metric(gen, lat)
+
+    def test_rejects_ill_conditioned(self):
+        lat = make_lattice(2, 1.0, 11)
+        comps = np.broadcast_to([1.0, 0.0, 1.0], lat.shape + (3,)).copy()
+        mask = lat.full_mask()
+        comps[1, 1] = [1.0, 0.0, 1e-14]      # ill-conditioned, but off the mask
+        mask[1, 1] = False
+        comps[6, 2] = [1.0, 0.0, 1e-13]
+        g = MetricField(lattice=lat, comps=comps, mask=mask)
+        for stage, check in (("stage", lambda g: check_definite(g, "stage")),
+                             ("check_N0", check_N0)):
+            with pytest.raises(ValueError, match=rf"^{stage}: metric condition number 1e\+13 "
+                                                 r"exceeds 1e12 at node \(6, 2\)$"):
+                check(g)
+
+        def gen(X):
+            return np.broadcast_to(np.diag([1.0, 1e-14]), X.shape[:-1] + (2, 2))
+
+        with pytest.raises(ValueError, match=r"^sample_metric: metric condition number "
+                                             r"1e\+14 exceeds 1e12 at node \(0, 0\)$"):
+            sample_metric(gen, lat)
+        comps[6, 2] = [1.0, 0.0, 1.01e-12]   # just inside the limit
+        check_definite(MetricField(lattice=lat, comps=comps, mask=mask), "stage")
 
 
 def _spd_field(lat, cond, seed):

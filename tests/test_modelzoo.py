@@ -10,6 +10,7 @@ def _transition_compatible(geometry, n_points: int = 200, seed: int = 7,
                            tol: float = 1e-10) -> bool:
     """Pullback of chart i's generator under tau matches chart j's generator."""
     atl = geometry.atlas
+    charts = {c.id: c for c in atl.charts}
     rng = np.random.Generator(np.random.Philox(key=seed))
     for (frm, to), tr in atl.transitions.items():
         X = rng.uniform(-atl.r, atl.r, size=(n_points, geometry.n))
@@ -17,9 +18,9 @@ def _transition_compatible(geometry, n_points: int = 200, seed: int = 7,
             Y = np.asarray(tr.map(X), dtype=float)
             J = np.asarray(tr.jacobian(X), dtype=float)
         good = np.isfinite(Y).all(axis=-1) & np.isfinite(J).all(axis=(-2, -1))
-        G = atl.chart(to).metric(Y[good])
+        G = charts[to].metric(Y[good])
         pulled = np.einsum("...ki,...kl,...lj->...ij", J[good], G, J[good])
-        target = atl.chart(frm).metric(X[good])
+        target = charts[frm].metric(X[good])
         if np.abs(pulled - target).max() > tol * np.abs(target).max():
             return False
     return True
@@ -63,7 +64,7 @@ class TestTransitions:
     def test_incompatible_detected(self):
         geo = sphere(2)
         # corrupt one generator: compatibility must fail
-        bad = geo.atlas.chart("north")
+        bad = geo.atlas.charts[0]
         object.__setattr__(bad, "metric",
                            lambda X: 2.0 * np.eye(2) * np.ones(X.shape[:-1])[..., None, None])
         assert not _transition_compatible(geo)
@@ -150,10 +151,10 @@ class TestAtlasText:
         geo = parse_atlas_text(text)
         atl = geo.atlas
         assert geo.n == 2
-        assert len(atl.charts) == 2
+        assert [c.id for c in atl.charts] == ["north", "south"]
         assert atl.transition("north", "south") is not None
         X = np.array([[1.0, 0.0]])
-        G = atl.chart("north").metric(X)
+        G = atl.charts[0].metric(X)
         assert G[0, 0, 0] == pytest.approx(1.0)  # 4/(1+1)^2
 
     def test_description_is_a_model_geometry(self):
