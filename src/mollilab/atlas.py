@@ -67,21 +67,18 @@ class BumpProfile:
 @dataclass(frozen=True)
 class Atlas:
     """A finite chart family with analytic transitions and its partition of
-    unity rho_i = b_i / sum_j b_j.  The bump is 1 at least on
-    B(0, r e^{-2Q}/2) and supported in B(0, 3r/4); `plateau` may widen it
-    (never narrow it) so the shipped models get denominator >= 1 where covered.
+    unity rho_i = b_i / sum_j b_j.  The bump is 1 on B(0, plateau) and
+    supported in B(0, 3r/4); the shipped models choose the plateau so that
+    the denominator is at least 1 on each chart's r/2 ball, atlas files take r/2.
     """
 
     charts: tuple
     transitions: dict          # (frm_id, to_id) -> Transition
-    Q: float                   # eigenvalue-condition bound of the generators
-    plateau: InitVar[float | None] = None
+    plateau: InitVar[float]
     bump: BumpProfile = field(init=False)
 
     def __post_init__(self, plateau):
         r = self.r
-        base_plateau = 0.5 * r * np.exp(-2.0 * self.Q)
-        plateau = base_plateau if plateau is None else max(plateau, base_plateau)
         if plateau >= 0.75 * r:
             raise ValueError("bump plateau must stay below the 3r/4 support")
         object.__setattr__(self, "bump", BumpProfile(plateau=plateau, support=0.75 * r))

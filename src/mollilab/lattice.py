@@ -191,7 +191,9 @@ class MetricField:
         on = mats if mask.all() else mats[mask]  # no copy when nothing is masked
         scale = np.abs(on).max(initial=0.0) or 1.0
         if np.abs(on - np.swapaxes(on, -1, -2)).max(initial=0.0) > 1e-12 * scale:
-            raise ValueError("metric matrices are not symmetric")
+            on = np.where(mask[..., None, None], mats, 0.0)
+            bad = np.abs(on - np.swapaxes(on, -1, -2)).max(axis=(-2, -1)) > 1e-12 * scale
+            raise ValueError(f"metric matrices are not symmetric at node {first_node(bad)}")
         return cls(lattice=lattice, comps=pack_symmetric(mats), mask=mask)
 
     def matrices(self) -> np.ndarray:

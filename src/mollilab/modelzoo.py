@@ -5,8 +5,10 @@ related stereographic charts, and the Poincare ball.  Each constant-
 curvature model carries its closed-form sectional curvature as
 `reference_sec`; the tests check that the sampled curvature converges to
 it.  Rough perturbations produce metrics of limited smoothness for the
-scaling experiments.  Plain-text atlas descriptions use the same conformal
-factors and transition maps and give the same `ModelGeometry`, with Q = 0.
+scaling experiments.  The shipped models and plain-text atlas files are
+descriptions of one kind, charts naming a conformal factor and transitions
+naming a map, and `build_geometry` makes every `ModelGeometry` from one,
+with the eigenvalue bound Q of its factors.
 """
 from __future__ import annotations
 
@@ -32,14 +34,24 @@ def _unit_factor(X):
 
 def _sphere_factor(R: float):
     """Conformal factor 4R^4 / (R^2 + |x|^2)^2 of a stereographic sphere chart."""
-    def lam(X):
-        return 4.0 * R**4 / (R**2 + (X**2).sum(axis=-1)) ** 2
-    return lam
+    return lambda X: 4.0 * R**4 / (R**2 + (X**2).sum(axis=-1)) ** 2
 
 
-def _poincare_factor(X):
-    """Conformal factor 4 / (1 - |x|^2)^2 of the Poincare ball."""
-    return 4.0 / (1.0 - (X**2).sum(axis=-1)) ** 2
+def _poincare_factor(n: int, r: float):
+    """Conformal factor 4 / (1 - |x|^2)^2 of the Poincare ball, on a chart
+    cube [-r, r]^n that must lie inside the open unit ball."""
+    if r * math.sqrt(n) >= 1.0:
+        raise ValueError(f"needs the chart cube inside the unit ball, r*sqrt(n) < 1, "
+                         f"got r={r} in dimension {n}")
+    return lambda X: 4.0 / (1.0 - (X**2).sum(axis=-1)) ** 2
+
+
+def _radius_R(params: dict) -> float:
+    """The sphere radius parameter R of a generator or map, 1 by default."""
+    R = params.get("R", 1.0)
+    if not 0.0 < R < math.inf:
+        raise ValueError(f"R must be positive and finite, got {R}")
+    return R
 
 
 def _inversion(R: float) -> tuple:
@@ -82,16 +94,11 @@ def _rigid_motion(n: int, theta: float, shift: float) -> tuple:
     return fwd, fwd_jac, bwd, bwd_jac
 
 
-def _transition_pair(a: str, b: str, fwd, fwd_jac, bwd, bwd_jac) -> dict:
-    """Transitions b -> a by (fwd, fwd_jac) and a -> b by (bwd, bwd_jac)."""
-    return {(b, a): Transition(map=fwd, jacobian=fwd_jac),
-            (a, b): Transition(map=bwd, jacobian=bwd_jac)}
-
-
 @dataclass(frozen=True)
 class ModelGeometry:
     n: int
     atlas: Atlas
+    Q: float                      # e^{-2Q} <= eigenvalues of every chart metric <= e^{2Q}
     reference_sec: float | None   # exact constant for constant-curvature models
     curvature_radius: float       # lattice radius used for curvature oracles
 
@@ -107,53 +114,49 @@ class ModelGeometry:
         return {c.id: sample_metric(c.metric, lat) for c in self.atlas.charts}
 
 
-def _eig_bound_Q(lam_lo: float, lam_hi: float) -> float:
-    return 0.5 * max(abs(math.log(lam_lo)), abs(math.log(lam_hi)))
+# each entry: (parameter names, conformal factor from (n, r, parameters))
+_GENERATORS = {
+    "flat": ((), lambda n, r, p: _unit_factor),
+    "sphere_conformal": (("R",), lambda n, r, p: _sphere_factor(_radius_R(p))),
+    "poincare_ball": ((), lambda n, r, p: _poincare_factor(n, r)),
+}
+
+# each entry: (parameter names, (map, Jacobian, inverse map, its Jacobian) from (n, parameters))
+_MAPS = {
+    "inversion": (("R",), lambda n, p: 2 * _inversion(_radius_R(p))),
+    "affine": (("theta", "shift"),
+               lambda n, p: _rigid_motion(n, p.get("theta", 0.0), p.get("shift", 0.0))),
+}
 
 
-def flat(n: int, n_charts: int = 2) -> ModelGeometry:
-    """Euclidean space; optionally two charts glued by a rigid motion."""
+def build_geometry(n: int, r: float, charts, transitions=(), *, plateau: float,
+                   reference_sec: float | None, curvature_radius: float) -> ModelGeometry:
+    """The geometry of charts (id, `_GENERATORS` name, parameters) of radius r
+    and transitions (a, b, `_MAPS` name, parameters), each map sending
+    b-coordinates to a-coordinates.  Q is the largest chart Q, half the larger
+    |log lambda| of the chart's conformal factor at the origin and at a cube
+    corner: exact, as every factor is radial and monotone in |x| on the cube.
+    """
     if n not in (2, 3):
-        raise ValueError("only dimensions 2 and 3 ship")
-    r = 1.0
-    delta = _conformal(_unit_factor)
-    charts = [Chart(id="a", r=r, metric=delta)]
-    transitions = {}
-    if n_charts == 2:
-        charts.append(Chart(id="b", r=r, metric=delta))
-        transitions = _transition_pair("a", "b", *_rigid_motion(n, math.pi / 6.0, r / 4.0))
-    elif n_charts != 1:
-        raise ValueError("flat ships with 1 or 2 charts")
-    atl = Atlas(charts=tuple(charts), transitions=transitions, Q=0.0, plateau=0.625 * r)
-    return ModelGeometry(n=n, atlas=atl, reference_sec=0.0, curvature_radius=r)
-
-
-def sphere(n: int, R: float = 1.0) -> ModelGeometry:
-    """Round sphere of radius R via two stereographic conformal charts."""
-    if n not in (2, 3):
-        raise ValueError("only dimensions 2 and 3 ship")
-    if R <= 0:
-        raise ValueError("R must be positive")
-    r = 2.0 * R  # two r/2-balls just cover the sphere
-    lam = _sphere_factor(R)
-    gen = _conformal(lam)
-    charts = (Chart(id="north", r=r, metric=gen), Chart(id="south", r=r, metric=gen))
-    # the inversion is an involution: the same map in both directions
-    transitions = _transition_pair("north", "south", *(2 * _inversion(R)))
-    Q = _eig_bound_Q(lam(np.full(n, r)), 4.0 * R**2)  # lam is smallest at a cube corner
-    atl = Atlas(charts=charts, transitions=transitions, Q=Q, plateau=0.55 * r)
-    return ModelGeometry(n=n, atlas=atl, reference_sec=1.0 / R**2, curvature_radius=R)
-
-
-def hyperbolic(n: int) -> ModelGeometry:
-    """Hyperbolic space in the Poincare-ball conformal chart."""
-    if n not in (2, 3):
-        raise ValueError("only dimensions 2 and 3 ship")
-    r = 0.5  # cube corners stay inside the unit ball for n <= 3
-    charts = (Chart(id="ball", r=r, metric=_conformal(_poincare_factor)),)
-    Q = _eig_bound_Q(_poincare_factor(np.zeros(n)), _poincare_factor(np.full(n, r)))
-    atl = Atlas(charts=charts, transitions={}, Q=Q, plateau=0.625 * r)
-    return ModelGeometry(n=n, atlas=atl, reference_sec=-1.0, curvature_radius=0.4)
+        raise ValueError(f"dim must be 2 or 3, got {n}")
+    built, pairs, Q = [], {}, 0.0
+    try:  # a bad parameter value names its chart or transition
+        for cid, gen, params in charts:
+            where = f"chart {cid!r}: {gen}"
+            lam = _GENERATORS[gen][1](n, r, params)
+            ends = lam(np.zeros(n)), lam(np.full(n, r))
+            Q = max(Q, 0.5 * max(abs(math.log(v)) for v in ends))
+            built.append(Chart(id=cid, r=r, metric=_conformal(lam)))
+        for a, b, mp, params in transitions:
+            where = f"transition {a} {b}: {mp}"
+            fwd, fwd_jac, bwd, bwd_jac = _MAPS[mp][1](n, params)
+            pairs[b, a] = Transition(map=fwd, jacobian=fwd_jac)
+            pairs[a, b] = Transition(map=bwd, jacobian=bwd_jac)
+    except ValueError as exc:
+        raise ValueError(f"{where} {exc}") from None
+    atl = Atlas(charts=tuple(built), transitions=pairs, plateau=plateau)
+    return ModelGeometry(n=n, atlas=atl, Q=Q, reference_sec=reference_sec,
+                         curvature_radius=curvature_radius)
 
 
 def perturb(geometry: ModelGeometry, a: float, alpha: float) -> ModelGeometry:
@@ -187,7 +190,7 @@ def perturb(geometry: ModelGeometry, a: float, alpha: float) -> ModelGeometry:
     # radial grid w(d_k) d_{k+1}^{1+alpha} bounds the profile from above
     d = np.linspace(0.0, shape_bump.support, 20001)
     P = float((shape_bump(d[:-1]) * d[1:] ** (1.0 + alpha)).max())
-    Qb = geometry.atlas.Q
+    Qb = geometry.Q
     # amplitude cap: the perturbation stays below half the base's eigenvalue bound
     if abs(a) * P > 0.5 * math.exp(-2.0 * Qb):
         raise ValueError("perturbation amplitude exceeds the positive-definiteness cap")
@@ -195,9 +198,9 @@ def perturb(geometry: ModelGeometry, a: float, alpha: float) -> ModelGeometry:
             -0.5 * math.log(math.exp(-2.0 * Qb) - max(-a, 0.0) * P))
 
     chart = Chart(id=base_chart.id, r=r, metric=gen)
-    atl = Atlas(charts=(chart,), transitions={}, Q=Q, plateau=geometry.atlas.bump.plateau)
+    atl = Atlas(charts=(chart,), transitions={}, plateau=geometry.atlas.bump.plateau)
     ref = geometry.reference_sec if a == 0.0 else None
-    return ModelGeometry(n=n, atlas=atl,
+    return ModelGeometry(n=n, atlas=atl, Q=Q,
                          reference_sec=ref, curvature_radius=geometry.curvature_radius)
 
 
@@ -206,44 +209,43 @@ def perturb(geometry: ModelGeometry, a: float, alpha: float) -> ModelGeometry:
 
 def get_geometry(name: str, R: float = 1.0, amp: float = 0.1,
                  alpha: float = 0.6) -> ModelGeometry:
-    table = {
-        "flat2": lambda: flat(2), "flat3": lambda: flat(3),
-        "flat2-single": lambda: flat(2, n_charts=1),
-        "flat3-single": lambda: flat(3, n_charts=1),
-        "sphere2": lambda: sphere(2, R), "sphere3": lambda: sphere(3, R),
-        "hyperbolic2": lambda: hyperbolic(2), "hyperbolic3": lambda: hyperbolic(3),
-        "pflat2": lambda: perturb(flat(2, n_charts=1), amp, alpha),
-        "pflat3": lambda: perturb(flat(3, n_charts=1), amp, alpha),
+    """A shipped model in dimension 2 or 3 from its description: flat space in
+    two charts glued by a rigid motion or in one, the sphere of radius R and
+    the Poincare ball; pflat is `perturb(amp, alpha)` of the one flat chart."""
+    flat = dict(r=1.0, plateau=0.625, reference_sec=0.0, curvature_radius=1.0)
+    cap = ("sphere_conformal", {"R": R})
+    rs = 2.0 * R  # two r/2-balls just cover the sphere
+    models = {
+        "flat{}": dict(flat, charts=[("a", "flat", {}), ("b", "flat", {})], transitions=[
+            ("a", "b", "affine", {"theta": math.pi / 6.0, "shift": 0.25})]),
+        "flat{}-single": dict(flat, charts=[("a", "flat", {})]),
+        # 1/R^2 only for R > 0: the builder refuses the others
+        "sphere{}": dict(r=rs, charts=[("north", *cap), ("south", *cap)],
+                         transitions=[("north", "south", "inversion", {"R": R})],
+                         plateau=0.55 * rs, reference_sec=1.0 / R**2 if R > 0.0 else None,
+                         curvature_radius=R),
+        "hyperbolic{}": dict(r=0.5, charts=[("ball", "poincare_ball", {})], plateau=0.3125,
+                             reference_sec=-1.0, curvature_radius=0.4),
     }
+    table = {key.format(n): (key, n) for key in [*models, "pflat{}"] for n in (2, 3)}
     if name not in table:
         raise ValueError(f"unknown geometry {name!r}; known: {sorted(table)}")
-    return table[name]()
+    key, n = table[name]
+    if key == "pflat{}":
+        return perturb(build_geometry(n, **models["flat{}-single"]), amp, alpha)
+    return build_geometry(n, **models[key])
 
-
-# each entry: (parameter names, builder from the parsed parameters)
-_GENERATORS = {
-    "flat": ((), lambda p: _conformal(_unit_factor)),
-    "sphere_conformal": (("R",), lambda p: _conformal(_sphere_factor(p.get("R", 1.0)))),
-    "poincare_ball": ((), lambda p: _conformal(_poincare_factor)),
-}
-
-# each builder returns (map, Jacobian, inverse map, its Jacobian)
-_MAPS = {
-    "inversion": (("R",), lambda n, p: 2 * _inversion(p.get("R", 1.0))),
-    "affine": (("theta", "shift"),
-               lambda n, p: _rigid_motion(n, p.get("theta", 0.0), p.get("shift", 0.0))),
-}
 
 # the keys each part of a description defines: the header, then each section
 _KEYS = {"": ("dim",), "chart": ("id", "r", "generator"), "transition": ("pair", "map")}
 
 
 def _lookup(table: dict, spec: str, kind: str):
-    """The builder `spec` names and its `name=value` parameters."""
+    """The name of the `table` entry `spec` names and its `name=value` parameters."""
     name, *tokens = spec.split()
     if name not in table:
         raise ValueError(f"unknown {kind} {name!r}")
-    names, make = table[name]
+    names = table[name][0]
     params = {}
     for tok in tokens:
         key, _, val = tok.partition("=")
@@ -254,7 +256,7 @@ def _lookup(table: dict, spec: str, kind: str):
         if key not in names:
             raise ValueError(f"{kind} {name!r} takes name=value parameters "
                              f"{list(names)}, got {tok!r}")
-    return make, params
+    return name, params
 
 
 def parse_atlas_text(text: str) -> ModelGeometry:
@@ -266,7 +268,8 @@ def parse_atlas_text(text: str) -> ModelGeometry:
     sends b-coordinates to a-coordinates.  Each section gives each of its
     keys exactly once.  Chart ids are unique, all charts share one finite
     r > 0, and pairs name declared charts; any other line or parameter is
-    an error.  The atlas has Q = 0, so its plateau is r/2.
+    an error.  `build_geometry` then checks the dimension and the parameter
+    values and computes Q; the bump plateau is r/2.
     """
     header: dict = {}
     sections = []  # (kind, line of the section header, fields)
@@ -296,31 +299,28 @@ def parse_atlas_text(text: str) -> ModelGeometry:
         raise ValueError("atlas description contains no charts")
     if "dim" not in header:
         raise ValueError("missing 'dim = N' line")
-    if header["dim"] not in ("2", "3"):
-        raise ValueError(f"dim must be 2 or 3, got {header['dim']!r}")
-    n = int(header["dim"])
-    charts = {}
+    if not header["dim"].isdigit():
+        raise ValueError(f"dim must be a whole number, got {header['dim']!r}")
+    charts, r0 = {}, None  # chart id -> (generator, parameters); the first chart's r
     for fields in (f for kind, _, f in sections if kind == "chart"):
         cid, r = fields["id"], float(fields["r"])
-        r0 = next(iter(charts.values())).r if charts else r
+        r0 = r if r0 is None else r0
         if cid in charts:
             raise ValueError(f"duplicate chart id {cid!r}")
         if not 0.0 < r < math.inf:
             raise ValueError(f"chart {cid!r}: radius r must be positive and finite, got {r}")
         if r != r0:
             raise ValueError(f"chart {cid!r}: radius r={r} differs from the first chart's r={r0}")
-        make, params = _lookup(_GENERATORS, fields["generator"], "generator")
-        charts[cid] = Chart(id=cid, r=r, metric=make(params))
-    transitions = {}
+        charts[cid] = _lookup(_GENERATORS, fields["generator"], "generator")
+    transitions = []
     for fields in (f for kind, _, f in sections if kind == "transition"):
         a, b = fields["pair"].split()
         for cid in (a, b):
             if cid not in charts:
                 raise ValueError(f"transition pair {a} {b} names undeclared chart {cid!r}")
-        make, params = _lookup(_MAPS, fields["map"], "transition map")
-        transitions.update(_transition_pair(a, b, *make(n, params)))
-    atl = Atlas(charts=tuple(charts.values()), transitions=transitions, Q=0.0)
-    return ModelGeometry(n=n, atlas=atl, reference_sec=None, curvature_radius=atl.r)
+        transitions.append((a, b, *_lookup(_MAPS, fields["map"], "transition map")))
+    return build_geometry(int(header["dim"]), r0, [(cid, *spec) for cid, spec in charts.items()],
+                          transitions, plateau=0.5 * r0, reference_sec=None, curvature_radius=r0)
 
 
 def parse_atlas_file(path) -> ModelGeometry:

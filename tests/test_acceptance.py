@@ -5,6 +5,7 @@ alongside the pytest pass/fail report.
 """
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from mollilab.curvature import (_pair_axes, _slab_parts, riemann,
                                 sec_extreme_fields)
 from mollilab.kernels import scale_kernel
 from mollilab.lattice import make_lattice, sample_metric
-from mollilab.modelzoo import get_geometry
+from mollilab.modelzoo import get_geometry, parse_atlas_file
 from mollilab.norms import check_N0
 
 
@@ -253,20 +254,23 @@ def test_criterion_7_interval_excess_decay():
 
 
 def test_criterion_8_determinant_bounds():
-    """Every chart of every shipped geometry keeps the eigenvalues of its
-    samples in [e^{-2Q}, e^{2Q}] for the atlas's declared Q, the bound that
-    sets the bump plateau; det(g) in [e^{-2Qn}, e^{2Qn}] follows."""
+    """Every chart of every shipped geometry and of every `examples/*.atlas`
+    file keeps the eigenvalues of its samples in [e^{-2Q}, e^{2Q}] for the
+    geometry's declared Q; det(g) in [e^{-2Qn}, e^{2Qn}] follows."""
     names = ["flat2", "flat3", "flat2-single", "flat3-single", "sphere2",
              "sphere3", "hyperbolic2", "hyperbolic3", "pflat2", "pflat3"]
+    files = sorted((Path(__file__).resolve().parent.parent / "examples").glob("*.atlas"))
+    assert files
+    geos = [(name, get_geometry(name)) for name in names]
+    geos += [(path.name, parse_atlas_file(path)) for path in files]
     ok = True
     qs = []
-    for name in names:
-        geo = get_geometry(name)
+    for name, geo in geos:
         for g in geo.sample_all(21).values():
             need = check_N0(g)
-            good = need <= geo.atlas.Q * (1.0 + 1e-12)
+            good = need <= geo.Q * (1.0 + 1e-12)
             ok &= good
-            qs.append(f"{name}:Q={geo.atlas.Q:.4g}>={need:.4g}")
+            qs.append(f"{name}:Q={geo.Q:.4g}>={need:.4g}")
             assert good, name
     _verdict(8, "declared Q bounds the samples", ok, " ".join(qs))
 

@@ -10,9 +10,9 @@ from mollilab.atlas import (Atlas, BumpProfile, Chart, Transition, check_cover,
 from mollilab.atlas import assemble_mollified
 from mollilab.kernels import convolve, scale_kernel
 from mollilab.lattice import MetricField, make_lattice, pack_symmetric, sample_metric
-from mollilab.modelzoo import flat, get_geometry, parse_atlas_file, sphere
+from mollilab.modelzoo import get_geometry, parse_atlas_file
 
-TWO_ATLAS = Path(__file__).resolve().parent.parent / "examples" / "two.atlas"
+EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 
 
 class TestBumpProfile:
@@ -36,14 +36,14 @@ class TestBumpProfile:
 
 class TestPartitionOfUnity:
     def test_single_chart_weight_is_one(self):
-        geo = flat(2, n_charts=1)
+        geo = get_geometry("flat2-single")
         lat = geo.chart_lattice(21)
         rho, denom = geo.atlas.weights("a", lat.coords())
         covered = lat.ball_mask(geo.r / 2.0)
         assert np.abs(rho["a"][covered] - 1.0).max() < 1e-15
 
     def test_symmetric_overlap_is_half(self):
-        geo = sphere(2)
+        geo = get_geometry("sphere2")
         lat = geo.chart_lattice(41)
         rho, _ = geo.atlas.weights("north", lat.coords())
         # the equator |x| = R maps to itself under the inversion, so both
@@ -55,7 +55,7 @@ class TestPartitionOfUnity:
         assert np.abs(rho["north"][equator] - 0.5).max() < 1e-12
 
     def test_weights_sum_to_one(self):
-        geo = sphere(2)
+        geo = get_geometry("sphere2")
         lat = geo.chart_lattice(81)
         for cid in ("north", "south"):
             rho, denom = geo.atlas.weights(cid, lat.coords())
@@ -63,16 +63,11 @@ class TestPartitionOfUnity:
             total = sum(rho.values())
             assert np.abs(total[covered] - 1.0).max() < 1e-12
 
-    def test_plateau_never_narrowed_below_default(self):
-        out = Atlas(charts=(Chart(id="a", r=1.0, metric=None),), transitions={},
-                    Q=0.0, plateau=0.01)
-        assert out.bump.plateau == pytest.approx(0.5, abs=1e-14)
-
     def test_plateau_at_support_rejected_at_construction(self):
         r = 1.0
         with pytest.raises(ValueError, match="3r/4"):
             Atlas(charts=(Chart(id="a", r=r, metric=None),), transitions={},
-                  Q=0.0, plateau=0.8 * r)
+                  plateau=0.8 * r)
 
 
 class TestPullback:
@@ -99,7 +94,7 @@ class TestPullback:
         assert np.abs(out.matrices()[out.mask] - expect).max() < 1e-10
 
     def test_sphere_transition_reproduces_generator(self):
-        geo = sphere(2)
+        geo = get_geometry("sphere2")
         lat = geo.chart_lattice(161)
         north, south = geo.atlas.charts
         g = sample_metric(south.metric, lat)
@@ -150,7 +145,7 @@ class TestInterpolation:
 
 class TestAssembly:
     def test_flat_two_charts_stays_euclidean(self):
-        geo = flat(2)
+        geo = get_geometry("flat2")
         m = 81
         samples = geo.sample_all(m)
         lat = geo.chart_lattice(m)
@@ -161,7 +156,7 @@ class TestAssembly:
             assert dev < 1e-11
 
     def test_single_chart_equals_plain_mollification(self):
-        geo = flat(2, n_charts=1)
+        geo = get_geometry("flat2-single")
         m = 81
         samples = geo.sample_all(m)
         lat = geo.chart_lattice(m)
@@ -172,7 +167,7 @@ class TestAssembly:
         assert np.abs((out.matrices() - plain.matrices())[common]).max() < 1e-12
 
     def test_sphere_assembly_converges_to_raw(self):
-        geo = sphere(2)
+        geo = get_geometry("sphere2")
         m = 161
         samples = geo.sample_all(m)
         lat = geo.chart_lattice(m)
@@ -188,7 +183,7 @@ class TestAssembly:
         assert slope >= 1.0  # smooth data mollifies at least first order in t
 
     def test_scale_out_of_range_rejected(self):
-        geo = flat(2, n_charts=1)
+        geo = get_geometry("flat2-single")
         samples = geo.sample_all(41)
         lat = geo.chart_lattice(41)
         kernel = scale_kernel(2, 0.6, lat.h)
@@ -207,7 +202,7 @@ class TestPackedStorage:
     their output masks, like every other MetricField constructor."""
 
     def test_pullback_identity_off_mask(self):
-        geo = sphere(2)
+        geo = get_geometry("sphere2")
         lat = geo.chart_lattice(41)
         _, south = geo.atlas.charts
         g = sample_metric(south.metric, lat)
@@ -224,7 +219,7 @@ class TestPackedStorage:
 
 class TestCheckCover:
     def test_single_chart_covers_itself(self):
-        geo = flat(2, n_charts=1)
+        geo = get_geometry("flat2-single")
         rep = check_cover(geo.atlas, geo.chart_lattice(41))
         assert rep.covered
         assert rep.N == 1
@@ -242,7 +237,7 @@ class TestCheckCover:
                                    jacobian=lambda X: np.broadcast_to(
                                        np.eye(2), X.shape[:-1] + (2, 2))),
         }
-        atl = Atlas(charts=charts, transitions=transitions, Q=1.0)
+        atl = Atlas(charts=charts, transitions=transitions, plateau=0.5 * np.exp(-2.0))
         rep = check_cover(atl, make_lattice(2, 1.0, 41))
         assert not rep.covered
         assert rep.N == 1
@@ -251,21 +246,22 @@ class TestCheckCover:
         *((name, 41) for name in ("flat2", "flat3", "flat2-single", "flat3-single",
                                   "sphere2", "sphere3", "hyperbolic2", "hyperbolic3",
                                   "pflat2", "pflat3")),
-        ("two.atlas", 21)])
+        ("two.atlas", 21), ("sphere2.atlas", 41)])
     def test_shipped_atlases_cover(self, source, m):
         # the partition denominator is >= 1 on every chart's r/2 ball, also
         # where the eigenvalue bound Q is far from 0
-        geo = parse_atlas_file(TWO_ATLAS) if source == "two.atlas" else get_geometry(source)
+        geo = (parse_atlas_file(EXAMPLES / source) if source.endswith(".atlas")
+               else get_geometry(source))
         assert check_cover(geo.atlas, geo.chart_lattice(m)).covered
 
     def test_sphere_overlap_count(self):
-        geo = sphere(2)
+        geo = get_geometry("sphere2")
         rep = check_cover(geo.atlas, geo.chart_lattice(41))
         assert rep.N == 2
 
     def test_each_transition_map_evaluated_once(self, monkeypatch):
         # the overlap count and the partition read the same chart distances
-        geo = sphere(2)
+        geo = get_geometry("sphere2")
         calls = {key: 0 for key in geo.atlas.transitions}
 
         def counted(key, tr):
@@ -281,7 +277,7 @@ class TestCheckCover:
         assert calls == {("north", "south"): 1, ("south", "north"): 1}
 
     def test_overlap_count_invariant_under_resolution(self):
-        geo = sphere(2)
+        geo = get_geometry("sphere2")
         n41 = check_cover(geo.atlas, geo.chart_lattice(41)).N
         n81 = check_cover(geo.atlas, geo.chart_lattice(81)).N
         assert n41 == n81
@@ -289,7 +285,8 @@ class TestCheckCover:
     @pytest.mark.parametrize("source,m", [("sphere2", 41), ("sphere3", 21),
                                           ("flat3", 21), ("two.atlas", 21)])
     def test_partition_sum_dev_matches_reference(self, source, m):
-        geo = parse_atlas_file(TWO_ATLAS) if source == "two.atlas" else get_geometry(source)
+        geo = (parse_atlas_file(EXAMPLES / source) if source.endswith(".atlas")
+               else get_geometry(source))
         atlas, lat = geo.atlas, geo.chart_lattice(m)
         # reference: the partition-sum loop the cover command ran on its own
         X = lat.coords()
@@ -309,7 +306,7 @@ class TestChartDistance:
         # differ by at most e^{+-Q} after the transition
         geo = get_geometry("sphere2")
         atl = geo.atlas
-        Q = atl.Q
+        Q = geo.Q
         rng = np.random.Generator(np.random.Philox(key=3))
         X = rng.uniform(0.8, 1.4, size=(200, 2)) * rng.choice(
             [-1.0, 1.0], size=(200, 2))

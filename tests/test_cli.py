@@ -332,6 +332,27 @@ class TestCoverCommand:
         err = capsys.readouterr().err
         assert str(path) in err and chart in err
 
+    @pytest.mark.parametrize("dim,generator,map_,culprit", [
+        (2, "sphere_conformal R=0.0", "inversion R=1.0",
+         "chart 'a': sphere_conformal R must be positive and finite, got 0.0"),
+        (2, "sphere_conformal R=1.0", "inversion R=-1.0",
+         "transition a b: inversion R must be positive and finite, got -1.0"),
+        (3, "poincare_ball", "", "chart 'a': poincare_ball needs the chart cube inside the "
+                                 "unit ball")], ids=["sphere_R", "inversion_R", "poincare_cube"])
+    def test_bad_parameter_value_is_config_error(self, tmp_path, capsys, dim, generator, map_,
+                                                 culprit):
+        # the builder checks the values the text checks let through
+        path = tmp_path / "atlas.txt"
+        text = f"dim = {dim}\n" + "".join(
+            f"[chart]\nid = {cid}\nr = 1.0\ngenerator = {generator}\n" for cid in "ab")
+        if map_:
+            text += f"[transition]\npair = a b\nmap = {map_}\n"
+        path.write_text(text)
+        code = main(["cover-check", "--m", "21", "--atlas-file", str(path)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert str(path) in err and culprit in err
+
     @pytest.mark.parametrize("body,culprit", [
         ("[Chart]\nid = c\nr = 1.0\ngenerator = flat\n", "line 10"),
         ("theta 0.5\n", "line 10"),

@@ -13,7 +13,7 @@ from mollilab.curvature import (RiemannField, _contract_first, _crop_to_mask, _l
 from mollilab.kernels import scale_kernel
 from mollilab.lattice import (MetricField, _jet_blocks, differentiate, erode_mask,
                               make_lattice, pack_map, pack_symmetric, sample_metric)
-from mollilab.modelzoo import get_geometry, sphere
+from mollilab.modelzoo import get_geometry
 
 
 def _conformal(lam):
@@ -383,9 +383,9 @@ class TestSectional:
         sec = sectional_field(g, R, v, 2.0 * v)
         assert np.isnan(sec[R.mask]).all()
 
-    @pytest.mark.parametrize("lam,expect", [(_sphere_lam(), 1.0),
-                                            (_poincare_lam(), -1.0),
-                                            (_sphere_lam(2.0), sphere(2, R=2.0).reference_sec)])
+    @pytest.mark.parametrize("lam,expect", [
+        (_sphere_lam(), 1.0), (_poincare_lam(), -1.0),
+        (_sphere_lam(2.0), get_geometry("sphere2", R=2.0).reference_sec)])
     def test_constant_curvature_convergence(self, lam, expect):
         errs, hs = [], []
         for m in (21, 41, 81):

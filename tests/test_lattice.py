@@ -116,8 +116,20 @@ class TestFields:
         mats[0, 0] = np.nan
         mask[0, 0] = False
         mats[2, 3, 0, 1] = 0.5
-        with pytest.raises(ValueError, match="not symmetric"):
+        with pytest.raises(ValueError, match=r"not symmetric at node \(2, 3\)$"):
             MetricField.from_matrices(lat, mats, mask)
+
+    def test_sample_metric_names_the_asymmetric_node(self):
+        lat = make_lattice(2, 1.0, 5)
+
+        def gen(X):
+            G = np.broadcast_to(np.eye(2), X.shape[:-1] + (2, 2)).copy()
+            G[1, 4, 0, 1] = 0.25  # g_01 differs from g_10 at one node
+            return G
+
+        with pytest.raises(ValueError,
+                           match=r"^metric matrices are not symmetric at node \(1, 4\)$"):
+            sample_metric(gen, lat)
 
 
 class TestCheckDefinite:

@@ -1,9 +1,17 @@
 """Tests for the shipped example geometries and atlas descriptions."""
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from mollilab.lattice import sample_metric
-from mollilab.modelzoo import flat, get_geometry, hyperbolic, parse_atlas_text, perturb, sphere
+from mollilab.modelzoo import (build_geometry, get_geometry, parse_atlas_file, parse_atlas_text,
+                               perturb)
+from mollilab.norms import check_N0
+
+EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
+ATLAS_FILES = sorted(EXAMPLES.glob("*.atlas"))
 
 
 def _transition_compatible(geometry, n_points: int = 200, seed: int = 7,
@@ -40,17 +48,19 @@ class TestRegistry:
         with pytest.raises(ValueError, match="unknown geometry"):
             get_geometry("torus")
 
-    @pytest.mark.parametrize("builder", [flat, sphere, hyperbolic])
-    def test_only_low_dimensions_ship(self, builder):
-        with pytest.raises(ValueError):
-            builder(4)
+    @pytest.mark.parametrize("generator", ["flat", "sphere_conformal", "poincare_ball"],
+                             ids=["flat", "sphere", "hyperbolic"])
+    def test_only_low_dimensions_ship(self, generator):
+        with pytest.raises(ValueError, match="dim must be 2 or 3, got 4"):
+            build_geometry(4, 0.25, [("a", generator, {})], plateau=0.125, reference_sec=None,
+                           curvature_radius=0.25)
 
 
 class TestReferenceConstants:
     # the sampled curvature's convergence to reference_sec is checked by
     # acceptance criterion 2 and TestSectional::test_constant_curvature_convergence
     def test_sphere_radius_scaling(self):
-        assert sphere(2, R=2.0).reference_sec == pytest.approx(0.25)
+        assert get_geometry("sphere2", R=2.0).reference_sec == pytest.approx(0.25)
 
     def test_perturbed_has_no_reference(self):
         assert get_geometry("pflat2", amp=0.3).reference_sec is None
@@ -62,7 +72,7 @@ class TestTransitions:
         assert _transition_compatible(get_geometry(name))
 
     def test_incompatible_detected(self):
-        geo = sphere(2)
+        geo = get_geometry("sphere2")
         # corrupt one generator: compatibility must fail
         bad = geo.atlas.charts[0]
         object.__setattr__(bad, "metric",
@@ -72,7 +82,7 @@ class TestTransitions:
 
 class TestPerturbation:
     def test_zero_amplitude_is_identity(self):
-        base = flat(2, n_charts=1)
+        base = get_geometry("flat2-single")
         geo = perturb(base, 0.0, 0.6)
         lat = geo.chart_lattice(21)
         g0 = sample_metric(base.atlas.charts[0].metric, lat)
@@ -81,14 +91,14 @@ class TestPerturbation:
         assert geo.reference_sec == 0.0
 
     def test_even_symmetry_about_anchor(self):
-        geo = perturb(flat(2, n_charts=1), 0.3, 0.6)
+        geo = perturb(get_geometry("flat2-single"), 0.3, 0.6)
         lat = geo.chart_lattice(21)
         g = sample_metric(geo.atlas.charts[0].metric, lat)
         flipped = g.comps[::-1, ::-1]
         assert np.allclose(g.comps, flipped, atol=1e-14)
 
     def test_matches_base_outside_bump_support(self):
-        base = flat(2, n_charts=1)
+        base = get_geometry("flat2-single")
         geo = perturb(base, 0.3, 0.6)
         lat = geo.chart_lattice(41)
         g0 = sample_metric(base.atlas.charts[0].metric, lat)
@@ -104,7 +114,7 @@ class TestPerturbation:
         from mollilab.lattice import differentiate
         sups = []
         for m in (41, 81, 161):
-            geo = perturb(flat(2, n_charts=1), 0.3, 0.6)
+            geo = perturb(get_geometry("flat2-single"), 0.3, 0.6)
             lat = geo.chart_lattice(m)
             g = sample_metric(geo.atlas.charts[0].metric, lat)
             jet = differentiate(g, 2)
@@ -114,22 +124,21 @@ class TestPerturbation:
 
     def test_amplitude_cap_enforced(self):
         with pytest.raises(ValueError, match="amplitude"):
-            perturb(flat(2, n_charts=1), 50.0, 0.6)
+            perturb(get_geometry("flat2-single"), 50.0, 0.6)
 
     def test_multi_chart_rejected(self):
         with pytest.raises(ValueError, match="single-chart"):
-            perturb(flat(2, n_charts=2), 0.1, 0.6)
+            perturb(get_geometry("flat2"), 0.1, 0.6)
 
     def test_bad_alpha_rejected(self):
         with pytest.raises(ValueError, match="alpha"):
-            perturb(flat(2, n_charts=1), 0.1, 1.5)
+            perturb(get_geometry("flat2-single"), 0.1, 1.5)
 
     def test_partition_of_unity_carried_over(self):
-        base = flat(2, n_charts=1).atlas
-        atl = get_geometry("pflat2").atlas
-        assert atl.bump == base.bump
+        base, geo = get_geometry("flat2-single"), get_geometry("pflat2")
+        assert geo.atlas.bump == base.atlas.bump
         # the declared Q grows with the perturbation, the plateau does not
-        assert atl.Q > base.Q
+        assert geo.Q > base.Q
 
 
 class TestAtlasText:
@@ -161,8 +170,20 @@ class TestAtlasText:
         geo = parse_atlas_text("dim = 3\n[chart]\nid = a\nr = 0.5\ngenerator = poincare_ball\n")
         assert (geo.n, geo.r, geo.curvature_radius) == (3, 0.5, 0.5)
         assert geo.reference_sec is None
-        assert geo.atlas.Q == 0.0
-        assert geo.atlas.bump.plateau == 0.25  # r/2 when Q = 0
+        # Q from the corner factor 4 / (1 - 3/4)^2 = 64, larger than 4 at the origin
+        assert geo.Q == 0.5 * math.log(64.0)
+        assert geo.atlas.bump.plateau == 0.25  # r/2 for every atlas file
+
+    def test_sphere_file_is_the_shipped_sphere(self):
+        # one path: the committed file and the shipped model build the same
+        # Q and the same samples (only the plateau differs, r/2 against 0.55r)
+        geo, shipped = parse_atlas_file(EXAMPLES / "sphere2.atlas"), get_geometry("sphere2")
+        assert geo.Q == shipped.Q
+        got, want = geo.sample_all(41), shipped.sample_all(41)
+        assert got.keys() == want.keys() == {"north", "south"}
+        for cid in want:
+            assert np.array_equal(got[cid].comps, want[cid].comps)
+            assert np.array_equal(got[cid].mask, want[cid].mask)
 
     def test_parse_rejects_empty(self):
         with pytest.raises(ValueError, match="no charts"):
@@ -173,22 +194,37 @@ class TestGeometryQ:
     @pytest.mark.parametrize("name", ["sphere2", "sphere3",
                                       "hyperbolic2", "hyperbolic3"])
     def test_declared_Q_bounds_eigenvalues(self, name):
-        from mollilab.norms import check_N0
         geo = get_geometry(name)
         g = geo.sample_all(41)[geo.atlas.charts[0].id]
-        assert check_N0(g) <= geo.atlas.Q + 1e-12
+        assert check_N0(g) <= geo.Q + 1e-12
 
     def test_flat_Q_zero(self):
-        assert flat(2).atlas.Q == 0.0
+        assert get_geometry("flat2").Q == 0.0
+
+    @staticmethod
+    def _assert_Q_equals_samples(geo):
+        # odd m puts nodes on the origin and the cube corners, where the
+        # radial factors take their extremes, so the samples reach Q
+        for cid, g in geo.sample_all(21).items():
+            assert math.isclose(check_N0(g), geo.Q, rel_tol=1e-12), cid
+
+    @pytest.mark.parametrize("name,R", [
+        *((name, 1.0) for name in ("flat2", "flat3", "hyperbolic2", "hyperbolic3")),
+        *((name, R) for name in ("sphere2", "sphere3") for R in (0.5, 1.0, 3.0, 5.0))])
+    def test_declared_Q_equals_samples(self, name, R):
+        self._assert_Q_equals_samples(get_geometry(name, R=R))
+
+    @pytest.mark.parametrize("path", ATLAS_FILES, ids=lambda p: p.name)
+    def test_atlas_file_Q_equals_samples(self, path):
+        self._assert_Q_equals_samples(parse_atlas_file(path))
 
     @pytest.mark.parametrize("amp", [0.3, -0.3])
     @pytest.mark.parametrize("alpha", [0.2, 0.6, 0.9])
     def test_perturbed_Q_bounds_samples(self, amp, alpha):
         # the declared Q bounds the samples at every resolution, and stays
         # within 1 % of the finest one, so a loose Q cannot pass
-        from mollilab.norms import check_N0
-        geo = perturb(flat(2, n_charts=1), amp, alpha)
+        geo = perturb(get_geometry("flat2-single"), amp, alpha)
         for m in (21, 41, 81, 161):
             need = check_N0(geo.sample_all(m)["a"])
-            assert need <= geo.atlas.Q
-        assert geo.atlas.Q <= 1.01 * need
+            assert need <= geo.Q
+        assert geo.Q <= 1.01 * need
