@@ -174,13 +174,17 @@ def _lagrange_cubic(axes, values, pts):
             w[:, a] = num
         base.append(cell - 1)
         weights.append(w)
+    # each stencil node is one gather by C-order flat index into the grid
+    strides = [int(np.prod(values.shape[k + 1:n])) for k in range(n)]
+    flat_vals = np.ascontiguousarray(values).reshape((-1,) + values.shape[n:])
+    flat = sum(base[k] * strides[k] for k in range(n))
     out = np.zeros((npts,) + values.shape[n:])
     for offs in itertools.product(range(4), repeat=n):
-        idx = tuple(base[k] + offs[k] for k in range(n))
         w = weights[0][:, offs[0]]
         for k in range(1, n):
             w = w * weights[k][:, offs[k]]
-        out += w.reshape((npts,) + (1,) * (values.ndim - n)) * values[idx]
+        node = np.take(flat_vals, flat + sum(o * st for o, st in zip(offs, strides)), axis=0)
+        out += w.reshape((npts,) + (1,) * (values.ndim - n)) * node
     return out
 
 

@@ -290,15 +290,21 @@ def sec_extreme_fields(g: MetricField, R: RiemannField):
 
     The extremes are the extreme eigenvalues of G^-1 R, found as those of
     L^-1 R L^-T with G = L L^T; exact in dimensions 2 and 3, where every
-    bivector spans a plane.
+    bivector spans a plane.  They are solved on R.mask only, and both
+    fields are NaN off it, where R is not a curvature.
     """
     n = g.lattice.n
     if n > 3:
         raise ValueError(f"exact sectional extremes need dimension 2 or 3, got {n}")
-    G = _lambda2(g.matrices())
+    G = _lambda2(g.matrices()[R.mask])
+    riem = R.riem[R.mask]
+    lo = np.full(R.mask.shape, np.nan)
+    hi = np.full(R.mask.shape, np.nan)
     if n == 2:
-        k = R.riem[..., 0, 0] / G[..., 0, 0]
-        return k, k.copy()
+        lo[R.mask] = hi[R.mask] = riem[:, 0, 0] / G[:, 0, 0]
+        return lo, hi
     Linv = _lower_inverse(np.linalg.cholesky(G))
-    ev = np.linalg.eigvalsh(Linv @ R.riem @ np.swapaxes(Linv, -2, -1))
-    return ev[..., 0], ev[..., -1]
+    ev = np.linalg.eigvalsh(Linv @ riem @ np.swapaxes(Linv, -2, -1))
+    lo[R.mask] = ev[:, 0]
+    hi[R.mask] = ev[:, -1]
+    return lo, hi

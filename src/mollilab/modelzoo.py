@@ -267,12 +267,13 @@ def parse_atlas_text(text: str) -> ModelGeometry:
     `[transition]` sections give `pair = a b` and `map`, where the map
     sends b-coordinates to a-coordinates.  Each section gives each of its
     keys exactly once.  Chart ids are unique, all charts share one finite
-    r > 0, and pairs name declared charts; any other line or parameter is
-    an error.  `build_geometry` then checks the dimension and the parameter
-    values and computes Q; the bump plateau is r/2.
+    r > 0, and each pair names two distinct declared charts; any other
+    line or parameter is an error.  `build_geometry` then checks the
+    dimension and the parameter values and computes Q; the bump plateau
+    is r/2.
     """
     header: dict = {}
-    sections = []  # (kind, line of the section header, fields)
+    sections = []  # (kind, line of the section header, fields, line of each key)
     kind, fields, seen = "", header, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -280,7 +281,7 @@ def parse_atlas_text(text: str) -> ModelGeometry:
             continue
         if line in ("[chart]", "[transition]"):
             kind, fields, seen = line[1:-1], {}, {}
-            sections.append((kind, lineno, fields))
+            sections.append((kind, lineno, fields, seen))
             continue
         key, sep, val = line.partition("=")
         key = key.strip()
@@ -291,19 +292,26 @@ def parse_atlas_text(text: str) -> ModelGeometry:
             raise ValueError(f"line {lineno}: key {key!r} repeats line {seen[key]}")
         seen[key] = lineno
         fields[key] = val.strip()
-    for kind, lineno, fields in sections:
+    for kind, lineno, fields, _ in sections:
         for key in _KEYS[kind]:
             if key not in fields:
                 raise ValueError(f"line {lineno}: [{kind}] section lacks key {key!r}")
-    if not any(kind == "chart" for kind, _, _ in sections):
+    if not any(kind == "chart" for kind, *_ in sections):
         raise ValueError("atlas description contains no charts")
     if "dim" not in header:
         raise ValueError("missing 'dim = N' line")
     if not header["dim"].isdigit():
         raise ValueError(f"dim must be a whole number, got {header['dim']!r}")
     charts, r0 = {}, None  # chart id -> (generator, parameters); the first chart's r
-    for fields in (f for kind, _, f in sections if kind == "chart"):
-        cid, r = fields["id"], float(fields["r"])
+    for kind, _, fields, lines in sections:
+        if kind != "chart":
+            continue
+        cid = fields["id"]
+        try:
+            r = float(fields["r"])
+        except ValueError:
+            raise ValueError(f"line {lines['r']}: [chart] r must be a number, "
+                             f"got {fields['r']!r}") from None
         r0 = r if r0 is None else r0
         if cid in charts:
             raise ValueError(f"duplicate chart id {cid!r}")
@@ -313,8 +321,17 @@ def parse_atlas_text(text: str) -> ModelGeometry:
             raise ValueError(f"chart {cid!r}: radius r={r} differs from the first chart's r={r0}")
         charts[cid] = _lookup(_GENERATORS, fields["generator"], "generator")
     transitions = []
-    for fields in (f for kind, _, f in sections if kind == "transition"):
-        a, b = fields["pair"].split()
+    for kind, _, fields, lines in sections:
+        if kind != "transition":
+            continue
+        pair = fields["pair"].split()
+        if len(pair) != 2:
+            raise ValueError(f"line {lines['pair']}: [transition] pair must name two "
+                             f"chart ids, got {fields['pair']!r}")
+        a, b = pair
+        if a == b:
+            raise ValueError(f"line {lines['pair']}: transition pair {a} {b} "
+                             f"joins a chart to itself")
         for cid in (a, b):
             if cid not in charts:
                 raise ValueError(f"transition pair {a} {b} names undeclared chart {cid!r}")

@@ -1,12 +1,13 @@
 """Tests for charts, partitions of unity, pullbacks, and global assembly."""
+import itertools
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mollilab.atlas import (Atlas, BumpProfile, Chart, Transition, check_cover,
-                            interpolate_metric, pullback_metric)
+from mollilab.atlas import (Atlas, BumpProfile, Chart, Transition, _lagrange_cubic, _valid_box,
+                            check_cover, interpolate_metric, pullback_metric)
 from mollilab.atlas import assemble_mollified
 from mollilab.kernels import convolve, scale_kernel
 from mollilab.lattice import MetricField, make_lattice, pack_symmetric, sample_metric
@@ -141,6 +142,67 @@ class TestInterpolation:
             mats, ok = interpolate_metric(narrow, pts)
         assert not ok.any()
         assert np.isnan(mats).all()
+
+
+def _tuple_index_cubic(axes, values, pts):
+    """`_lagrange_cubic` before its stencil was gathered by flat index, kept
+    as the reference: each of the 4^n stencil nodes is read with a tuple of
+    n index arrays."""
+    n = len(axes)
+    npts = pts.shape[0]
+    base = []
+    weights = []
+    for k in range(n):
+        ax = axes[k]
+        cell = np.searchsorted(ax, pts[:, k], side="right") - 1
+        cell = np.clip(cell, 1, ax.size - 3)
+        w = np.empty((npts, 4))
+        for a in range(4):
+            num = np.ones(npts)
+            xa = ax[cell - 1 + a]
+            for b in range(4):
+                if b != a:
+                    xb = ax[cell - 1 + b]
+                    num *= (pts[:, k] - xb) / (xa - xb)
+            w[:, a] = num
+        base.append(cell - 1)
+        weights.append(w)
+    out = np.zeros((npts,) + values.shape[n:])
+    for offs in itertools.product(range(4), repeat=n):
+        idx = tuple(base[k] + offs[k] for k in range(n))
+        w = weights[0][:, offs[0]]
+        for k in range(1, n):
+            w = w * weights[k][:, offs[k]]
+        out += w.reshape((npts,) + (1,) * (values.ndim - n)) * values[idx]
+    return out
+
+
+class TestLagrangeCubic:
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("packed", [False, True], ids=["scalar", "packed"])
+    def test_flat_gather_equals_tuple_gather(self, n, packed):
+        # the box interpolate_metric passes: comps[sl] of a centred sub-box,
+        # which is not contiguous; points on nodes, on the box faces and
+        # at random inside
+        lat = make_lattice(n, 1.0, 21 if n == 2 else 13)
+        g = sample_metric(lambda X: (2.0 + np.sin(3.0 * X[..., :1, None])) * np.eye(n)
+                          + 0.3 * X[..., :, None] * X[..., None, :], lat)
+        sl = _valid_box(lat.ball_mask(0.7, norm="max"))
+        axes = [lat.axis_nodes()[s] for s in sl]
+        box = g.comps[sl]
+        assert not box.flags.c_contiguous
+        values = box if packed else box[..., 1]
+        rng = np.random.Generator(np.random.Philox(key=n))
+        lo = np.array([ax[0] for ax in axes])
+        hi = np.array([ax[-1] for ax in axes])
+        nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
+        faces = rng.uniform(lo, hi, (4 * n, n))
+        for k in range(n):
+            faces[4 * k:4 * k + 2, k] = lo[k]
+            faces[4 * k + 2:4 * k + 4, k] = hi[k]
+        for pts in (nodes, faces, rng.uniform(lo, hi, (200, n))):
+            assert np.array_equal(_lagrange_cubic(axes, values, pts),
+                                  _tuple_index_cubic(axes, values, pts))
 
 
 class TestAssembly:

@@ -367,7 +367,13 @@ class TestCoverCommand:
         ("[chart]\nid = c\nr = 1.0\nr = 0.5\ngenerator = flat\n",
          "line 13: key 'r' repeats line 12"),
         ("[transition]\npair = a b\nmap = affine theta=0.5\nmap = affine theta=0.1\n",
-         "line 13: key 'map' repeats line 12")])
+         "line 13: key 'map' repeats line 12"),
+        ("[transition]\npair = a\nmap = affine theta=0.5\n",
+         "line 11: [transition] pair must name two chart ids, got 'a'"),
+        ("[chart]\nid = c\nr = one\ngenerator = flat\n",
+         "line 12: [chart] r must be a number, got 'one'"),
+        ("[transition]\npair = a a\nmap = affine theta=0.5\n",
+         "line 11: transition pair a a joins a chart to itself")])
     def test_malformed_atlas_file_is_config_error(self, tmp_path, capsys, body, culprit):
         path = tmp_path / "atlas.txt"
         charts = "".join(f"[chart]\nid = {cid}\nr = 1.0\ngenerator = flat\n" for cid in "ab")

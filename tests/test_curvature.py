@@ -480,6 +480,40 @@ class TestSectional:
             sec_extreme_fields(g, R)
 
 
+def _whole_grid_extremes(g: MetricField, R: RiemannField):
+    """The sectional extremes before the solve moved onto R.mask, kept as
+    the reference: the pencil (R, Lambda^2 g) solved at every node."""
+    G = _lambda2(g.matrices())
+    if g.lattice.n == 2:
+        k = R.riem[..., 0, 0] / G[..., 0, 0]
+        return k, k.copy()
+    Linv = curvature._lower_inverse(np.linalg.cholesky(G))
+    ev = np.linalg.eigvalsh(Linv @ R.riem @ np.swapaxes(Linv, -2, -1))
+    return ev[..., 0], ev[..., -1]
+
+
+class TestExtremesOnMask:
+    @pytest.mark.parametrize("name", ["sphere2", "sphere3"])
+    def test_bit_equal_to_whole_grid_solve_and_nan_off_mask(self, name):
+        # raw and mollified charts, and a field whose mask the Riemann
+        # builder crops, so R is zero off the crop
+        geo = get_geometry(name)
+        m = 25 if geo.n == 2 else 17
+        lat = geo.chart_lattice(m)
+        samples = geo.sample_all(m)
+        mollified = assemble_mollified(geo.atlas, samples, scale_kernel(geo.n, 0.3, lat.h))
+        north = samples["north"]
+        cropped = MetricField(lattice=lat, comps=north.comps,
+                              mask=lat.ball_mask(0.5 * geo.r, norm="max"))
+        assert _crop_to_mask(cropped)[1] > 0
+        for g in (*samples.values(), *mollified.values(), cropped):
+            R = riemann(g)
+            assert R.mask.any() and not R.mask.all()
+            for field, ref in zip(sec_extreme_fields(g, R), _whole_grid_extremes(g, R)):
+                assert np.array_equal(field[R.mask], ref[R.mask])
+                assert np.isnan(field[~R.mask]).all()
+
+
 class TestRicciScalar:
     @pytest.mark.parametrize("n,lam,sec", [(2, _sphere_lam(), 1.0),
                                            (3, _sphere_lam(), 1.0),
