@@ -146,18 +146,36 @@ def write_text(path, text: str) -> None:
             fh.write(text)
 
 
-def write_csv(path, header: list, rows: list) -> None:
-    """Rows formatted as `fmt` formats each cell, through one %-template per
-    distinct row of cell types: %.12g for floats, %s for the rest."""
-    templates = {}
+@dataclass(frozen=True)
+class Block:
+    """Rows of a CSV table, held by column for `write_csv`.
+
+    Each row is the literal `label` (when given), then its row of `nodes`
+    (ints, shape (rows, n)) as n fields joined by '/' (when given), then
+    one cell of each column.  A column holds cells of one kind: floats are
+    written with %.12g, anything else with %s, as `fmt` writes them.
+    """
+    columns: list
+    label: str | None = None
+    nodes: np.ndarray | None = None
+
+
+def write_csv(path, header: list, blocks: list) -> None:
+    """The header, then each block's rows through one %-template."""
     lines = [",".join(header)]
-    for row in rows:
-        types = tuple(map(type, row))
-        template = templates.get(types)
-        if template is None:
-            template = templates[types] = ",".join(
-                "%.12g" if issubclass(t, float) else "%s" for t in types)
-        lines.append(template % tuple(row))
+    for block in blocks:
+        if not len(block.columns[0]):
+            continue
+        # arrays become Python scalars column by column, which format faster
+        columns = [col.tolist() if isinstance(col, np.ndarray) else col
+                   for col in block.columns]
+        fields = ["%.12g" if isinstance(col[0], float) else "%s" for col in columns]
+        if block.nodes is not None:
+            fields.insert(0, "/".join(["%d"] * block.nodes.shape[1]))
+            columns[:0] = block.nodes.T.tolist()
+        if block.label is not None:
+            fields.insert(0, block.label.replace("%", "%%"))
+        lines += map(",".join(fields).__mod__, zip(*columns))
     write_text(path, "\n".join(lines) + "\n")
 
 
@@ -187,35 +205,28 @@ def run_curvature(cfg: ExperimentConfig):
               "sec_min", "sec_max", "scalar"]
     if mollified is not None:
         header += ["sec_min_t", "sec_max_t", "scalar_t"]
-    rows = []
+    blocks = []
     X = lat.coords()
     for cid, g in sorted(samples.items()):
         R = riemann(g)
-        lo, hi = sec_extreme_fields(g, R)
-        sc = scalar_curvature(g, R)
-        blocks = [(R.mask, lo, hi, sc)]
+        valid = R.mask
+        fields = [*sec_extreme_fields(g, R), scalar_curvature(g, R)]
         if mollified is not None:
             gt = mollified[cid]
             Rt = riemann(gt)
             if not Rt.mask.any():
                 raise ValueError(f"chart {cid!r} keeps no valid node after riemann "
                                  f"of the mollified metric at t={cfg.t}")
-            lot, hit = sec_extreme_fields(gt, Rt)
-            sct = scalar_curvature(gt, Rt)
-            blocks.append((Rt.mask, lot, hit, sct))
-        valid = blocks[0][0]
-        if len(blocks) == 2:
-            valid = valid & blocks[1][0]
-        nodes = ["/".join(map(str, node)) for node in np.argwhere(valid).tolist()]
-        values = np.column_stack([X[valid]] + [field[valid] for _, *fs in blocks
-                                               for field in fs]).tolist()
-        rows += ([cid, node, *vals] for node, vals in zip(nodes, values))
-    return header, rows
+            valid = valid & Rt.mask
+            fields += [*sec_extreme_fields(gt, Rt), scalar_curvature(gt, Rt)]
+        columns = [X[..., k][valid] for k in range(geo.n)] + [f[valid] for f in fields]
+        blocks.append(Block(columns=columns, label=cid, nodes=np.argwhere(valid)))
+    return header, blocks
 
 
 def cmd_curvature(cfg: ExperimentConfig) -> int:
-    header, rows = run_curvature(cfg)
-    write_csv(cfg.out, header, rows)
+    header, blocks = run_curvature(cfg)
+    write_csv(cfg.out, header, blocks)
     return EXIT_OK
 
 
@@ -333,14 +344,12 @@ def fit_excess_decay(ts, excesses) -> dict:
 def cmd_deviation(cfg: ExperimentConfig) -> int:
     records, summary = run_deviation(cfg)
     header = ["t", "riem_excess", "sec_excess", "fit", "slope", "intercept", "residual"]
-    rows = []
-    for k, rec in enumerate(records):
-        tail = ["", "", "", ""]
-        if k == 0:
-            tail = [summary["fit"]] + ["" if summary[key] is None else fmt(summary[key])
-                                       for key in ("slope", "intercept", "residual")]
-        rows.append([rec.t, rec.riem_excess, rec.sec_excess, *tail])
-    write_csv(cfg.out, header, rows)
+    tail = [summary["fit"]] + ["" if summary[key] is None else fmt(summary[key])
+                               for key in ("slope", "intercept", "residual")]
+    blank = [""] * (len(records) - 1)  # the fit is reported on the first row only
+    columns = [[rec.t for rec in records], [rec.riem_excess for rec in records],
+               [rec.sec_excess for rec in records], *([cell, *blank] for cell in tail)]
+    write_csv(cfg.out, header, [Block(columns=columns)])
     return EXIT_OK
 
 
@@ -462,7 +471,7 @@ def lemma_violations(rows) -> list:
 def cmd_lemmas(cfg: ExperimentConfig) -> int:
     rows = run_lemmas(cfg)
     header = ["lemma", "index", "t", "lhs", "rhs", "ratio"]
-    write_csv(cfg.out, header, list(rows))
+    write_csv(cfg.out, header, [Block(columns=list(zip(*rows)))])
     bad = lemma_violations(rows)
     if bad:
         for lemma, idx, t, lhs, rhs, ratio in bad:

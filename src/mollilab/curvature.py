@@ -210,8 +210,15 @@ def riemann(g: MetricField) -> RiemannField:
 
 
 def scalar_curvature(g: MetricField, R: RiemannField) -> np.ndarray:
-    """s = g^ac g^bd R_abcd = 2 sum_IJ (Lambda^2 g^-1)_IJ R_IJ."""
-    return 2.0 * np.einsum("...IJ,...IJ->...", _lambda2(g.inverse()), R.riem)
+    """s = g^ac g^bd R_abcd = 2 sum_IJ (Lambda^2 g^-1)_IJ R_IJ.
+
+    Lambda^2 g^-1 and the contraction are formed on R.mask only, and s is
+    NaN off it, where R is not a curvature, as in `sec_extreme_fields`.
+    """
+    s = np.full(R.mask.shape, np.nan)
+    s[R.mask] = 2.0 * np.einsum("...IJ,...IJ->...", _lambda2(g.inverse()[R.mask]),
+                                R.riem[R.mask])
+    return s
 
 
 def _fold(coef: np.ndarray) -> np.ndarray:

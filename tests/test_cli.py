@@ -2,6 +2,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import math
@@ -13,14 +14,15 @@ from scipy import ndimage
 import mollilab
 from mollilab import cli
 from mollilab.atlas import assemble_mollified
-from mollilab.curvature import (riem_contract_field, riemann, sec_extreme_fields,
-                                section_norm_fields)
+from mollilab.curvature import (riem_contract_field, riemann, scalar_curvature,
+                                sec_extreme_fields, section_norm_fields)
 from mollilab.kernels import scale_kernel
 from mollilab.lattice import MetricField
+from mollilab.modelzoo import get_geometry
 from mollilab.norms import check_N0
 
 from mollilab.cli import (EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, EXIT_VIOLATION,
-                          ExperimentConfig, apply_overrides, fit_excess_decay, fmt,
+                          Block, ExperimentConfig, apply_overrides, fit_excess_decay, fmt,
                           lemma_violations, load_config_file, main,
                           run_curvature, run_cover, run_deviation, run_lemmas,
                           run_norms, write_csv)
@@ -100,27 +102,113 @@ class TestConfig:
             apply_overrides(ExperimentConfig(), {"gamma": "1"}, "curvature")
 
 
+def _column(header, block, name):
+    """Column `name` of a curvature block; the chart and node lead the header."""
+    return block.columns[header.index(name) - 2]
+
+
+def _curvature_rows(argv):
+    """(header, rows) of the curvature table of a `labcli curvature` argv,
+    one list of cells per row, every row held."""
+    cfg = cli.config_from_args(cli.build_parser().parse_args(argv))
+    geo = get_geometry(cfg.geometry)
+    lat = geo.chart_lattice(cfg.m)
+    samples = geo.sample_all(cfg.m)
+    header = ["chart", "node", *(f"x{k}" for k in range(geo.n)), "sec_min", "sec_max", "scalar"]
+    mollified = {}
+    if cfg.t is not None:
+        header += ["sec_min_t", "sec_max_t", "scalar_t"]
+        mollified = assemble_mollified(geo.atlas, samples, scale_kernel(geo.n, cfg.t, lat.h))
+    X = lat.coords()
+    rows = []
+    for cid, g in sorted(samples.items()):
+        metrics = [g] + ([mollified[cid]] if mollified else [])
+        Rs = [riemann(gm) for gm in metrics]
+        valid = np.logical_and.reduce([R.mask for R in Rs])
+        fields = [f for gm, R in zip(metrics, Rs)
+                  for f in (*sec_extreme_fields(gm, R), scalar_curvature(gm, R))]
+        for node in np.argwhere(valid).tolist():
+            idx = tuple(node)
+            rows.append([cid, "/".join(map(str, node)), *X[idx].tolist(),
+                         *(float(f[idx]) for f in fields)])
+    return header, rows
+
+
+def _per_cell_curvature_csv(argv):
+    """The curvature table written from row lists, every cell by `fmt`:
+    the reference for `Block` and `write_csv`."""
+    header, rows = _curvature_rows(argv)
+    lines = [",".join(header)] + [",".join(map(fmt, row)) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 class TestCurvatureCommand:
     def test_flat_columns_zero(self):
-        header, rows = run_curvature(ExperimentConfig(geometry="flat2", m=21))
-        cols = {name: header.index(name) for name in ("sec_min", "sec_max", "scalar")}
-        for row in rows:
-            for name in cols:
-                assert abs(float(row[cols[name]])) < 1e-12
+        header, blocks = run_curvature(ExperimentConfig(geometry="flat2", m=21))
+        for block in blocks:
+            for name in ("sec_min", "sec_max", "scalar"):
+                for value in _column(header, block, name):
+                    assert abs(float(value)) < 1e-12
 
     def test_sphere_sectional_near_reference(self):
-        header, rows = run_curvature(ExperimentConfig(geometry="sphere2", m=81))
-        i_lo, i_hi = header.index("sec_min"), header.index("sec_max")
-        xs = [header.index(f"x{k}") for k in range(2)]
-        for row in rows:
-            x = np.array([float(row[i]) for i in xs])
-            if np.abs(x).max() <= 0.5:  # near the chart centre
-                assert float(row[i_lo]) == pytest.approx(1.0, abs=1e-2)
-                assert float(row[i_hi]) == pytest.approx(1.0, abs=1e-2)
+        header, blocks = run_curvature(ExperimentConfig(geometry="sphere2", m=81))
+        for block in blocks:
+            xs = np.column_stack([_column(header, block, f"x{k}") for k in range(2)])
+            for x, lo, hi in zip(xs, _column(header, block, "sec_min"),
+                                 _column(header, block, "sec_max")):
+                if np.abs(x).max() <= 0.5:  # near the chart centre
+                    assert float(lo) == pytest.approx(1.0, abs=1e-2)
+                    assert float(hi) == pytest.approx(1.0, abs=1e-2)
 
     def test_mollified_columns_present_when_t_set(self):
         header, _ = run_curvature(ExperimentConfig(geometry="flat2", m=41, t=0.2))
         assert "sec_min_t" in header and "scalar_t" in header
+
+    @pytest.mark.parametrize("argv", [
+        ["curvature", "--geometry", "sphere3", "--m", "17", "--t", "0.3"],
+        ["curvature", "--geometry", "sphere2", "--m", "21", "--t", "0.3"],
+        ["curvature", "--geometry", "hyperbolic2", "--m", "21"],
+        ["curvature", "--geometry", "flat3-single", "--m", "9"]])
+    def test_table_matches_per_cell_rows(self, argv, capsys):
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out == _per_cell_curvature_csv(argv)
+
+    def test_peak_memory_below_per_cell_rows(self, tmp_path):
+        # the blocks hold no row lists: the op peaks at most 0.9 x the reference's
+        argv = ["curvature", "--geometry", "sphere3", "--m", "17", "--t", "0.3"]
+        out = tmp_path / "c.csv"
+        peaks = []
+        tracemalloc.start()
+        try:
+            for run in (lambda: main([*argv, "--out", str(out)]),
+                        lambda: _per_cell_curvature_csv(argv)):
+                tracemalloc.reset_peak()
+                run()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert out.exists()
+        assert peaks[0] <= 0.9 * peaks[1]
+
+    def test_failure_at_second_chart_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        # every chart is computed before the table is written
+        calls = []
+        real = cli.riemann
+
+        def failing(g):
+            calls.append(g)
+            if len(calls) == 3:  # the second chart's raw metric
+                raise ValueError("injected failure")
+            return real(g)
+
+        monkeypatch.setattr(cli, "riemann", failing)
+        out = tmp_path / "c.csv"
+        code = main(["curvature", "--geometry", "sphere2", "--m", "21", "--t", "0.3",
+                     "--out", str(out)])
+        assert code == EXIT_NUMERICAL
+        assert len(calls) == 3
+        assert not out.exists()
+        assert "injected failure" in capsys.readouterr().err
 
     def test_each_metric_diagonalised_once(self, tmp_path, monkeypatch):
         # two sampled charts and two glued g^[t]: each is checked where it
@@ -526,11 +614,21 @@ class TestMainExitCodes:
                  np.float64(1.0 / 3.0), np.float64(-2e-300), True, "", 1e22],
                 ["b", "2/3", np.float64(7.0), 0.5, 1.0, 2.0, 3.0, -4, 5.0, 6.0, False, "ok", 0.0],
                 [np.int64(4), 12345678901234.5, "", "", "", ""]]
-        write_csv(None, ["h"] * 13, rows)
+        # labelled and noded rows, from arrays: int, bool and float columns
+        nodes = np.array([[0, 1], [12, 3]])
+        arrays = [np.array([-0.0, 1e22]), np.array([7, -8]), np.array([True, False]),
+                  np.array([np.nan, 1.0 / 3.0])]
+        rows += [["c%", "/".join(map(str, node)), *cells]
+                 for node, cells in zip(nodes.tolist(), zip(*arrays))]
+        blocks = [Block(columns=list(zip(*rows[:2]))), Block(columns=list(zip(*rows[2:3]))),
+                  Block(columns=[[], []]),
+                  Block(columns=arrays, label="c%", nodes=nodes)]
+        write_csv(None, ["h"] * 13, blocks)
         want = "\n".join([",".join(["h"] * 13)] + [",".join(fmt(v) for v in row)
                                                    for row in rows]) + "\n"
         assert capsys.readouterr().out == want
         assert "-0,inf,-inf,nan,3,0.333333333333,-2e-300,True,,1e+22" in want
+        assert "c%,12/3,1e+22,-8,False,0.333333333333" in want
 
 
 def test_cli_import_skips_integrate_and_optimize():

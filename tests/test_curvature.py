@@ -492,26 +492,46 @@ def _whole_grid_extremes(g: MetricField, R: RiemannField):
     return ev[..., 0], ev[..., -1]
 
 
+def _whole_grid_scalar(g: MetricField, R: RiemannField):
+    """The scalar curvature before it moved onto R.mask, kept as the
+    reference: 2 sum_IJ (Lambda^2 g^-1)_IJ R_IJ at every node."""
+    return 2.0 * np.einsum("...IJ,...IJ->...", _lambda2(g.inverse()), R.riem)
+
+
+def _on_mask_cases(name):
+    """Raw and mollified charts of a geometry, and a field whose mask the
+    Riemann builder crops, so R is zero off the crop."""
+    geo = get_geometry(name)
+    m = 25 if geo.n == 2 else 17
+    lat = geo.chart_lattice(m)
+    samples = geo.sample_all(m)
+    mollified = assemble_mollified(geo.atlas, samples,
+                                   scale_kernel(geo.n, 0.15 * geo.r, lat.h))
+    first = samples[min(samples)]
+    cropped = MetricField(lattice=lat, comps=first.comps,
+                          mask=lat.ball_mask(0.5 * geo.r, norm="max"))
+    assert _crop_to_mask(cropped)[1] > 0
+    return (*samples.values(), *mollified.values(), cropped)
+
+
 class TestExtremesOnMask:
     @pytest.mark.parametrize("name", ["sphere2", "sphere3"])
     def test_bit_equal_to_whole_grid_solve_and_nan_off_mask(self, name):
-        # raw and mollified charts, and a field whose mask the Riemann
-        # builder crops, so R is zero off the crop
-        geo = get_geometry(name)
-        m = 25 if geo.n == 2 else 17
-        lat = geo.chart_lattice(m)
-        samples = geo.sample_all(m)
-        mollified = assemble_mollified(geo.atlas, samples, scale_kernel(geo.n, 0.3, lat.h))
-        north = samples["north"]
-        cropped = MetricField(lattice=lat, comps=north.comps,
-                              mask=lat.ball_mask(0.5 * geo.r, norm="max"))
-        assert _crop_to_mask(cropped)[1] > 0
-        for g in (*samples.values(), *mollified.values(), cropped):
+        for g in _on_mask_cases(name):
             R = riemann(g)
             assert R.mask.any() and not R.mask.all()
             for field, ref in zip(sec_extreme_fields(g, R), _whole_grid_extremes(g, R)):
                 assert np.array_equal(field[R.mask], ref[R.mask])
                 assert np.isnan(field[~R.mask]).all()
+
+    @pytest.mark.parametrize("name", ["sphere2", "sphere3", "pflat3", "hyperbolic3"])
+    def test_scalar_bit_equal_to_whole_grid_and_nan_off_mask(self, name):
+        for g in _on_mask_cases(name):
+            R = riemann(g)
+            assert R.mask.any() and not R.mask.all()
+            sc = scalar_curvature(g, R)
+            assert np.array_equal(sc[R.mask], _whole_grid_scalar(g, R)[R.mask])
+            assert np.isnan(sc[~R.mask]).all()
 
 
 class TestRicciScalar:
