@@ -17,8 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .atlas import assemble_mollified, check_cover
-from .curvature import (riem_contract_field, riemann, scalar_curvature, sec_extreme_fields,
-                        section_norm_fields)
+from .curvature import riem_contract_field, riemann, sec_extreme_fields, section_norm_fields
 from .kernels import kernel_lq_bound, kernel_lq_norm, scale_kernel, convolve
 from .lattice import ScalarField, grow_box, make_lattice, sample_scalar
 from .modelzoo import get_geometry, parse_atlas_file
@@ -72,8 +71,8 @@ class ExperimentConfig:
             raise ConfigError(f"m must be odd and >= 5, got {self.m}")
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if self.p <= 1.0:
-            raise ConfigError(f"p must exceed 1, got {self.p}")
+        if not 1.0 < self.p < math.inf:
+            raise ConfigError(f"p must lie in (1, inf), got {self.p}")
         if self.order < 0:
             raise ConfigError(f"order must be non-negative, got {self.order}")
         if self.seed < 0:
@@ -210,15 +209,14 @@ def run_curvature(cfg: ExperimentConfig):
     for cid, g in sorted(samples.items()):
         R = riemann(g)
         valid = R.mask
-        fields = [*sec_extreme_fields(g, R), scalar_curvature(g, R)]
+        fields = list(sec_extreme_fields(R))
         if mollified is not None:
-            gt = mollified[cid]
-            Rt = riemann(gt)
+            Rt = riemann(mollified[cid])
             if not Rt.mask.any():
                 raise ValueError(f"chart {cid!r} keeps no valid node after riemann "
                                  f"of the mollified metric at t={cfg.t}")
             valid = valid & Rt.mask
-            fields += [*sec_extreme_fields(gt, Rt), scalar_curvature(gt, Rt)]
+            fields += sec_extreme_fields(Rt)
         columns = [X[..., k][valid] for k in range(geo.n)] + [f[valid] for f in fields]
         blocks.append(Block(columns=columns, label=cid, nodes=np.argwhere(valid)))
     return header, blocks
@@ -270,13 +268,13 @@ def run_deviation(cfg: ExperimentConfig):
     Q = check_N0(g)
 
     base_R = riemann(g)
-    lo0, hi0 = sec_extreme_fields(g, base_R)
+    lo0, hi0, _ = sec_extreme_fields(base_R)
     hi_ball = np.where(base_R.mask, hi0, -np.inf)
     neg_lo_ball = np.where(base_R.mask, -lo0, -np.inf)  # the inf envelope, negated
     sections = np.concatenate([_coordinate_sections(geo.n),
                                _random_sections(geo.n, 8, cfg.seed)])
     sup_balls = [np.where(base_R.mask, c, -np.inf)
-                 for c in riem_contract_field(base_R, g, sections)]
+                 for c in riem_contract_field(base_R, sections)]
     norm_fields = [np.maximum(nf, 1e-30) for nf in section_norm_fields(g, sections)]
     probe = lat.ball_mask(geo.r / 4.0, norm="max")
     buf = np.empty(lat.shape)
@@ -285,8 +283,7 @@ def run_deviation(cfg: ExperimentConfig):
     records = []
     for t in scales:
         kernel = scale_kernel(geo.n, t, lat.h)
-        gt = assemble_mollified(geo.atlas, samples, kernel)[cid]
-        Rt = riemann(gt)
+        Rt = riemann(assemble_mollified(geo.atlas, samples, kernel)[cid])
         region = probe & Rt.mask & base_R.mask
         if not region.any():
             raise ValueError(f"chart {cid!r} keeps no valid probe node after riemann "
@@ -299,7 +296,7 @@ def run_deviation(cfg: ExperimentConfig):
                 grow_box(sup0, buf, geo.n)
             grown += 1
         r_exc = 0.0
-        contr = riem_contract_field(Rt, gt, sections)
+        contr = riem_contract_field(Rt, sections)
         for at, sup0, nf in zip(contr, sup_balls, norm_fields):
             exc = (at - sup0) / nf
             r_exc = max(r_exc, float(exc[region].max()))
@@ -310,7 +307,7 @@ def run_deviation(cfg: ExperimentConfig):
             grow_box(hi_ball, buf, geo.n)
             grow_box(neg_lo_ball, buf, geo.n)
             grown_sec += 1
-        lot, hit = sec_extreme_fields(gt, Rt)
+        lot, hit, _ = sec_extreme_fields(Rt)
         lo_ball = -neg_lo_ball
         c = INTERVAL_SLACK * t
         cand = np.stack([lo_ball * (1 - c), lo_ball * (1 + c),
@@ -418,6 +415,10 @@ def run_lemmas(cfg: ExperimentConfig):
     must have ratio <= 1 exactly; the rest allow 5 percent quadrature slack.
     """
     cfg.validate_common()
+    # the largest scale, r/8, must exceed h = 2r/(m - 1) on the r = 1 lattice
+    if cfg.m <= 17:
+        raise ConfigError(f"lemmas needs m >= 19, so that h < r/8, the largest scale; "
+                          f"got m={cfg.m}")
     lat, pairs = _lemma_family(cfg.m, cfg.alpha, cfg.seed)
     n, r = lat.n, lat.r
     q = cfg.p / (cfg.p - 1.0)

@@ -19,7 +19,8 @@ the plane spanned by v and w
 where G = Lambda^2 g, G_IJ = g_ac g_bd - g_ad g_bc; a space form of
 curvature K has R = K G.  In dimensions 2 and 3 every bivector is some
 v ^ w, so the extreme sectional curvatures at a node are the extreme
-eigenvalues of the pencil (R, G).
+eigenvalues of the pencil (R, G), and the scalar curvature is twice its
+trace, 2 tr(G^-1 R).
 """
 from __future__ import annotations
 
@@ -28,7 +29,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lattice import Lattice, MetricField, central_diff, central_diff2, erode_mask, pack_map
+from .lattice import (Lattice, MetricField, central_diff, central_diff2, erode_mask, pack_map,
+                      unpack_symmetric)
 
 # Grid nodes per slab of the streamed Riemann builder, which takes
 # max(1, SLAB_NODES // m^(n-1)) whole axis-0 planes at a time.  Smaller
@@ -86,10 +88,11 @@ class RiemannField:
     in `np.triu_indices(n, 1)` order: one component per node in 2-d, six
     independent of nine stored in 3-d.  The sign makes the sectional
     curvature K(v, w) = R(v, w, v, w) / |v ^ w|^2.  Symmetry in (I, J) is
-    exact.
+    exact.  `metric` is the metric R was built from, which every consumer
+    of R reads with it.
     """
 
-    lattice: Lattice
+    metric: MetricField
     riem: np.ndarray
     mask: np.ndarray
 
@@ -206,19 +209,7 @@ def riemann(g: MetricField) -> RiemannField:
     for i0 in range(0, m, step):
         i1 = min(i0 + step, m)
         np.add(*_slab_parts(gc, ginv, i0, i1), out=riem[crop][i0:i1])
-    return RiemannField(lattice=g.lattice, riem=riem, mask=mask)
-
-
-def scalar_curvature(g: MetricField, R: RiemannField) -> np.ndarray:
-    """s = g^ac g^bd R_abcd = 2 sum_IJ (Lambda^2 g^-1)_IJ R_IJ.
-
-    Lambda^2 g^-1 and the contraction are formed on R.mask only, and s is
-    NaN off it, where R is not a curvature, as in `sec_extreme_fields`.
-    """
-    s = np.full(R.mask.shape, np.nan)
-    s[R.mask] = 2.0 * np.einsum("...IJ,...IJ->...", _lambda2(g.inverse()[R.mask]),
-                                R.riem[R.mask])
-    return s
+    return RiemannField(metric=g, riem=riem, mask=mask)
 
 
 def _fold(coef: np.ndarray) -> np.ndarray:
@@ -240,8 +231,7 @@ def _combine(coef: np.ndarray, terms) -> np.ndarray:
     return out
 
 
-def riem_contract_field(R: RiemannField, g: MetricField,
-                        sections: np.ndarray) -> list[np.ndarray]:
+def riem_contract_field(R: RiemannField, sections: np.ndarray) -> list[np.ndarray]:
     """R^r_{smn} xi_r v^s w1^m w2^n = (g^-1 xi ^ v)^T R (w1 ^ w2) as a scalar
     field, one per section; `sections` has shape (S, 4, n), rows (v, w1, w2, xi).
 
@@ -250,12 +240,12 @@ def riem_contract_field(R: RiemannField, g: MetricField,
     combination of the distinct products g^ir R_IJ (i <= r, I <= J),
     formed once for all sections.
     """
-    n = g.lattice.n
+    n = R.metric.lattice.n
     v, w1, w2, xi = np.moveaxis(sections, 1, 0)
     ei_v = _wedge(np.eye(n), v[:, None, :])  # (S, i, I)
     coef = np.einsum("sr,siI,sJ->sIJir", xi, ei_v, _wedge(w1, w2))
     coef = _fold(np.moveaxis(_fold(coef), -1, 1))  # (S, ir, IJ)
-    ginv = g.inverse()
+    ginv = R.metric.inverse()
     big_i, big_j = np.triu_indices(R.riem.shape[-1])
     products = [ginv[..., i, r] * R.riem[..., I, J]
                 for i, r in zip(*np.triu_indices(n)) for I, J in zip(big_i, big_j)]
@@ -292,26 +282,32 @@ def _lower_inverse(L: np.ndarray) -> np.ndarray:
     return inv
 
 
-def sec_extreme_fields(g: MetricField, R: RiemannField):
-    """Per-node (min, max) of the sectional curvature over all 2-planes.
+def sec_extreme_fields(R: RiemannField):
+    """Per-node (min, max) of the sectional curvature over all 2-planes, and
+    the scalar curvature, from one solve of the pencil (R, G), G = Lambda^2 g.
 
     The extremes are the extreme eigenvalues of G^-1 R, found as those of
     L^-1 R L^-T with G = L L^T; exact in dimensions 2 and 3, where every
-    bivector spans a plane.  They are solved on R.mask only, and both
-    fields are NaN off it, where R is not a curvature.
+    bivector spans a plane.  The scalar curvature g^ac g^bd R_abcd is
+    2 tr(G^-1 R), the trace of that same matrix; in 2-d, where G^-1 R is the
+    one number k, it is 2k.  All three fields are solved on R.mask only, and
+    are NaN off it, where R is not a curvature.
     """
-    n = g.lattice.n
+    n = R.metric.lattice.n
     if n > 3:
         raise ValueError(f"exact sectional extremes need dimension 2 or 3, got {n}")
-    G = _lambda2(g.matrices()[R.mask])
+    G = _lambda2(unpack_symmetric(R.metric.comps[R.mask], n))
     riem = R.riem[R.mask]
-    lo = np.full(R.mask.shape, np.nan)
-    hi = np.full(R.mask.shape, np.nan)
+    lo, hi, scalar = (np.full(R.mask.shape, np.nan) for _ in range(3))
     if n == 2:
-        lo[R.mask] = hi[R.mask] = riem[:, 0, 0] / G[:, 0, 0]
-        return lo, hi
+        k = riem[:, 0, 0] / G[:, 0, 0]
+        lo[R.mask] = hi[R.mask] = k
+        scalar[R.mask] = 2.0 * k
+        return lo, hi, scalar
     Linv = _lower_inverse(np.linalg.cholesky(G))
-    ev = np.linalg.eigvalsh(Linv @ riem @ np.swapaxes(Linv, -2, -1))
+    pencil = Linv @ riem @ np.swapaxes(Linv, -2, -1)
+    ev = np.linalg.eigvalsh(pencil)
     lo[R.mask] = ev[:, 0]
     hi[R.mask] = ev[:, -1]
-    return lo, hi
+    scalar[R.mask] = 2.0 * np.trace(pencil, axis1=-2, axis2=-1)
+    return lo, hi, scalar

@@ -144,7 +144,15 @@ def build_geometry(n: int, r: float, charts, transitions=(), *, plateau: float,
         for cid, gen, params in charts:
             where = f"chart {cid!r}: {gen}"
             lam = _GENERATORS[gen][1](n, r, params)
-            ends = lam(np.zeros(n)), lam(np.full(n, r))
+            try:
+                with np.errstate(over="raise", divide="raise", invalid="raise"):
+                    ends = lam(np.zeros(n)), lam(np.full(n, r))
+            except ArithmeticError as exc:
+                raise ValueError(f"conformal factor cannot be evaluated at the origin "
+                                 f"and the corner: {exc}") from None
+            if not all(0.0 < v < math.inf for v in ends):
+                raise ValueError(f"conformal factor must be finite and positive at the origin "
+                                 f"and the corner, got {ends[0]:.6g} and {ends[1]:.6g}")
             Q = max(Q, 0.5 * max(abs(math.log(v)) for v in ends))
             built.append(Chart(id=cid, r=r, metric=_conformal(lam)))
         for a, b, mp, params in transitions:
@@ -173,6 +181,8 @@ def perturb(geometry: ModelGeometry, a: float, alpha: float) -> ModelGeometry:
         raise ValueError("perturb requires a single-chart geometry")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
+    if not math.isfinite(a):
+        raise ValueError(f"perturbation amplitude amp must be finite, got {a}")
     base_chart = geometry.atlas.charts[0]
     n = geometry.n
     r = base_chart.r
@@ -219,10 +229,11 @@ def get_geometry(name: str, R: float = 1.0, amp: float = 0.1,
         "flat{}": dict(flat, charts=[("a", "flat", {}), ("b", "flat", {})], transitions=[
             ("a", "b", "affine", {"theta": math.pi / 6.0, "shift": 0.25})]),
         "flat{}-single": dict(flat, charts=[("a", "flat", {})]),
-        # 1/R^2 only for R > 0: the builder refuses the others
+        # 1/R^2 only for R > 0, taken as 1/R/R: R**2 underflows to 0 at R = 1e-200,
+        # where the builder, not a ZeroDivisionError, refuses the radius
         "sphere{}": dict(r=rs, charts=[("north", *cap), ("south", *cap)],
                          transitions=[("north", "south", "inversion", {"R": R})],
-                         plateau=0.55 * rs, reference_sec=1.0 / R**2 if R > 0.0 else None,
+                         plateau=0.55 * rs, reference_sec=1.0 / R / R if R > 0.0 else None,
                          curvature_radius=R),
         "hyperbolic{}": dict(r=0.5, charts=[("ball", "poincare_ball", {})], plateau=0.3125,
                              reference_sec=-1.0, curvature_radius=0.4),

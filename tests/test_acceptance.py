@@ -68,7 +68,7 @@ def test_criterion_2_constant_curvature_convergence():
             g = sample_metric(geo.atlas.charts[0].metric, lat)
             R = riemann(g)
             region = lat.ball_mask(geo.curvature_radius / 2.0) & R.mask
-            lo, hi = sec_extreme_fields(g, R)
+            lo, hi, _ = sec_extreme_fields(R)
             errs.append(max(abs(lo[region].min() - expect), abs(hi[region].max() - expect)))
             hs.append(lat.h)
         order = float(np.polyfit(np.log(hs), np.log(errs), 1)[0])
@@ -94,7 +94,7 @@ def test_criterion_2_constant_curvature_convergence_3d():
             g = sample_metric(geo.atlas.charts[0].metric, lat)
             R = riemann(g)
             region = lat.ball_mask(geo.curvature_radius / 2.0) & R.mask
-            lo, hi = sec_extreme_fields(g, R)
+            lo, hi, _ = sec_extreme_fields(R)
             errs.append(max(abs(lo[region].min() - expect), abs(hi[region].max() - expect)))
             hs.append(lat.h)
         order = float(np.polyfit(np.log(hs), np.log(errs), 1)[0])

@@ -14,8 +14,8 @@ from scipy import ndimage
 import mollilab
 from mollilab import cli
 from mollilab.atlas import assemble_mollified
-from mollilab.curvature import (riem_contract_field, riemann, scalar_curvature,
-                                sec_extreme_fields, section_norm_fields)
+from mollilab.curvature import (riem_contract_field, riemann, sec_extreme_fields,
+                                section_norm_fields)
 from mollilab.kernels import scale_kernel
 from mollilab.lattice import MetricField
 from mollilab.modelzoo import get_geometry
@@ -54,7 +54,8 @@ class TestConfig:
 
     @pytest.mark.parametrize("field,value", [("m", 4), ("m", 80),
                                              ("alpha", 0.0), ("alpha", 1.0),
-                                             ("p", 1.0), ("order", -1),
+                                             ("p", 1.0), ("p", math.inf), ("p", math.nan),
+                                             ("order", -1),
                                              ("seed", -1)])
     def test_bad_values_rejected(self, field, value):
         cfg = ExperimentConfig(**{field: value})
@@ -122,11 +123,9 @@ def _curvature_rows(argv):
     X = lat.coords()
     rows = []
     for cid, g in sorted(samples.items()):
-        metrics = [g] + ([mollified[cid]] if mollified else [])
-        Rs = [riemann(gm) for gm in metrics]
+        Rs = [riemann(gm) for gm in [g] + ([mollified[cid]] if mollified else [])]
         valid = np.logical_and.reduce([R.mask for R in Rs])
-        fields = [f for gm, R in zip(metrics, Rs)
-                  for f in (*sec_extreme_fields(gm, R), scalar_curvature(gm, R))]
+        fields = [f for R in Rs for f in sec_extreme_fields(R)]
         for node in np.argwhere(valid).tolist():
             idx = tuple(node)
             rows.append([cid, "/".join(map(str, node)), *X[idx].tolist(),
@@ -226,6 +225,23 @@ class TestCurvatureCommand:
         assert code == EXIT_OK
         assert len(calls) == 4
 
+    def test_each_metric_inverted_once(self, tmp_path, monkeypatch):
+        # the Riemann builder inverts each of the four metrics; the scalar
+        # curvature comes from the solve that gives the extremes, which
+        # inverts none
+        calls = []
+        inverse = MetricField.inverse
+
+        def counted(g):
+            calls.append(g)
+            return inverse(g)
+
+        monkeypatch.setattr(MetricField, "inverse", counted)
+        code = main(["curvature", "--geometry", "sphere3", "--m", "25", "--t", "0.3",
+                     "--out", str(tmp_path / "c.csv")])
+        assert code == EXIT_OK
+        assert len(calls) == 4
+
 
 def _refiltered_deviation_records(cfg):
     """Reference: the deviation sweep refiltering every envelope from the raw
@@ -241,27 +257,26 @@ def _refiltered_deviation_records(cfg):
     g = samples[cid]
     Q = check_N0(g)
     base_R = riemann(g)
-    lo0, hi0 = sec_extreme_fields(g, base_R)
+    lo0, hi0, _ = sec_extreme_fields(base_R)
     lo0 = np.where(base_R.mask, lo0, np.inf)
     hi0 = np.where(base_R.mask, hi0, -np.inf)
     sections = np.concatenate([cli._coordinate_sections(geo.n),
                                cli._random_sections(geo.n, 8, cfg.seed)])
     base_contr = [np.where(base_R.mask, c, -np.inf)
-                  for c in riem_contract_field(base_R, g, sections)]
+                  for c in riem_contract_field(base_R, sections)]
     norm_fields = [np.maximum(nf, 1e-30) for nf in section_norm_fields(g, sections)]
     probe = lat.ball_mask(geo.r / 4.0, norm="max")
     records = []
     for t in cfg.scales(geo.r):
-        gt = assemble_mollified(geo.atlas, samples, scale_kernel(geo.n, t, lat.h))[cid]
-        Rt = riemann(gt)
+        Rt = riemann(assemble_mollified(geo.atlas, samples, scale_kernel(geo.n, t, lat.h))[cid])
         region = probe & Rt.mask & base_R.mask
         steps = math.ceil(math.exp(Q) * t / lat.h) + 1
         r_exc = 0.0
-        for at, b0, nf in zip(riem_contract_field(Rt, gt, sections), base_contr, norm_fields):
+        for at, b0, nf in zip(riem_contract_field(Rt, sections), base_contr, norm_fields):
             exc = (at - ball_filter(b0, steps, "max")) / nf
             r_exc = max(r_exc, float(exc[region].max()))
         steps_sec = math.ceil(t / lat.h) + 1
-        lot, hit = sec_extreme_fields(gt, Rt)
+        lot, hit, _ = sec_extreme_fields(Rt)
         lo_ball = ball_filter(lo0, steps_sec, "min")
         hi_ball = ball_filter(hi0, steps_sec, "max")
         c = cli.INTERVAL_SLACK * t
@@ -369,6 +384,16 @@ class TestLemmasCommand:
         for _, _, _, _, _, ratio in sups:
             assert ratio <= 1.0
 
+    def test_m_the_sweep_cannot_run_is_config_error(self, tmp_path, capsys):
+        # at m <= 17 the largest scale, r/8, is not above h
+        out = tmp_path / "l.csv"
+        assert main(["lemmas", "--m", "17", "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err and "m=17" in err and "m >= 19" in err
+        assert not out.exists()
+        assert main(["lemmas", "--m", "19", "--out", str(out)]) == EXIT_OK
+        assert out.exists()
+
 
 class TestCoverCommand:
     def test_flat_single_chart(self):
@@ -426,7 +451,12 @@ class TestCoverCommand:
         (2, "sphere_conformal R=1.0", "inversion R=-1.0",
          "transition a b: inversion R must be positive and finite, got -1.0"),
         (3, "poincare_ball", "", "chart 'a': poincare_ball needs the chart cube inside the "
-                                 "unit ball")], ids=["sphere_R", "inversion_R", "poincare_cube"])
+                                 "unit ball"),
+        (2, "sphere_conformal R=1e200", "inversion R=1.0",
+         "chart 'a': sphere_conformal conformal factor cannot be evaluated"),
+        (2, "sphere_conformal R=1e-200", "inversion R=1.0",
+         "chart 'a': sphere_conformal conformal factor cannot be evaluated")],
+        ids=["sphere_R", "inversion_R", "poincare_cube", "sphere_R_huge", "sphere_R_tiny"])
     def test_bad_parameter_value_is_config_error(self, tmp_path, capsys, dim, generator, map_,
                                                  culprit):
         # the builder checks the values the text checks let through
@@ -509,6 +539,20 @@ class TestMainExitCodes:
             assert code == EXIT_CONFIG
             err = capsys.readouterr().err
             assert "config error" in err and "order" in err and named in err
+
+    @pytest.mark.parametrize("argv,named", [
+        (["curvature", "--geometry", "pflat2", "--amp", "nan"], "amp must be finite, got nan"),
+        (["curvature", "--geometry", "pflat3", "--amp=-inf"], "amp must be finite, got -inf"),
+        (["curvature", "--geometry", "sphere2", "--R", "1e150"], "chart 'north'"),
+        (["curvature", "--geometry", "sphere3", "--R", "1e-200"], "chart 'north'")],
+        ids=["amp_nan", "amp_minus_inf", "R_huge", "R_tiny"])
+    def test_bad_setting_value_is_config_error(self, tmp_path, capsys, argv, named):
+        # values that pass the type conversion but no stage can use
+        out = tmp_path / "o.csv"
+        assert main([*argv, "--m", "21", "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and named in err
+        assert not out.exists()
 
     def test_numerical_error(self, tmp_path, capsys):
         # scale below the resolution limit: a numerical failure, not config

@@ -8,8 +8,8 @@ from mollilab.atlas import assemble_mollified
 import mollilab.curvature as curvature
 from mollilab.curvature import (RiemannField, _contract_first, _crop_to_mask, _lambda2,
                                 _pair_axes, _s_tensor, _slab_parts, _wedge,
-                                riem_contract_field, riemann, scalar_curvature,
-                                sec_extreme_fields, section_norm_fields)
+                                riem_contract_field, riemann, sec_extreme_fields,
+                                section_norm_fields)
 from mollilab.kernels import scale_kernel
 from mollilab.lattice import (MetricField, _jet_blocks, differentiate, erode_mask,
                               make_lattice, pack_map, pack_symmetric, sample_metric)
@@ -87,10 +87,10 @@ def _parts(g):
     return A, B, erode_mask(gc.mask, 2)
 
 
-def _sec_range(g, R, region):
+def _sec_range(R, region):
     """(min, max) of the exact sectional extremes over region & R.mask."""
     region = region & R.mask
-    lo, hi = sec_extreme_fields(g, R)
+    lo, hi, _ = sec_extreme_fields(R)
     return lo[region].min(), hi[region].max()
 
 
@@ -252,7 +252,7 @@ class TestContractions:
         s = np.array([[1.0, 0.3], [0.2, 1.0], [1.0, -1.0], [0.5, 0.5]])  # v, w1, w2, xi
         s2 = s.copy()
         s2[0] *= 2.0
-        val, val2 = riem_contract_field(R, g, np.stack([s, s2]))
+        val, val2 = riem_contract_field(R, np.stack([s, s2]))
         assert np.allclose(val2[R.mask], 2.0 * val[R.mask], rtol=1e-12, atol=0.0)
 
     def test_matches_full_tensor_contraction(self):
@@ -263,7 +263,7 @@ class TestContractions:
         sections = rng.standard_normal((3, 4, 3))
         full = _full_tensor(R.riem, 3)
         ginv = np.linalg.inv(g.matrices())
-        for (v, w1, w2, xi), got in zip(sections, riem_contract_field(R, g, sections)):
+        for (v, w1, w2, xi), got in zip(sections, riem_contract_field(R, sections)):
             # R^r_{smn} xi_r v^s w1^m w2^n with the first index raised by g^-1
             want = np.einsum("...rsmn,...r,s,m,n->...", full, ginv @ xi, v, w1, w2)
             scale = np.abs(want[R.mask]).max()
@@ -315,7 +315,7 @@ class TestContractionsMatchPerSectionFormula:
         rng = np.random.Generator(np.random.Philox(key=11))
         sections = np.concatenate([rng.standard_normal((6, 4, n)),
                                    np.eye(n)[[[0, 1, 0, n - 1]]]])
-        got = riem_contract_field(R, g, sections)
+        got = riem_contract_field(R, sections)
         for (v, w1, w2, xi), c, want in zip(sections, got,
                                             _contract_per_section(R, g, sections)):
             assert c.shape == lat.shape and c.flags.c_contiguous
@@ -344,7 +344,7 @@ class TestContractionsMatchPerSectionFormula:
         lat = make_lattice(2, 0.5, 9)
         g = sample_metric(_flat(2), lat)
         none = np.empty((0, 4, 2))
-        assert riem_contract_field(riemann(g), g, none) == []
+        assert riem_contract_field(riemann(g), none) == []
         assert section_norm_fields(g, none) == []
 
 
@@ -393,7 +393,7 @@ class TestSectional:
             g = sample_metric(_conformal(lam), lat)
             R = riemann(g)
             region = lat.ball_mask(0.2)
-            lo, hi = _sec_range(g, R, region)
+            lo, hi = _sec_range(R, region)
             errs.append(max(abs(lo - expect), abs(hi - expect)))
             hs.append(lat.h)
         assert np.polyfit(np.log(hs), np.log(errs), 1)[0] >= 1.8
@@ -402,14 +402,14 @@ class TestSectional:
         lat = make_lattice(3, 0.4, 21)
         g = sample_metric(_conformal(_sphere_lam()), lat)
         R = riemann(g)
-        lo, hi = _sec_range(g, R, lat.ball_mask(0.2))
+        lo, hi = _sec_range(R, lat.ball_mask(0.2))
         assert lo <= hi
 
     def test_extreme_fields_bracket_plane_values(self):
         lat = make_lattice(3, 0.4, 21)
         g = sample_metric(_conformal(_sphere_lam()), lat)
         R = riemann(g)
-        lo, hi = sec_extreme_fields(g, R)
+        lo, hi, _ = sec_extreme_fields(R)
         sec = sectional_field(g, R, np.eye(3)[0], np.eye(3)[1])
         good = R.mask & np.isfinite(sec)
         assert np.all(lo[good] <= sec[good] + 1e-12)
@@ -420,7 +420,7 @@ class TestSectional:
         lat = make_lattice(3, 0.5, 15)
         g = sample_metric(_smooth_metric(seed), lat)
         R = riemann(g)
-        lo, hi = sec_extreme_fields(g, R)
+        lo, hi, _ = sec_extreme_fields(R)
         # bounds: no plane of the former sampled family leaves [lo, hi]
         for v, w in _plane_family():
             sec = sectional_field(g, R, v, w)
@@ -456,7 +456,7 @@ class TestSectional:
         g = sample_metric(_smooth_metric(2, n=2), lat)
         R = riemann(g)
         assert R.riem.shape == lat.shape + (1, 1)
-        lo, hi = sec_extreme_fields(g, R)
+        lo, hi, _ = sec_extreme_fields(R)
         assert np.array_equal(lo[R.mask], hi[R.mask])
         sec = sectional_field(g, R, np.array([1.0, 0.4]), np.array([-0.3, 2.0]))
         assert np.allclose(sec[R.mask], lo[R.mask], rtol=1e-12, atol=1e-14)
@@ -466,7 +466,7 @@ class TestSectional:
         lat = make_lattice(3, 0.5, 11)
         g = sample_metric(_smooth_metric(seed), lat)
         R = riemann(g)
-        lo, hi = sec_extreme_fields(g, R)
+        lo, hi, _ = sec_extreme_fields(R)
         ev = np.sort(np.linalg.eigvals(np.linalg.solve(_lambda2(g.matrices()), R.riem)).real)
         scale = np.abs(ev).max(axis=-1)
         assert np.all(np.abs(lo - ev[..., 0])[R.mask] <= 1e-13 * scale[R.mask])
@@ -475,9 +475,9 @@ class TestSectional:
     def test_extremes_reject_dimension_above_3(self):
         lat = make_lattice(4, 1.0, 5)
         g = sample_metric(_flat(4), lat)
-        R = RiemannField(lattice=lat, riem=np.zeros(lat.shape + (6, 6)), mask=g.mask)
+        R = RiemannField(metric=g, riem=np.zeros(lat.shape + (6, 6)), mask=g.mask)
         with pytest.raises(ValueError, match="dimension 2 or 3"):
-            sec_extreme_fields(g, R)
+            sec_extreme_fields(R)
 
 
 def _whole_grid_extremes(g: MetricField, R: RiemannField):
@@ -520,17 +520,59 @@ class TestExtremesOnMask:
         for g in _on_mask_cases(name):
             R = riemann(g)
             assert R.mask.any() and not R.mask.all()
-            for field, ref in zip(sec_extreme_fields(g, R), _whole_grid_extremes(g, R)):
+            for field, ref in zip(sec_extreme_fields(R)[:2], _whole_grid_extremes(g, R)):
                 assert np.array_equal(field[R.mask], ref[R.mask])
                 assert np.isnan(field[~R.mask]).all()
 
     @pytest.mark.parametrize("name", ["sphere2", "sphere3", "pflat3", "hyperbolic3"])
     def test_scalar_bit_equal_to_whole_grid_and_nan_off_mask(self, name):
+        # the pencil's trace and the whole-grid contraction with Lambda^2 g^-1
+        # round differently; they agree to 1e-14 relative (measured <= 6.5e-16)
         for g in _on_mask_cases(name):
             R = riemann(g)
             assert R.mask.any() and not R.mask.all()
-            sc = scalar_curvature(g, R)
-            assert np.array_equal(sc[R.mask], _whole_grid_scalar(g, R)[R.mask])
+            sc = sec_extreme_fields(R)[2]
+            ref = _whole_grid_scalar(g, R)[R.mask]
+            assert np.all(np.abs(sc[R.mask] - ref) <= 1e-14 * np.maximum(1.0, np.abs(ref)))
+            assert np.isnan(sc[~R.mask]).all()
+
+
+class TestScalarFromPencil:
+    @pytest.mark.parametrize("seed", range(2))
+    def test_twice_the_sum_over_an_orthonormal_frame(self, seed):
+        # independent of the pencil's trace and of Lambda^2 g^-1: at 12
+        # nodes, s = 2 sum_{i<j} K(e_i, e_j) over a g-orthonormal frame e,
+        # made by Gram-Schmidt in g from seeded random vectors
+        lat = make_lattice(3, 0.5, 15)
+        g = sample_metric(_smooth_metric(seed), lat)
+        R = riemann(g)
+        sc = sec_extreme_fields(R)[2]
+        mats = g.matrices()
+        nodes = np.argwhere(R.mask)
+        rng = np.random.Generator(np.random.Philox(key=20 + seed))
+        for node in map(tuple, nodes[rng.choice(len(nodes), 12, replace=False)]):
+            gm = mats[node]
+            frame = []
+            for u in rng.standard_normal((3, 3)):
+                for e in frame:
+                    u = u - (u @ gm @ e) * e
+                frame.append(u / np.sqrt(u @ gm @ u))
+            total = 0.0
+            for i in range(3):
+                for j in range(i + 1, 3):
+                    v, w = frame[i], frame[j]
+                    om = _wedge(v, w)
+                    gram = (v @ gm @ v) * (w @ gm @ w) - (v @ gm @ w) ** 2
+                    total += om @ R.riem[node] @ om / gram
+            scale = max(1.0, np.abs(R.riem[node]).max())
+            assert abs(sc[node] - 2.0 * total) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("name", ["sphere2", "hyperbolic2", "pflat2"])
+    def test_twice_the_sectional_curvature_in_2d(self, name):
+        for g in _on_mask_cases(name):
+            R = riemann(g)
+            lo, hi, sc = sec_extreme_fields(R)
+            assert np.array_equal(sc[R.mask], 2.0 * lo[R.mask])
             assert np.isnan(sc[~R.mask]).all()
 
 
@@ -544,10 +586,9 @@ class TestRicciScalar:
         g = sample_metric(_conformal(lam), lat)
         R = riemann(g)
         region = lat.ball_mask(0.15) & R.mask
-        lo, hi = sec_extreme_fields(g, R)
+        lo, hi, sc = sec_extreme_fields(R)
         for field in (lo, hi):
             assert np.abs(field[region] - sec).max() < 5e-3 * abs(sec)
-        sc = scalar_curvature(g, R)
         assert np.abs(sc[region] - n * (n - 1) * sec).max() < 5e-3 * abs(
             n * (n - 1) * sec)
 

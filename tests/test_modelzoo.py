@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mollilab import modelzoo
 from mollilab.lattice import sample_metric
 from mollilab.modelzoo import (build_geometry, get_geometry, parse_atlas_file, parse_atlas_text,
                                perturb)
@@ -54,6 +55,17 @@ class TestRegistry:
         with pytest.raises(ValueError, match="dim must be 2 or 3, got 4"):
             build_geometry(4, 0.25, [("a", generator, {})], plateau=0.125, reference_sec=None,
                            curvature_radius=0.25)
+
+    def test_factor_zero_at_the_corner_rejected(self, monkeypatch):
+        def vanishing(n, r, params):
+            return lambda X: np.maximum(1.0 - (X**2).sum(axis=-1) / (n * r * r), 0.0)
+
+        monkeypatch.setitem(modelzoo._GENERATORS, "vanishing", ((), vanishing))
+        with pytest.raises(ValueError, match=r"^chart 'a': vanishing conformal factor must be "
+                                             r"finite and positive at the origin and the corner, "
+                                             r"got 1 and 0$"):
+            build_geometry(2, 1.0, [("a", "vanishing", {})], plateau=0.5, reference_sec=None,
+                           curvature_radius=1.0)
 
 
 class TestReferenceConstants:
