@@ -83,17 +83,21 @@ def load_config_file(path) -> dict:
     """key=value lines; '#' starts a comment; keys may use '-' or '_'."""
     out, lines = {}, {}
     with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, sep, val = line.partition("=")
-            if not sep or not key.strip():
-                raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
-            key = key.strip().replace("-", "_")
-            if key in lines:
-                raise ConfigError(f"{path}:{lineno}: key {key!r} repeats line {lines[key]}")
-            out[key], lines[key] = val.strip(), lineno
+        try:
+            raws = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"bad config file {path}: {exc}") from None
+    for lineno, raw in enumerate(raws, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, sep, val = line.partition("=")
+        if not sep or not key.strip():
+            raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
+        key = key.strip().replace("-", "_")
+        if key in lines:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} repeats line {lines[key]}")
+        out[key], lines[key] = val.strip(), lineno
     return out
 
 
@@ -140,9 +144,12 @@ def write_text(path, text: str) -> None:
     """Write to stdout, or to `path` with LF line endings."""
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", newline="\n") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 @dataclass(frozen=True)
@@ -563,7 +570,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return EXIT_CONFIG
-    except (ValueError, FloatingPointError, np.linalg.LinAlgError) as exc:
+    except (ValueError, FloatingPointError, np.linalg.LinAlgError, MemoryError) as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return EXIT_NUMERICAL
 

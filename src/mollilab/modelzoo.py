@@ -1,14 +1,15 @@
 """Analytic example geometries with known curvature and transitions.
 
-Conformal charts only: flat space, the round sphere via two inversion-
-related stereographic charts, and the Poincare ball.  Each constant-
-curvature model carries its closed-form sectional curvature as
+Flat space, the round sphere via two inversion-related stereographic
+charts, the Poincare ball, and flat space with a rough bump.  Each
+constant-curvature model carries its closed-form sectional curvature as
 `reference_sec`; the tests check that the sampled curvature converges to
-it.  Rough perturbations produce metrics of limited smoothness for the
+it.  The rough bump (`pflat`) gives metrics of limited smoothness for the
 scaling experiments.  The shipped models and plain-text atlas files are
-descriptions of one kind, charts naming a conformal factor and transitions
-naming a map, and `build_geometry` makes every `ModelGeometry` from one,
-with the eigenvalue bound Q of its factors.
+descriptions of one kind, charts naming a generator and transitions naming
+a map, and `build_geometry` makes every `ModelGeometry` from one.  Each
+generator declares the eigenvalue bound Q of its chart metric, and a
+geometry's Q is the largest of its charts'.
 """
 from __future__ import annotations
 
@@ -21,11 +22,23 @@ from .atlas import Atlas, BumpProfile, Chart, Transition
 from .lattice import Lattice, make_lattice, sample_metric
 
 
-def _conformal(lam):
+def _conformal(n: int, r: float, lam) -> tuple:
+    """The chart metric lam(x) I of a conformal factor on the cube [-r, r]^n,
+    and its Q: half the larger |log lam| at the origin and at a cube corner,
+    exact, as every factor is radial and monotone in |x| on the cube."""
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            ends = lam(np.zeros(n)), lam(np.full(n, r))
+    except ArithmeticError as exc:
+        raise ValueError(f"conformal factor cannot be evaluated at the origin "
+                         f"and the corner: {exc}") from None
+    if not all(0.0 < v < math.inf for v in ends):
+        raise ValueError(f"conformal factor must be finite and positive at the origin "
+                         f"and the corner, got {ends[0]:.6g} and {ends[1]:.6g}")
+
     def gen(X):
-        n = X.shape[-1]
         return lam(X)[..., None, None] * np.eye(n)
-    return gen
+    return gen, 0.5 * max(abs(math.log(v)) for v in ends)
 
 
 def _unit_factor(X):
@@ -52,6 +65,38 @@ def _radius_R(params: dict) -> float:
     if not 0.0 < R < math.inf:
         raise ValueError(f"R must be positive and finite, got {R}")
     return R
+
+
+def _pflat(n: int, r: float, params: dict) -> tuple:
+    """Flat space plus a C^{1,alpha}-but-not-C^2 bump a w(x)|x|^{1+alpha} u u^T,
+    centred at the chart origin, with u the unit diagonal direction.
+
+    Q bounds the chart metric by Weyl's inequality: u u^T has eigenvalues
+    0 and 1, and P >= sup_d w(d) d^{1+alpha}.
+    """
+    a, alpha = params.get("amp", 0.1), params.get("alpha", 0.6)
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    if not math.isfinite(a):
+        raise ValueError(f"perturbation amplitude amp must be finite, got {a}")
+    shape_bump = BumpProfile(plateau=0.35 * r, support=0.7 * r)
+    u = np.ones(n) / math.sqrt(n)
+    E = np.outer(u, u)
+
+    def gen(X):
+        d = np.sqrt((X**2).sum(axis=-1))
+        amp = a * shape_bump(d) * d ** (1.0 + alpha)
+        return np.eye(n) + amp[..., None, None] * E
+
+    # w is non-increasing and d^{1+alpha} increasing, so on each cell of a
+    # radial grid w(d_k) d_{k+1}^{1+alpha} bounds the profile from above
+    d = np.linspace(0.0, shape_bump.support, 20001)
+    P = float((shape_bump(d[:-1]) * d[1:] ** (1.0 + alpha)).max())
+    # amplitude cap: the perturbation stays below half the flat eigenvalue 1
+    if abs(a) * P > 0.5:
+        raise ValueError("perturbation amplitude exceeds the positive-definiteness cap")
+    return gen, max(0.0, 0.5 * math.log(1.0 + max(a, 0.0) * P),
+                    -0.5 * math.log(1.0 - max(-a, 0.0) * P))
 
 
 def _inversion(R: float) -> tuple:
@@ -114,11 +159,12 @@ class ModelGeometry:
         return {c.id: sample_metric(c.metric, lat) for c in self.atlas.charts}
 
 
-# each entry: (parameter names, conformal factor from (n, r, parameters))
+# each entry: (parameter names, (chart metric, its Q) from (n, r, parameters))
 _GENERATORS = {
-    "flat": ((), lambda n, r, p: _unit_factor),
-    "sphere_conformal": (("R",), lambda n, r, p: _sphere_factor(_radius_R(p))),
-    "poincare_ball": ((), lambda n, r, p: _poincare_factor(n, r)),
+    "flat": ((), lambda n, r, p: _conformal(n, r, _unit_factor)),
+    "sphere_conformal": (("R",), lambda n, r, p: _conformal(n, r, _sphere_factor(_radius_R(p)))),
+    "poincare_ball": ((), lambda n, r, p: _conformal(n, r, _poincare_factor(n, r))),
+    "pflat": (("amp", "alpha"), _pflat),
 }
 
 # each entry: (parameter names, (map, Jacobian, inverse map, its Jacobian) from (n, parameters))
@@ -133,9 +179,8 @@ def build_geometry(n: int, r: float, charts, transitions=(), *, plateau: float,
                    reference_sec: float | None, curvature_radius: float) -> ModelGeometry:
     """The geometry of charts (id, `_GENERATORS` name, parameters) of radius r
     and transitions (a, b, `_MAPS` name, parameters), each map sending
-    b-coordinates to a-coordinates.  Q is the largest chart Q, half the larger
-    |log lambda| of the chart's conformal factor at the origin and at a cube
-    corner: exact, as every factor is radial and monotone in |x| on the cube.
+    b-coordinates to a-coordinates.  Q is the largest Q its charts'
+    generators declare.
     """
     if n not in (2, 3):
         raise ValueError(f"dim must be 2 or 3, got {n}")
@@ -143,18 +188,9 @@ def build_geometry(n: int, r: float, charts, transitions=(), *, plateau: float,
     try:  # a bad parameter value names its chart or transition
         for cid, gen, params in charts:
             where = f"chart {cid!r}: {gen}"
-            lam = _GENERATORS[gen][1](n, r, params)
-            try:
-                with np.errstate(over="raise", divide="raise", invalid="raise"):
-                    ends = lam(np.zeros(n)), lam(np.full(n, r))
-            except ArithmeticError as exc:
-                raise ValueError(f"conformal factor cannot be evaluated at the origin "
-                                 f"and the corner: {exc}") from None
-            if not all(0.0 < v < math.inf for v in ends):
-                raise ValueError(f"conformal factor must be finite and positive at the origin "
-                                 f"and the corner, got {ends[0]:.6g} and {ends[1]:.6g}")
-            Q = max(Q, 0.5 * max(abs(math.log(v)) for v in ends))
-            built.append(Chart(id=cid, r=r, metric=_conformal(lam)))
+            metric, chart_Q = _GENERATORS[gen][1](n, r, params)
+            Q = max(Q, chart_Q)
+            built.append(Chart(id=cid, r=r, metric=metric))
         for a, b, mp, params in transitions:
             where = f"transition {a} {b}: {mp}"
             fwd, fwd_jac, bwd, bwd_jac = _MAPS[mp][1](n, params)
@@ -167,53 +203,6 @@ def build_geometry(n: int, r: float, charts, transitions=(), *, plateau: float,
                          curvature_radius=curvature_radius)
 
 
-def perturb(geometry: ModelGeometry, a: float, alpha: float) -> ModelGeometry:
-    """Add a C^{1,alpha}-but-not-C^2 component bump a w(x)|x|^{1+alpha} u u^T,
-    centred at the chart origin, with u the unit diagonal direction.
-
-    Only single-chart geometries can be perturbed (the perturbation is
-    expressed in one chart's coordinates).  The declared Q bounds the
-    perturbed generator by Weyl's inequality: the base eigenvalues lie in
-    [e^{-2Q_b}, e^{2Q_b}], u u^T has eigenvalues 0 and 1, and
-    P >= sup_d w(d) d^{1+alpha}.
-    """
-    if len(geometry.atlas.charts) != 1:
-        raise ValueError("perturb requires a single-chart geometry")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
-    if not math.isfinite(a):
-        raise ValueError(f"perturbation amplitude amp must be finite, got {a}")
-    base_chart = geometry.atlas.charts[0]
-    n = geometry.n
-    r = base_chart.r
-    shape_bump = BumpProfile(plateau=0.35 * r, support=0.7 * r)
-    u = np.ones(n) / math.sqrt(n)
-    E = np.outer(u, u)
-    base_gen = base_chart.metric
-
-    def gen(X):
-        d = np.sqrt((X**2).sum(axis=-1))
-        amp = a * shape_bump(d) * d ** (1.0 + alpha)
-        return base_gen(X) + amp[..., None, None] * E
-
-    # w is non-increasing and d^{1+alpha} increasing, so on each cell of a
-    # radial grid w(d_k) d_{k+1}^{1+alpha} bounds the profile from above
-    d = np.linspace(0.0, shape_bump.support, 20001)
-    P = float((shape_bump(d[:-1]) * d[1:] ** (1.0 + alpha)).max())
-    Qb = geometry.Q
-    # amplitude cap: the perturbation stays below half the base's eigenvalue bound
-    if abs(a) * P > 0.5 * math.exp(-2.0 * Qb):
-        raise ValueError("perturbation amplitude exceeds the positive-definiteness cap")
-    Q = max(Qb, 0.5 * math.log(math.exp(2.0 * Qb) + max(a, 0.0) * P),
-            -0.5 * math.log(math.exp(-2.0 * Qb) - max(-a, 0.0) * P))
-
-    chart = Chart(id=base_chart.id, r=r, metric=gen)
-    atl = Atlas(charts=(chart,), transitions={}, plateau=geometry.atlas.bump.plateau)
-    ref = geometry.reference_sec if a == 0.0 else None
-    return ModelGeometry(n=n, atlas=atl, Q=Q,
-                         reference_sec=ref, curvature_radius=geometry.curvature_radius)
-
-
 # ---------------------------------------------------------------------------
 # registry and atlas description files
 
@@ -221,7 +210,8 @@ def get_geometry(name: str, R: float = 1.0, amp: float = 0.1,
                  alpha: float = 0.6) -> ModelGeometry:
     """A shipped model in dimension 2 or 3 from its description: flat space in
     two charts glued by a rigid motion or in one, the sphere of radius R and
-    the Poincare ball; pflat is `perturb(amp, alpha)` of the one flat chart."""
+    the Poincare ball, and pflat, one flat chart with a bump of amplitude amp
+    and cusp exponent alpha."""
     flat = dict(r=1.0, plateau=0.625, reference_sec=0.0, curvature_radius=1.0)
     cap = ("sphere_conformal", {"R": R})
     rs = 2.0 * R  # two r/2-balls just cover the sphere
@@ -237,13 +227,13 @@ def get_geometry(name: str, R: float = 1.0, amp: float = 0.1,
                          curvature_radius=R),
         "hyperbolic{}": dict(r=0.5, charts=[("ball", "poincare_ball", {})], plateau=0.3125,
                              reference_sec=-1.0, curvature_radius=0.4),
+        "pflat{}": dict(flat, charts=[("a", "pflat", {"amp": amp, "alpha": alpha})],
+                        reference_sec=0.0 if amp == 0.0 else None),
     }
-    table = {key.format(n): (key, n) for key in [*models, "pflat{}"] for n in (2, 3)}
+    table = {key.format(n): (key, n) for key in models for n in (2, 3)}
     if name not in table:
         raise ValueError(f"unknown geometry {name!r}; known: {sorted(table)}")
     key, n = table[name]
-    if key == "pflat{}":
-        return perturb(build_geometry(n, **models["flat{}-single"]), amp, alpha)
     return build_geometry(n, **models[key])
 
 
@@ -280,7 +270,7 @@ def parse_atlas_text(text: str) -> ModelGeometry:
     keys exactly once.  Chart ids are unique, all charts share one finite
     r > 0, and each pair names two distinct declared charts; any other
     line or parameter is an error.  `build_geometry` then checks the
-    dimension and the parameter values and computes Q; the bump plateau
+    dimension, and each generator its parameter values; the bump plateau
     is r/2.
     """
     header: dict = {}

@@ -455,8 +455,14 @@ class TestCoverCommand:
         (2, "sphere_conformal R=1e200", "inversion R=1.0",
          "chart 'a': sphere_conformal conformal factor cannot be evaluated"),
         (2, "sphere_conformal R=1e-200", "inversion R=1.0",
-         "chart 'a': sphere_conformal conformal factor cannot be evaluated")],
-        ids=["sphere_R", "inversion_R", "poincare_cube", "sphere_R_huge", "sphere_R_tiny"])
+         "chart 'a': sphere_conformal conformal factor cannot be evaluated"),
+        (2, "pflat amp=50", "", "chart 'a': pflat perturbation amplitude exceeds the "
+                                "positive-definiteness cap"),
+        (2, "pflat alpha=1.5", "", "chart 'a': pflat alpha must lie in (0, 1), got 1.5"),
+        (2, "pflat amp=inf", "", "chart 'a': pflat perturbation amplitude amp must be finite, "
+                                 "got inf")],
+        ids=["sphere_R", "inversion_R", "poincare_cube", "sphere_R_huge", "sphere_R_tiny",
+             "pflat_amp_cap", "pflat_alpha", "pflat_amp_inf"])
     def test_bad_parameter_value_is_config_error(self, tmp_path, capsys, dim, generator, map_,
                                                  culprit):
         # the builder checks the values the text checks let through
@@ -523,6 +529,41 @@ class TestMainExitCodes:
         cfgf.write_text("m = seven\n")
         code = main(["curvature", "--config", str(cfgf)])
         assert code == EXIT_CONFIG
+
+    def test_config_file_not_utf8_is_config_error(self, tmp_path, capsys):
+        cfgf = tmp_path / "bad.cfg"
+        cfgf.write_bytes(b"\xff\n")
+        out = tmp_path / "c.csv"
+        code = main(["curvature", "--config", str(cfgf), "--m", "21", "--out", str(out)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: bad config file {cfgf}: 'utf-8' codec can't decode")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("where", ["missing/c.csv", "."], ids=["missing_dir", "directory"])
+    def test_unwritable_out_is_config_error(self, tmp_path, capsys, where):
+        out = tmp_path / where
+        code = main(["curvature", "--geometry", "flat2", "--m", "21", "--out", str(out)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot write {out}: ")
+        assert err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == []
+
+    def test_out_of_memory_is_numerical_failure(self, tmp_path, capsys, monkeypatch):
+        # a lattice too large for memory fails in whichever stage allocates
+        # first; a stage that raises MemoryError stands in for it here
+        def exhausted(g):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+        monkeypatch.setattr(cli, "riemann", exhausted)
+        out = tmp_path / "c.csv"
+        code = main(["curvature", "--geometry", "sphere2", "--m", "21", "--out", str(out)])
+        assert code == EXIT_NUMERICAL
+        assert capsys.readouterr().err == ("numerical failure: Unable to allocate 7.28 TiB "
+                                           "for an array\n")
+        assert not out.exists()
 
     def test_sweep_too_short_is_config_error(self, tmp_path, capsys):
         out = tmp_path / "d.csv"

@@ -7,8 +7,7 @@ import pytest
 
 from mollilab import modelzoo
 from mollilab.lattice import sample_metric
-from mollilab.modelzoo import (build_geometry, get_geometry, parse_atlas_file, parse_atlas_text,
-                               perturb)
+from mollilab.modelzoo import build_geometry, get_geometry, parse_atlas_file, parse_atlas_text
 from mollilab.norms import check_N0
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
@@ -58,7 +57,8 @@ class TestRegistry:
 
     def test_factor_zero_at_the_corner_rejected(self, monkeypatch):
         def vanishing(n, r, params):
-            return lambda X: np.maximum(1.0 - (X**2).sum(axis=-1) / (n * r * r), 0.0)
+            return modelzoo._conformal(
+                n, r, lambda X: np.maximum(1.0 - (X**2).sum(axis=-1) / (n * r * r), 0.0))
 
         monkeypatch.setitem(modelzoo._GENERATORS, "vanishing", ((), vanishing))
         with pytest.raises(ValueError, match=r"^chart 'a': vanishing conformal factor must be "
@@ -95,7 +95,7 @@ class TestTransitions:
 class TestPerturbation:
     def test_zero_amplitude_is_identity(self):
         base = get_geometry("flat2-single")
-        geo = perturb(base, 0.0, 0.6)
+        geo = get_geometry("pflat2", amp=0.0, alpha=0.6)
         lat = geo.chart_lattice(21)
         g0 = sample_metric(base.atlas.charts[0].metric, lat)
         g1 = sample_metric(geo.atlas.charts[0].metric, lat)
@@ -103,7 +103,7 @@ class TestPerturbation:
         assert geo.reference_sec == 0.0
 
     def test_even_symmetry_about_anchor(self):
-        geo = perturb(get_geometry("flat2-single"), 0.3, 0.6)
+        geo = get_geometry("pflat2", amp=0.3, alpha=0.6)
         lat = geo.chart_lattice(21)
         g = sample_metric(geo.atlas.charts[0].metric, lat)
         flipped = g.comps[::-1, ::-1]
@@ -111,7 +111,7 @@ class TestPerturbation:
 
     def test_matches_base_outside_bump_support(self):
         base = get_geometry("flat2-single")
-        geo = perturb(base, 0.3, 0.6)
+        geo = get_geometry("pflat2", amp=0.3, alpha=0.6)
         lat = geo.chart_lattice(41)
         g0 = sample_metric(base.atlas.charts[0].metric, lat)
         g1 = sample_metric(geo.atlas.charts[0].metric, lat)
@@ -126,7 +126,7 @@ class TestPerturbation:
         from mollilab.lattice import differentiate
         sups = []
         for m in (41, 81, 161):
-            geo = perturb(get_geometry("flat2-single"), 0.3, 0.6)
+            geo = get_geometry("pflat2", amp=0.3, alpha=0.6)
             lat = geo.chart_lattice(m)
             g = sample_metric(geo.atlas.charts[0].metric, lat)
             jet = differentiate(g, 2)
@@ -136,21 +136,30 @@ class TestPerturbation:
 
     def test_amplitude_cap_enforced(self):
         with pytest.raises(ValueError, match="amplitude"):
-            perturb(get_geometry("flat2-single"), 50.0, 0.6)
-
-    def test_multi_chart_rejected(self):
-        with pytest.raises(ValueError, match="single-chart"):
-            perturb(get_geometry("flat2"), 0.1, 0.6)
+            get_geometry("pflat2", amp=50.0, alpha=0.6)
 
     def test_bad_alpha_rejected(self):
         with pytest.raises(ValueError, match="alpha"):
-            perturb(get_geometry("flat2-single"), 0.1, 1.5)
+            get_geometry("pflat2", amp=0.1, alpha=1.5)
 
     def test_partition_of_unity_carried_over(self):
         base, geo = get_geometry("flat2-single"), get_geometry("pflat2")
         assert geo.atlas.bump == base.atlas.bump
         # the declared Q grows with the perturbation, the plateau does not
         assert geo.Q > base.Q
+
+    def test_atlas_file_is_the_shipped_pflat(self):
+        # the generator table is shared: a pflat chart in an atlas file builds
+        # the shipped model's samples and Q, with the atlas files' plateau r/2
+        geo = parse_atlas_text("dim = 2\n[chart]\nid = a\nr = 1.0\n"
+                               "generator = pflat amp=0.3 alpha=0.6\n")
+        shipped = get_geometry("pflat2", amp=0.3, alpha=0.6)
+        assert geo.Q == shipped.Q
+        assert geo.atlas.bump.plateau == 0.5
+        got, want = geo.sample_all(21), shipped.sample_all(21)
+        assert got.keys() == want.keys() == {"a"}
+        assert np.array_equal(got["a"].comps, want["a"].comps)
+        assert np.array_equal(got["a"].mask, want["a"].mask)
 
 
 class TestAtlasText:
@@ -235,7 +244,7 @@ class TestGeometryQ:
     def test_perturbed_Q_bounds_samples(self, amp, alpha):
         # the declared Q bounds the samples at every resolution, and stays
         # within 1 % of the finest one, so a loose Q cannot pass
-        geo = perturb(get_geometry("flat2-single"), amp, alpha)
+        geo = get_geometry("pflat2", amp=amp, alpha=alpha)
         for m in (21, 41, 81, 161):
             need = check_N0(geo.sample_all(m)["a"])
             assert need <= geo.Q
