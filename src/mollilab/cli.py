@@ -9,7 +9,6 @@ written when the config is rejected.
 from __future__ import annotations
 
 import argparse
-import itertools
 import math
 import sys
 from dataclasses import dataclass, replace
@@ -17,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .atlas import assemble_mollified, check_cover
-from .curvature import riem_contract_field, riemann, sec_extreme_fields, section_norm_fields
+from .curvature import riemann, sec_extreme_fields, sec_spectrum
 from .kernels import kernel_lq_bound, kernel_lq_norm, scale_kernel, convolve
 from .lattice import ScalarField, grow_box, make_lattice, sample_scalar
 from .modelzoo import get_geometry, parse_atlas_file
@@ -238,17 +237,6 @@ def cmd_curvature(cfg: ExperimentConfig) -> int:
 # ---------------------------------------------------------------------------
 # deviation experiment
 
-def _coordinate_sections(n: int) -> np.ndarray:
-    """Every coordinate section (e_s, e_mu, e_nu, e_rho) with mu != nu, shape (S, 4, n)."""
-    return np.eye(n)[[idx for idx in itertools.product(range(n), repeat=4)
-                      if idx[1] != idx[2]]]
-
-
-def _random_sections(n: int, count: int, seed: int) -> np.ndarray:
-    """`count` seeded Gaussian sections, shape (count, 4, n)."""
-    return np.random.Generator(np.random.Philox(key=seed)).standard_normal((count, 4, n))
-
-
 def _interval_distance(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.maximum(np.maximum(lo - x, x - hi), 0.0)
 
@@ -261,10 +249,17 @@ class DeviationRecord:
 
 
 def run_deviation(cfg: ExperimentConfig):
-    """Scale sweep of the one-sided curvature deviations of g^[t].  The ball
-    envelopes of the raw fields are built once and grown in place by `grow_box`
-    as the radius grows with t; they are exact, since max and negation are and
-    a clipped box equals the edge-replicating filter."""
+    """Scale sweep of the one-sided curvature deviations of g^[t].
+
+    `riem_excess` is the spectrum excess: the largest distance of any sorted
+    eigenvalue k_i of the pencil (R^[t], Lambda^2 g^[t]) from the interval
+    [min k_i, max k_i] of the raw metric's i-th eigenvalue over the ball of
+    radius e^Q t about the node.  `sec_excess` is the distance of the
+    mollified sectional extremes from the raw ones' interval over the ball
+    of radius t, inflated by INTERVAL_SLACK t.  The ball envelopes of the
+    raw fields are built once and grown in place by `grow_box` as the
+    radius grows with t; they are exact, since max and negation are and a
+    clipped box equals the edge-replicating filter."""
     cfg.validate_common()
     geo = _geometry(cfg)
     scales = cfg.scales(geo.r)
@@ -275,16 +270,14 @@ def run_deviation(cfg: ExperimentConfig):
     Q = check_N0(g)
 
     base_R = riemann(g)
-    lo0, hi0, _ = sec_extreme_fields(base_R)
-    hi_ball = np.where(base_R.mask, hi0, -np.inf)
-    neg_lo_ball = np.where(base_R.mask, -lo0, -np.inf)  # the inf envelope, negated
-    sections = np.concatenate([_coordinate_sections(geo.n),
-                               _random_sections(geo.n, 8, cfg.seed)])
-    sup_balls = [np.where(base_R.mask, c, -np.inf)
-                 for c in riem_contract_field(base_R, sections)]
-    norm_fields = [np.maximum(nf, 1e-30) for nf in section_norm_fields(g, sections)]
+    ev0, _ = sec_spectrum(base_R)
+    hi_ball = np.where(base_R.mask, ev0[..., -1], -np.inf)
+    neg_lo_ball = np.where(base_R.mask, -ev0[..., 0], -np.inf)  # the inf envelope, negated
+    # the sup envelope of each k_i, then the negated inf envelope of each
+    spec_ball = np.where(base_R.mask[..., None], np.concatenate([ev0, -ev0], axis=-1), -np.inf)
+    nev = ev0.shape[-1]  # eigenvalues per node, n(n-1)/2
     probe = lat.ball_mask(geo.r / 4.0, norm="max")
-    buf = np.empty(lat.shape)
+    buf, spec_buf = np.empty(lat.shape), np.empty_like(spec_ball)
     grown = grown_sec = 0  # box steps already applied to each envelope
 
     records = []
@@ -295,18 +288,15 @@ def run_deviation(cfg: ExperimentConfig):
         if not region.any():
             raise ValueError(f"chart {cid!r} keeps no valid probe node after riemann "
                              f"of the mollified metric at t={t}")
+        evt, _ = sec_spectrum(Rt)
 
-        # one-sided Riemann excess against the ball sup of the raw curvature
+        # spectrum excess against the ball interval of each raw eigenvalue
         steps = math.ceil(math.exp(Q) * t / lat.h) + 1
         while grown < steps:
-            for sup0 in sup_balls:
-                grow_box(sup0, buf, geo.n)
+            grow_box(spec_ball, spec_buf, geo.n)
             grown += 1
-        r_exc = 0.0
-        contr = riem_contract_field(Rt, sections)
-        for at, sup0, nf in zip(contr, sup_balls, norm_fields):
-            exc = (at - sup0) / nf
-            r_exc = max(r_exc, float(exc[region].max()))
+        d = _interval_distance(evt, -spec_ball[..., nev:], spec_ball[..., :nev])
+        r_exc = float(d[region].max())
 
         # sectional extremes against the inflated reference interval
         steps_sec = math.ceil(t / lat.h) + 1
@@ -314,7 +304,7 @@ def run_deviation(cfg: ExperimentConfig):
             grow_box(hi_ball, buf, geo.n)
             grow_box(neg_lo_ball, buf, geo.n)
             grown_sec += 1
-        lot, hit, _ = sec_extreme_fields(Rt)
+        lot, hit = evt[..., 0], evt[..., -1]
         lo_ball = -neg_lo_ball
         c = INTERVAL_SLACK * t
         cand = np.stack([lo_ball * (1 - c), lo_ball * (1 + c),

@@ -1,5 +1,6 @@
 """Curvature of sampled metrics: the Riemann tensor, built as the Hessian
-part plus the remainder, sectional, scalar and contracted curvature.
+part plus the remainder, and the spectrum of the curvature operator, which
+gives the sectional and scalar curvature.
 
 The Riemann tensor is stored all-lower-index, as the symmetric operator on
 bivectors.  Over the N = n(n-1)/2 index pairs I = (a, b), a < b, and
@@ -18,9 +19,10 @@ the plane spanned by v and w
 
 where G = Lambda^2 g, G_IJ = g_ac g_bd - g_ad g_bc; a space form of
 curvature K has R = K G.  In dimensions 2 and 3 every bivector is some
-v ^ w, so the extreme sectional curvatures at a node are the extreme
-eigenvalues of the pencil (R, G), and the scalar curvature is twice its
-trace, 2 tr(G^-1 R).
+v ^ w, so the eigenvalues of the pencil (R, G) at a node are the sectional
+curvatures of the planes of a g-orthonormal eigenframe, its extreme
+eigenvalues are the extreme sectional curvatures, and the scalar curvature
+is twice its trace, 2 tr(G^-1 R).
 """
 from __future__ import annotations
 
@@ -101,12 +103,6 @@ def _pair_axes(n: int):
     """Index arrays (a, b, c, d) over (I, J), shapes (N, 1) and (1, N)."""
     a, b = np.triu_indices(n, 1)
     return a[:, None], b[:, None], a[None, :], b[None, :]
-
-
-def _wedge(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Bivector components (u ^ v)_I = u_a v_b - u_b v_a, trailing axis I."""
-    a, b = np.triu_indices(u.shape[-1], 1)
-    return u[..., a] * v[..., b] - u[..., b] * v[..., a]
 
 
 def _lambda2(mats: np.ndarray) -> np.ndarray:
@@ -212,64 +208,6 @@ def riemann(g: MetricField) -> RiemannField:
     return RiemannField(metric=g, riem=riem, mask=mask)
 
 
-def _fold(coef: np.ndarray) -> np.ndarray:
-    """Sum a coefficient array over the pairs (i, j), (j, i) of its last two
-    axes, which multiply the same entry of a symmetric matrix; the result's
-    last axis runs over i <= j in `np.triu_indices` order."""
-    i, j = np.triu_indices(coef.shape[-1])
-    folded = coef[..., i, j] + coef[..., j, i]
-    folded[..., i == j] *= 0.5
-    return folded
-
-
-def _combine(coef: np.ndarray, terms) -> np.ndarray:
-    """sum_k coef[k] * terms[k], skipping the zero coefficients."""
-    out = np.zeros(terms[0].shape)
-    for ck, term in zip(coef.tolist(), terms):
-        if ck != 0.0:
-            out += ck * term
-    return out
-
-
-def riem_contract_field(R: RiemannField, sections: np.ndarray) -> list[np.ndarray]:
-    """R^r_{smn} xi_r v^s w1^m w2^n = (g^-1 xi ^ v)^T R (w1 ^ w2) as a scalar
-    field, one per section; `sections` has shape (S, 4, n), rows (v, w1, w2, xi).
-
-    The contraction is bilinear in (g^-1, R) with constant coefficients,
-    sum g^ir R_IJ xi_r (e_i ^ v)_I (w1 ^ w2)_J, so each field is a
-    combination of the distinct products g^ir R_IJ (i <= r, I <= J),
-    formed once for all sections.
-    """
-    n = R.metric.lattice.n
-    v, w1, w2, xi = np.moveaxis(sections, 1, 0)
-    ei_v = _wedge(np.eye(n), v[:, None, :])  # (S, i, I)
-    coef = np.einsum("sr,siI,sJ->sIJir", xi, ei_v, _wedge(w1, w2))
-    coef = _fold(np.moveaxis(_fold(coef), -1, 1))  # (S, ir, IJ)
-    ginv = R.metric.inverse()
-    big_i, big_j = np.triu_indices(R.riem.shape[-1])
-    products = [ginv[..., i, r] * R.riem[..., I, J]
-                for i, r in zip(*np.triu_indices(n)) for I, J in zip(big_i, big_j)]
-    return [_combine(c.ravel(), products) for c in coef]
-
-
-def section_norm_fields(g: MetricField, sections: np.ndarray) -> list[np.ndarray]:
-    """Per-node product |v|_g |w1|_g |w2|_g |xi|_{g^-1} for each section
-    (shape (S, 4, n), rows (v, w1, w2, xi)).
-
-    Nodes off the mask see the identity metric.  Each squared norm is
-    sum_{i<=j} c_ij(u) g_ij over the packed components, with the inverse
-    formed once for all sections.
-    """
-    comps = list(np.moveaxis(g.comps, -1, 0))
-    ginv = g.inverse()
-    inv_comps = [ginv[..., i, j] for i, j in zip(*np.triu_indices(g.lattice.n))]
-    coefs = [_fold(u[:, :, None] * u[:, None, :])  # c_ij(u), shape (S, ij)
-             for u in np.moveaxis(sections, 1, 0)]
-    return [np.sqrt(_combine(cv, comps)) * np.sqrt(_combine(c1, comps))
-            * np.sqrt(_combine(c2, comps)) * np.sqrt(_combine(cx, inv_comps))
-            for cv, c1, c2, cx in zip(*coefs)]
-
-
 def _lower_inverse(L: np.ndarray) -> np.ndarray:
     """Inverse of lower-triangular 3 x 3 matrices by forward substitution."""
     inv = np.zeros_like(L)
@@ -282,32 +220,43 @@ def _lower_inverse(L: np.ndarray) -> np.ndarray:
     return inv
 
 
-def sec_extreme_fields(R: RiemannField):
-    """Per-node (min, max) of the sectional curvature over all 2-planes, and
-    the scalar curvature, from one solve of the pencil (R, G), G = Lambda^2 g.
+def sec_spectrum(R: RiemannField):
+    """Per-node eigenvalues of the pencil (R, G), G = Lambda^2 g, and the
+    scalar curvature, from one solve.
 
-    The extremes are the extreme eigenvalues of G^-1 R, found as those of
-    L^-1 R L^-T with G = L L^T; exact in dimensions 2 and 3, where every
-    bivector spans a plane.  The scalar curvature g^ac g^bd R_abcd is
-    2 tr(G^-1 R), the trace of that same matrix; in 2-d, where G^-1 R is the
-    one number k, it is 2k.  All three fields are solved on R.mask only, and
-    are NaN off it, where R is not a curvature.
+    The eigenvalues are those of G^-1 R, found as those of L^-1 R L^-T with
+    G = L L^T, in ascending order along a trailing axis of length
+    N = n(n-1)/2.  In dimensions 2 and 3, where every bivector spans a
+    plane, they are the sectional curvatures of the planes of a
+    g-orthonormal eigenframe, all of R that does not depend on the frame,
+    and the first and last are the extremes over all planes.  The scalar
+    curvature g^ac g^bd R_abcd is 2 tr(G^-1 R), the trace of that same
+    matrix; in 2-d, where G^-1 R is the one number k, it is 2k.  Both fields
+    are solved on R.mask only, and are NaN off it, where R is not a
+    curvature.
     """
     n = R.metric.lattice.n
     if n > 3:
         raise ValueError(f"exact sectional extremes need dimension 2 or 3, got {n}")
     G = _lambda2(unpack_symmetric(R.metric.comps[R.mask], n))
     riem = R.riem[R.mask]
-    lo, hi, scalar = (np.full(R.mask.shape, np.nan) for _ in range(3))
+    ev = np.full(R.riem.shape[:-1], np.nan)
+    scalar = np.full(R.mask.shape, np.nan)
     if n == 2:
         k = riem[:, 0, 0] / G[:, 0, 0]
-        lo[R.mask] = hi[R.mask] = k
+        ev[R.mask, 0] = k
         scalar[R.mask] = 2.0 * k
-        return lo, hi, scalar
+        return ev, scalar
     Linv = _lower_inverse(np.linalg.cholesky(G))
     pencil = Linv @ riem @ np.swapaxes(Linv, -2, -1)
-    ev = np.linalg.eigvalsh(pencil)
-    lo[R.mask] = ev[:, 0]
-    hi[R.mask] = ev[:, -1]
+    ev[R.mask] = np.linalg.eigvalsh(pencil)
     scalar[R.mask] = 2.0 * np.trace(pencil, axis1=-2, axis2=-1)
-    return lo, hi, scalar
+    return ev, scalar
+
+
+def sec_extreme_fields(R: RiemannField):
+    """Per-node (min, max) of the sectional curvature over all 2-planes, and
+    the scalar curvature: the first and last eigenvalue of `sec_spectrum`,
+    and its scalar curvature."""
+    ev, scalar = sec_spectrum(R)
+    return ev[..., 0], ev[..., -1], scalar

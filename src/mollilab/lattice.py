@@ -36,7 +36,8 @@ def erode_mask(mask: np.ndarray, steps: int) -> np.ndarray:
 
 
 def grow_box(a: np.ndarray, buf: np.ndarray, n: int) -> None:
-    """In place: a[x] <- max of a over the 3^n box around x (clipped at the edges).
+    """In place: a[x] <- max of a over the 3^n box around x (clipped at the edges),
+    the box over a's first n axes; trailing axes are fields taken side by side.
 
     Separable, one lattice axis at a time: buf[i] = max(a[i], a[i+1]), then
     a[i] = max(buf[i-1], buf[i]), with buf[0] and buf[-1] at the two ends.
@@ -58,7 +59,7 @@ def first_node(bad: np.ndarray) -> tuple[int, ...]:
 
 def pack_map(n: int) -> np.ndarray:
     """Packed position of entry (i, j) of a symmetric n x n matrix, an (n, n) integer
-    array.  The packed order is `np.triu_indices(n)` order; `curvature._fold` relies on it."""
+    array.  The packed order is `np.triu_indices(n)` order."""
     i, j = np.triu_indices(n)
     pos = np.empty((n, n), dtype=np.intp)
     pos[i, j] = pos[j, i] = np.arange(i.size)

@@ -14,8 +14,7 @@ from scipy import ndimage
 import mollilab
 from mollilab import cli
 from mollilab.atlas import assemble_mollified
-from mollilab.curvature import (riem_contract_field, riemann, sec_extreme_fields,
-                                section_norm_fields)
+from mollilab.curvature import riemann, sec_extreme_fields, sec_spectrum
 from mollilab.kernels import scale_kernel
 from mollilab.lattice import MetricField
 from mollilab.modelzoo import get_geometry
@@ -257,26 +256,25 @@ def _refiltered_deviation_records(cfg):
     g = samples[cid]
     Q = check_N0(g)
     base_R = riemann(g)
-    lo0, hi0, _ = sec_extreme_fields(base_R)
-    lo0 = np.where(base_R.mask, lo0, np.inf)
-    hi0 = np.where(base_R.mask, hi0, -np.inf)
-    sections = np.concatenate([cli._coordinate_sections(geo.n),
-                               cli._random_sections(geo.n, 8, cfg.seed)])
-    base_contr = [np.where(base_R.mask, c, -np.inf)
-                  for c in riem_contract_field(base_R, sections)]
-    norm_fields = [np.maximum(nf, 1e-30) for nf in section_norm_fields(g, sections)]
+    ev0, _ = sec_spectrum(base_R)
+    ev_inf = np.where(base_R.mask[..., None], ev0, np.inf)
+    ev_sup = np.where(base_R.mask[..., None], ev0, -np.inf)
+    lo0, hi0 = ev_inf[..., 0], ev_sup[..., -1]
     probe = lat.ball_mask(geo.r / 4.0, norm="max")
     records = []
     for t in cfg.scales(geo.r):
         Rt = riemann(assemble_mollified(geo.atlas, samples, scale_kernel(geo.n, t, lat.h))[cid])
         region = probe & Rt.mask & base_R.mask
+        evt, _ = sec_spectrum(Rt)
+        # each eigenvalue against the ball interval of the raw one at the Riemann radius
         steps = math.ceil(math.exp(Q) * t / lat.h) + 1
-        r_exc = 0.0
-        for at, b0, nf in zip(riem_contract_field(Rt, sections), base_contr, norm_fields):
-            exc = (at - ball_filter(b0, steps, "max")) / nf
-            r_exc = max(r_exc, float(exc[region].max()))
+        ev_lo = np.stack([ball_filter(ev_inf[..., i], steps, "min")
+                          for i in range(ev0.shape[-1])], axis=-1)
+        ev_hi = np.stack([ball_filter(ev_sup[..., i], steps, "max")
+                          for i in range(ev0.shape[-1])], axis=-1)
+        r_exc = float(cli._interval_distance(evt, ev_lo, ev_hi)[region].max())
         steps_sec = math.ceil(t / lat.h) + 1
-        lot, hit, _ = sec_extreme_fields(Rt)
+        lot, hit = evt[..., 0], evt[..., -1]
         lo_ball = ball_filter(lo0, steps_sec, "min")
         hi_ball = ball_filter(hi0, steps_sec, "max")
         c = cli.INTERVAL_SLACK * t
@@ -306,12 +304,45 @@ class TestDeviationCommand:
         grown = intervals[:]
         intervals.clear()
         assert records == _refiltered_deviation_records(cfg)
-        assert len(grown) == len(intervals) == 10
+        # per scale: the spectrum interval, then the sectional one for lo and hi
+        assert len(grown) == len(intervals) == 15
         for (lo, hi), (ref_lo, ref_hi) in zip(grown, intervals):
             assert np.array_equal(lo, ref_lo) and np.array_equal(hi, ref_hi)
-        # nonzero excesses: the clamp at 0 does not hide the Riemann envelopes;
+        # nonzero excesses: the clamp at 0 does not hide the spectrum envelopes;
         # at m=21 a ball one step short moves riem_excess
         assert all(r.riem_excess > 0.005 for r in records[:3])
+
+    def test_each_metric_inverted_once(self, tmp_path, monkeypatch):
+        # the Riemann builder inverts the raw metric and each scale's
+        # mollified one; the spectrum solve inverts none
+        calls = []
+        inverse = MetricField.inverse
+
+        def counted(g):
+            calls.append(g)
+            return inverse(g)
+
+        monkeypatch.setattr(MetricField, "inverse", counted)
+        code = main(["deviation", "--geometry", "pflat2", "--amp", "0.3", "--alpha", "0.6",
+                     "--m", "161", "--t-min", "0.015625", "--t-max", "0.125",
+                     "--t-count", "8", "--seed", "1", "--out", str(tmp_path / "d.csv")])
+        assert code == EXIT_OK
+        assert len(calls) == 1 + 8
+
+    def test_seed_does_not_change_output(self, tmp_path):
+        # no section is sampled: every seed writes the same bytes, on a
+        # sweep where riem_excess is positive at every scale
+        outs = []
+        for seed in (0, 1, 7):
+            out = tmp_path / f"d{seed}.csv"
+            assert main(["deviation", "--geometry", "sphere2", "--m", "41",
+                         "--t-min", "0.15", "--t-max", "0.6", "--t-count", "5",
+                         "--seed", str(seed), "--out", str(out)]) == EXIT_OK
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1] == outs[2]
+        header, *rows = outs[0].decode().splitlines()
+        k = header.split(",").index("riem_excess")
+        assert all(float(row.split(",")[k]) > 0.0 for row in rows)
 
     def test_flat_deviation_at_floor_fit_skipped(self):
         cfg = ExperimentConfig(geometry="flat2-single", m=41,

@@ -1,19 +1,23 @@
 """Tests for Riemann curvature and sectional data."""
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
+from scipy import ndimage
 
+from mollilab import cli
 from mollilab.atlas import assemble_mollified
 import mollilab.curvature as curvature
 from mollilab.curvature import (RiemannField, _contract_first, _crop_to_mask, _lambda2,
-                                _pair_axes, _s_tensor, _slab_parts, _wedge,
-                                riem_contract_field, riemann, sec_extreme_fields,
-                                section_norm_fields)
+                                _pair_axes, _s_tensor, _slab_parts, riemann,
+                                sec_extreme_fields, sec_spectrum)
 from mollilab.kernels import scale_kernel
 from mollilab.lattice import (MetricField, _jet_blocks, differentiate, erode_mask,
                               make_lattice, pack_map, pack_symmetric, sample_metric)
 from mollilab.modelzoo import get_geometry
+from mollilab.norms import check_N0
 
 
 def _conformal(lam):
@@ -51,16 +55,10 @@ def _smooth_metric(seed, n=3):
     return gen
 
 
-def _full_tensor(riem, n):
-    """R_abcd with all its index symmetries, from the operator R_IJ."""
-    a, b = np.triu_indices(n, 1)
-    full = np.zeros(riem.shape[:-2] + (n,) * 4)
-    for I, (p, q) in enumerate(zip(a, b)):
-        for J, (r, s) in enumerate(zip(a, b)):
-            x = riem[..., I, J]
-            full[..., p, q, r, s] = full[..., q, p, s, r] = x
-            full[..., q, p, r, s] = full[..., p, q, s, r] = -x
-    return full
+def _wedge(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Bivector components (u ^ v)_I = u_a v_b - u_b v_a, trailing axis I."""
+    a, b = np.triu_indices(u.shape[-1], 1)
+    return u[..., a] * v[..., b] - u[..., b] * v[..., a]
 
 
 DEGENERATE_GRAM = 1e-12
@@ -242,110 +240,6 @@ class TestStreamedBuilder:
             with pytest.raises(np.linalg.LinAlgError,
                                match=rf"^{what} at node \(12, 10, 9\)$"):
                 riemann(g)
-
-
-class TestContractions:
-    def test_multilinearity(self):
-        lat = make_lattice(2, 0.5, 21)
-        g = sample_metric(_conformal(_poincare_lam()), lat)
-        R = riemann(g)
-        s = np.array([[1.0, 0.3], [0.2, 1.0], [1.0, -1.0], [0.5, 0.5]])  # v, w1, w2, xi
-        s2 = s.copy()
-        s2[0] *= 2.0
-        val, val2 = riem_contract_field(R, np.stack([s, s2]))
-        assert np.allclose(val2[R.mask], 2.0 * val[R.mask], rtol=1e-12, atol=0.0)
-
-    def test_matches_full_tensor_contraction(self):
-        lat = make_lattice(3, 0.5, 11)
-        g = sample_metric(_smooth_metric(1), lat)
-        R = riemann(g)
-        rng = np.random.Generator(np.random.Philox(key=5))
-        sections = rng.standard_normal((3, 4, 3))
-        full = _full_tensor(R.riem, 3)
-        ginv = np.linalg.inv(g.matrices())
-        for (v, w1, w2, xi), got in zip(sections, riem_contract_field(R, sections)):
-            # R^r_{smn} xi_r v^s w1^m w2^n with the first index raised by g^-1
-            want = np.einsum("...rsmn,...r,s,m,n->...", full, ginv @ xi, v, w1, w2)
-            scale = np.abs(want[R.mask]).max()
-            assert np.abs((got - want)[R.mask]).max() < 1e-12 * scale
-
-    def test_section_norm_fields_match_pointwise_product(self):
-        lat = make_lattice(3, 0.5, 9)
-        g = sample_metric(_conformal(_poincare_lam()), lat)
-        rng = np.random.Generator(np.random.Philox(key=3))
-        sections = rng.standard_normal((3, 4, 3))
-        fields = section_norm_fields(g, sections)
-        nodes = [(4, 4, 4), (3, 5, 4), (2, 2, 6)]  # (4, 4, 4) is the origin
-        for (v, w1, w2, xi), nf in zip(sections, fields):
-            assert nf.shape == lat.shape
-            for node in nodes:
-                gm = g.matrices()[node]
-                gi = np.linalg.inv(gm)
-                prod = (np.sqrt(v @ gm @ v) * np.sqrt(w1 @ gm @ w1)
-                        * np.sqrt(w2 @ gm @ w2) * np.sqrt(xi @ gi @ xi))
-                assert nf[node] == pytest.approx(prod, rel=1e-13)
-
-
-def _contract_per_section(R, g, sections):
-    """The per-section formula that `riem_contract_field` replaced: one
-    batched matvec g^-1 xi and one R (w1 ^ w2) per section."""
-    ginv = np.linalg.inv(g.matrices())
-    return [np.einsum("...I,...I->...", _wedge(ginv @ xi, v), R.riem @ _wedge(w1, w2))
-            for v, w1, w2, xi in sections]
-
-
-def _norms_per_section(g, sections):
-    """The per-section formula that `section_norm_fields` replaced."""
-    mats = g.matrices()
-    ginv = np.linalg.inv(mats)
-
-    def norm(a, u):
-        return np.sqrt(np.einsum("...ij,i,j->...", a, u, u))
-
-    return [norm(mats, v) * norm(mats, w1) * norm(mats, w2) * norm(ginv, xi)
-            for v, w1, w2, xi in sections]
-
-
-class TestContractionsMatchPerSectionFormula:
-    @pytest.mark.parametrize("n", [2, 3])
-    def test_riem_contract_field(self, n):
-        lat = make_lattice(n, 0.5, 21 if n == 2 else 11)
-        g = sample_metric(_smooth_metric(7, n=n), lat)
-        R = riemann(g)
-        rng = np.random.Generator(np.random.Philox(key=11))
-        sections = np.concatenate([rng.standard_normal((6, 4, n)),
-                                   np.eye(n)[[[0, 1, 0, n - 1]]]])
-        got = riem_contract_field(R, sections)
-        for (v, w1, w2, xi), c, want in zip(sections, got,
-                                            _contract_per_section(R, g, sections)):
-            assert c.shape == lat.shape and c.flags.c_contiguous
-            # relative to the size of the terms: |g^-1 xi| |v| |R| |w1 ^ w2|
-            terms = (np.linalg.norm(np.linalg.inv(g.matrices()) @ xi, axis=-1)
-                     * np.linalg.norm(v) * np.abs(R.riem).max(axis=(-2, -1))
-                     * np.linalg.norm(_wedge(w1, w2)))
-            assert np.all(np.abs(c - want)[R.mask] <= 1e-13 * terms[R.mask])
-
-    @pytest.mark.parametrize("n", [2, 3])
-    def test_section_norm_fields(self, n):
-        lat = make_lattice(n, 0.5, 21 if n == 2 else 11)
-        mask = lat.ball_mask(0.4)
-        g = sample_metric(_smooth_metric(8, n=n), lat)
-        comps = g.comps.copy()
-        comps[~mask] = np.nan  # off the mask both see the identity metric
-        g = MetricField(lattice=lat, comps=comps, mask=mask)
-        rng = np.random.Generator(np.random.Philox(key=12))
-        sections = np.concatenate([rng.standard_normal((6, 4, n)),
-                                   np.eye(n)[[[0, 1, 0, n - 1]]]])
-        for got, want in zip(section_norm_fields(g, sections), _norms_per_section(g, sections)):
-            assert got.shape == lat.shape
-            assert np.all(np.abs(got / want - 1.0) <= 1e-13)
-
-    def test_no_sections(self):
-        lat = make_lattice(2, 0.5, 9)
-        g = sample_metric(_flat(2), lat)
-        none = np.empty((0, 4, 2))
-        assert riem_contract_field(riemann(g), none) == []
-        assert section_norm_fields(g, none) == []
 
 
 class TestSectional:
@@ -574,6 +468,89 @@ class TestScalarFromPencil:
             lo, hi, sc = sec_extreme_fields(R)
             assert np.array_equal(sc[R.mask], 2.0 * lo[R.mask])
             assert np.isnan(sc[~R.mask]).all()
+
+
+class TestSpectrum:
+    @pytest.mark.parametrize("name", ["sphere2", "pflat2", "sphere3", "pflat3"])
+    def test_sorted_and_nan_off_mask(self, name):
+        for g in _on_mask_cases(name):
+            R = riemann(g)
+            ev, _ = sec_spectrum(R)
+            assert ev.shape == R.riem.shape[:-1]
+            assert np.all(np.diff(ev[R.mask], axis=-1) >= 0.0)
+            assert not np.isnan(ev[R.mask]).any()
+            assert np.isnan(ev[~R.mask]).all()
+
+    @pytest.mark.parametrize("name", ["sphere2", "pflat2", "sphere3", "pflat3"])
+    def test_extremes_are_its_first_and_last_columns(self, name):
+        for g in _on_mask_cases(name):
+            R = riemann(g)
+            ev, scalar = sec_spectrum(R)
+            lo, hi, sc = sec_extreme_fields(R)
+            assert np.array_equal(lo, ev[..., 0], equal_nan=True)
+            assert np.array_equal(hi, ev[..., -1], equal_nan=True)
+            assert np.array_equal(sc, scalar, equal_nan=True)
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_matches_generalised_symmetric_eigenproblem(self, seed):
+        # LAPACK's symmetric-definite solver on the full pencil (R, Lambda^2 g)
+        lat = make_lattice(3, 0.5, 15)
+        g = sample_metric(_smooth_metric(seed), lat)
+        R = riemann(g)
+        ev, _ = sec_spectrum(R)
+        mats = g.matrices()
+        nodes = np.argwhere(R.mask)
+        rng = np.random.Generator(np.random.Philox(key=30 + seed))
+        for node in map(tuple, nodes[rng.choice(len(nodes), 20, replace=False)]):
+            want = scipy.linalg.eigh(R.riem[node], _lambda2(mats[node]), eigvals_only=True)
+            assert np.all(np.abs(ev[node] - want) <= 1e-10 * np.abs(want).max())
+            assert want[-1] - want[0] > 0.1  # the metrics are far from isotropic
+
+    @pytest.mark.parametrize("name", ["sphere3", "hyperbolic3"])
+    def test_every_eigenvalue_converges_on_space_forms(self, name):
+        # every plane of a space form has curvature reference_sec = +-1/R^2,
+        # so each eigenvalue, the middle one too, converges to it
+        geo = get_geometry(name)
+        errs, hs = [], []
+        for m in (17, 25, 33):
+            lat = make_lattice(3, geo.curvature_radius, m)
+            R = riemann(sample_metric(geo.atlas.charts[0].metric, lat))
+            region = lat.ball_mask(geo.curvature_radius / 2.0) & R.mask
+            errs.append(np.abs(sec_spectrum(R)[0][region] - geo.reference_sec).max(axis=0))
+            hs.append(lat.h)
+        assert np.all(errs[-1] < 0.01)
+        orders = np.polyfit(np.log(hs), np.log(errs), 1)[0]
+        assert np.all(orders >= 1.8)
+
+    def test_riem_excess_is_the_slack_free_sectional_distance_in_2d(self):
+        # in 2-d the spectrum is the one sectional curvature k, so riem_excess
+        # is the distance of k^[t] from the ball interval of k at the Riemann
+        # radius e^Q t, with no slack
+        cfg = cli.ExperimentConfig(geometry="sphere2", m=41, t_min=0.15, t_max=0.6,
+                                   t_count=5)
+        records, _ = cli.run_deviation(cfg)
+        geo = get_geometry("sphere2")
+        lat = geo.chart_lattice(cfg.m)
+        samples = geo.sample_all(cfg.m)
+        cid = geo.atlas.charts[0].id  # the chart the sweep reads
+        g = samples[cid]
+        base_R = riemann(g)
+        k0 = sec_extreme_fields(base_R)[0]
+        Q = check_N0(g)
+        probe = lat.ball_mask(geo.r / 4.0, norm="max")
+        for rec, t in zip(records, cfg.scales(geo.r)):
+            size = 2 * (math.ceil(math.exp(Q) * t / lat.h) + 1) + 1
+            k_lo = ndimage.minimum_filter(np.where(base_R.mask, k0, np.inf), size=size,
+                                          mode="nearest")
+            k_hi = ndimage.maximum_filter(np.where(base_R.mask, k0, -np.inf), size=size,
+                                          mode="nearest")
+            Rt = riemann(assemble_mollified(geo.atlas, samples,
+                                            scale_kernel(2, t, lat.h))[cid])
+            kt = sec_extreme_fields(Rt)[0]
+            region = probe & Rt.mask & base_R.mask
+            dist = np.maximum(np.maximum(k_lo - kt, kt - k_hi), 0.0)[region].max()
+            assert rec.riem_excess == dist
+        assert all(rec.riem_excess > 0.05 for rec in records)
 
 
 class TestRicciScalar:
