@@ -9,8 +9,12 @@ written when the config is rejected.
 from __future__ import annotations
 
 import argparse
+import errno
 import math
+import os
 import sys
+import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -149,6 +153,39 @@ def write_text(path, text: str) -> None:
             fh.write(text)
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
+@contextmanager
+def _staged(path):
+    """A temporary file beside `path`, made before the run and moved onto
+    `path` after it, so that an unwritable path fails before any stage and
+    a failed run leaves no file and an existing `path` as it was.  Yields
+    the temporary file's path, or None for stdout."""
+    if path is None:
+        yield None
+        return
+    if not path or os.path.isdir(path):
+        code = errno.EISDIR if path else errno.ENOENT
+        raise ConfigError(f"cannot write {path}: {os.strerror(code)}")
+    target = os.path.realpath(path)  # a symlink's file, which open(path, "w") would write
+    head, name = os.path.split(target)
+    try:
+        fd, tmp = tempfile.mkstemp(prefix=f".{name}.", suffix=".tmp", dir=head)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
+    try:
+        umask = os.umask(0)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)  # the mode open(path, "w") would give
+        os.close(fd)
+        yield tmp
+        try:
+            os.replace(tmp, target)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 @dataclass(frozen=True)
@@ -556,7 +593,8 @@ def main(argv=None) -> int:
         sys.stderr.write(f"config error: {exc}\n")
         return EXIT_CONFIG
     try:
-        return _COMMANDS[args.command](cfg)
+        with _staged(cfg.out) as out:
+            return _COMMANDS[args.command](replace(cfg, out=out))
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return EXIT_CONFIG

@@ -31,13 +31,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lattice import (Lattice, MetricField, central_diff, central_diff2, erode_mask, pack_map,
-                      unpack_symmetric)
+from .lattice import Lattice, MetricField, erode_mask, pack_map, unpack_symmetric
 
 # Grid nodes per slab of the streamed Riemann builder, which takes
-# max(1, SLAB_NODES // m^(n-1)) whole axis-0 planes at a time.  Smaller
-# slabs pay more per-slab overhead (2-d, m = 161); at 4096 the larger slab
-# temporaries tripled the page faults of a 3-d m = 25 curvature run.
+# max(1, SLAB_NODES // m^(n-1)) whole axis-0 planes at a time and holds them
+# as contiguous component planes.  Its peak is the input, g^-1, the output
+# and one slab: 2.1 MB above the output and g^-1 on a 3-d m = 41 chart, one
+# plane per slab.  Smaller slabs pay more per-slab overhead (2-d, m = 161);
+# 4096 and 8192 ran the builder 5-10 % faster on 2-d m = 161 and 3-d m = 25
+# charts, but made that slab 1.5 and 3 times as large.
 SLAB_NODES = 2048
 
 
@@ -67,7 +69,8 @@ def _crop_to_mask(g: MetricField) -> tuple[MetricField, int]:
 
 
 def _s_tensor(dg: np.ndarray) -> np.ndarray:
-    """S_{m k l} = g_{mk,l} + g_{ml,k} - g_{kl,m} from dg[...,i,j,a] = d_a g_ij."""
+    """S_{m k l} = g_{mk,l} + g_{ml,k} - g_{kl,m} from dg[...,i,j,a] = d_a g_ij,
+    node-major; the slab builder forms the same sums plane by plane."""
     return (dg                         # g_{mk,l}
             + np.swapaxes(dg, -2, -1)  # g_{ml,k}
             - np.moveaxis(dg, -1, -3))  # g_{kl,m}
@@ -111,73 +114,173 @@ def _lambda2(mats: np.ndarray) -> np.ndarray:
     return mats[..., a, c] * mats[..., b, d] - mats[..., a, d] * mats[..., b, c]
 
 
-def _symmetrized(x: np.ndarray) -> np.ndarray:
-    """(x + x^T) / 2 over the trailing (I, J) axes, symmetric bit for bit."""
-    return 0.5 * (x + np.swapaxes(x, -2, -1))
+@lru_cache(maxsize=None)
+def _slab_index(n: int):
+    """What the slab builder indexes with in dimension n, as plain tuples.
+
+    S: (m, k, l, P[m, k], P[m, l], P[k, l]) for k <= l, the entries of
+    S_mkl = d_l g_mk + d_k g_ml - d_m g_kl.  A: (I, J) and the four
+    (x, y, k) of d2[x, y, k] = d_y d_x g_k in the terms of
+    A_IJ = 1/2 (g_ad,bc + g_bc,ad - g_ac,bd - g_bd,ac).  B: (I, J, a, b, c, d)
+    for every I = (a, b) and J = (c, d).  D2: the entries of d2 that A
+    reads, as (x, y, k0, k1) for runs of components k0 <= k < k1.
+    """
+    P = pack_map(n).tolist()
+    pairs = list(zip(*(x.tolist() for x in np.triu_indices(n, 1))))
+    S = tuple((m, k, l, P[m][k], P[m][l], P[k][l])
+              for m in range(n) for k in range(n) for l in range(k, n))
+    A, B = [], []
+    for I, (a, b) in enumerate(pairs):
+        for J, (c, d) in enumerate(pairs):
+            A.append((I, J, (b, c, P[a][d]), (a, d, P[b][c]), (b, d, P[a][c]), (a, c, P[b][d])))
+            B.append((I, J, a, b, c, d))
+    D2 = []
+    for x, y, k in sorted({t for entry in A for t in entry[2:]}):
+        if D2 and D2[-1][:2] == (x, y) and D2[-1][3] == k:
+            D2[-1] = (x, y, D2[-1][2], k + 1)
+        else:
+            D2.append((x, y, k, k + 1))
+    return S, tuple(A), tuple(B), tuple(D2)
+
+
+def _along(ax: int, n: int, sl: slice) -> tuple:
+    """Index of sl along grid axis ax of an array whose last n axes are the grid."""
+    return (Ellipsis, sl) + (slice(None),) * (n - 1 - ax)
 
 
 @lru_cache(maxsize=None)
-def _slab_index(n: int):
-    """What the slab builder indexes with in dimension n: the packing map P,
-    the pair axes (a, b, c, d), the indices (..., k, x, y) into
-    d2g[..., k, x, y] = d_y d_x g_k of the four terms of
-    A_IJ = 1/2 (g_ad,bc + g_bc,ad - g_ac,bd - g_bd,ac), and the entries of
-    d2g those terms read, as {(x, y): sorted components k}."""
-    P = pack_map(n)
-    a, b, c, d = _pair_axes(n)
-    terms = ((P[a, d], b, c), (P[b, c], a, d), (P[a, c], b, d), (P[b, d], a, c))
-    groups: dict = {}
-    for term in terms:
-        for k, x, y in zip(*(t.ravel().tolist() for t in np.broadcast_arrays(*term))):
-            groups.setdefault((x, y), set()).add(k)
-    return (P, (a, b, c, d), tuple((...,) + t for t in terms),
-            {xy: sorted(ks) for xy, ks in groups.items()})
-
-
-def _cdiff(v: np.ndarray, ax: int, h: float) -> np.ndarray:
-    """`central_diff` along grid axis ax of a slab that carries one halo
-    plane on each side of axis 0, dropping the halo.  Along axis 0 the halo
-    stands in for np.roll's wrap; the other axes are whole and still roll."""
+def _rolled(ax: int, n: int, m: int):
+    """np.roll(v, -1, ax) and np.roll(v, 1, ax) as slices of v, for an
+    array whose last n axes are the grid and m long along ax: index triples
+    (out, next, prev).  Along axis 0 the planes carry one halo plane on each
+    side, which stands in for the wrap, and out drops them; along the other
+    axes there are three triples, the interior and the two wrapped ends."""
     if ax == 0:
-        return (v[2:] - v[:-2]) / (2.0 * h)
-    return central_diff(v[1:-1], ax, h)
+        return (((Ellipsis,), _along(0, n, slice(2, None)), _along(0, n, slice(None, -2))),)
+    return tuple(tuple(_along(ax, n, sl) for sl in triple) for triple in (
+        (slice(1, m - 1), slice(2, m), slice(0, m - 2)),
+        (slice(0, 1), slice(1, 2), slice(m - 1, m)),
+        (slice(m - 1, m), slice(0, 1), slice(m - 2, m - 1))))
 
 
-def _cdiff2(v: np.ndarray, ax: int, h: float) -> np.ndarray:
-    """`central_diff2` along grid axis ax of a slab with one halo plane, likewise."""
-    if ax == 0:
-        return (v[2:] - 2.0 * v[1:-1] + v[:-2]) / h**2
-    return central_diff2(v[1:-1], ax, h)
+def _diff(v: np.ndarray, ax: int, n: int, h: float, out: np.ndarray) -> None:
+    """`central_diff` along grid axis ax into out, for planes v that carry
+    one halo plane on each side of axis 0, which out drops: the entries
+    the np.roll jet of the whole grid gives."""
+    if ax:
+        v = v[_along(0, n, slice(1, -1))]
+    for o, nxt, prv in _rolled(ax, n, v.shape[ax - n]):
+        np.subtract(v[nxt], v[prv], out=out[o])
+    out /= 2.0 * h
 
 
-def _slab_parts(gc: MetricField, ginv: np.ndarray, i0: int, i1: int):
-    """(A, B), symmetrized, on the planes i0 <= i < i1 along axis 0 of gc.
+def _diff2(v: np.ndarray, ax: int, n: int, h: float, out: np.ndarray) -> None:
+    """`central_diff2` along grid axis ax into out, likewise: the sum
+    (next - 2 v) + prev in that order, over h^2."""
+    mid = v[_along(0, n, slice(1, -1))]
+    np.multiply(mid, 2.0, out=out)
+    if ax:
+        v = mid
+    for o, nxt, prv in _rolled(ax, n, v.shape[ax - n]):
+        at = out[o]
+        np.subtract(v[nxt], at, out=at)
+        at += v[prv]
+    out /= h**2
+
+
+def _symmetrize(x: np.ndarray) -> None:
+    """x[I, J] = x[J, I] = (x[I, J] + x[J, I]) / 2 over the leading (I, J)
+    axes, in place, symmetric bit for bit."""
+    for I in range(x.shape[0]):
+        for J in range(I, x.shape[0]):
+            np.add(x[I, J], x[J, I], out=x[I, J])
+            x[I, J] *= 0.5
+            if J > I:
+                x[J, I] = x[I, J]
+
+
+def _slab_planes(gc: MetricField, ginv: np.ndarray, i0: int, i1: int):
+    """(A, B), symmetrized, on the planes i0 <= i < i1 along axis 0 of gc,
+    in component layout: arrays (N, N) + slab, one contiguous plane stack
+    per (I, J).
 
     The slab reads its planes and a 2-plane halo with wrapped indices, so
     every difference is the one the np.roll jet of the whole grid takes,
-    off-mask garbage included.  It forms dg, and of d2g only the entries
-    A reads: pure ones by the compact stencil, mixed ones d_y d_x g_k
-    nested in that order.
+    off-mask garbage included.  It holds one plane stack per packed
+    component, per first derivative and per second derivative d_y d_x g
+    (the mixed ones nested in that order), and every sum is taken in the
+    order of the formulas above, so the output is bit-equal to that of the
+    node-major jet.  Gamma is the stacked matmul of g^-1 with node-major S
+    (`_contract_first`): numpy hands that product to BLAS, whose sums
+    explicit ones would not reproduce bit for bit.
     """
     lat = gc.lattice
     n, h = lat.n, lat.h
-    P, (a, b, c, d), terms, groups = _slab_index(n)
-    planes = np.arange(i0 - 2, i1 + 2) % lat.m
-    vals = np.where(gc.mask[planes][..., None], gc.comps[planes], 0.0)
-    d1 = np.stack([_cdiff(vals, ax, h) for ax in range(n)], axis=-1)  # planes i0-1 .. i1
-    d2 = np.empty((i1 - i0,) + vals.shape[1:] + (n, n))
-    for (x, y), ks in groups.items():
-        d2[..., ks, x, y] = (_cdiff2(vals[1:-1, ..., ks], x, h) if x == y
-                             else _cdiff(d1[..., ks, x], y, h))
-    t1, t2, t3, t4 = terms
-    A = 0.5 * (d2[t1] + d2[t2] - d2[t3] - d2[t4])
+    S_index, A_index, B_index, D2_index = _slab_index(n)
+    # the planes i0 - 2 .. i1 + 1, wrapped only at the ends of the grid
+    planes = (slice(i0 - 2, i1 + 2) if 2 <= i0 and i1 + 2 <= lat.m
+              else np.arange(i0 - 2, i1 + 2) % lat.m)
+    K, pairs = n * (n + 1) // 2, n * (n - 1) // 2
+    vals = np.empty((K, i1 - i0 + 4) + gc.mask.shape[1:])
+    grid = tuple(range(n))
+    np.copyto(vals, gc.comps[planes].transpose((n,) + grid))
+    np.copyto(vals, 0.0, where=~gc.mask[planes])
+    slab = (i1 - i0,) + vals.shape[2:]
+    d1 = np.empty((n, K, slab[0] + 2) + slab[1:])     # planes i0-1 .. i1
+    for ax in range(n):
+        _diff(vals, ax, n, h, d1[ax])
+    d2 = np.empty((n, n, K) + slab)                    # d2[x, y] = d_y d_x g
+    for x, y, k0, k1 in D2_index:
+        if x == y:
+            _diff2(vals[k0:k1, 1:-1], x, n, h, d2[x, x, k0:k1])
+        else:
+            _diff(d1[x, k0:k1], y, n, h, d2[x, y, k0:k1])
+    del vals
+    A = np.empty((pairs, pairs) + slab)
+    for I, J, t1, t2, t3, t4 in A_index:
+        np.add(d2[t1], d2[t2], out=A[I, J])
+        A[I, J] -= d2[t3]
+        A[I, J] -= d2[t4]
+    A *= 0.5
+    del d2
+    dg = d1[:, :, 1:-1]
+    S = np.empty((n, n, n) + slab)
+    for i, k, l, ik, il, kl in S_index:
+        np.add(dg[l, ik], dg[k, il], out=S[i, k, l])
+        S[i, k, l] -= dg[i, kl]
+        if l > k:
+            S[i, l, k] = S[i, k, l]
+    del d1, dg
     # 1/4 g^pq S_p,bc S_q,ad = 1/2 Gamma^q_bc S_q,ad, Gamma^q_bc = g^qp S_p,bc / 2
-    S = _s_tensor(d1[1:-1][..., P, :])
-    gamma = 0.5 * _contract_first(ginv[i0:i1], S)
-    B = 0.5 * sum(gamma[..., q, b, c] * S[..., q, a, d]
-                  - gamma[..., q, b, d] * S[..., q, a, c] for q in range(n))
+    node_major = np.ascontiguousarray(S.transpose(tuple(range(3, n + 3)) + (0, 1, 2)))
+    gamma = np.ascontiguousarray(_contract_first(ginv[i0:i1], node_major)
+                                 .transpose((n, n + 1, n + 2) + grid))
+    gamma *= 0.5
+    del node_major
+    B = np.empty((pairs, pairs) + slab)
+    term, prod = np.empty(slab), np.empty(slab)
+    for I, J, a, b, c, d in B_index:
+        acc = B[I, J]
+        np.multiply(gamma[0, b, c], S[0, a, d], out=acc)
+        np.multiply(gamma[0, b, d], S[0, a, c], out=prod)
+        acc -= prod
+        acc += 0.0  # Python's sum starts at 0, which turns a -0.0 first term into +0.0
+        for q in range(1, n):
+            np.multiply(gamma[q, b, c], S[q, a, d], out=term)
+            np.multiply(gamma[q, b, d], S[q, a, c], out=prod)
+            term -= prod
+            acc += term
+    B *= 0.5
     # nested central differences in the other order differ in round-off
-    return _symmetrized(A), _symmetrized(B)
+    _symmetrize(A)
+    _symmetrize(B)
+    return A, B
+
+
+def _slab_parts(gc: MetricField, ginv: np.ndarray, i0: int, i1: int):
+    """(A, B), symmetrized, on the planes i0 <= i < i1 along axis 0 of gc,
+    node-major: slab + (N, N)."""
+    return tuple(np.moveaxis(x, (0, 1), (-2, -1)) for x in _slab_planes(gc, ginv, i0, i1))
 
 
 def riemann(g: MetricField) -> RiemannField:
@@ -186,7 +289,7 @@ def riemann(g: MetricField) -> RiemannField:
     The crop of g to its mask is streamed in slabs of about SLAB_NODES
     nodes, whole planes along axis 0, into one preallocated full-grid
     output (zero outside the crop); the peak is the input, g^-1, the output
-    and one slab's temporaries.
+    and one slab's component planes.
 
     g must be a checked metric (`lattice.check_definite`), as
     `sample_metric` and `assemble_mollified` make; it is not checked again
@@ -204,7 +307,8 @@ def riemann(g: MetricField) -> RiemannField:
     step = max(1, SLAB_NODES // m ** (n - 1))
     for i0 in range(0, m, step):
         i1 = min(i0 + step, m)
-        np.add(*_slab_parts(gc, ginv, i0, i1), out=riem[crop][i0:i1])
+        np.add(*_slab_planes(gc, ginv, i0, i1),
+               out=riem[crop][i0:i1].transpose((n, n + 1) + tuple(range(n))))
     return RiemannField(metric=g, riem=riem, mask=mask)
 
 

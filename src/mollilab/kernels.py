@@ -96,13 +96,17 @@ def convolve(k: ScaledKernel, f: Field) -> Field:
 
 
 def kernel_lq_norm(k: ScaledKernel, q: float) -> float:
-    """Quadrature L^q norm of the scaled kernel phi_t."""
+    """Quadrature L^q norm of the scaled kernel phi_t.
+
+    The largest density is factored out of the power, so that q = p/(p-1)
+    in the hundreds (p near 1) does not overflow."""
     if not 1.0 < q < math.inf:
         raise ValueError("q must lie in (1, inf)")
     n = k.n
     w = k.taps_nd()
     dens = w / k.h**n  # tap weights are density times cell volume
-    return float((np.sum(dens**q) * k.h**n) ** (1.0 / q))
+    top = dens.max()
+    return float(top * (np.sum((dens / top) ** q) * k.h**n) ** (1.0 / q))
 
 
 def kernel_lq_bound(k: ScaledKernel, q: float) -> float:

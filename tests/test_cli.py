@@ -415,6 +415,17 @@ class TestLemmasCommand:
         for _, _, _, _, _, ratio in sups:
             assert ratio <= 1.0
 
+    @pytest.mark.parametrize("p", ["1.001", "1.005"])
+    def test_p_near_one_finds_no_violation(self, p, tmp_path, capsys):
+        # the kernel's L^q norm, q = p/(p - 1), is finite and within its bound
+        out = tmp_path / "l.csv"
+        assert main(["lemmas", "--m", "35", "--p", p, "--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        header, rows = _read_csv(out)
+        lq = [row for row in rows if row[0] == "kernel_lq"]
+        assert len(lq) == 5
+        assert all(math.isfinite(float(row[3])) and float(row[5]) <= 1.0 for row in lq)
+
     def test_m_the_sweep_cannot_run_is_config_error(self, tmp_path, capsys):
         # at m <= 17 the largest scale, r/8, is not above h
         out = tmp_path / "l.csv"
@@ -581,6 +592,55 @@ class TestMainExitCodes:
         assert err.startswith(f"config error: cannot write {out}: ")
         assert err.count("\n") == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("where", ["missing/c.csv", "."], ids=["missing_dir", "directory"])
+    @pytest.mark.parametrize("argv", [
+        ["curvature", "--geometry", "sphere3", "--m", "41", "--t", "0.3"],
+        ["deviation", "--geometry", "pflat2", "--m", "161", "--t-min", "0.015625",
+         "--t-max", "0.125", "--t-count", "8"]], ids=["curvature", "deviation"])
+    def test_unwritable_out_fails_before_any_stage(self, tmp_path, capsys, monkeypatch,
+                                                    where, argv):
+        def reached(g):
+            pytest.fail("the Riemann builder ran before --out was refused")
+
+        monkeypatch.setattr(cli, "riemann", reached)
+        out = tmp_path / where
+        assert main([*argv, "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot write {out}: ")
+        assert err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == []
+
+    def test_failed_run_leaves_existing_out_untouched(self, tmp_path, capsys, monkeypatch):
+        def failing(g):
+            raise ValueError("injected failure")
+
+        monkeypatch.setattr(cli, "riemann", failing)
+        out = tmp_path / "c.csv"
+        out.write_text("earlier table\n")
+        code = main(["curvature", "--geometry", "sphere2", "--m", "21", "--out", str(out)])
+        assert code == EXIT_NUMERICAL
+        assert "injected failure" in capsys.readouterr().err
+        assert out.read_text() == "earlier table\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.csv"]
+
+    @pytest.mark.parametrize("via_link", [False, True], ids=["file", "symlink"])
+    def test_out_replaces_an_existing_file(self, tmp_path, capsys, via_link):
+        # through a symlink, the file it names is replaced and the link kept
+        (tmp_path / "tables").mkdir()
+        target = tmp_path / "tables" / "c.csv"
+        target.write_text("earlier table\n")
+        out = target
+        if via_link:
+            out = tmp_path / "latest.csv"
+            out.symlink_to(target)
+        argv = ["curvature", "--geometry", "flat2", "--m", "21"]
+        assert main(argv) == EXIT_OK
+        table = capsys.readouterr().out
+        assert main([*argv, "--out", str(out)]) == EXIT_OK
+        assert target.read_text() == table
+        assert out.is_symlink() == via_link
+        assert sorted(p.name for p in target.parent.iterdir()) == ["c.csv"]
 
     def test_out_of_memory_is_numerical_failure(self, tmp_path, capsys, monkeypatch):
         # a lattice too large for memory fails in whichever stage allocates

@@ -215,6 +215,35 @@ class TestStreamedBuilder:
                 assert np.array_equal(R.mask, mask_ref)
         assert any(not g.mask.all() for g in mollified.values())
 
+    @pytest.mark.parametrize("masked", [False, True], ids=["whole", "cropped"])
+    def test_bit_equal_to_whole_grid_jet_in_4d(self, masked, monkeypatch):
+        # a conformal sphere chart in dimension 4, whole and masked to the
+        # max-norm 0.3 ball, which the builder crops by one node a side
+        m = 13
+        lat = make_lattice(4, 0.5, m)
+        g = sample_metric(_conformal(_sphere_lam()), lat)
+        if masked:
+            g = MetricField(lattice=lat, comps=g.comps, mask=lat.ball_mask(0.3, norm="max"))
+            assert _crop_to_mask(g)[1] == 1
+        A_ref, B_ref, mask_ref = _whole_grid_parts(g)
+        for slab in (curvature.SLAB_NODES, m ** 3, 3 * m ** 3):
+            monkeypatch.setattr(curvature, "SLAB_NODES", slab)
+            R = riemann(g)
+            assert np.array_equal(R.riem, A_ref + B_ref)
+            assert np.array_equal(R.mask, mask_ref)
+
+    def test_slab_memory_above_output_and_inverse(self):
+        # besides R and g^-1 (3 x 3 per node each) the builder holds one
+        # slab, here one 41 x 41 plane; node-major slabs peaked 3.43e6 bytes
+        # above the two, and a layout that copied the whole crop would
+        # double that
+        g = get_geometry("sphere3").sample_all(41)["north"]
+        tracemalloc.start()
+        R = riemann(g)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak - 2 * R.riem.nbytes <= 1.25 * 3.43e6
+
     def test_peak_memory_at_most_half_of_whole_grid_jet(self):
         g = get_geometry("sphere3").sample_all(41)["north"]
         peaks = []

@@ -196,6 +196,24 @@ class TestLqNorm:
         small = kernel_lq_norm(scale_kernel(n, 0.2, h), q)
         assert small / big == pytest.approx(2.0 ** (n / p), rel=0.05)
 
+    @pytest.mark.parametrize("p", [1.001, 1.005, 2.0, 8.0])
+    def test_finite_and_bounded_for_p_near_one(self, p):
+        # q = p/(p - 1) is 1001 at p = 1.001; the lemmas sweep's kernels
+        # at m = 35 overflowed the unscaled sum of densities^q
+        q = p / (p - 1.0)
+        h = 2.0 / 34
+        for n in (2, 3):
+            for t in np.geomspace(4.0 * h, 1.0 / 8.0, 5):
+                k = scale_kernel(n, float(t), h)
+                norm = kernel_lq_norm(k, q)
+                assert np.isfinite(norm)
+                assert norm <= kernel_lq_bound(k, q)
+                dens = k.taps_nd() / h**n
+                with np.errstate(over="ignore"):
+                    unscaled = (np.sum(dens**q) * h**n) ** (1.0 / q)
+                if np.isfinite(unscaled):
+                    assert norm == pytest.approx(unscaled, rel=1e-12, abs=0.0)
+
     def test_rejects_bad_exponent(self):
         k = scale_kernel(2, 0.2, 0.02)
         with pytest.raises(ValueError):
