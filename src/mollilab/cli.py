@@ -160,13 +160,18 @@ def _staged(path):
     """A temporary file beside `path`, made before the run and moved onto
     `path` after it, so that an unwritable path fails before any stage and
     a failed run leaves no file and an existing `path` as it was.  Yields
-    the temporary file's path, or None for stdout."""
+    the temporary file's path; None for stdout, and `path` itself when it
+    names something other than a regular file (a device or a pipe), which
+    is written through as it stands."""
     if path is None:
         yield None
         return
     if not path or os.path.isdir(path):
         code = errno.EISDIR if path else errno.ENOENT
         raise ConfigError(f"cannot write {path}: {os.strerror(code)}")
+    if os.path.exists(path) and not os.path.isfile(path):
+        yield path
+        return
     target = os.path.realpath(path)  # a symlink's file, which open(path, "w") would write
     head, name = os.path.split(target)
     try:
@@ -178,7 +183,11 @@ def _staged(path):
         os.umask(umask)
         os.fchmod(fd, 0o666 & ~umask)  # the mode open(path, "w") would give
         os.close(fd)
-        yield tmp
+        try:
+            yield tmp
+        except ConfigError as exc:
+            # a failed write names the path that was asked for
+            raise ConfigError(str(exc).replace(tmp, path)) from None
         try:
             os.replace(tmp, target)
         except OSError as exc:

@@ -31,7 +31,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lattice import Lattice, MetricField, erode_mask, pack_map, unpack_symmetric
+from .lattice import (Lattice, MetricField, central_diff, central_diff2, erode_mask, pack_map,
+                      unpack_symmetric)
 
 # Grid nodes per slab of the streamed Riemann builder, which takes
 # max(1, SLAB_NODES // m^(n-1)) whole axis-0 planes at a time and holds them
@@ -143,48 +144,31 @@ def _slab_index(n: int):
     return S, tuple(A), tuple(B), tuple(D2)
 
 
-def _along(ax: int, n: int, sl: slice) -> tuple:
-    """Index of sl along grid axis ax of an array whose last n axes are the grid."""
-    return (Ellipsis, sl) + (slice(None),) * (n - 1 - ax)
-
-
-@lru_cache(maxsize=None)
-def _rolled(ax: int, n: int, m: int):
-    """np.roll(v, -1, ax) and np.roll(v, 1, ax) as slices of v, for an
-    array whose last n axes are the grid and m long along ax: index triples
-    (out, next, prev).  Along axis 0 the planes carry one halo plane on each
-    side, which stands in for the wrap, and out drops them; along the other
-    axes there are three triples, the interior and the two wrapped ends."""
-    if ax == 0:
-        return (((Ellipsis,), _along(0, n, slice(2, None)), _along(0, n, slice(None, -2))),)
-    return tuple(tuple(_along(ax, n, sl) for sl in triple) for triple in (
-        (slice(1, m - 1), slice(2, m), slice(0, m - 2)),
-        (slice(0, 1), slice(1, 2), slice(m - 1, m)),
-        (slice(m - 1, m), slice(0, 1), slice(m - 2, m - 1))))
+def _planes(n: int, sl: slice) -> tuple:
+    """Index of sl along grid axis 0 of an array whose last n axes are the grid."""
+    return (Ellipsis, sl) + (slice(None),) * (n - 1)
 
 
 def _diff(v: np.ndarray, ax: int, n: int, h: float, out: np.ndarray) -> None:
     """`central_diff` along grid axis ax into out, for planes v that carry
-    one halo plane on each side of axis 0, which out drops: the entries
-    the np.roll jet of the whole grid gives."""
+    one halo plane on each side of axis 0, which out drops; along axis 0
+    the halo stands in for the wrap."""
     if ax:
-        v = v[_along(0, n, slice(1, -1))]
-    for o, nxt, prv in _rolled(ax, n, v.shape[ax - n]):
-        np.subtract(v[nxt], v[prv], out=out[o])
+        central_diff(v[_planes(n, slice(1, -1))], ax - n, h, out=out)
+        return
+    np.subtract(v[_planes(n, slice(2, None))], v[_planes(n, slice(None, -2))], out=out)
     out /= 2.0 * h
 
 
 def _diff2(v: np.ndarray, ax: int, n: int, h: float, out: np.ndarray) -> None:
-    """`central_diff2` along grid axis ax into out, likewise: the sum
-    (next - 2 v) + prev in that order, over h^2."""
-    mid = v[_along(0, n, slice(1, -1))]
-    np.multiply(mid, 2.0, out=out)
+    """`central_diff2` along grid axis ax into out, likewise."""
+    mid = v[_planes(n, slice(1, -1))]
     if ax:
-        v = mid
-    for o, nxt, prv in _rolled(ax, n, v.shape[ax - n]):
-        at = out[o]
-        np.subtract(v[nxt], at, out=at)
-        at += v[prv]
+        central_diff2(mid, ax - n, h, out=out)
+        return
+    np.multiply(mid, 2.0, out=out)
+    np.subtract(v[_planes(n, slice(2, None))], out, out=out)
+    out += v[_planes(n, slice(None, -2))]
     out /= h**2
 
 
@@ -205,7 +189,7 @@ def _slab_planes(gc: MetricField, ginv: np.ndarray, i0: int, i1: int):
     per (I, J).
 
     The slab reads its planes and a 2-plane halo with wrapped indices, so
-    every difference is the one the np.roll jet of the whole grid takes,
+    every difference is the one the periodic jet of the whole grid takes,
     off-mask garbage included.  It holds one plane stack per packed
     component, per first derivative and per second derivative d_y d_x g
     (the mixed ones nested in that order), and every sum is taken in the

@@ -14,6 +14,7 @@ eigenvalues and for n >= 4.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy import ndimage
@@ -313,14 +314,40 @@ def sample_metric(fn, lattice: Lattice) -> MetricField:
 # ---------------------------------------------------------------------------
 # finite differences
 
-def central_diff(values: np.ndarray, axis: int, h: float) -> np.ndarray:
-    """Second-order central first derivative; edge entries are garbage."""
-    return (np.roll(values, -1, axis) - np.roll(values, 1, axis)) / (2.0 * h)
+@lru_cache(maxsize=None)
+def _rolled(axis: int, m: int) -> tuple:
+    """np.roll(v, -1, axis) and np.roll(v, 1, axis), for v m long along axis,
+    as slices of v: index triples (out, next, prev) for the interior and
+    the two wrapped ends."""
+    lead = (slice(None),) * axis
+    return tuple(tuple(lead + (sl,) for sl in triple) for triple in (
+        (slice(1, m - 1), slice(2, m), slice(0, m - 2)),
+        (slice(0, 1), slice(1, 2), slice(m - 1, m)),
+        (slice(m - 1, m), slice(0, 1), slice(m - 2, m - 1))))
 
 
-def central_diff2(values: np.ndarray, axis: int, h: float) -> np.ndarray:
-    """Three-point second derivative along one axis; edge entries are garbage."""
-    return (np.roll(values, -1, axis) - 2.0 * values + np.roll(values, 1, axis)) / h**2
+def central_diff(values: np.ndarray, axis: int, h: float, out=None) -> np.ndarray:
+    """Second-order central first derivative, periodic along `axis` (into
+    `out` when given); edge entries are garbage."""
+    axis %= values.ndim
+    out = np.empty(values.shape) if out is None else out
+    for o, nxt, prv in _rolled(axis, values.shape[axis]):
+        np.subtract(values[nxt], values[prv], out=out[o])
+    out /= 2.0 * h
+    return out
+
+
+def central_diff2(values: np.ndarray, axis: int, h: float, out=None) -> np.ndarray:
+    """Three-point second derivative, periodic along `axis` (into `out` when
+    given), summed (next - 2 v) + prev; edge entries are garbage."""
+    axis %= values.ndim
+    out = np.multiply(values, 2.0, out=out)
+    for o, nxt, prv in _rolled(axis, values.shape[axis]):
+        at = out[o]
+        np.subtract(values[nxt], at, out=at)
+        at += values[prv]
+    out /= h**2
+    return out
 
 
 def _jet_blocks(values: np.ndarray, n: int, h: float, order: int) -> list[np.ndarray]:
@@ -364,7 +391,7 @@ def differentiate(f: Field, order: int) -> JetField:
         raise ValueError("order must be non-negative")
     if lat.m < 2 * order + 1:
         raise ValueError(f"order {order} too high for lattice with m={lat.m}")
-    # roll acts on grid axes only, so a metric's component axis stays in front
+    # the stencils act on grid axes only, so a metric's component axis stays in front
     values = (np.where(f.mask, f.values, 0.0) if isinstance(f, ScalarField)
               else np.where(f.mask[..., None], f.comps, 0.0))
     raw = _jet_blocks(values, lat.n, lat.h, order)

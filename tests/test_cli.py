@@ -642,6 +642,35 @@ class TestMainExitCodes:
         assert out.is_symlink() == via_link
         assert sorted(p.name for p in target.parent.iterdir()) == ["c.csv"]
 
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_out_that_is_a_pipe_is_written_through(self, tmp_path, capsys):
+        # a pipe (like a device) is written as it stands, not replaced by a file
+        argv = ["cover-check", "--geometry", "sphere2", "--m", "21"]
+        assert main(argv) == EXIT_OK
+        report = capsys.readouterr().out
+        fifo = tmp_path / "report"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            assert main([*argv, "--out", str(fifo)]) == EXIT_OK
+            assert os.read(reader, 1 << 16).decode() == report
+        finally:
+            os.close(reader)
+        assert fifo.is_fifo()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["report"]
+
+    def test_failed_write_names_the_out_path(self, tmp_path, capsys, monkeypatch):
+        def full(*args, **kwargs):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli, "open", full, raising=False)
+        out = tmp_path / "c.csv"
+        assert main(["cover-check", "--geometry", "sphere2", "--m", "21",
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"config error: cannot write {out}: No space left on device\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == []
+
     def test_out_of_memory_is_numerical_failure(self, tmp_path, capsys, monkeypatch):
         # a lattice too large for memory fails in whichever stage allocates
         # first; a stage that raises MemoryError stands in for it here
