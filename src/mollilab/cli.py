@@ -231,6 +231,12 @@ def write_csv(path, header: list, blocks: list) -> None:
 
 
 def _geometry(cfg: ExperimentConfig):
+    """The `--atlas-file` geometry when one is given, else `--geometry`."""
+    if cfg.atlas_file is not None:
+        try:
+            return parse_atlas_file(cfg.atlas_file)
+        except (OSError, KeyError, ValueError) as exc:
+            raise ConfigError(f"bad atlas file {cfg.atlas_file}: {exc}") from exc
     try:
         return get_geometry(cfg.geometry, R=cfg.R, amp=cfg.amp, alpha=cfg.alpha)
     except ValueError as exc:
@@ -531,13 +537,7 @@ def cmd_lemmas(cfg: ExperimentConfig) -> int:
 def run_cover(cfg: ExperimentConfig):
     """Cover report of the `--atlas-file` atlas, or else of `--geometry`."""
     cfg.validate_common()
-    if cfg.atlas_file is not None:
-        try:
-            geo = parse_atlas_file(cfg.atlas_file)
-        except (OSError, KeyError, ValueError) as exc:
-            raise ConfigError(f"bad atlas file {cfg.atlas_file}: {exc}") from exc
-    else:
-        geo = _geometry(cfg)
+    geo = _geometry(cfg)
     return check_cover(geo.atlas, geo.chart_lattice(cfg.m))
 
 

@@ -31,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lattice import (Lattice, MetricField, central_diff, central_diff2, erode_mask, pack_map,
+from .lattice import (MetricField, central_diff, central_diff2, erode_mask, pack_map,
                       unpack_symmetric)
 
 # Grid nodes per slab of the streamed Riemann builder, which takes
@@ -42,31 +42,6 @@ from .lattice import (Lattice, MetricField, central_diff, central_diff2, erode_m
 # 4096 and 8192 ran the builder 5-10 % faster on 2-d m = 161 and 3-d m = 25
 # charts, but made that slab 1.5 and 3 times as large.
 SLAB_NODES = 2048
-
-
-def _crop_to_mask(g: MetricField) -> tuple[MetricField, int]:
-    """Restrict a field to the centred cube bounding its mask, plus a
-    2-node pad for the Riemann stencils.  Heavily eroded masks (large
-    smoothing scales) then cost proportionally less.  Returns (field, trim):
-    the crop starts at node (trim,) * n of g's grid, and trim = 0 returns g
-    itself."""
-    mask = g.mask
-    if not mask.any():
-        raise ValueError("field mask is empty")
-    m = mask.shape[0]
-    trim = m
-    for ax in range(mask.ndim):
-        hit = np.where(mask.any(axis=tuple(a for a in range(mask.ndim) if a != ax)))[0]
-        trim = min(trim, hit[0], m - 1 - hit[-1])
-    trim = max(trim - 2, 0)
-    trim = min(trim, (m - 5) // 2)
-    if trim <= 0:
-        return g, 0
-    sl = (slice(trim, m - trim),) * mask.ndim
-    lat = g.lattice
-    m2 = m - 2 * trim
-    lat2 = Lattice(n=lat.n, r=lat.r * (m2 - 1) / (m - 1), m=m2)
-    return MetricField(lattice=lat2, comps=g.comps[sl], mask=mask[sl]), int(trim)
 
 
 def _s_tensor(dg: np.ndarray) -> np.ndarray:
@@ -183,10 +158,12 @@ def _symmetrize(x: np.ndarray) -> None:
                 x[J, I] = x[I, J]
 
 
-def _slab_planes(gc: MetricField, ginv: np.ndarray, i0: int, i1: int):
-    """(A, B), symmetrized, on the planes i0 <= i < i1 along axis 0 of gc,
-    in component layout: arrays (N, N) + slab, one contiguous plane stack
-    per (I, J).
+def _slab_planes(comps: np.ndarray, mask: np.ndarray, ginv: np.ndarray, h: float,
+                 i0: int, i1: int):
+    """(A, B), symmetrized, on the planes i0 <= i < i1 along axis 0 of a
+    metric's packed components `comps` (grid + (n(n+1)/2,)), read with its
+    validity `mask` at node spacing h, in component layout: arrays
+    (N, N) + slab, one contiguous plane stack per (I, J).
 
     The slab reads its planes and a 2-plane halo with wrapped indices, so
     every difference is the one the periodic jet of the whole grid takes,
@@ -198,17 +175,16 @@ def _slab_planes(gc: MetricField, ginv: np.ndarray, i0: int, i1: int):
     (`_contract_first`): numpy hands that product to BLAS, whose sums
     explicit ones would not reproduce bit for bit.
     """
-    lat = gc.lattice
-    n, h = lat.n, lat.h
+    n, m = mask.ndim, mask.shape[0]
     S_index, A_index, B_index, D2_index = _slab_index(n)
     # the planes i0 - 2 .. i1 + 1, wrapped only at the ends of the grid
-    planes = (slice(i0 - 2, i1 + 2) if 2 <= i0 and i1 + 2 <= lat.m
-              else np.arange(i0 - 2, i1 + 2) % lat.m)
+    planes = (slice(i0 - 2, i1 + 2) if 2 <= i0 and i1 + 2 <= m
+              else np.arange(i0 - 2, i1 + 2) % m)
     K, pairs = n * (n + 1) // 2, n * (n - 1) // 2
-    vals = np.empty((K, i1 - i0 + 4) + gc.mask.shape[1:])
+    vals = np.empty((K, i1 - i0 + 4) + mask.shape[1:])
     grid = tuple(range(n))
-    np.copyto(vals, gc.comps[planes].transpose((n,) + grid))
-    np.copyto(vals, 0.0, where=~gc.mask[planes])
+    np.copyto(vals, comps[planes].transpose((n,) + grid))
+    np.copyto(vals, 0.0, where=~mask[planes])
     slab = (i1 - i0,) + vals.shape[2:]
     d1 = np.empty((n, K, slab[0] + 2) + slab[1:])     # planes i0-1 .. i1
     for ax in range(n):
@@ -261,17 +237,21 @@ def _slab_planes(gc: MetricField, ginv: np.ndarray, i0: int, i1: int):
     return A, B
 
 
-def _slab_parts(gc: MetricField, ginv: np.ndarray, i0: int, i1: int):
-    """(A, B), symmetrized, on the planes i0 <= i < i1 along axis 0 of gc,
+def _slab_parts(g: MetricField, ginv: np.ndarray, i0: int, i1: int):
+    """(A, B), symmetrized, on the planes i0 <= i < i1 along axis 0 of g,
     node-major: slab + (N, N)."""
-    return tuple(np.moveaxis(x, (0, 1), (-2, -1)) for x in _slab_planes(gc, ginv, i0, i1))
+    planes = _slab_planes(g.comps, g.mask, ginv, g.lattice.h, i0, i1)
+    return tuple(np.moveaxis(x, (0, 1), (-2, -1)) for x in planes)
 
 
 def riemann(g: MetricField) -> RiemannField:
     """The curvature operator R_IJ = R_abcd = A_IJ + B_IJ of g.
 
-    The crop of g to its mask is streamed in slabs of about SLAB_NODES
-    nodes, whole planes along axis 0, into one preallocated full-grid
+    The builder reads g through the slices of one centred cube: the
+    smallest that holds the mask with a 2-node pad for the stencils, so
+    heavily eroded masks (large smoothing scales) cost proportionally less.
+    That crop is streamed in slabs of about SLAB_NODES nodes, whole planes
+    along axis 0, at g's own spacing, into one preallocated full-grid
     output (zero outside the crop); the peak is the input, g^-1, the output
     and one slab's component planes.
 
@@ -280,20 +260,25 @@ def riemann(g: MetricField) -> RiemannField:
     here, and a singular node only raises LinAlgError from
     `MetricField.inverse`.
     """
-    gc, trim = _crop_to_mask(g)
-    n, m = gc.lattice.n, gc.lattice.m
-    crop = (slice(trim, trim + m),) * n
-    ginv = g.inverse()[crop]
+    if not g.mask.any():
+        raise ValueError("riemann: metric mask is empty")
+    n, m = g.lattice.n, g.lattice.m
+    trim = m
+    for ax in range(n):
+        hit = np.flatnonzero(g.mask.any(axis=tuple(a for a in range(n) if a != ax)))
+        trim = min(trim, hit[0], m - 1 - hit[-1])
+    trim = max(trim - 2, 0)
+    crop = (slice(trim, m - trim),) * n
+    comps, mask, ginv = g.comps[crop], g.mask[crop], g.inverse()[crop]
     pairs = n * (n - 1) // 2
     riem = np.zeros(g.mask.shape + (pairs, pairs))
-    mask = np.zeros_like(g.mask)
-    mask[crop] = erode_mask(gc.mask, 2)
-    step = max(1, SLAB_NODES // m ** (n - 1))
-    for i0 in range(0, m, step):
-        i1 = min(i0 + step, m)
-        np.add(*_slab_planes(gc, ginv, i0, i1),
-               out=riem[crop][i0:i1].transpose((n, n + 1) + tuple(range(n))))
-    return RiemannField(metric=g, riem=riem, mask=mask)
+    out = riem[crop].transpose((n, n + 1) + tuple(range(n)))
+    mc = m - 2 * trim
+    step = max(1, SLAB_NODES // mc ** (n - 1))
+    for i0 in range(0, mc, step):
+        i1 = min(i0 + step, mc)
+        np.add(*_slab_planes(comps, mask, ginv, g.lattice.h, i0, i1), out=out[:, :, i0:i1])
+    return RiemannField(metric=g, riem=riem, mask=erode_mask(g.mask, 2))
 
 
 def _lower_inverse(L: np.ndarray) -> np.ndarray:

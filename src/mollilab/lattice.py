@@ -353,20 +353,18 @@ def central_diff2(values: np.ndarray, axis: int, h: float, out=None) -> np.ndarr
 def _jet_blocks(values: np.ndarray, n: int, h: float, order: int) -> list[np.ndarray]:
     """Derivative blocks with trailing derivative axes appended.
 
-    Block k has shape values.shape + (n,)*k.  Mixed partials are nested
-    central differences, so index-permutation symmetry is exact.
+    Block k has shape values.shape + (n,)*k, and block 0 is values itself.
+    Mixed partials are nested central differences, so index-permutation
+    symmetry is exact.
     """
-    blocks = [values.copy()]
-    if order >= 1:
-        d1 = np.stack([central_diff(values, ax, h) for ax in range(n)], axis=-1)
-        blocks.append(d1)
-    for k in range(2, order + 1):
-        prev = blocks[k - 1]
-        dk = np.stack([central_diff(prev, ax, h) for ax in range(n)], axis=-1)
-        if k == 2:
-            # pure second derivatives via the compact 3-point stencil
-            for ax in range(n):
-                dk[..., ax, ax] = central_diff2(values, ax, h)
+    blocks = [values]
+    for k in range(1, order + 1):
+        dk = np.empty(blocks[-1].shape + (n,))
+        for ax in range(n):
+            central_diff(blocks[-1], ax, h, out=dk[..., ax])
+            if k == 2:
+                # pure second derivatives via the compact 3-point stencil
+                central_diff2(values, ax, h, out=dk[..., ax, ax])
         blocks.append(dk)
     return blocks
 

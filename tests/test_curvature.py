@@ -10,12 +10,13 @@ from scipy import ndimage
 from mollilab import cli
 from mollilab.atlas import assemble_mollified
 import mollilab.curvature as curvature
-from mollilab.curvature import (RiemannField, _contract_first, _crop_to_mask, _lambda2,
-                                _pair_axes, _s_tensor, _slab_parts, riemann,
-                                sec_extreme_fields, sec_spectrum)
+import mollilab.lattice as lattice
+from mollilab.curvature import (RiemannField, _contract_first, _lambda2, _pair_axes,
+                                _s_tensor, _slab_parts, riemann, sec_extreme_fields,
+                                sec_spectrum)
 from mollilab.kernels import scale_kernel
-from mollilab.lattice import (MetricField, _jet_blocks, differentiate, erode_mask,
-                              make_lattice, pack_map, pack_symmetric, sample_metric)
+from mollilab.lattice import (MetricField, _jet_blocks, erode_mask, make_lattice, pack_map,
+                              pack_symmetric, sample_metric)
 from mollilab.modelzoo import get_geometry
 from mollilab.norms import check_N0
 
@@ -78,11 +79,27 @@ def sectional_field(g, R, v, w):
 
 
 def _parts(g):
-    """The Hessian part A and the remainder B of the crop of g to its mask,
-    built as one slab, with the valid mask of the crop."""
-    gc = _crop_to_mask(g)[0]
-    A, B = _slab_parts(gc, gc.inverse(), 0, gc.lattice.m)
-    return A, B, erode_mask(gc.mask, 2)
+    """The Hessian part A and the remainder B of g, built as one slab of
+    the whole grid, with their valid mask."""
+    A, B = _slab_parts(g, g.inverse(), 0, g.lattice.m)
+    return A, B, erode_mask(g.mask, 2)
+
+
+def _builder_trim(g) -> int:
+    """The nodes a side that `riemann` crops from g's grid, read from the
+    size of the component array it hands to the slab builder."""
+    sizes = []
+    build = curvature._slab_planes
+
+    def spy(comps, *args):
+        sizes.append(comps.shape[0])
+        return build(comps, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(curvature, "_slab_planes", spy)
+        riemann(g)
+    assert len(set(sizes)) == 1
+    return (g.lattice.m - sizes[0]) // 2
 
 
 def _sec_range(R, region):
@@ -155,36 +172,39 @@ def test_packed_jet_gives_full_matrix_hessian_part(mollified):
     samples = geo.sample_all(17)
     if mollified:
         samples = assemble_mollified(geo.atlas, samples, scale_kernel(3, 0.3, lat.h))
-    gc = _crop_to_mask(samples["north"])[0]
-    A, _, mask = _parts(gc)
+    g = samples["north"]
+    A, _, mask = _parts(g)
     assert mask.any()
-    assert np.array_equal(A[mask], _full_matrix_hessian_part(gc)[mask])
+    assert np.array_equal(A[mask], _full_matrix_hessian_part(g)[mask])
 
 
 def _whole_grid_parts(g: MetricField):
     """The builder before streaming, kept as the reference: A and B from the
-    whole differentiate(g, 2) jet of the crop of g to its mask, symmetrized
-    and pasted into g's grid, with their valid mask."""
-    gc, trim = _crop_to_mask(g)
-    n = gc.lattice.n
-    jet = differentiate(gc, 2)
-    _, dg, d2g = jet.blocks
+    whole periodic 2-jet of the components, zeroed off the mask, of the
+    centred cube that holds g's mask with a 2-node pad, taken at g's
+    spacing, symmetrized and pasted into g's grid, with their valid mask."""
+    n, m = g.lattice.n, g.lattice.m
+    nodes = np.argwhere(g.mask)
+    trim = max(min(nodes.min(), m - 1 - nodes.max()) - 2, 0)
+    del nodes  # not part of the reference's peak
+    crop = (slice(trim, m - trim),) * n
+    vals = np.where(g.mask[crop][..., None], g.comps[crop], 0.0)
+    _, dg, d2g = _jet_blocks(vals, n, g.lattice.h, 2)
     P = pack_map(n)
     a, b, c, d = _pair_axes(n)
     A = 0.5 * (d2g[..., P[a, d], b, c] + d2g[..., P[b, c], a, d]
                - d2g[..., P[a, c], b, d] - d2g[..., P[b, d], a, c])
     S = _s_tensor(dg[..., P, :])
-    gamma = 0.5 * _contract_first(gc.inverse(), S)
+    gamma = 0.5 * _contract_first(g.inverse()[crop], S)
     B = 0.5 * sum(gamma[..., q, b, c] * S[..., q, a, d]
                   - gamma[..., q, b, d] * S[..., q, a, c] for q in range(n))
-    crop = (slice(trim, trim + gc.lattice.m),) * n
     parts = []
     for x in (A, B):
         full = np.zeros(g.mask.shape + x.shape[-2:])
         full[crop] = 0.5 * (x + np.swapaxes(x, -2, -1))
         parts.append(full)
     mask = np.zeros_like(g.mask)
-    mask[crop] = jet.mask
+    mask[crop] = erode_mask(g.mask[crop], 2)
     return parts[0], parts[1], mask
 
 
@@ -224,7 +244,7 @@ class TestStreamedBuilder:
         g = sample_metric(_conformal(_sphere_lam()), lat)
         if masked:
             g = MetricField(lattice=lat, comps=g.comps, mask=lat.ball_mask(0.3, norm="max"))
-            assert _crop_to_mask(g)[1] == 1
+            assert _builder_trim(g) == 1
         A_ref, B_ref, mask_ref = _whole_grid_parts(g)
         for slab in (curvature.SLAB_NODES, m ** 3, 3 * m ** 3):
             monkeypatch.setattr(curvature, "SLAB_NODES", slab)
@@ -261,14 +281,57 @@ class TestStreamedBuilder:
         lat = make_lattice(3, 1.0, 21)
         comps = np.broadcast_to(pack_symmetric(np.eye(3)), lat.shape + (6,)).copy()
         mask = lat.ball_mask(0.4, norm="max")
+        # the crop depends on the mask alone
+        assert _builder_trim(MetricField(lattice=lat, comps=comps, mask=mask)) == 4
         for diag, what in (([0.0, 1.0, 1.0], "metric has g_00 = 0"),
                            ([1.0, 0.0, 1.0], "singular metric")):
             comps[12, 10, 9] = pack_symmetric(np.diag(diag))
             g = MetricField(lattice=lat, comps=comps, mask=mask)
-            assert _crop_to_mask(g)[1] == 4
             with pytest.raises(np.linalg.LinAlgError,
                                match=rf"^{what} at node \(12, 10, 9\)$"):
                 riemann(g)
+
+    # (geometry, m, t / r, the builder's trim on each mollified chart)
+    CROPPED = [("hyperbolic2", 41, 0.1, [6]), ("hyperbolic3", 13, 0.3, [1]),
+               ("pflat2", 41, 0.2, [6]), ("pflat3", 13, 0.3, [1]),
+               ("flat2", 41, 0.2, [1, 2]), ("sphere2", 41, 0.2, [0, 0])]
+
+    @pytest.mark.parametrize("name,m,t,trims", CROPPED)
+    def test_cropped_bit_equal_to_whole_grid_on_the_mask(self, name, m, t, trims):
+        # the crop is a set of slices of g at g's own spacing, so R on the
+        # mask does not depend on how far the mask was eroded
+        geo = get_geometry(name)
+        lat = geo.chart_lattice(m)
+        mollified = assemble_mollified(geo.atlas, geo.sample_all(m),
+                                       scale_kernel(geo.n, t * geo.r, lat.h))
+        assert [_builder_trim(g) for g in mollified.values()] == trims
+        for g in mollified.values():
+            R = riemann(g)
+            whole = riemann(MetricField(lattice=lat, comps=g.comps, mask=lat.full_mask()))
+            assert R.mask.any()
+            assert np.array_equal(R.riem[R.mask], whole.riem[R.mask])
+
+    def test_builds_no_metric_field_or_lattice(self, monkeypatch):
+        geo = get_geometry("pflat2")
+        lat = geo.chart_lattice(41)
+        g, = assemble_mollified(geo.atlas, geo.sample_all(41),
+                                scale_kernel(2, 0.2 * geo.r, lat.h)).values()
+        assert _builder_trim(g) > 0
+
+        def refuse(self):
+            raise AssertionError(f"riemann built a {type(self).__name__}")
+
+        monkeypatch.setattr(lattice.MetricField, "__post_init__", refuse)
+        monkeypatch.setattr(lattice.Lattice, "__post_init__", refuse)
+        R = riemann(g)
+        assert R.metric is g
+
+    def test_refuses_an_empty_mask(self):
+        lat = make_lattice(2, 1.0, 11)
+        g = MetricField(lattice=lat, comps=sample_metric(_flat(2), lat).comps,
+                        mask=np.zeros(lat.shape, dtype=bool))
+        with pytest.raises(ValueError, match=r"^riemann: metric mask is empty$"):
+            riemann(g)
 
 
 class TestSectional:
@@ -433,7 +496,7 @@ def _on_mask_cases(name):
     first = samples[min(samples)]
     cropped = MetricField(lattice=lat, comps=first.comps,
                           mask=lat.ball_mask(0.5 * geo.r, norm="max"))
-    assert _crop_to_mask(cropped)[1] > 0
+    assert _builder_trim(cropped) > 0
     return (*samples.values(), *mollified.values(), cropped)
 
 
