@@ -32,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from .lattice import (MetricField, central_diff, central_diff2, erode_mask, pack_map,
-                      unpack_symmetric)
+                      packed_inverse, unpack_symmetric)
 
 # Grid nodes per slab of the streamed Riemann builder, which takes
 # max(1, SLAB_NODES // m^(n-1)) whole axis-0 planes at a time and holds them
@@ -253,12 +253,12 @@ def riemann(g: MetricField) -> RiemannField:
     That crop is streamed in slabs of about SLAB_NODES nodes, whole planes
     along axis 0, at g's own spacing, into one preallocated full-grid
     output (zero outside the crop); the peak is the input, g^-1, the output
-    and one slab's component planes.
+    and one slab's component planes.  g^-1 is taken on the crop alone.
 
     g must be a checked metric (`lattice.check_definite`), as
     `sample_metric` and `assemble_mollified` make; it is not checked again
     here, and a singular node only raises LinAlgError from
-    `MetricField.inverse`.
+    `lattice.packed_inverse`, which names the node in g's grid.
     """
     if not g.mask.any():
         raise ValueError("riemann: metric mask is empty")
@@ -269,7 +269,8 @@ def riemann(g: MetricField) -> RiemannField:
         trim = min(trim, hit[0], m - 1 - hit[-1])
     trim = max(trim - 2, 0)
     crop = (slice(trim, m - trim),) * n
-    comps, mask, ginv = g.comps[crop], g.mask[crop], g.inverse()[crop]
+    comps, mask = g.comps[crop], g.mask[crop]
+    ginv = packed_inverse(comps, n, shift=trim)
     pairs = n * (n - 1) // 2
     riem = np.zeros(g.mask.shape + (pairs, pairs))
     out = riem[crop].transpose((n, n + 1) + tuple(range(n)))

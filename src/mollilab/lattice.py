@@ -7,9 +7,11 @@ subset of its input mask.  A metric is stored once, as its packed
 components in `pack_map` order with the identity written off the mask at
 construction; every stage reads and writes that array, and pointwise
 algebra never pads by hand.  For n <= 3 the inverse is the adjugate over
-the determinant and the 2-d eigenvalues are the closed-form roots, read
-straight from the packed components; batched LAPACK is kept for the 3-d
-eigenvalues and for n >= 4.
+the determinant, the 2-d eigenvalues are the closed-form roots, and the
+metric check certifies nodes from their LDL^T pivots, all read straight
+from the packed components; batched LAPACK is kept for the 3-d
+eigenvalues, for the nodes the certificate leaves undecided, and for
+n >= 4.
 """
 from __future__ import annotations
 
@@ -23,17 +25,18 @@ from scipy import ndimage
 COND_LIMIT = 1e12
 
 
-def _box_structure(n: int) -> np.ndarray:
-    return np.ones((3,) * n, dtype=bool)
-
-
 def erode_mask(mask: np.ndarray, steps: int) -> np.ndarray:
-    """Shrink a validity mask by `steps` nodes in every direction (Chebyshev)."""
-    if steps <= 0:
-        return mask.copy()
-    return ndimage.binary_erosion(
-        mask, structure=_box_structure(mask.ndim), iterations=steps, border_value=0
-    )
+    """Shrink a validity mask by `steps` nodes in every direction (Chebyshev):
+    a node stays valid when the whole (2 steps + 1)^n box around it is, nodes
+    past the edge counting as invalid.  That box is the Minkowski sum of its
+    axis segments, so one running minimum per axis (zero past the edge) gives
+    exactly `steps` iterations of the 3^n binary erosion."""
+    out = np.array(mask, dtype=bool)
+    if steps > 0:
+        for ax in range(out.ndim):
+            ndimage.minimum_filter1d(out, 2 * steps + 1, axis=ax, output=out,
+                                     mode="constant", cval=0)
+    return out
 
 
 def grow_box(a: np.ndarray, buf: np.ndarray, n: int) -> None:
@@ -225,50 +228,82 @@ class MetricField:
         return eigs
 
     def inverse(self) -> np.ndarray:
-        """Inverse matrices at every node (identity off the mask), grid + (n, n).
-
-        For n <= 3 the adjugate over the determinant, from the n(n+1)/2
-        cofactors of the symmetric matrix.  In 3-d the determinant is taken
-        after one elimination step on g_00, as g_00 times the determinant
-        of the 2 x 2 Schur complement: its relative error stays near
-        eps * cond, where the cofactor expansion loses up to eps * cond^2.
-        That step needs g_00 != 0, which holds for positive-definite
-        metrics; a zero g_00 or determinant on the mask raises LinAlgError.
-        Recomputed on every call; nothing is cached on the field.
-        """
-        n = self.lattice.n
-        if n > 3:
-            return np.linalg.inv(self.matrices())
-        p = np.moveaxis(self.comps, -1, 0)
-        out = np.empty(p.shape[1:] + (n, n))
-        if n == 2:
-            a, b, c = p
-            out[..., 0, 0] = c
-            out[..., 1, 1] = a
-            np.negative(b, out=out[..., 0, 1])
-            out[..., 1, 0] = out[..., 0, 1]
-            det = a * c - b * b
-        else:
-            a, b, c, d, e, f = p
-            cofactors = {(0, 0): (d, f, e, e), (0, 1): (c, e, b, f),
-                         (0, 2): (b, e, c, d), (1, 1): (a, f, c, c),
-                         (1, 2): (b, c, a, e), (2, 2): (a, d, b, b)}
-            for (i, j), (w, x, y, z) in cofactors.items():
-                cof = out[..., i, j]
-                np.multiply(w, x, out=cof)
-                cof -= y * z
-                out[..., j, i] = cof
-            _raise_at(a == 0.0, "metric has g_00 = 0")
-            t = e - b * (c / a)
-            det = out[..., 2, 2] * (f - c * (c / a)) - a * t * t
-        _raise_at(det == 0.0, "singular metric")
-        out /= det[..., None, None]
-        return out
+        """Inverse matrices at every node (identity off the mask), grid + (n, n):
+        `packed_inverse` of the components.  Recomputed on every call;
+        nothing is cached on the field."""
+        return packed_inverse(self.comps, self.lattice.n)
 
 
-def _raise_at(bad: np.ndarray, what: str) -> None:
+def _schur_g00(p) -> tuple:
+    """One LDL^T elimination step on g_00 of packed 3-d components
+    p = (a, b, c, d, e, f): the Schur complement (s11, s12, s22),
+    s_ij = g_ij - g_i0 g_0j / g_00.  The one elimination path of
+    `packed_inverse` and `ldl_pivots`."""
+    a, b, c, d, e, f = p
+    ba, ca = b / a, c / a
+    return d - b * ba, e - b * ca, f - c * ca
+
+
+def ldl_pivots(comps: np.ndarray) -> tuple:
+    """The pivots of LDL^T without pivoting of packed 2-d or 3-d symmetric
+    components (trailing axis): (a, c - b^2/a) in 2-d, and
+    (a, s11, s22 - s12^2/s11) from `_schur_g00` in 3-d.  A zero pivot gives
+    inf or nan, with numpy's warnings."""
+    p = np.moveaxis(comps, -1, 0)
+    if len(p) == 3:
+        a, b, c = p
+        return a, c - b * (b / a)
+    s11, s12, s22 = _schur_g00(p)
+    return p[0], s11, s22 - s12 * (s12 / s11)
+
+
+def packed_inverse(comps: np.ndarray, n: int, shift: int = 0) -> np.ndarray:
+    """Inverse matrices of packed symmetric n x n components (trailing axis),
+    comps.shape[:-1] + (n, n).
+
+    For n <= 3 the adjugate over the determinant, from the n(n+1)/2
+    cofactors of the symmetric matrix.  In 3-d the determinant is taken
+    after one elimination step on g_00 (`_schur_g00`), as g_00 times the
+    determinant of the 2 x 2 Schur complement: its relative error stays
+    near eps * cond, where the cofactor expansion loses up to eps * cond^2.
+    That step needs g_00 != 0, which holds for positive-definite metrics; a
+    zero g_00 or determinant raises LinAlgError naming the first such node,
+    each index plus `shift` (the offset of a cropped block in its grid).
+    n >= 4 goes to LAPACK.
+    """
+    if n > 3:
+        return np.linalg.inv(unpack_symmetric(comps, n))
+    p = np.moveaxis(comps, -1, 0)
+    out = np.empty(p.shape[1:] + (n, n))
+    if n == 2:
+        a, b, c = p
+        out[..., 0, 0] = c
+        out[..., 1, 1] = a
+        np.negative(b, out=out[..., 0, 1])
+        out[..., 1, 0] = out[..., 0, 1]
+        det = a * c - b * b
+    else:
+        a, b, c, d, e, f = p
+        cofactors = {(0, 0): (d, f, e, e), (0, 1): (c, e, b, f),
+                     (0, 2): (b, e, c, d), (1, 1): (a, f, c, c),
+                     (1, 2): (b, c, a, e), (2, 2): (a, d, b, b)}
+        for (i, j), (w, x, y, z) in cofactors.items():
+            cof = out[..., i, j]
+            np.multiply(w, x, out=cof)
+            cof -= y * z
+            out[..., j, i] = cof
+        _raise_at(a == 0.0, "metric has g_00 = 0", shift)
+        _, s12, s22 = _schur_g00(p)
+        det = out[..., 2, 2] * s22 - a * s12 * s12
+    _raise_at(det == 0.0, "singular metric", shift)
+    out /= det[..., None, None]
+    return out
+
+
+def _raise_at(bad: np.ndarray, what: str, shift: int = 0) -> None:
     if bad.any():
-        raise np.linalg.LinAlgError(f"{what} at node {first_node(bad)}")
+        node = tuple(i + int(shift) for i in first_node(bad))
+        raise np.linalg.LinAlgError(f"{what} at node {node}")
 
 
 Field = ScalarField | MetricField
@@ -284,10 +319,49 @@ def sample_scalar(fn, lattice: Lattice) -> ScalarField:
     return ScalarField(lattice=lattice, values=values, mask=lattice.full_mask())
 
 
-def check_definite(g: MetricField, stage: str) -> np.ndarray:
-    """g.eigenvalues(), after checking that every node is positive definite
-    with condition number at most COND_LIMIT (nodes off the mask have
-    eigenvalues 1).  A failure names `stage` and the first bad node."""
+def certify_definite(comps: np.ndarray) -> np.ndarray:
+    """Nodes of packed 2-d or 3-d symmetric components (trailing axis) proven
+    positive definite with condition number at most COND_LIMIT / 1e2, a
+    boolean grid: every LDL^T pivot (`ldl_pivots`) is > 0, tr(g)^n is a
+    finite normal number, and tr(g)^n <= (COND_LIMIT / 1e2) * prod(pivots),
+    the product taken left to right.
+
+    Sound: a node this passes, the eigenvalue check passes.  In exact
+    arithmetic prod(pivots) = det g >= lam_min lam_max^(n-1) and
+    tr g >= lam_max, so tr^n <= K det gives cond <= K.  In floating point,
+    Cholesky and LDL^T are backward stable (Higham, Accuracy and Stability
+    of Numerical Algorithms, Thm 10.3): positive computed pivots are the
+    exact pivots of g + E with |E|_2 <= (n+1) eps tr g.  So g + E is
+    positive definite with lam_min >= tr / (K (1 + n eps)), g has
+    lam_min >= tr (1/K - (n+1) eps) and cond <= ~1e10, and the factor 1e2
+    left over absorbs the eigenvalue solver's own round-off.  A computed
+    pivot after positive ones is at most its diagonal entry, hence at most
+    tr: with tr^n finite only the last product can overflow, which leaves
+    the inequality true, and with tr^n normal a passing node has every
+    pivot >= tr / K, far above the underflow that could move it by a
+    relative eps.  tr(g) tr(g^-1) is no such bound: it reads the sum of the
+    2 x 2 minors, which cancels on near-rank-1 matrices.
+    """
+    with np.errstate(all="ignore"):
+        pivots = ldl_pivots(comps)
+        n = len(pivots)
+        power = comps[..., pack_map(n).diagonal()].sum(axis=-1) ** n
+        bound = COND_LIMIT / 1e2 * pivots[0]
+        ok = pivots[0] > 0.0
+        for piv in pivots[1:]:
+            bound *= piv
+            ok &= piv > 0.0
+    return ok & (power >= np.finfo(float).tiny) & (power < np.inf) & (power <= bound)
+
+
+def check_definite(g: MetricField, stage: str) -> None:
+    """Check that every node is positive definite with condition number at
+    most COND_LIMIT (nodes off the mask hold the identity).  For n <= 3
+    `certify_definite` decides the nodes in closed form; only when it leaves
+    some node undecided, and for n >= 4, the eigenvalues decide.  A failure
+    names `stage` and the first bad node."""
+    if g.lattice.n <= 3 and certify_definite(g.comps).all():
+        return
     eigs = g.eigenvalues()
     bad = eigs[..., 0] <= 0.0
     if bad.any():
@@ -298,7 +372,6 @@ def check_definite(g: MetricField, stage: str) -> np.ndarray:
         node = first_node(ill)
         raise ValueError(f"{stage}: metric condition number {cond[node]:.3g} exceeds "
                          f"1e12 at node {node}")
-    return eigs
 
 
 def sample_metric(fn, lattice: Lattice) -> MetricField:

@@ -73,7 +73,8 @@ def sobolev_norm(jet: JetField, h: float, p: float) -> tuple:
 
 def check_N0(g: MetricField) -> float:
     """Minimal Q with e^{-2Q} <= eigenvalues of g <= e^{2Q} at every valid node."""
-    logs = np.log(check_definite(g, "check_N0")[g.mask])
+    check_definite(g, "check_N0")
+    logs = np.log(g.eigenvalues()[g.mask])
     return 0.5 * float(np.abs(logs).max())
 
 

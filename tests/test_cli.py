@@ -12,6 +12,10 @@ import pytest
 from scipy import ndimage
 
 import mollilab
+import mollilab.atlas as atlas
+import mollilab.curvature as curvature
+import mollilab.lattice as lattice
+import mollilab.norms as norms
 from mollilab import cli
 from mollilab.atlas import assemble_mollified
 from mollilab.curvature import riemann, sec_extreme_fields, sec_spectrum
@@ -140,6 +144,10 @@ def _per_cell_curvature_csv(argv):
     return "\n".join(lines) + "\n"
 
 
+def _no_whole_grid_inverse(g):
+    raise AssertionError("the Riemann builder inverts its crop, not g's whole grid")
+
+
 class TestCurvatureCommand:
     def test_flat_columns_zero(self):
         header, blocks = run_curvature(ExperimentConfig(geometry="flat2", m=21))
@@ -210,32 +218,42 @@ class TestCurvatureCommand:
 
     def test_each_metric_diagonalised_once(self, tmp_path, monkeypatch):
         # two sampled charts and two glued g^[t]: each is checked where it
-        # is made, and the Riemann builder reads it without a second check
-        calls = []
-        eigenvalues = MetricField.eigenvalues
+        # is made, and the Riemann builder reads it without a second check;
+        # the closed-form certificate decides every node, so no eigenvalue
+        # is computed
+        stages, eigs = [], []
+        check_definite, eigenvalues = lattice.check_definite, MetricField.eigenvalues
+
+        def checked(g, stage):
+            stages.append(stage.split(":")[0])
+            return check_definite(g, stage)
 
         def counted(g):
-            calls.append(g)
+            eigs.append(g)
             return eigenvalues(g)
 
+        for module in (lattice, atlas, norms):
+            monkeypatch.setattr(module, "check_definite", checked)
         monkeypatch.setattr(MetricField, "eigenvalues", counted)
         code = main(["curvature", "--geometry", "sphere3", "--m", "25", "--t", "0.3",
                      "--out", str(tmp_path / "c.csv")])
         assert code == EXIT_OK
-        assert len(calls) == 4
+        assert stages == ["sample_metric"] * 2 + ["assemble_mollified"] * 2
+        assert eigs == []
 
     def test_each_metric_inverted_once(self, tmp_path, monkeypatch):
-        # the Riemann builder inverts each of the four metrics; the scalar
-        # curvature comes from the solve that gives the extremes, which
-        # inverts none
+        # the Riemann builder inverts each of the four metrics, on its crop;
+        # the scalar curvature comes from the solve that gives the extremes,
+        # which inverts none
         calls = []
-        inverse = MetricField.inverse
+        packed_inverse = curvature.packed_inverse
 
-        def counted(g):
-            calls.append(g)
-            return inverse(g)
+        def counted(comps, n, shift=0):
+            calls.append(comps)
+            return packed_inverse(comps, n, shift)
 
-        monkeypatch.setattr(MetricField, "inverse", counted)
+        monkeypatch.setattr(curvature, "packed_inverse", counted)
+        monkeypatch.setattr(MetricField, "inverse", _no_whole_grid_inverse)
         code = main(["curvature", "--geometry", "sphere3", "--m", "25", "--t", "0.3",
                      "--out", str(tmp_path / "c.csv")])
         assert code == EXIT_OK
@@ -314,15 +332,16 @@ class TestDeviationCommand:
 
     def test_each_metric_inverted_once(self, tmp_path, monkeypatch):
         # the Riemann builder inverts the raw metric and each scale's
-        # mollified one; the spectrum solve inverts none
+        # mollified one, on its crop; the spectrum solve inverts none
         calls = []
-        inverse = MetricField.inverse
+        packed_inverse = curvature.packed_inverse
 
-        def counted(g):
-            calls.append(g)
-            return inverse(g)
+        def counted(comps, n, shift=0):
+            calls.append(comps)
+            return packed_inverse(comps, n, shift)
 
-        monkeypatch.setattr(MetricField, "inverse", counted)
+        monkeypatch.setattr(curvature, "packed_inverse", counted)
+        monkeypatch.setattr(MetricField, "inverse", _no_whole_grid_inverse)
         code = main(["deviation", "--geometry", "pflat2", "--amp", "0.3", "--alpha", "0.6",
                      "--m", "161", "--t-min", "0.015625", "--t-max", "0.125",
                      "--t-count", "8", "--seed", "1", "--out", str(tmp_path / "d.csv")])
@@ -389,6 +408,23 @@ class TestNormsCommand:
         text = run_norms(ExperimentConfig(geometry="sphere2", m=21))
         assert text.count("[chart ") == 2
         assert calls == {"check_N0": 2, "harmonic_defect": 2}
+
+    def test_eigenvalues_taken_once_per_chart_by_check_N0(self, tmp_path, monkeypatch):
+        # the metric checks certify every node in closed form; N0_Q needs
+        # the extreme eigenvalues, which check_N0 takes itself
+        callers = []
+        eigenvalues = MetricField.eigenvalues
+
+        def counted(g):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return eigenvalues(g)
+
+        monkeypatch.setattr(MetricField, "eigenvalues", counted)
+        code = main(["norms", "--geometry", "sphere3", "--m", "33",
+                     "--out", str(tmp_path / "n.txt")])
+        assert code == EXIT_OK
+        assert len(get_geometry("sphere3").atlas.charts) == 2
+        assert callers == ["check_N0"] * 2
 
     def test_hyperbolic_report_positive_q(self):
         text = run_norms(ExperimentConfig(geometry="hyperbolic2", m=21))

@@ -326,6 +326,30 @@ class TestStreamedBuilder:
         R = riemann(g)
         assert R.metric is g
 
+    @pytest.mark.parametrize("name,m,t", [("pflat2", 41, 0.2), ("pflat3", 13, 0.3)])
+    def test_inverts_only_its_crop(self, name, m, t, monkeypatch):
+        # g^-1 is taken on the cropped components alone; R is bit for bit
+        # the R built from the crop of g's whole-grid inverse
+        geo = get_geometry(name)
+        lat = geo.chart_lattice(m)
+        g = next(iter(assemble_mollified(geo.atlas, geo.sample_all(m),
+                                         scale_kernel(geo.n, t * geo.r, lat.h)).values()))
+        trim = _builder_trim(g)
+        assert trim > 0
+        crop = (slice(trim, m - trim),) * geo.n
+        seen = []
+
+        def spy(comps, n, shift=0):
+            seen.append((comps.shape, shift))
+            return lattice.packed_inverse(comps, n, shift)
+
+        monkeypatch.setattr(curvature, "packed_inverse", spy)
+        R = riemann(g)
+        assert seen == [(g.comps[crop].shape, trim)]
+        monkeypatch.setattr(curvature, "packed_inverse", lambda comps, n, shift=0:
+                            g.inverse()[crop])
+        assert np.array_equal(R.riem, riemann(g).riem)
+
     def test_refuses_an_empty_mask(self):
         lat = make_lattice(2, 1.0, 11)
         g = MetricField(lattice=lat, comps=sample_metric(_flat(2), lat).comps,

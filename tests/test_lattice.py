@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
-from mollilab.lattice import (MetricField, ScalarField, central_diff, check_definite,
-                              differentiate, erode_mask, grow_box, make_lattice, pack_map,
-                              pack_symmetric, sample_metric, sample_scalar, unpack_symmetric)
+from mollilab.lattice import (COND_LIMIT, MetricField, ScalarField, central_diff,
+                              certify_definite, check_definite, differentiate, erode_mask,
+                              grow_box, ldl_pivots, make_lattice, pack_map, pack_symmetric,
+                              packed_inverse, sample_metric, sample_scalar, unpack_symmetric)
 from mollilab.norms import check_N0
 
 
@@ -183,6 +184,181 @@ class TestCheckDefinite:
         check_definite(MetricField(lattice=lat, comps=comps, mask=mask), "stage")
 
 
+def _field_with(n, m, nodes):
+    """The identity metric on an m^n lattice, full mask, with the matrices
+    `nodes` (node -> n x n matrix) put in; one node, (0,) * n, is taken off
+    the mask after holding an indefinite matrix."""
+    lat = make_lattice(n, 1.0, m)
+    mats = np.broadcast_to(np.eye(n), lat.shape + (n, n)).copy()
+    mask = lat.full_mask()
+    off = (0,) * n
+    mats[off] = -np.eye(n)
+    mask[off] = False
+    for node, mat in nodes.items():
+        mats[node] = mat
+    return MetricField(lattice=lat, comps=pack_symmetric(mats), mask=mask)
+
+
+class TestCheckDefiniteTexts:
+    """The refusal texts name the stage, the first bad node in C order and
+    the condition number to three digits, in every dimension."""
+
+    STAGES = (("stage", lambda g: check_definite(g, "stage")), ("check_N0", check_N0))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_not_positive_definite(self, n):
+        flip = np.diag([1.0] * (n - 1) + [-1e-3])
+        near = np.ones((n, n)) + 1e-30 * np.eye(n)   # rank 1 to working precision
+        node, later = (1, 2) + (3,) * (n - 2), (3, 0) + (1,) * (n - 2)
+        for bad in (flip, near, np.zeros((n, n))):
+            g = _field_with(n, 5, {node: bad, later: flip})
+            for stage, check in self.STAGES:
+                with pytest.raises(ValueError, match=rf"^{stage}: metric not positive-definite "
+                                                     rf"at node \({', '.join(map(str, node))}\)$"):
+                    check(g)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_ill_conditioned(self, n):
+        ill = np.diag([2.0] + [1.0] * (n - 2) + [1.5e-13])
+        node, later = (2, 4) + (1,) * (n - 2), (4, 4) + (4,) * (n - 2)
+        g = _field_with(n, 5, {node: ill, later: np.diag([1.0] * (n - 1) + [1e-14])})
+        where = ", ".join(map(str, node))
+        for stage, check in self.STAGES:
+            with pytest.raises(ValueError, match=rf"^{stage}: metric condition number 1\.33e\+13 "
+                                                 rf"exceeds 1e12 at node \({where}\)$"):
+                check(g)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_accepts_inside_the_limit(self, n):
+        # 1.01e-12 is left undecided by the certificate in every dimension,
+        # so the eigenvalues decide it
+        inside = np.diag([1.0] * (n - 1) + [1.01e-12])
+        g = _field_with(n, 5, {(1,) * n: inside})
+        if n <= 3:
+            assert not certify_definite(g.comps).all()
+        check_definite(g, "stage")
+        assert check_N0(g) == pytest.approx(0.5 * np.log(1.0 / 1.01e-12))
+
+
+def _adversarial(n, count, seed):
+    """At least `count` symmetric n x n matrices, in eight equal groups, built
+    to trip a definiteness certificate: condition number 1 ... 1e30 at
+    scales 1e-90 ... 1e90; condition number near the limits 1e10 ... 1e12;
+    near rank 1 (v v^T + a symmetric perturbation of either sign, relative
+    size 1e-20 ... 1e-1); eigenvalues drawn from +-0, +-1e-300, 1e-200,
+    1e-150 and 1; indefinite with det > 0 (two negative eigenvalues);
+    entries of any sign and magnitude 1e-300 ... 1e300; diagonal entries
+    1e-320 ... 1e300; and near-singular Gram matrices of n - 1 vectors."""
+    rng = np.random.default_rng(seed)
+    k = -(-count // 8)
+
+    def from_eigs(lam):
+        q, _ = np.linalg.qr(rng.standard_normal((k, n, n)))
+        mats = np.einsum("kij,kj,klj->kil", q, lam, q)
+        return 0.5 * (mats + np.swapaxes(mats, -1, -2))
+
+    def spread(lo, hi, shape):
+        return 10.0 ** rng.uniform(lo, hi, shape)
+
+    ones = np.ones(k)
+    v = rng.standard_normal((k, n)) * spread(-50, 50, (k, 1))
+    E = rng.standard_normal((k, n, n))
+    pool = np.array([0.0, -0.0, 1e-300, -1e-300, 1e-200, 1e-150, 1.0])
+    tiny = pool[rng.integers(0, pool.size, (k, n))]
+    sign = np.where(np.arange(n) < 2, -1.0, 1.0)
+    R = rng.standard_normal((k, n, n)) * spread(-300, 300, (k, n, n))
+    V = rng.standard_normal((k, n, n - 1))
+    groups = [
+        from_eigs(rng.permuted(np.geomspace(ones, spread(0, 30, k), n, axis=-1)
+                               * spread(-90, 90, (k, 1)), axis=-1)),
+        from_eigs(np.geomspace(ones, spread(9.5, 12.5, k), n, axis=-1) * spread(-3, 3, (k, 1))),
+        v[:, :, None] * v[:, None, :] + (E + np.swapaxes(E, -1, -2))
+        * ((v**2).sum(axis=-1) * spread(-20, -1, k))[:, None, None],
+        from_eigs(np.where(rng.random((k, n)) < 0.3, spread(-5, 5, (k, n)), tiny)),
+        from_eigs(rng.permuted(sign * spread(-12, 3, (k, n)), axis=-1)),
+        np.triu(R) + np.swapaxes(np.triu(R, 1), -1, -2),
+        spread(-320, 300, (k, n))[:, :, None] * np.eye(n),
+        (V @ np.swapaxes(V, -1, -2) + spread(-30, -5, (k, 1, 1)) * np.eye(n))
+        * spread(-100, 100, (k, 1, 1)),
+    ]
+    return np.concatenate(groups)
+
+
+def _as_field(mats):
+    """The matrices as a metric on the smallest m^n lattice (m odd) that
+    holds them, in C order, padded with the identity; full mask."""
+    n = mats.shape[-1]
+    m = int(np.ceil(len(mats) ** (1.0 / n))) | 1
+    while m**n < len(mats):
+        m += 2
+    pad = np.broadcast_to(np.eye(n), (m**n - len(mats), n, n))
+    lat = make_lattice(n, 1.0, m)
+    comps = pack_symmetric(np.concatenate([mats, pad])).reshape(lat.shape + (-1,))
+    return MetricField(lattice=lat, comps=comps, mask=lat.full_mask())
+
+
+def _refused(g):
+    """Nodes the eigenvalue check refuses: an eigenvalue <= 0, or a
+    condition number above COND_LIMIT.  A nan smallest eigenvalue, which the
+    2-d closed form gives where a*c overflows, counts as refused here."""
+    with np.errstate(all="ignore"):
+        eigs = g.eigenvalues()
+        low, top = eigs[..., 0], eigs[..., -1]
+        cond = np.divide(top, low, out=np.full(low.shape, np.inf), where=low > 0.0)
+    return (low <= 0.0) | (cond > COND_LIMIT)
+
+
+class TestDefiniteCertificate:
+    """`certify_definite` passes only nodes that the eigenvalue check passes."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_certifies_no_node_the_eigenvalue_check_refuses(self, n):
+        mats = _adversarial(n, 100_000, seed=n)
+        assert len(mats) >= 100_000
+        g = _as_field(mats)
+        certified, refused = certify_definite(g.comps), _refused(g)
+        assert not (certified & refused).any()
+        # not vacuous: both kinds occur in bulk
+        assert certified.sum() > 5_000 and refused.sum() > 50_000
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_certifies_well_conditioned_metrics_at_any_sane_scale(self, n):
+        lat = make_lattice(n, 1.0, 21 if n == 3 else 101)
+        for cond in (1.0, 1e3, 1e6):
+            g = MetricField.from_matrices(lat, _spd_field(lat, cond, seed=n), lat.full_mask())
+            assert certify_definite(g.comps).all()
+            for scale in (1e-90, 1e90):
+                assert certify_definite(scale * g.comps).all()
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_pivots_multiply_to_the_determinant(self, n):
+        lat = make_lattice(n, 1.0, 9)
+        mats = _spd_field(lat, 1e4, seed=5 + n)
+        pivots = ldl_pivots(pack_symmetric(mats))
+        assert len(pivots) == n
+        assert np.allclose(np.prod(pivots, axis=0), np.linalg.det(mats), rtol=1e-9, atol=0.0)
+
+    def test_uncertified_nodes_go_to_the_eigenvalues(self, monkeypatch):
+        calls = []
+        eigenvalues = MetricField.eigenvalues
+
+        def counted(g):
+            calls.append(g.lattice.n)
+            return eigenvalues(g)
+
+        monkeypatch.setattr(MetricField, "eigenvalues", counted)
+        for n in (2, 3):
+            lat = make_lattice(n, 1.0, 9)
+            g = MetricField.from_matrices(lat, _spd_field(lat, 1e3, seed=n), lat.full_mask())
+            check_definite(g, "stage")
+        assert calls == []
+        for n in (2, 3, 4):
+            check_definite(_field_with(n, 5, {(2,) * n: np.diag([1.0] * (n - 1) + [1e-11])}),
+                           "stage")
+        check_definite(_field_with(4, 5, {}), "stage")
+        assert calls == [2, 3, 4, 4]
+
+
 def _spd_field(lat, cond, seed):
     """Seeded random SPD matrices with condition number `cond` at every node,
     each scaled by a random power of ten in [1e-3, 1e3]."""
@@ -266,6 +442,27 @@ class TestClosedFormAlgebra:
         with pytest.raises(np.linalg.LinAlgError, match=rf"{what} at node \({node[0]}, 1"):
             MetricField(lattice=lat, comps=packed, mask=g.mask).inverse()
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_inverse_of_a_crop_is_the_crop_of_the_inverse(self, n):
+        lat = make_lattice(n, 1.0, 9)
+        g = MetricField.from_matrices(lat, _spd_field(lat, 1e4, seed=n), lat.full_mask())
+        crop = (slice(2, 7),) * n
+        assert np.array_equal(packed_inverse(g.comps[crop], n, shift=2), g.inverse()[crop])
+
+    @pytest.mark.parametrize("n,comps,what", [
+        (2, [1.0, 1.0, 1.0], "singular metric"),
+        (3, [1.0, 1.0, 0.0, 1.0, 0.0, 1.0], "singular metric"),
+        (3, [0.0, 1.0, 0.0, 0.0, 0.0, 1.0], "metric has g_00 = 0")])
+    def test_crop_names_the_node_in_the_whole_grid(self, n, comps, what):
+        lat = make_lattice(n, 1.0, 9)
+        packed = np.broadcast_to(pack_symmetric(np.eye(n)), lat.shape + (len(comps),)).copy()
+        packed[(5, 3) + (4,) * (n - 2)] = packed[(6, 2) + (2,) * (n - 2)] = comps
+        g = MetricField(lattice=lat, comps=packed, mask=lat.full_mask())
+        node = rf"\(5, 3{', 4' * (n - 2)}\)"
+        for block, shift in ((g.comps, 0), (g.comps[(slice(2, 7),) * n], 2)):
+            with pytest.raises(np.linalg.LinAlgError, match=rf"^{what} at node {node}$"):
+                packed_inverse(block, n, shift=shift)
+
 
 def _partial_metric(n, m=11):
     """A random SPD field on the 0.7-ball with NaN garbage off it."""
@@ -315,7 +512,42 @@ class TestPackedStorage:
         assert np.array_equal(jet.mask, refs[0].mask)
 
 
+def _iterated_box_erosion(mask, steps):
+    """Reference: `steps` iterations of the 3^n binary erosion, zero past the edge."""
+    if steps <= 0:
+        return mask.copy()
+    return ndimage.binary_erosion(mask, structure=np.ones((3,) * mask.ndim, dtype=bool),
+                                  iterations=steps, border_value=0)
+
+
+def _erosion_masks(shape, seed):
+    """Random (two densities), ball, empty and full masks of one shape."""
+    rng = np.random.default_rng(seed)
+    axes = np.meshgrid(*(np.linspace(-1.0, 1.0, k) for k in shape), indexing="ij")
+    return {"random": rng.random(shape) < 0.8, "dense": rng.random(shape) < 0.97,
+            "ball": sum(x**2 for x in axes) <= 0.7,
+            "empty": np.zeros(shape, dtype=bool), "full": np.ones(shape, dtype=bool)}
+
+
 class TestErodeMask:
+    @pytest.mark.parametrize("shape", [(9, 9), (7, 12), (1, 6), (7, 7, 7), (5, 8, 6),
+                                       (5, 5, 5, 5), (4, 6, 5, 3)])
+    def test_equals_iterated_box_erosion(self, shape):
+        for kind, mask in _erosion_masks(shape, seed=sum(shape)).items():
+            before = mask.copy()
+            for steps in sorted({0, 1, 2, 3, min(shape), max(shape) // 2,
+                                 max(shape), max(shape) + 3}):
+                got = erode_mask(mask, steps)
+                assert got.dtype == bool and got.shape == mask.shape, (kind, steps)
+                assert np.array_equal(got, _iterated_box_erosion(mask, steps)), (kind, steps)
+                assert not np.shares_memory(got, mask)
+            assert np.array_equal(mask, before)
+
+    def test_steps_past_a_short_axis_empty_the_mask(self):
+        mask = np.ones((7, 9, 5), dtype=bool)
+        assert erode_mask(mask, 2).sum() == 3 * 5 * 1
+        assert not erode_mask(mask, 3).any()
+
     def test_full_mask_shrinks_by_steps(self):
         lat = make_lattice(2, 1.0, 9)
         eroded = erode_mask(lat.full_mask(), 2)
