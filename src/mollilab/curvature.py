@@ -158,33 +158,30 @@ def _symmetrize(x: np.ndarray) -> None:
                 x[J, I] = x[I, J]
 
 
-def _slab_planes(comps: np.ndarray, mask: np.ndarray, ginv: np.ndarray, h: float,
-                 i0: int, i1: int):
+def _slab_planes(comps: np.ndarray, ginv: np.ndarray, h: float, i0: int, i1: int):
     """(A, B), symmetrized, on the planes i0 <= i < i1 along axis 0 of a
-    metric's packed components `comps` (grid + (n(n+1)/2,)), read with its
-    validity `mask` at node spacing h, in component layout: arrays
-    (N, N) + slab, one contiguous plane stack per (I, J).
+    metric's packed components `comps` (grid + (n(n+1)/2,)), read as stored
+    at node spacing h, in component layout: arrays (N, N) + slab, one
+    contiguous plane stack per (I, J).
 
     The slab reads its planes and a 2-plane halo with wrapped indices, so
-    every difference is the one the periodic jet of the whole grid takes,
-    off-mask garbage included.  It holds one plane stack per packed
-    component, per first derivative and per second derivative d_y d_x g
-    (the mixed ones nested in that order), and every sum is taken in the
-    order of the formulas above, so the output is bit-equal to that of the
-    node-major jet.  Gamma is the stacked matmul of g^-1 with node-major S
-    (`_contract_first`): numpy hands that product to BLAS, whose sums
-    explicit ones would not reproduce bit for bit.
+    every difference is the one the periodic jet of the whole grid takes.
+    It holds one plane stack per packed component, per first derivative and
+    per second derivative d_y d_x g (the mixed ones nested in that order),
+    and every sum is taken in the order of the formulas above, so the output
+    is bit-equal to that of the node-major jet.  Gamma is the stacked matmul
+    of g^-1 with node-major S (`_contract_first`): numpy hands that product
+    to BLAS, whose sums explicit ones would not reproduce bit for bit.
     """
-    n, m = mask.ndim, mask.shape[0]
+    n, m = comps.ndim - 1, comps.shape[0]
     S_index, A_index, B_index, D2_index = _slab_index(n)
     # the planes i0 - 2 .. i1 + 1, wrapped only at the ends of the grid
     planes = (slice(i0 - 2, i1 + 2) if 2 <= i0 and i1 + 2 <= m
               else np.arange(i0 - 2, i1 + 2) % m)
     K, pairs = n * (n + 1) // 2, n * (n - 1) // 2
-    vals = np.empty((K, i1 - i0 + 4) + mask.shape[1:])
+    vals = np.empty((K, i1 - i0 + 4) + comps.shape[1:-1])
     grid = tuple(range(n))
     np.copyto(vals, comps[planes].transpose((n,) + grid))
-    np.copyto(vals, 0.0, where=~mask[planes])
     slab = (i1 - i0,) + vals.shape[2:]
     d1 = np.empty((n, K, slab[0] + 2) + slab[1:])     # planes i0-1 .. i1
     for ax in range(n):
@@ -240,7 +237,7 @@ def _slab_planes(comps: np.ndarray, mask: np.ndarray, ginv: np.ndarray, h: float
 def _slab_parts(g: MetricField, ginv: np.ndarray, i0: int, i1: int):
     """(A, B), symmetrized, on the planes i0 <= i < i1 along axis 0 of g,
     node-major: slab + (N, N)."""
-    planes = _slab_planes(g.comps, g.mask, ginv, g.lattice.h, i0, i1)
+    planes = _slab_planes(g.comps, ginv, g.lattice.h, i0, i1)
     return tuple(np.moveaxis(x, (0, 1), (-2, -1)) for x in planes)
 
 
@@ -269,7 +266,7 @@ def riemann(g: MetricField) -> RiemannField:
         trim = min(trim, hit[0], m - 1 - hit[-1])
     trim = max(trim - 2, 0)
     crop = (slice(trim, m - trim),) * n
-    comps, mask = g.comps[crop], g.mask[crop]
+    comps = g.comps[crop]
     ginv = packed_inverse(comps, n, shift=trim)
     pairs = n * (n - 1) // 2
     riem = np.zeros(g.mask.shape + (pairs, pairs))
@@ -278,7 +275,7 @@ def riemann(g: MetricField) -> RiemannField:
     step = max(1, SLAB_NODES // mc ** (n - 1))
     for i0 in range(0, mc, step):
         i1 = min(i0 + step, mc)
-        np.add(*_slab_planes(comps, mask, ginv, g.lattice.h, i0, i1), out=out[:, :, i0:i1])
+        np.add(*_slab_planes(comps, ginv, g.lattice.h, i0, i1), out=out[:, :, i0:i1])
     return RiemannField(metric=g, riem=riem, mask=erode_mask(g.mask, 2))
 
 

@@ -84,10 +84,10 @@ def convolve(k: ScaledKernel, f: Field) -> Field:
     if not mask.any():
         raise ValueError("scale too large for domain: empty output mask")
 
-    # the grid axes lead, so a metric's packed component axis rides along
+    # the grid axes lead, so a metric's packed component axis rides along;
+    # a node of the eroded mask reads only nodes of f's mask
     scalar = isinstance(f, ScalarField)
-    out = (np.where(f.mask, f.values, 0.0) if scalar
-           else np.where(f.mask[..., None], f.comps, 0.0))
+    out = f.values if scalar else f.comps
     for ax in range(lat.n):
         out = ndimage.convolve1d(out, k.taps1d, axis=ax, mode="constant")
     if scalar:

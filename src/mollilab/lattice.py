@@ -2,16 +2,16 @@
 
 All fields live on the cube [-r, r]^n sampled with an odd number of nodes
 per axis so the origin is always a node.  Validity masks shrink instead of
-falling back to one-sided stencils; every operation's output mask is a
-subset of its input mask.  A metric is stored once, as its packed
-components in `pack_map` order with the identity written off the mask at
-construction; every stage reads and writes that array, and pointwise
-algebra never pads by hand.  For n <= 3 the inverse is the adjugate over
-the determinant, the 2-d eigenvalues are the closed-form roots, and the
-metric check certifies nodes from their LDL^T pivots, all read straight
-from the packed components; batched LAPACK is kept for the 3-d
-eigenvalues, for the nodes the certificate leaves undecided, and for
-n >= 4.
+falling back to one-sided stencils: a stencil's output mask is its input
+mask eroded by the stencil radius, so it reads stored values as they are.
+A metric is stored once, as its packed components in `pack_map` order with
+the identity written off the mask at construction; every stage reads and
+writes that array, and pointwise algebra never pads by hand.  For n <= 3
+the determinant (`packed_det`) and the inverse are closed form, the 2-d
+eigenvalues are the closed-form roots, and the metric check certifies
+nodes from their LDL^T pivots, all read straight from the packed
+components; batched LAPACK is kept for the 3-d eigenvalues, for the nodes
+the certificate leaves undecided, and for n >= 4.
 """
 from __future__ import annotations
 
@@ -156,8 +156,9 @@ class ScalarField:
             raise ValueError("mask array does not match lattice shape")
         object.__setattr__(self, "values", _freeze(self.values.astype(float)))
         object.__setattr__(self, "mask", _freeze(self.mask.astype(bool)))
-        if not np.all(np.isfinite(self.values[self.mask])):
-            raise ValueError("non-finite value on a masked-valid node")
+        bad = ~np.isfinite(self.values)
+        if bad.any():
+            raise ValueError(f"non-finite scalar value at node {first_node(bad)}")
 
     def sup_norm(self) -> float:
         return float(np.abs(self.values[self.mask]).max())
@@ -182,8 +183,9 @@ class MetricField:
         eye = pack_symmetric(np.eye(n))
         object.__setattr__(self, "comps", _freeze(np.where(mask[..., None], self.comps, eye)))
         object.__setattr__(self, "mask", mask)
-        if not np.isfinite(self.comps).all():
-            raise ValueError("non-finite metric component on a masked-valid node")
+        if not np.isfinite(self.comps).all():  # one whole-array pass; the node only on failure
+            bad = ~np.isfinite(self.comps).all(axis=-1)
+            raise ValueError(f"non-finite metric component at masked-valid node {first_node(bad)}")
 
     @classmethod
     def from_matrices(cls, lattice: Lattice, mats: np.ndarray, mask: np.ndarray) -> "MetricField":
@@ -222,23 +224,17 @@ class MetricField:
         # det/top needs top > 0; otherwise both roots are <= 0 and the
         # trace gives the smaller one without cancellation
         np.subtract(a + c, top, out=low)
-        np.divide(a * c - b * b, top, out=low, where=top > 0.0)
+        np.divide(packed_det(self.comps, 2), top, out=low, where=top > 0.0)
         # fl(a*a)/a can exceed a by an ulp: conformal metrics (a = c, b = 0)
         np.minimum(low, top, out=low)
         return eigs
-
-    def inverse(self) -> np.ndarray:
-        """Inverse matrices at every node (identity off the mask), grid + (n, n):
-        `packed_inverse` of the components.  Recomputed on every call;
-        nothing is cached on the field."""
-        return packed_inverse(self.comps, self.lattice.n)
 
 
 def _schur_g00(p) -> tuple:
     """One LDL^T elimination step on g_00 of packed 3-d components
     p = (a, b, c, d, e, f): the Schur complement (s11, s12, s22),
     s_ij = g_ij - g_i0 g_0j / g_00.  The one elimination path of
-    `packed_inverse` and `ldl_pivots`."""
+    `packed_det` and `ldl_pivots`."""
     a, b, c, d, e, f = p
     ba, ca = b / a, c / a
     return d - b * ba, e - b * ca, f - c * ca
@@ -257,20 +253,28 @@ def ldl_pivots(comps: np.ndarray) -> tuple:
     return p[0], s11, s22 - s12 * (s12 / s11)
 
 
+def packed_det(comps: np.ndarray, n: int) -> np.ndarray:
+    """Determinants of packed symmetric n x n components (trailing axis): a c - b^2
+    in 2-d; in 3-d g_00 times the determinant of the Schur complement after one
+    elimination step on g_00 (`_schur_g00`), (a d - b^2) s22 - a s12^2, whose
+    relative error stays near eps * cond where the cofactor expansion loses up
+    to eps * cond^2 (the step needs g_00 != 0, as positive-definite metrics
+    have); LAPACK for n >= 4."""
+    if n > 3:
+        return np.linalg.det(unpack_symmetric(comps, n))
+    p = np.moveaxis(comps, -1, 0)
+    if n == 2:
+        return p[0] * p[2] - p[1] * p[1]
+    _, s12, s22 = _schur_g00(p)
+    return (p[0] * p[3] - p[1] * p[1]) * s22 - p[0] * s12 * s12
+
+
 def packed_inverse(comps: np.ndarray, n: int, shift: int = 0) -> np.ndarray:
     """Inverse matrices of packed symmetric n x n components (trailing axis),
-    comps.shape[:-1] + (n, n).
-
-    For n <= 3 the adjugate over the determinant, from the n(n+1)/2
-    cofactors of the symmetric matrix.  In 3-d the determinant is taken
-    after one elimination step on g_00 (`_schur_g00`), as g_00 times the
-    determinant of the 2 x 2 Schur complement: its relative error stays
-    near eps * cond, where the cofactor expansion loses up to eps * cond^2.
-    That step needs g_00 != 0, which holds for positive-definite metrics; a
-    zero g_00 or determinant raises LinAlgError naming the first such node,
-    each index plus `shift` (the offset of a cropped block in its grid).
-    n >= 4 goes to LAPACK.
-    """
+    comps.shape[:-1] + (n, n): for n <= 3 the adjugate, from the n(n+1)/2
+    cofactors, over `packed_det`; LAPACK for n >= 4.  A zero g_00 (3-d) or
+    determinant raises LinAlgError naming the first such node, each index
+    plus `shift` (the offset of a cropped block in its grid)."""
     if n > 3:
         return np.linalg.inv(unpack_symmetric(comps, n))
     p = np.moveaxis(comps, -1, 0)
@@ -281,7 +285,6 @@ def packed_inverse(comps: np.ndarray, n: int, shift: int = 0) -> np.ndarray:
         out[..., 1, 1] = a
         np.negative(b, out=out[..., 0, 1])
         out[..., 1, 0] = out[..., 0, 1]
-        det = a * c - b * b
     else:
         a, b, c, d, e, f = p
         cofactors = {(0, 0): (d, f, e, e), (0, 1): (c, e, b, f),
@@ -293,8 +296,7 @@ def packed_inverse(comps: np.ndarray, n: int, shift: int = 0) -> np.ndarray:
             cof -= y * z
             out[..., j, i] = cof
         _raise_at(a == 0.0, "metric has g_00 = 0", shift)
-        _, s12, s22 = _schur_g00(p)
-        det = out[..., 2, 2] * s22 - a * s12 * s12
+    det = packed_det(comps, n)
     _raise_at(det == 0.0, "singular metric", shift)
     out /= det[..., None, None]
     return out
@@ -313,9 +315,6 @@ def sample_scalar(fn, lattice: Lattice) -> ScalarField:
     values = np.asarray(fn(lattice.coords()), dtype=float)
     if values.shape != lattice.shape:
         raise ValueError("scalar generator returned wrong shape")
-    bad = ~np.isfinite(values)
-    if bad.any():
-        raise ValueError(f"non-finite scalar value at node {first_node(bad)}")
     return ScalarField(lattice=lattice, values=values, mask=lattice.full_mask())
 
 
@@ -354,24 +353,28 @@ def certify_definite(comps: np.ndarray) -> np.ndarray:
     return ok & (power >= np.finfo(float).tiny) & (power < np.inf) & (power <= bound)
 
 
-def check_definite(g: MetricField, stage: str) -> None:
-    """Check that every node is positive definite with condition number at
-    most COND_LIMIT (nodes off the mask hold the identity).  For n <= 3
-    `certify_definite` decides the nodes in closed form; only when it leaves
-    some node undecided, and for n >= 4, the eigenvalues decide.  A failure
-    names `stage` and the first bad node."""
-    if g.lattice.n <= 3 and certify_definite(g.comps).all():
-        return
-    eigs = g.eigenvalues()
-    bad = eigs[..., 0] <= 0.0
+def check_eigenvalues(eigs: np.ndarray, stage: str) -> None:
+    """Refuse, naming `stage` and the first bad node, unless each node's ascending
+    eigenvalues `eigs` (grid + (n,)) have lam_min > 0 and cond <= COND_LIMIT."""
+    bad = ~(eigs[..., 0] > 0.0)
     if bad.any():
         raise ValueError(f"{stage}: metric not positive-definite at node {first_node(bad)}")
     cond = eigs[..., -1] / eigs[..., 0]
-    ill = cond > COND_LIMIT
+    ill = ~(cond <= COND_LIMIT)
     if ill.any():
         node = first_node(ill)
         raise ValueError(f"{stage}: metric condition number {cond[node]:.3g} exceeds "
                          f"1e12 at node {node}")
+
+
+def check_definite(g: MetricField, stage: str) -> None:
+    """Check that every node is positive definite with condition number at
+    most COND_LIMIT (nodes off the mask hold the identity).  For n <= 3
+    `certify_definite` decides the nodes in closed form; only when it leaves
+    some node undecided, and for n >= 4, the eigenvalues decide
+    (`check_eigenvalues`)."""
+    if g.lattice.n > 3 or not certify_definite(g.comps).all():
+        check_eigenvalues(g.eigenvalues(), stage)
 
 
 def sample_metric(fn, lattice: Lattice) -> MetricField:
@@ -462,9 +465,8 @@ def differentiate(f: Field, order: int) -> JetField:
         raise ValueError("order must be non-negative")
     if lat.m < 2 * order + 1:
         raise ValueError(f"order {order} too high for lattice with m={lat.m}")
-    # the stencils act on grid axes only, so a metric's component axis stays in front
-    values = (np.where(f.mask, f.values, 0.0) if isinstance(f, ScalarField)
-              else np.where(f.mask[..., None], f.comps, 0.0))
+    # the stencils act on grid axes only, so a metric's component axis rides along
+    values = f.values if isinstance(f, ScalarField) else f.comps
     raw = _jet_blocks(values, lat.n, lat.h, order)
     mask = erode_mask(f.mask, order)
     blocks = tuple(_freeze(b) for b in raw)

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import (JetField, MetricField, ScalarField, central_diff, check_definite,
-                      differentiate, erode_mask, grow_box)
+from .lattice import (JetField, MetricField, ScalarField, central_diff, check_eigenvalues,
+                      differentiate, erode_mask, grow_box, packed_det, packed_inverse)
 
 
 def holder_seminorm(values: np.ndarray, mask: np.ndarray, h: float, alpha: float) -> float:
@@ -73,17 +73,17 @@ def sobolev_norm(jet: JetField, h: float, p: float) -> tuple:
 
 def check_N0(g: MetricField) -> float:
     """Minimal Q with e^{-2Q} <= eigenvalues of g <= e^{2Q} at every valid node."""
-    check_definite(g, "check_N0")
-    logs = np.log(g.eigenvalues()[g.mask])
-    return 0.5 * float(np.abs(logs).max())
+    eigs = g.eigenvalues()
+    check_eigenvalues(eigs, "check_N0")
+    return 0.5 * float(np.abs(np.log(eigs[g.mask])).max())
 
 
 def harmonic_defect(g: MetricField) -> float:
     """sup over valid nodes and coordinates k of |Delta_g x_k|, with
     Delta_g f = |g|^{-1/2} d_i(|g|^{1/2} g^{ij} d_j f); 0 on an empty mask."""
     lat = g.lattice
-    w = np.sqrt(np.linalg.det(g.matrices()))
-    flux = w[..., None, None] * g.inverse()  # F^{ik} = sqrt|g| g^{ik}
+    w = np.sqrt(packed_det(g.comps, lat.n))
+    flux = w[..., None, None] * packed_inverse(g.comps, lat.n)  # F^{ik} = sqrt|g| g^{ik}
     mask = erode_mask(g.mask, 1)
     sup = 0.0
     for k in range(lat.n):

@@ -16,7 +16,7 @@ from mollilab.cli import (EXIT_OK, ExperimentConfig, lemma_violations, main,
 from mollilab.curvature import (_pair_axes, _slab_parts, riemann,
                                 sec_extreme_fields)
 from mollilab.kernels import scale_kernel
-from mollilab.lattice import make_lattice, sample_metric
+from mollilab.lattice import make_lattice, packed_inverse, sample_metric
 from mollilab.modelzoo import get_geometry, parse_atlas_file
 from mollilab.norms import check_N0
 
@@ -143,7 +143,7 @@ def test_criterion_3_curvature_decomposition():
             g = geo.sample_all(m)[geo.atlas.charts[0].id]
             # the samples' mask is the whole chart, so the builder's one
             # slab is the whole grid and the r/2 ball keeps clear of its edge
-            parts = _slab_parts(g, g.inverse(), 0, m)
+            parts = _slab_parts(g, packed_inverse(g.comps, g.lattice.n), 0, m)
             region = lat.ball_mask(geo.r / 2.0)
             for key, got, want in zip("AB", parts, _conformal_parts(lat.coords(), eps)):
                 scale = np.abs(want[region]).max()

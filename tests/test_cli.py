@@ -15,7 +15,6 @@ import mollilab
 import mollilab.atlas as atlas
 import mollilab.curvature as curvature
 import mollilab.lattice as lattice
-import mollilab.norms as norms
 from mollilab import cli
 from mollilab.atlas import assemble_mollified
 from mollilab.curvature import riemann, sec_extreme_fields, sec_spectrum
@@ -144,8 +143,20 @@ def _per_cell_curvature_csv(argv):
     return "\n".join(lines) + "\n"
 
 
-def _no_whole_grid_inverse(g):
-    raise AssertionError("the Riemann builder inverts its crop, not g's whole grid")
+def _patch_bindings(monkeypatch, name, replacement, skip=()):
+    """Replace `name` in every mollilab module that binds it, but those in `skip`."""
+    for modname, module in list(sys.modules.items()):
+        if (modname.startswith("mollilab.") and modname not in skip
+                and hasattr(module, name)):
+            monkeypatch.setattr(module, name, replacement)
+
+
+def _refuse_inverses_outside_curvature(monkeypatch):
+    """Only the Riemann builder inverts a metric, on its crop: every other
+    `packed_inverse` binding raises."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the Riemann builder inverts its crop, not g's whole grid")
+    _patch_bindings(monkeypatch, "packed_inverse", refuse, skip=("mollilab.curvature",))
 
 
 class TestCurvatureCommand:
@@ -232,7 +243,7 @@ class TestCurvatureCommand:
             eigs.append(g)
             return eigenvalues(g)
 
-        for module in (lattice, atlas, norms):
+        for module in (lattice, atlas):
             monkeypatch.setattr(module, "check_definite", checked)
         monkeypatch.setattr(MetricField, "eigenvalues", counted)
         code = main(["curvature", "--geometry", "sphere3", "--m", "25", "--t", "0.3",
@@ -253,7 +264,7 @@ class TestCurvatureCommand:
             return packed_inverse(comps, n, shift)
 
         monkeypatch.setattr(curvature, "packed_inverse", counted)
-        monkeypatch.setattr(MetricField, "inverse", _no_whole_grid_inverse)
+        _refuse_inverses_outside_curvature(monkeypatch)
         code = main(["curvature", "--geometry", "sphere3", "--m", "25", "--t", "0.3",
                      "--out", str(tmp_path / "c.csv")])
         assert code == EXIT_OK
@@ -341,7 +352,7 @@ class TestDeviationCommand:
             return packed_inverse(comps, n, shift)
 
         monkeypatch.setattr(curvature, "packed_inverse", counted)
-        monkeypatch.setattr(MetricField, "inverse", _no_whole_grid_inverse)
+        _refuse_inverses_outside_curvature(monkeypatch)
         code = main(["deviation", "--geometry", "pflat2", "--amp", "0.3", "--alpha", "0.6",
                      "--m", "161", "--t-min", "0.015625", "--t-max", "0.125",
                      "--t-count", "8", "--seed", "1", "--out", str(tmp_path / "d.csv")])
@@ -411,20 +422,28 @@ class TestNormsCommand:
 
     def test_eigenvalues_taken_once_per_chart_by_check_N0(self, tmp_path, monkeypatch):
         # the metric checks certify every node in closed form; N0_Q needs
-        # the extreme eigenvalues, which check_N0 takes itself
-        callers = []
-        eigenvalues = MetricField.eigenvalues
+        # the extreme eigenvalues, which check_N0 takes itself and refuses
+        # from, without a certificate pass of its own
+        callers, certified = [], []
+        eigenvalues, certify_definite = MetricField.eigenvalues, lattice.certify_definite
 
         def counted(g):
             callers.append(sys._getframe(1).f_code.co_name)
             return eigenvalues(g)
 
+        def certify(comps):
+            # the caller of the metric check that runs the certificate
+            certified.append(sys._getframe(2).f_code.co_name)
+            return certify_definite(comps)
+
         monkeypatch.setattr(MetricField, "eigenvalues", counted)
+        _patch_bindings(monkeypatch, "certify_definite", certify)
         code = main(["norms", "--geometry", "sphere3", "--m", "33",
                      "--out", str(tmp_path / "n.txt")])
         assert code == EXIT_OK
         assert len(get_geometry("sphere3").atlas.charts) == 2
         assert callers == ["check_N0"] * 2
+        assert certified == ["sample_metric"] * 2
 
     def test_hyperbolic_report_positive_q(self):
         text = run_norms(ExperimentConfig(geometry="hyperbolic2", m=21))

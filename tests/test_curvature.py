@@ -16,7 +16,7 @@ from mollilab.curvature import (RiemannField, _contract_first, _lambda2, _pair_a
                                 sec_spectrum)
 from mollilab.kernels import scale_kernel
 from mollilab.lattice import (MetricField, _jet_blocks, erode_mask, make_lattice, pack_map,
-                              pack_symmetric, sample_metric)
+                              pack_symmetric, packed_inverse, sample_metric)
 from mollilab.modelzoo import get_geometry
 from mollilab.norms import check_N0
 
@@ -81,7 +81,7 @@ def sectional_field(g, R, v, w):
 def _parts(g):
     """The Hessian part A and the remainder B of g, built as one slab of
     the whole grid, with their valid mask."""
-    A, B = _slab_parts(g, g.inverse(), 0, g.lattice.m)
+    A, B = _slab_parts(g, packed_inverse(g.comps, g.lattice.n), 0, g.lattice.m)
     return A, B, erode_mask(g.mask, 2)
 
 
@@ -180,22 +180,21 @@ def test_packed_jet_gives_full_matrix_hessian_part(mollified):
 
 def _whole_grid_parts(g: MetricField):
     """The builder before streaming, kept as the reference: A and B from the
-    whole periodic 2-jet of the components, zeroed off the mask, of the
-    centred cube that holds g's mask with a 2-node pad, taken at g's
-    spacing, symmetrized and pasted into g's grid, with their valid mask."""
+    whole periodic 2-jet of the stored components of the centred cube that
+    holds g's mask with a 2-node pad, taken at g's spacing, symmetrized and
+    pasted into g's grid, with their valid mask."""
     n, m = g.lattice.n, g.lattice.m
     nodes = np.argwhere(g.mask)
     trim = max(min(nodes.min(), m - 1 - nodes.max()) - 2, 0)
     del nodes  # not part of the reference's peak
     crop = (slice(trim, m - trim),) * n
-    vals = np.where(g.mask[crop][..., None], g.comps[crop], 0.0)
-    _, dg, d2g = _jet_blocks(vals, n, g.lattice.h, 2)
+    _, dg, d2g = _jet_blocks(g.comps[crop], n, g.lattice.h, 2)
     P = pack_map(n)
     a, b, c, d = _pair_axes(n)
     A = 0.5 * (d2g[..., P[a, d], b, c] + d2g[..., P[b, c], a, d]
                - d2g[..., P[a, c], b, d] - d2g[..., P[b, d], a, c])
     S = _s_tensor(dg[..., P, :])
-    gamma = 0.5 * _contract_first(g.inverse()[crop], S)
+    gamma = 0.5 * _contract_first(packed_inverse(g.comps, g.lattice.n)[crop], S)
     B = 0.5 * sum(gamma[..., q, b, c] * S[..., q, a, d]
                   - gamma[..., q, b, d] * S[..., q, a, c] for q in range(n))
     parts = []
@@ -347,7 +346,7 @@ class TestStreamedBuilder:
         R = riemann(g)
         assert seen == [(g.comps[crop].shape, trim)]
         monkeypatch.setattr(curvature, "packed_inverse", lambda comps, n, shift=0:
-                            g.inverse()[crop])
+                            packed_inverse(g.comps, g.lattice.n)[crop])
         assert np.array_equal(R.riem, riemann(g).riem)
 
     def test_refuses_an_empty_mask(self):
@@ -505,7 +504,8 @@ def _whole_grid_extremes(g: MetricField, R: RiemannField):
 def _whole_grid_scalar(g: MetricField, R: RiemannField):
     """The scalar curvature before it moved onto R.mask, kept as the
     reference: 2 sum_IJ (Lambda^2 g^-1)_IJ R_IJ at every node."""
-    return 2.0 * np.einsum("...IJ,...IJ->...", _lambda2(g.inverse()), R.riem)
+    ginv = packed_inverse(g.comps, g.lattice.n)
+    return 2.0 * np.einsum("...IJ,...IJ->...", _lambda2(ginv), R.riem)
 
 
 def _on_mask_cases(name):

@@ -136,6 +136,32 @@ class TestConvolve:
         assert eigs[pg.mask][:, 0].min() > 0.0
 
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_reads_only_the_mask(self, n):
+        # P_t reads the stored array as it is: a pair equal on the mask and
+        # far apart off it, and one metric's components on a sub-mask and on
+        # the full mask, give the same bits on the output mask
+        lat = make_lattice(n, 1.0, 21 if n == 2 else 13)
+        mask = lat.ball_mask(0.8)
+        k = scale_kernel(n, 1.5 * lat.h, lat.h)
+        rng = np.random.default_rng(n)
+        vals = rng.standard_normal(lat.shape)
+        other = np.where(mask, vals, rng.uniform(-1e6, 1e6, lat.shape))
+        pa, pb = (convolve(k, ScalarField(lattice=lat, values=v, mask=mask))
+                  for v in (vals, other))
+        assert pa.mask.any() and np.array_equal(pa.mask, pb.mask)
+        assert np.array_equal(pa.values[pa.mask], pb.values[pa.mask])
+
+        X = lat.coords()
+        mats = ((2.0 + np.sin(X.sum(axis=-1)))[..., None, None] * np.eye(n)
+                + 0.1 * X[..., :, None] * X[..., None, :])
+        comps = pack_symmetric(mats)
+        sub, full = (convolve(k, MetricField(lattice=lat, comps=comps, mask=m))
+                     for m in (mask, lat.full_mask()))
+        assert sub.mask.any() and np.all(sub.mask <= full.mask)
+        assert np.array_equal(sub.comps[sub.mask], full.comps[sub.mask])
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_metric_convolve_is_per_component(n):
     lat = make_lattice(n, 1.0, 21 if n == 2 else 13)

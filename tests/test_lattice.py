@@ -10,7 +10,8 @@ from scipy import ndimage
 from mollilab.lattice import (COND_LIMIT, MetricField, ScalarField, central_diff,
                               certify_definite, check_definite, differentiate, erode_mask,
                               grow_box, ldl_pivots, make_lattice, pack_map, pack_symmetric,
-                              packed_inverse, sample_metric, sample_scalar, unpack_symmetric)
+                              packed_det, packed_inverse, sample_metric, sample_scalar,
+                              unpack_symmetric)
 from mollilab.norms import check_N0
 
 
@@ -53,9 +54,32 @@ class TestFields:
 
     def test_sample_rejects_nonfinite(self):
         lat = make_lattice(2, 1.0, 5)
-        with pytest.raises(ValueError, match="non-finite"), \
+        with pytest.raises(ValueError, match=r"^non-finite scalar value at node \(2, 0\)$"), \
                 np.errstate(divide="ignore"):
             sample_scalar(lambda X: 1.0 / X[..., 0], lat)
+
+    def test_scalar_field_names_a_nonfinite_node_on_or_off_the_mask(self):
+        # stored values are finite on every node, so stencils read them as they are
+        lat = make_lattice(2, 1.0, 5)
+        mask = lat.full_mask()
+        mask[1, 2] = False
+        for bad in (np.nan, np.inf, -np.inf):
+            values = np.zeros(lat.shape)
+            values[1, 2] = values[3, 0] = bad
+            with pytest.raises(ValueError, match=r"^non-finite scalar value at node \(1, 2\)$"):
+                ScalarField(lattice=lat, values=values, mask=mask)
+
+    def test_metric_field_names_the_first_nonfinite_node_on_the_mask(self):
+        lat = make_lattice(2, 1.0, 5)
+        comps = np.broadcast_to([1.0, 0.0, 1.0], lat.shape + (3,)).copy()
+        mask = lat.full_mask()
+        comps[0, 3, 1] = np.nan  # off the mask, where the identity replaces it
+        mask[0, 3] = False
+        comps[2, 4, 2] = np.inf
+        comps[4, 0, 0] = np.nan
+        with pytest.raises(ValueError, match=r"^non-finite metric component at masked-valid "
+                                             r"node \(2, 4\)$"):
+            MetricField(lattice=lat, comps=comps, mask=mask)
 
     def test_sample_metric_rejects_indefinite(self):
         lat = make_lattice(2, 1.0, 5)
@@ -86,7 +110,7 @@ class TestFields:
         comps = np.stack([2.0 + X[..., 0], 0.3 * X[..., 1], 3.0 - X[..., 1]], axis=-1)
         comps[~mask] = np.nan  # garbage off the mask must never leak
         g = MetricField(lattice=lat, comps=comps, mask=mask)
-        mats, eigs, inv = g.matrices(), g.eigenvalues(), g.inverse()
+        mats, eigs, inv = g.matrices(), g.eigenvalues(), packed_inverse(g.comps, 2)
         assert np.array_equal(mats[~mask], np.broadcast_to(np.eye(2), mats[~mask].shape))
         assert np.array_equal(eigs[~mask], np.ones_like(eigs[~mask]))
         assert np.array_equal(inv[~mask], np.broadcast_to(np.eye(2), inv[~mask].shape))
@@ -182,6 +206,17 @@ class TestCheckDefinite:
             sample_metric(gen, lat)
         comps[6, 2] = [1.0, 0.0, 1.01e-12]   # just inside the limit
         check_definite(MetricField(lattice=lat, comps=comps, mask=mask), "stage")
+
+    def test_refuses_a_node_whose_determinant_overflows(self):
+        # a*c - b*b is inf - inf at entries of 1e200, so the smaller closed-form
+        # root is NaN, which is neither positive nor well conditioned
+        g = _field_with(2, 5, {(2, 3): np.full((2, 2), 1e200)})
+        for stage, check in (("stage", lambda g: check_definite(g, "stage")),
+                             ("check_N0", check_N0)):
+            with np.errstate(over="ignore", invalid="ignore"), \
+                    pytest.raises(ValueError, match=rf"^{stage}: metric not positive-definite "
+                                                    r"at node \(2, 3\)$"):
+                check(g)
 
 
 def _field_with(n, m, nodes):
@@ -300,7 +335,8 @@ def _as_field(mats):
 def _refused(g):
     """Nodes the eigenvalue check refuses: an eigenvalue <= 0, or a
     condition number above COND_LIMIT.  A nan smallest eigenvalue, which the
-    2-d closed form gives where a*c overflows, counts as refused here."""
+    2-d closed form gives where a*c overflows, counts as refused, as it does
+    in `check_eigenvalues`."""
     with np.errstate(all="ignore"):
         eigs = g.eigenvalues()
         low, top = eigs[..., 0], eigs[..., -1]
@@ -383,7 +419,7 @@ class TestClosedFormAlgebra:
         lat = make_lattice(n, 1.0, 41 if n == 2 else 13)
         mats = _spd_field(lat, cond, seed=int(np.log10(cond)) + 10 * n)
         g = MetricField.from_matrices(lat, mats, lat.full_mask())
-        inv, ref = g.inverse(), np.linalg.inv(mats)
+        inv, ref = packed_inverse(g.comps, n), np.linalg.inv(mats)
         assert np.array_equal(inv, np.swapaxes(inv, -1, -2))
         scale = np.abs(ref).max(axis=(-2, -1))[..., None, None]
         assert (np.abs(inv - ref) / scale).max() <= 16 * EPS * cond
@@ -420,7 +456,7 @@ class TestClosedFormAlgebra:
         g = MetricField(lattice=lat, comps=comps, mask=mask)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            inv = g.inverse()
+            inv = packed_inverse(g.comps, n)
             eigs = g.eigenvalues()
         eye = np.broadcast_to(np.eye(n), inv[~mask].shape)
         assert np.array_equal(inv[~mask], eye)
@@ -440,14 +476,23 @@ class TestClosedFormAlgebra:
         node = (3,) + (1,) * (n - 1)
         packed[node] = comps
         with pytest.raises(np.linalg.LinAlgError, match=rf"{what} at node \({node[0]}, 1"):
-            MetricField(lattice=lat, comps=packed, mask=g.mask).inverse()
+            packed_inverse(MetricField(lattice=lat, comps=packed, mask=g.mask).comps, n)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_determinant_matches_lapack(self, n):
+        lat = make_lattice(n, 1.0, 9 if n < 4 else 5)
+        mats = _spd_field(lat, 10.0, seed=20 + n)
+        det, ref = packed_det(pack_symmetric(mats), n), np.linalg.det(mats)
+        assert det.shape == lat.shape
+        assert np.abs(det / ref - 1.0).max() <= 1e-12
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_inverse_of_a_crop_is_the_crop_of_the_inverse(self, n):
         lat = make_lattice(n, 1.0, 9)
         g = MetricField.from_matrices(lat, _spd_field(lat, 1e4, seed=n), lat.full_mask())
         crop = (slice(2, 7),) * n
-        assert np.array_equal(packed_inverse(g.comps[crop], n, shift=2), g.inverse()[crop])
+        assert np.array_equal(packed_inverse(g.comps[crop], n, shift=2),
+                              packed_inverse(g.comps, n)[crop])
 
     @pytest.mark.parametrize("n,comps,what", [
         (2, [1.0, 1.0, 1.0], "singular metric"),
@@ -638,6 +683,28 @@ class TestDifferentiate:
             jet = differentiate(f, order)
             assert np.all(jet.mask <= prev)
             prev = jet.mask
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_reads_only_the_mask(self, n):
+        # the jet reads the stored array as it is: a pair equal on the mask
+        # and far apart off it, and one metric's components on a sub-mask
+        # and on the full mask, give the same bits on the jet's mask
+        lat = make_lattice(n, 1.0, 21 if n == 2 else 13)
+        mask = lat.ball_mask(0.8)
+        rng = np.random.default_rng(n)
+        vals = rng.standard_normal(lat.shape)
+        other = np.where(mask, vals, rng.uniform(-1e6, 1e6, lat.shape))
+        ja, jb = (differentiate(ScalarField(lattice=lat, values=v, mask=mask), 2)
+                  for v in (vals, other))
+        assert ja.mask.any() and np.array_equal(ja.mask, jb.mask)
+        for a, b in zip(ja.blocks, jb.blocks):
+            assert np.array_equal(a[ja.mask], b[ja.mask])
+        comps = pack_symmetric(_spd_field(lat, 10.0, seed=n))
+        sub, full = (differentiate(MetricField(lattice=lat, comps=comps, mask=m), 2)
+                     for m in (mask, lat.full_mask()))
+        assert np.array_equal(sub.mask, ja.mask) and np.all(sub.mask <= full.mask)
+        for a, b in zip(sub.blocks, full.blocks):
+            assert np.array_equal(a[sub.mask], b[sub.mask])
 
     def test_order_too_high_for_lattice(self):
         lat = make_lattice(2, 1.0, 5)
