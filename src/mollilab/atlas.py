@@ -14,7 +14,8 @@ from dataclasses import InitVar, dataclass, field
 import numpy as np
 
 from .kernels import ScaledKernel, convolve
-from .lattice import Lattice, MetricField, check_definite, pack_symmetric, unpack_symmetric
+from .lattice import (Lattice, MetricField, check_definite, fold, pack_symmetric,
+                      unpack_symmetric)
 
 COVER_TOL = 1e-9
 WEIGHT_EPS = 1e-14
@@ -106,7 +107,7 @@ class Atlas:
                 return np.full(X.shape[:-1], np.inf)
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 Y = np.asarray(tr.map(X), dtype=float)
-        d = np.sqrt((Y**2).sum(axis=-1))
+        d = np.sqrt(fold(np.add, Y**2))
         d = np.where(np.isfinite(d), d, np.inf)
         return np.where(d < self.r, d, np.inf)
 
@@ -204,7 +205,7 @@ def interpolate_metric(g: MetricField, points: np.ndarray):
     if inside.any():
         vals[inside] = _lagrange_cubic(axes, g.comps[sl], flat_pts[inside])
     mats = unpack_symmetric(vals, n)
-    ok = np.isfinite(vals).all(axis=-1) & inside
+    ok = fold(np.logical_and, np.isfinite(vals)) & inside
     return (mats.reshape(points.shape[:-1] + (n, n)),
             ok.reshape(points.shape[:-1]))
 
@@ -215,7 +216,8 @@ def pullback_metric(tr: Transition, g: MetricField, target: Lattice) -> MetricFi
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         Y = np.asarray(tr.map(X), dtype=float)
         J = np.asarray(tr.jacobian(X), dtype=float)
-    finite = np.isfinite(Y).all(axis=-1) & np.isfinite(J).all(axis=(-2, -1))
+    finite = (fold(np.logical_and, np.isfinite(Y))
+              & fold(np.logical_and, np.isfinite(J).reshape(J.shape[:-2] + (-1,))))
     Y = np.where(finite[..., None], Y, 0.0)
     G, ok = interpolate_metric(g, Y)
     mask = ok & finite

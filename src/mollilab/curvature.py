@@ -31,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lattice import (MetricField, central_diff, central_diff2, erode_mask, pack_map,
+from .lattice import (MetricField, central_diff, central_diff2, erode_mask, fold, pack_map,
                       packed_inverse, unpack_symmetric)
 
 # Grid nodes per slab of the streamed Riemann builder, which takes
@@ -42,14 +42,6 @@ from .lattice import (MetricField, central_diff, central_diff2, erode_mask, pack
 # 4096 and 8192 ran the builder 5-10 % faster on 2-d m = 161 and 3-d m = 25
 # charts, but made that slab 1.5 and 3 times as large.
 SLAB_NODES = 2048
-
-
-def _s_tensor(dg: np.ndarray) -> np.ndarray:
-    """S_{m k l} = g_{mk,l} + g_{ml,k} - g_{kl,m} from dg[...,i,j,a] = d_a g_ij,
-    node-major; the slab builder forms the same sums plane by plane."""
-    return (dg                         # g_{mk,l}
-            + np.swapaxes(dg, -2, -1)  # g_{ml,k}
-            - np.moveaxis(dg, -1, -3))  # g_{kl,m}
 
 
 def _contract_first(mat: np.ndarray, tens: np.ndarray) -> np.ndarray:
@@ -234,13 +226,6 @@ def _slab_planes(comps: np.ndarray, ginv: np.ndarray, h: float, i0: int, i1: int
     return A, B
 
 
-def _slab_parts(g: MetricField, ginv: np.ndarray, i0: int, i1: int):
-    """(A, B), symmetrized, on the planes i0 <= i < i1 along axis 0 of g,
-    node-major: slab + (N, N)."""
-    planes = _slab_planes(g.comps, ginv, g.lattice.h, i0, i1)
-    return tuple(np.moveaxis(x, (0, 1), (-2, -1)) for x in planes)
-
-
 def riemann(g: MetricField) -> RiemannField:
     """The curvature operator R_IJ = R_abcd = A_IJ + B_IJ of g.
 
@@ -280,7 +265,10 @@ def riemann(g: MetricField) -> RiemannField:
 
 
 def _lower_inverse(L: np.ndarray) -> np.ndarray:
-    """Inverse of lower-triangular 3 x 3 matrices by forward substitution."""
+    """Inverse of lower-triangular 3 x 3 matrices by forward substitution; any
+    other trailing shape raises ValueError."""
+    if L.shape[-2:] != (3, 3):
+        raise ValueError(f"_lower_inverse needs 3 x 3 factors, got trailing shape {L.shape[-2:]}")
     inv = np.zeros_like(L)
     for k in range(3):
         np.reciprocal(L[..., k, k], out=inv[..., k, k])
@@ -321,7 +309,7 @@ def sec_spectrum(R: RiemannField):
     Linv = _lower_inverse(np.linalg.cholesky(G))
     pencil = Linv @ riem @ np.swapaxes(Linv, -2, -1)
     ev[R.mask] = np.linalg.eigvalsh(pencil)
-    scalar[R.mask] = 2.0 * np.trace(pencil, axis1=-2, axis2=-1)
+    scalar[R.mask] = 2.0 * fold(np.add, np.diagonal(pencil, axis1=-2, axis2=-1))
     return ev, scalar
 
 

@@ -12,6 +12,13 @@ eigenvalues are the closed-form roots, and the metric check certifies
 nodes from their LDL^T pivots, all read straight from the packed
 components; batched LAPACK is kept for the 3-d eigenvalues, for the nodes
 the certificate leaves undecided, and for n >= 4.
+
+Per-node kernels work on whole planes, never along a short trailing axis:
+numpy reduces over an axis of a few entries an order of magnitude slower
+than a chain of elementwise ufuncs over the same planes, with the same
+bits.  So short per-node reductions (norms, traces, finiteness checks) are
+left-to-right plane chains (`fold`), and the inverse is computed one
+contiguous (i, j) plane at a time (`inverse_planes`).
 """
 from __future__ import annotations
 
@@ -23,6 +30,34 @@ from scipy import ndimage
 
 # Largest eigenvalue ratio `check_definite` accepts at a node.
 COND_LIMIT = 1e12
+
+
+# Trailing lengths below which numpy's `reduce` of a ufunc over the last axis
+# is a left-to-right chain (see `fold`).
+_CHAIN_BELOW = {np.add: 8, np.maximum: 9, np.minimum: 9, np.logical_and: np.inf}
+
+
+def fold(ufunc, a: np.ndarray) -> np.ndarray:
+    """`ufunc.reduce(a, axis=-1)`, bit for bit, as a left-to-right chain of
+    elementwise calls over the planes a[..., k], for `add`, `maximum`,
+    `minimum` and `logical_and` over float or bool arrays.
+
+    numpy takes a slow path to reduce over a short trailing axis; the chain
+    reads whole planes.  It starts from the ufunc's identity when it has
+    one, so a row of -0.0 sums to +0.0 as reduce's does.  The chain only
+    holds below the lengths in `_CHAIN_BELOW`: `add` folds fewer than 8
+    entries (numpy sums 8 or more pairwise), `maximum` and `minimum` fewer
+    than 9 (from 9 on numpy's vectorised loop can return the other signed
+    zero of a row holding both).  Longer rows, 1-d input and empty rows go
+    to `ufunc.reduce`.
+    """
+    a = np.asarray(a)
+    if a.ndim < 2 or not 0 < a.shape[-1] < _CHAIN_BELOW[ufunc]:
+        return ufunc.reduce(a, axis=-1)
+    out = a[..., 0].copy() if ufunc.identity is None else ufunc(ufunc.identity, a[..., 0])
+    for k in range(1, a.shape[-1]):
+        ufunc(out, a[..., k], out=out)
+    return out
 
 
 def erode_mask(mask: np.ndarray, steps: int) -> np.ndarray:
@@ -125,9 +160,9 @@ class Lattice:
     def ball_mask(self, radius: float, norm: str = "euclid") -> np.ndarray:
         x = self.coords()
         if norm == "euclid":
-            d = np.sqrt((x**2).sum(axis=-1))
+            d = np.sqrt(fold(np.add, x**2))
         elif norm == "max":
-            d = np.abs(x).max(axis=-1)
+            d = fold(np.maximum, np.abs(x))
         else:
             raise ValueError(f"unknown norm {norm!r}")
         return d <= radius + 1e-12
@@ -192,12 +227,15 @@ class MetricField:
         """The field of symmetric matrices `mats` (grid + (n, n)), after checking
         that they are finite and symmetric on the mask; only the upper triangle
         is stored."""
-        bad = mask & ~np.isfinite(mats).all(axis=(-2, -1))
+        bad = mask & ~fold(np.logical_and, np.isfinite(mats).reshape(mats.shape[:-2] + (-1,)))
         if bad.any():
             raise ValueError(f"non-finite metric value at node {first_node(bad)}")
         on = mats if mask.all() else mats[mask]  # no copy when nothing is masked
         scale = np.abs(on).max(initial=0.0) or 1.0
-        if np.abs(on - np.swapaxes(on, -1, -2)).max(initial=0.0) > 1e-12 * scale:
+        # the diagonal differences are 0, so the off-diagonal pairs hold the max
+        asym = max(float(np.abs(on[..., i, j] - on[..., j, i]).max(initial=0.0))
+                   for i, j in zip(*np.triu_indices(mats.shape[-1], 1)))
+        if asym > 1e-12 * scale:
             on = np.where(mask[..., None, None], mats, 0.0)
             bad = np.abs(on - np.swapaxes(on, -1, -2)).max(axis=(-2, -1)) > 1e-12 * scale
             raise ValueError(f"metric matrices are not symmetric at node {first_node(bad)}")
@@ -269,37 +307,45 @@ def packed_det(comps: np.ndarray, n: int) -> np.ndarray:
     return (p[0] * p[3] - p[1] * p[1]) * s22 - p[0] * s12 * s12
 
 
-def packed_inverse(comps: np.ndarray, n: int, shift: int = 0) -> np.ndarray:
+def inverse_planes(comps: np.ndarray, n: int, shift: int = 0) -> np.ndarray:
     """Inverse matrices of packed symmetric n x n components (trailing axis),
-    comps.shape[:-1] + (n, n): for n <= 3 the adjugate, from the n(n+1)/2
-    cofactors, over `packed_det`; LAPACK for n >= 4.  A zero g_00 (3-d) or
-    determinant raises LinAlgError naming the first such node, each index
-    plus `shift` (the offset of a cropped block in its grid)."""
+    plane-major: an array (n, n) + comps.shape[:-1] whose (i, j) entry is
+    one contiguous plane.  For n <= 3 the adjugate, from the n(n+1)/2
+    cofactors, over `packed_det`; LAPACK for n >= 4 (then a view of its
+    node-major result).  A zero g_00 (3-d) or determinant raises
+    LinAlgError naming the first such node, each index plus `shift` (the
+    offset of a cropped block in its grid)."""
     if n > 3:
-        return np.linalg.inv(unpack_symmetric(comps, n))
+        return np.moveaxis(np.linalg.inv(unpack_symmetric(comps, n)), (-2, -1), (0, 1))
     p = np.moveaxis(comps, -1, 0)
-    out = np.empty(p.shape[1:] + (n, n))
+    out = np.empty((n, n) + p.shape[1:])
     if n == 2:
         a, b, c = p
-        out[..., 0, 0] = c
-        out[..., 1, 1] = a
-        np.negative(b, out=out[..., 0, 1])
-        out[..., 1, 0] = out[..., 0, 1]
+        out[0, 0] = c
+        out[1, 1] = a
+        np.negative(b, out=out[0, 1])
+        out[1, 0] = out[0, 1]
     else:
         a, b, c, d, e, f = p
         cofactors = {(0, 0): (d, f, e, e), (0, 1): (c, e, b, f),
                      (0, 2): (b, e, c, d), (1, 1): (a, f, c, c),
                      (1, 2): (b, c, a, e), (2, 2): (a, d, b, b)}
         for (i, j), (w, x, y, z) in cofactors.items():
-            cof = out[..., i, j]
+            cof = out[i, j]
             np.multiply(w, x, out=cof)
             cof -= y * z
-            out[..., j, i] = cof
+            out[j, i] = cof
         _raise_at(a == 0.0, "metric has g_00 = 0", shift)
     det = packed_det(comps, n)
     _raise_at(det == 0.0, "singular metric", shift)
-    out /= det[..., None, None]
+    out /= det
     return out
+
+
+def packed_inverse(comps: np.ndarray, n: int, shift: int = 0) -> np.ndarray:
+    """`inverse_planes` node-major: one C-contiguous array
+    comps.shape[:-1] + (n, n)."""
+    return np.ascontiguousarray(np.moveaxis(inverse_planes(comps, n, shift), (0, 1), (-2, -1)))
 
 
 def _raise_at(bad: np.ndarray, what: str, shift: int = 0) -> None:
@@ -344,7 +390,7 @@ def certify_definite(comps: np.ndarray) -> np.ndarray:
     with np.errstate(all="ignore"):
         pivots = ldl_pivots(comps)
         n = len(pivots)
-        power = comps[..., pack_map(n).diagonal()].sum(axis=-1) ** n
+        power = fold(np.add, comps[..., pack_map(n).diagonal()]) ** n
         bound = COND_LIMIT / 1e2 * pivots[0]
         ok = pivots[0] > 0.0
         for piv in pivots[1:]:

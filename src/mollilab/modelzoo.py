@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .atlas import Atlas, BumpProfile, Chart, Transition
-from .lattice import Lattice, make_lattice, sample_metric
+from .lattice import Lattice, fold, make_lattice, sample_metric
 
 
 def _conformal(n: int, r: float, lam) -> tuple:
@@ -47,7 +47,7 @@ def _unit_factor(X):
 
 def _sphere_factor(R: float):
     """Conformal factor 4R^4 / (R^2 + |x|^2)^2 of a stereographic sphere chart."""
-    return lambda X: 4.0 * R**4 / (R**2 + (X**2).sum(axis=-1)) ** 2
+    return lambda X: 4.0 * R**4 / (R**2 + fold(np.add, X**2)) ** 2
 
 
 def _poincare_factor(n: int, r: float):
@@ -56,7 +56,7 @@ def _poincare_factor(n: int, r: float):
     if r * math.sqrt(n) >= 1.0:
         raise ValueError(f"needs the chart cube inside the unit ball, r*sqrt(n) < 1, "
                          f"got r={r} in dimension {n}")
-    return lambda X: 4.0 / (1.0 - (X**2).sum(axis=-1)) ** 2
+    return lambda X: 4.0 / (1.0 - fold(np.add, X**2)) ** 2
 
 
 def _radius_R(params: dict) -> float:
@@ -84,7 +84,7 @@ def _pflat(n: int, r: float, params: dict) -> tuple:
     E = np.outer(u, u)
 
     def gen(X):
-        d = np.sqrt((X**2).sum(axis=-1))
+        d = np.sqrt(fold(np.add, X**2))
         amp = a * shape_bump(d) * d ** (1.0 + alpha)
         return np.eye(n) + amp[..., None, None] * E
 
@@ -102,11 +102,11 @@ def _pflat(n: int, r: float, params: dict) -> tuple:
 def _inversion(R: float) -> tuple:
     """Inversion x -> R^2 x / |x|^2 in the sphere of radius R, and its Jacobian."""
     def mp(X):
-        s = (X**2).sum(axis=-1)
+        s = fold(np.add, X**2)
         return R**2 * X / s[..., None]
 
     def jac(X):
-        s = (X**2).sum(axis=-1)
+        s = fold(np.add, X**2)
         eye = np.eye(X.shape[-1])
         return R**2 * (eye * s[..., None, None]
                        - 2.0 * X[..., :, None] * X[..., None, :]) / (s**2)[..., None, None]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import (JetField, MetricField, ScalarField, central_diff, check_eigenvalues,
-                      differentiate, erode_mask, grow_box, packed_det, packed_inverse)
+                      differentiate, erode_mask, fold, grow_box, inverse_planes, packed_det)
 
 
 def holder_seminorm(values: np.ndarray, mask: np.ndarray, h: float, alpha: float) -> float:
@@ -66,7 +66,7 @@ def sobolev_norm(jet: JetField, h: float, p: float) -> tuple:
     cell = h ** mask.ndim
     norms = []
     for block in jet.blocks:
-        flat = np.abs(block.reshape(mask.shape + (-1,))).max(axis=-1)
+        flat = fold(np.maximum, np.abs(block.reshape(mask.shape + (-1,))))
         norms.append(float((np.sum(flat[mask] ** p) * cell) ** (1.0 / p)))
     return tuple(norms)
 
@@ -83,13 +83,14 @@ def harmonic_defect(g: MetricField) -> float:
     Delta_g f = |g|^{-1/2} d_i(|g|^{1/2} g^{ij} d_j f); 0 on an empty mask."""
     lat = g.lattice
     w = np.sqrt(packed_det(g.comps, lat.n))
-    flux = w[..., None, None] * packed_inverse(g.comps, lat.n)  # F^{ik} = sqrt|g| g^{ik}
+    flux = inverse_planes(g.comps, lat.n)  # F^{ik} = sqrt|g| g^{ik}, one plane per (i, k)
+    flux *= w
     mask = erode_mask(g.mask, 1)
     sup = 0.0
     for k in range(lat.n):
         div = np.zeros(lat.shape)
         for i in range(lat.n):
-            div += central_diff(flux[..., i, k], i, lat.h)
+            div += central_diff(flux[i, k], i, lat.h)
         sup = max(sup, float(np.abs(div[mask] / w[mask]).max(initial=0.0)))
     return sup
 

@@ -13,12 +13,12 @@ import pytest
 from mollilab.atlas import assemble_mollified, check_cover, pullback_metric
 from mollilab.cli import (EXIT_OK, ExperimentConfig, lemma_violations, main,
                           run_deviation, run_lemmas)
-from mollilab.curvature import (_pair_axes, _slab_parts, riemann,
-                                sec_extreme_fields)
+from mollilab.curvature import _pair_axes, riemann, sec_extreme_fields
 from mollilab.kernels import scale_kernel
 from mollilab.lattice import make_lattice, packed_inverse, sample_metric
 from mollilab.modelzoo import get_geometry, parse_atlas_file
 from mollilab.norms import check_N0
+from riemann_parts import slab_parts
 
 
 def _verdict(num: int, name: str, ok: bool, detail: str) -> None:
@@ -143,7 +143,7 @@ def test_criterion_3_curvature_decomposition():
             g = geo.sample_all(m)[geo.atlas.charts[0].id]
             # the samples' mask is the whole chart, so the builder's one
             # slab is the whole grid and the r/2 ball keeps clear of its edge
-            parts = _slab_parts(g, packed_inverse(g.comps, g.lattice.n), 0, m)
+            parts = slab_parts(g, packed_inverse(g.comps, g.lattice.n), 0, m)
             region = lat.ball_mask(geo.r / 2.0)
             for key, got, want in zip("AB", parts, _conformal_parts(lat.coords(), eps)):
                 scale = np.abs(want[region]).max()

@@ -12,13 +12,13 @@ from mollilab.atlas import assemble_mollified
 import mollilab.curvature as curvature
 import mollilab.lattice as lattice
 from mollilab.curvature import (RiemannField, _contract_first, _lambda2, _pair_axes,
-                                _s_tensor, _slab_parts, riemann, sec_extreme_fields,
-                                sec_spectrum)
+                                riemann, sec_extreme_fields, sec_spectrum)
 from mollilab.kernels import scale_kernel
 from mollilab.lattice import (MetricField, _jet_blocks, erode_mask, make_lattice, pack_map,
                               pack_symmetric, packed_inverse, sample_metric)
 from mollilab.modelzoo import get_geometry
 from mollilab.norms import check_N0
+from riemann_parts import s_tensor, slab_parts
 
 
 def _conformal(lam):
@@ -81,7 +81,7 @@ def sectional_field(g, R, v, w):
 def _parts(g):
     """The Hessian part A and the remainder B of g, built as one slab of
     the whole grid, with their valid mask."""
-    A, B = _slab_parts(g, packed_inverse(g.comps, g.lattice.n), 0, g.lattice.m)
+    A, B = slab_parts(g, packed_inverse(g.comps, g.lattice.n), 0, g.lattice.m)
     return A, B, erode_mask(g.mask, 2)
 
 
@@ -193,7 +193,7 @@ def _whole_grid_parts(g: MetricField):
     a, b, c, d = _pair_axes(n)
     A = 0.5 * (d2g[..., P[a, d], b, c] + d2g[..., P[b, c], a, d]
                - d2g[..., P[a, c], b, d] - d2g[..., P[b, d], a, c])
-    S = _s_tensor(dg[..., P, :])
+    S = s_tensor(dg[..., P, :])
     gamma = 0.5 * _contract_first(packed_inverse(g.comps, g.lattice.n)[crop], S)
     B = 0.5 * sum(gamma[..., q, b, c] * S[..., q, a, d]
                   - gamma[..., q, b, d] * S[..., q, a, c] for q in range(n))
@@ -585,6 +585,16 @@ class TestScalarFromPencil:
             assert np.array_equal(sc[R.mask], 2.0 * lo[R.mask])
             assert np.isnan(sc[~R.mask]).all()
 
+    def test_scalar_is_twice_the_pencil_trace(self):
+        # the trace is a plane chain over the diagonal: bit for bit np.trace
+        for g in _on_mask_cases("sphere3"):
+            R = riemann(g)
+            G = _lambda2(g.matrices()[R.mask])
+            Linv = curvature._lower_inverse(np.linalg.cholesky(G))
+            pencil = Linv @ R.riem[R.mask] @ np.swapaxes(Linv, -2, -1)
+            want = 2.0 * np.trace(pencil, axis1=-2, axis2=-1)
+            assert sec_spectrum(R)[1][R.mask].tobytes() == want.tobytes()
+
 
 class TestSpectrum:
     @pytest.mark.parametrize("name", ["sphere2", "pflat2", "sphere3", "pflat3"])
@@ -667,6 +677,21 @@ class TestSpectrum:
             dist = np.maximum(np.maximum(k_lo - kt, kt - k_hi), 0.0)[region].max()
             assert rec.riem_excess == dist
         assert all(rec.riem_excess > 0.05 for rec in records)
+
+
+class TestLowerInverse:
+    def test_inverts_3x3_factors(self):
+        rng = np.random.default_rng(5)
+        L = np.tril(rng.standard_normal((40, 3, 3)))
+        L[:, range(3), range(3)] = 1.0 + np.abs(L[:, range(3), range(3)])
+        assert np.abs(curvature._lower_inverse(L) @ L - np.eye(3)).max() < 1e-12
+
+    @pytest.mark.parametrize("size", [2, 4, 6])
+    def test_refuses_other_factors(self, size):
+        # a 6 x 6 factor (the pencil of a 4-d metric) once gave eigenvalues 0
+        L = np.broadcast_to(np.eye(size), (5, size, size))
+        with pytest.raises(ValueError, match=rf"trailing shape \({size}, {size}\)"):
+            curvature._lower_inverse(L)
 
 
 class TestRicciScalar:

@@ -1,17 +1,19 @@
 """Tests for lattices, sampled fields, and finite differences."""
+import itertools
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import ndimage
 
 from mollilab.lattice import (COND_LIMIT, MetricField, ScalarField, central_diff,
-                              certify_definite, check_definite, differentiate, erode_mask,
-                              grow_box, ldl_pivots, make_lattice, pack_map, pack_symmetric,
-                              packed_det, packed_inverse, sample_metric, sample_scalar,
-                              unpack_symmetric)
+                              certify_definite, check_definite, differentiate, erode_mask, fold,
+                              grow_box, inverse_planes, ldl_pivots, make_lattice, pack_map,
+                              pack_symmetric, packed_det, packed_inverse, sample_metric,
+                              sample_scalar, unpack_symmetric)
 from mollilab.norms import check_N0
 
 
@@ -143,6 +145,19 @@ class TestFields:
         mats[2, 3, 0, 1] = 0.5
         with pytest.raises(ValueError, match=r"not symmetric at node \(2, 3\)$"):
             MetricField.from_matrices(lat, mats, mask)
+
+    @pytest.mark.parametrize("pair", [(0, 1), (0, 2), (1, 2)])
+    def test_from_matrices_checks_every_off_diagonal_pair(self, pair):
+        lat = make_lattice(3, 1.0, 5)
+        mats = np.broadcast_to(np.eye(3), lat.shape + (3, 3)).copy()
+        i, j = pair
+        mats[4, 0, 2, j, i] = 1e-11  # above 1e-12 times the largest entry, 1
+        with pytest.raises(ValueError,
+                           match=r"^metric matrices are not symmetric at node \(4, 0, 2\)$"):
+            MetricField.from_matrices(lat, mats, lat.full_mask())
+        mats[4, 0, 2, j, i] = 1e-13  # within the tolerance
+        g = MetricField.from_matrices(lat, mats, lat.full_mask())
+        assert g.matrices()[4, 0, 2, i, j] == 0.0
 
     def test_sample_metric_names_the_asymmetric_node(self):
         lat = make_lattice(2, 1.0, 5)
@@ -507,6 +522,112 @@ class TestClosedFormAlgebra:
         for block, shift in ((g.comps, 0), (g.comps[(slice(2, 7),) * n], 2)):
             with pytest.raises(np.linalg.LinAlgError, match=rf"^{what} at node {node}$"):
                 packed_inverse(block, n, shift=shift)
+
+
+def _node_major_inverse(comps, n):
+    """The inverse as it was written before it moved to planes: cofactors and
+    the division straight into the node-major slots out[..., i, j]."""
+    p = np.moveaxis(comps, -1, 0)
+    out = np.empty(p.shape[1:] + (n, n))
+    if n == 2:
+        a, b, c = p
+        out[..., 0, 0] = c
+        out[..., 1, 1] = a
+        np.negative(b, out=out[..., 0, 1])
+        out[..., 1, 0] = out[..., 0, 1]
+    else:
+        a, b, c, d, e, f = p
+        cofactors = {(0, 0): (d, f, e, e), (0, 1): (c, e, b, f),
+                     (0, 2): (b, e, c, d), (1, 1): (a, f, c, c),
+                     (1, 2): (b, c, a, e), (2, 2): (a, d, b, b)}
+        for (i, j), (w, x, y, z) in cofactors.items():
+            cof = out[..., i, j]
+            np.multiply(w, x, out=cof)
+            cof -= y * z
+            out[..., j, i] = cof
+    out /= packed_det(comps, n)[..., None, None]
+    return out
+
+
+class TestPlaneMajorInverse:
+    """The inverse is computed one contiguous (i, j) plane at a time and
+    handed out node-major, bit for bit the node-major formulas."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("cond", [1.0, 1e4, 1e10])
+    def test_bytes_equal_node_major_formulas(self, n, cond):
+        lat = make_lattice(n, 1.0, 41 if n == 2 else 13)
+        g = MetricField.from_matrices(lat, _spd_field(lat, cond, seed=7 * n), lat.full_mask())
+        inv = packed_inverse(g.comps, n)
+        assert inv.shape == lat.shape + (n, n) and inv.flags.c_contiguous
+        assert inv.tobytes() == _node_major_inverse(g.comps, n).tobytes()
+        planes = inverse_planes(g.comps, n)
+        assert planes.shape == (n, n) + lat.shape and planes.flags.c_contiguous
+        assert planes.tobytes() == np.moveaxis(inv, (-2, -1), (0, 1)).copy().tobytes()
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_cropped_block_bytes_equal(self, n):
+        lat = make_lattice(n, 1.0, 21 if n == 2 else 11)
+        g = MetricField.from_matrices(lat, _spd_field(lat, 1e3, seed=3 + n), lat.full_mask())
+        crop = (slice(3, lat.m - 2),) * n
+        block = g.comps[crop]  # a strided view, as `riemann` hands over
+        inv = packed_inverse(block, n, shift=3)
+        assert inv.shape == block.shape[:-1] + (n, n) and inv.flags.c_contiguous
+        assert inv.tobytes() == _node_major_inverse(block, n).tobytes()
+
+
+class TestFold:
+    """`fold` is numpy's reduce over the last axis, bit for bit."""
+
+    # finite values with both zeros, subnormals and values near overflow
+    VALUES = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                       st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308,
+                                        1e308, -1e308]))
+
+    @staticmethod
+    def _rows(length):
+        return st.integers(1, 4).flatmap(lambda lead: arrays(
+            np.float64, (lead, 3, length), elements=TestFold.VALUES))
+
+    @staticmethod
+    def _same(ufunc, a):
+        with np.errstate(over="ignore", invalid="ignore"):  # +-1e308 sums overflow
+            return fold(ufunc, a).tobytes() == ufunc.reduce(a, axis=-1).tobytes()
+
+    @given(data=st.data(), length=st.integers(1, 7))
+    @settings(max_examples=60, deadline=None)
+    def test_add(self, data, length):
+        assert self._same(np.add, data.draw(self._rows(length)))
+
+    @given(data=st.data(), length=st.integers(1, 9),
+           ufunc=st.sampled_from([np.maximum, np.minimum, np.logical_and]))
+    @settings(max_examples=120, deadline=None)
+    def test_maximum_minimum_logical_and(self, data, length, ufunc):
+        a = data.draw(self._rows(length))
+        assert self._same(ufunc, a)
+        assert self._same(ufunc, np.isfinite(a) & (a != 0.0))  # bool input
+
+    @pytest.mark.parametrize("length", range(1, 10))
+    def test_every_sign_pattern_of_zeros(self, length):
+        # which zero a max or min returns depends on the order it is taken in
+        rows = np.array(list(itertools.product([0.0, -0.0], repeat=length)))
+        for ufunc in (np.maximum, np.minimum) + ((np.add,) if length < 8 else ()):
+            assert self._same(ufunc, rows)
+
+    @pytest.mark.parametrize("length", range(1, 8))
+    def test_negative_zero_rows_sum_to_positive_zero(self, length):
+        a = np.full((5, length), -0.0)
+        out = fold(np.add, a)
+        assert not np.signbit(out).any()
+        assert out.tobytes() == np.add.reduce(a, axis=-1).tobytes()
+
+    @pytest.mark.parametrize("length", [8, 9, 12, 17])
+    def test_longer_rows_are_reduced_by_numpy(self, length):
+        # from 8 entries numpy sums pairwise, which rounds unlike a chain
+        a = np.random.default_rng(length).standard_normal((200, length))
+        for ufunc in (np.add, np.maximum, np.minimum):
+            assert self._same(ufunc, a)
+        assert fold(np.add, a[0]) == np.add.reduce(a[0])
 
 
 def _partial_metric(n, m=11):

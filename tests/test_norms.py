@@ -6,8 +6,9 @@ import pytest
 
 from mollilab import norms
 from mollilab.cli import ExperimentConfig, run_norms
-from mollilab.lattice import (MetricField, ScalarField, differentiate, make_lattice,
-                              pack_symmetric, sample_metric, sample_scalar)
+from mollilab.lattice import (MetricField, ScalarField, central_diff, differentiate,
+                              erode_mask, make_lattice, pack_symmetric, packed_det,
+                              packed_inverse, sample_metric, sample_scalar)
 from mollilab.modelzoo import get_geometry
 from mollilab.norms import (chart_norm_report, check_N0, harmonic_defect,
                             holder_seminorm, sobolev_norm)
@@ -232,6 +233,24 @@ class TestHarmonicDefect:
         g = sample_metric(_conformal_metric(
             lambda X: 4.0 / (1.0 - (X**2).sum(-1)) ** 2), lat)
         assert harmonic_defect(g) > 0.1
+
+    @pytest.mark.parametrize("name", ["sphere3", "hyperbolic3", "pflat3", "pflat2"])
+    def test_flux_planes_equal_the_node_major_flux(self, name):
+        # the reference is the defect as it was written before the flux
+        # moved to contiguous planes: w[..., None, None] * inv, node-major
+        geo = get_geometry(name)
+        for g in geo.sample_all(25 if geo.n == 3 else 41).values():
+            lat = g.lattice
+            w = np.sqrt(packed_det(g.comps, lat.n))
+            flux = w[..., None, None] * packed_inverse(g.comps, lat.n)
+            mask = erode_mask(g.mask, 1)
+            want = 0.0
+            for k in range(lat.n):
+                div = np.zeros(lat.shape)
+                for i in range(lat.n):
+                    div += central_diff(flux[..., i, k], i, lat.h)
+                want = max(want, float(np.abs(div[mask] / w[mask]).max(initial=0.0)))
+            assert harmonic_defect(g) == want > 0.0
 
 
 class TestChartReports:
