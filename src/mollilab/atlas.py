@@ -164,7 +164,7 @@ def _lagrange_cubic(axes, values, pts):
         ax = axes[k]
         cell = np.searchsorted(ax, pts[:, k], side="right") - 1
         cell = np.clip(cell, 1, ax.size - 3)
-        w = np.empty((npts, 4))
+        w = np.empty((4, npts))
         for a in range(4):
             num = np.ones(npts)
             xa = ax[cell - 1 + a]
@@ -172,21 +172,33 @@ def _lagrange_cubic(axes, values, pts):
                 if b != a:
                     xb = ax[cell - 1 + b]
                     num *= (pts[:, k] - xb) / (xa - xb)
-            w[:, a] = num
+            w[a] = num
         base.append(cell - 1)
         weights.append(w)
-    # each stencil node is one gather by C-order flat index into the grid
+    # one contiguous plane per component; each stencil node is one gather
+    # per plane by C-order flat index into the grid
+    tail = values.shape[n:]
+    planes = np.ascontiguousarray(np.moveaxis(values.reshape(values.shape[:n] + (-1,)), -1, 0))
+    planes = planes.reshape(planes.shape[0], -1)
     strides = [int(np.prod(values.shape[k + 1:n])) for k in range(n)]
-    flat_vals = np.ascontiguousarray(values).reshape((-1,) + values.shape[n:])
     flat = sum(base[k] * strides[k] for k in range(n))
-    out = np.zeros((npts,) + values.shape[n:])
-    for offs in itertools.product(range(4), repeat=n):
-        w = weights[0][:, offs[0]]
-        for k in range(1, n):
-            w = w * weights[k][:, offs[k]]
-        node = np.take(flat_vals, flat + sum(o * st for o, st in zip(offs, strides)), axis=0)
-        out += w.reshape((npts,) + (1,) * (values.ndim - n)) * node
-    return out
+    out = np.zeros((planes.shape[0], npts))
+    node, w = np.empty(npts), np.empty(npts)
+    # the product of the leading axes' weights, taken in axis order, is
+    # shared by the 4 last-axis nodes after it; nodes in itertools.product order
+    for lead in itertools.product(range(4), repeat=n - 1):
+        lead_w = weights[0][lead[0]]
+        for k in range(1, n - 1):
+            lead_w = lead_w * weights[k][lead[k]]
+        at = flat + sum(o * st for o, st in zip(lead, strides))
+        for o in range(4):
+            np.multiply(lead_w, weights[n - 1][o], out=w)
+            idx = at + o * strides[n - 1]
+            for plane, acc in zip(planes, out):
+                np.take(plane, idx, out=node)
+                node *= w
+                acc += node
+    return np.moveaxis(out.reshape(tail + (npts,)), -1, 0)
 
 
 def interpolate_metric(g: MetricField, points: np.ndarray):

@@ -10,8 +10,12 @@ writes that array, and pointwise algebra never pads by hand.  For n <= 3
 the determinant (`packed_det`) and the inverse are closed form, the 2-d
 eigenvalues are the closed-form roots, and the metric check certifies
 nodes from their LDL^T pivots, all read straight from the packed
-components; batched LAPACK is kept for the 3-d eigenvalues, for the nodes
-the certificate leaves undecided, and for n >= 4.
+components; batched LAPACK is kept for the 3-d eigenvalues, and it runs
+only on nodes where they decide something: the nodes the certificate
+leaves undecided, and the nodes that can hold N0_Q's extreme eigenvalues
+(`norms.check_N0`).  `packed_eigenvalues` is the one eigenvalue kernel,
+for the whole grid and for any batch of nodes, with the same bits per
+node.  n >= 4 goes to LAPACK throughout.
 
 Per-node kernels work on whole planes, never along a short trailing axis:
 numpy reduces over an axis of a few entries an order of magnitude slower
@@ -247,25 +251,33 @@ class MetricField:
         return unpack_symmetric(self.comps, self.lattice.n)
 
     def eigenvalues(self) -> np.ndarray:
-        """Ascending eigenvalues at every node (ones off the mask), grid + (n,).
+        """Ascending eigenvalues at every node (ones off the mask), grid + (n,)."""
+        return packed_eigenvalues(self.comps, self.lattice.n)
 
-        In 2-d the larger root is (a+c)/2 + hypot((a-c)/2, b) and the smaller
-        one det/top, which keeps its relative accuracy when it is tiny.
-        """
-        if self.lattice.n != 2:
-            return np.linalg.eigvalsh(self.matrices())
-        a, b, c = np.moveaxis(self.comps, -1, 0)
-        eigs = np.empty(a.shape + (2,))
-        low, top = eigs[..., 0], eigs[..., 1]
-        np.hypot(0.5 * (a - c), b, out=top)
-        top += 0.5 * (a + c)
-        # det/top needs top > 0; otherwise both roots are <= 0 and the
-        # trace gives the smaller one without cancellation
-        np.subtract(a + c, top, out=low)
-        np.divide(packed_det(self.comps, 2), top, out=low, where=top > 0.0)
-        # fl(a*a)/a can exceed a by an ulp: conformal metrics (a = c, b = 0)
-        np.minimum(low, top, out=low)
-        return eigs
+
+def packed_eigenvalues(comps: np.ndarray, n: int) -> np.ndarray:
+    """Ascending eigenvalues of packed symmetric n x n components (trailing
+    axis), shape comps.shape[:-1] + (n,); each node's are computed from its
+    own components alone, so any batch of nodes gets the same bits.
+
+    In 2-d the larger root is (a+c)/2 + hypot((a-c)/2, b) and the smaller
+    one det/top, which keeps its relative accuracy when it is tiny; LAPACK
+    (`eigvalsh` on the full matrices) for n >= 3.
+    """
+    if n != 2:
+        return np.linalg.eigvalsh(unpack_symmetric(comps, n))
+    a, b, c = np.moveaxis(comps, -1, 0)
+    eigs = np.empty(a.shape + (2,))
+    low, top = eigs[..., 0], eigs[..., 1]
+    np.hypot(0.5 * (a - c), b, out=top)
+    top += 0.5 * (a + c)
+    # det/top needs top > 0; otherwise both roots are <= 0 and the
+    # trace gives the smaller one without cancellation
+    np.subtract(a + c, top, out=low)
+    np.divide(packed_det(comps, 2), top, out=low, where=top > 0.0)
+    # fl(a*a)/a can exceed a by an ulp: conformal metrics (a = c, b = 0)
+    np.minimum(low, top, out=low)
+    return eigs
 
 
 def _schur_g00(p) -> tuple:
@@ -307,14 +319,15 @@ def packed_det(comps: np.ndarray, n: int) -> np.ndarray:
     return (p[0] * p[3] - p[1] * p[1]) * s22 - p[0] * s12 * s12
 
 
-def inverse_planes(comps: np.ndarray, n: int, shift: int = 0) -> np.ndarray:
+def inverse_planes(comps: np.ndarray, n: int, shift: int = 0, det=None) -> np.ndarray:
     """Inverse matrices of packed symmetric n x n components (trailing axis),
     plane-major: an array (n, n) + comps.shape[:-1] whose (i, j) entry is
     one contiguous plane.  For n <= 3 the adjugate, from the n(n+1)/2
-    cofactors, over `packed_det`; LAPACK for n >= 4 (then a view of its
-    node-major result).  A zero g_00 (3-d) or determinant raises
-    LinAlgError naming the first such node, each index plus `shift` (the
-    offset of a cropped block in its grid)."""
+    cofactors, over `packed_det` (or over `det`, that array when the caller
+    already has it); LAPACK for n >= 4 (then a view of its node-major
+    result).  A zero g_00 (3-d) or determinant raises LinAlgError naming
+    the first such node, each index plus `shift` (the offset of a cropped
+    block in its grid)."""
     if n > 3:
         return np.moveaxis(np.linalg.inv(unpack_symmetric(comps, n)), (-2, -1), (0, 1))
     p = np.moveaxis(comps, -1, 0)
@@ -336,7 +349,7 @@ def inverse_planes(comps: np.ndarray, n: int, shift: int = 0) -> np.ndarray:
             cof -= y * z
             out[j, i] = cof
         _raise_at(a == 0.0, "metric has g_00 = 0", shift)
-    det = packed_det(comps, n)
+    det = packed_det(comps, n) if det is None else det
     _raise_at(det == 0.0, "singular metric", shift)
     out /= det
     return out

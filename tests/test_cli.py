@@ -421,14 +421,16 @@ class TestNormsCommand:
         assert calls == {"check_N0": 2, "harmonic_defect": 2}
 
     def test_eigenvalues_taken_once_per_chart_by_check_N0(self, tmp_path, monkeypatch):
-        # the metric checks certify every node in closed form; N0_Q needs
-        # the extreme eigenvalues, which check_N0 takes itself and refuses
-        # from, without a certificate pass of its own
-        callers, certified = [], []
+        # the metric checks (in sample_metric, and check_N0's refusal)
+        # certify every node in closed form; N0_Q needs the extreme
+        # eigenvalues, which check_N0 takes by LAPACK on its Gershgorin
+        # candidates alone, not on the whole grid
+        whole, certified, batches = [], [], []
         eigenvalues, certify_definite = MetricField.eigenvalues, lattice.certify_definite
+        eigvalsh = np.linalg.eigvalsh
 
         def counted(g):
-            callers.append(sys._getframe(1).f_code.co_name)
+            whole.append(g)
             return eigenvalues(g)
 
         def certify(comps):
@@ -436,14 +438,20 @@ class TestNormsCommand:
             certified.append(sys._getframe(2).f_code.co_name)
             return certify_definite(comps)
 
+        def solver(a):
+            batches.append(int(np.prod(a.shape[:-2])))
+            return eigvalsh(a)
+
         monkeypatch.setattr(MetricField, "eigenvalues", counted)
+        monkeypatch.setattr(np.linalg, "eigvalsh", solver)
         _patch_bindings(monkeypatch, "certify_definite", certify)
         code = main(["norms", "--geometry", "sphere3", "--m", "33",
                      "--out", str(tmp_path / "n.txt")])
         assert code == EXIT_OK
         assert len(get_geometry("sphere3").atlas.charts) == 2
-        assert callers == ["check_N0"] * 2
-        assert certified == ["sample_metric"] * 2
+        assert whole == []
+        assert certified == ["sample_metric"] * 2 + ["check_N0"] * 2
+        assert len(batches) == 2 and all(1 <= b <= 16 for b in batches), batches
 
     def test_hyperbolic_report_positive_q(self):
         text = run_norms(ExperimentConfig(geometry="hyperbolic2", m=21))

@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import ndimage
 
+from mollilab import lattice, norms
 from mollilab.lattice import (COND_LIMIT, MetricField, ScalarField, central_diff,
-                              certify_definite, check_definite, differentiate, erode_mask, fold,
-                              grow_box, inverse_planes, ldl_pivots, make_lattice, pack_map,
-                              pack_symmetric, packed_det, packed_inverse, sample_metric,
-                              sample_scalar, unpack_symmetric)
+                              certify_definite, check_definite, check_eigenvalues, differentiate,
+                              erode_mask, fold, grow_box, inverse_planes, ldl_pivots, make_lattice,
+                              pack_map, pack_symmetric, packed_det, packed_eigenvalues,
+                              packed_inverse, sample_metric, sample_scalar, unpack_symmetric)
 from mollilab.norms import check_N0
 
 
@@ -419,6 +420,129 @@ def _spd_field(lat, cond, seed):
     lam = np.geomspace(1.0, cond, n) * 10.0 ** rng.uniform(-3, 3, lat.shape + (1,))
     mats = np.einsum("...ij,...j,...kj->...ik", q, lam, q)
     return 0.5 * (mats + np.swapaxes(mats, -1, -2))
+
+
+def _n0_whole_grid(g):
+    """`check_N0` before it chose the nodes LAPACK sees, kept as the
+    reference: the eigenvalue verdict on every node, then 0.5 max |log lam|
+    over the eigenvalues of every valid node."""
+    eigs = g.eigenvalues()
+    check_eigenvalues(eigs, "check_N0")
+    return 0.5 * float(np.abs(np.log(eigs[g.mask])).max())
+
+
+def _outcome(n0, g):
+    """n0(g), or the text of the ValueError it raises."""
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("ignore")
+        try:
+            return n0(g)
+        except ValueError as exc:
+            return str(exc)
+
+
+_PLATEAUS = np.array([0.5, 1.0, 2.0])
+
+
+def _n0_pool(kind, n, count, rng, refusable):
+    """`count` symmetric n x n matrices of one kind (see `_n0_field`)."""
+    eye = np.eye(n)
+    if kind == "plateau":
+        return rng.choice(_PLATEAUS, (count, 1, 1)) * eye
+    if kind == "dominant":
+        # c I + v v^T with |v|^2 = 2 - c: the eigenvalues c and 2 sit on
+        # plateau values up to round-off, and the rows of v v^T mostly
+        # outweigh their diagonals
+        c = _PLATEAUS[rng.integers(0, 2, count)]
+        v = rng.standard_normal((count, n))
+        v *= np.sqrt((_PLATEAUS[-1] - c) / (v**2).sum(axis=-1))[:, None]
+        return c[:, None, None] * eye + v[:, :, None] * v[:, None, :]
+    if kind == "spd":
+        q, _ = np.linalg.qr(rng.standard_normal((count, n, n)))
+        mats = np.einsum("kij,kj,klj->kil", q, 10.0 ** rng.uniform(-2, 2, (count, n)), q)
+        return 0.5 * (mats + np.swapaxes(mats, -1, -2))
+    mats = _adversarial(n, count, seed=int(rng.integers(2**32)))
+    if not refusable:
+        with np.errstate(all="ignore"):
+            eigs = packed_eigenvalues(pack_symmetric(mats), n)
+            mats = mats[(eigs[:, 0] > 0.0) & (eigs[:, -1] / eigs[:, 0] <= COND_LIMIT)]
+    return mats if len(mats) else eye[None]
+
+
+def _n0_field(n, seed, kinds, density, scale, refusable):
+    """A metric on a 9^2, 7^3 or 5^4 lattice whose nodes are drawn from the
+    `kinds`: exact plateaus (multiples of the identity), off-diagonal
+    dominant matrices tied to the plateaus up to round-off, random SPD
+    matrices, and `_adversarial` ones (only those the eigenvalue verdict
+    passes, unless `refusable`); all scaled by 10**scale when that stays
+    finite, and valid on a random mask of the given density."""
+    rng = np.random.default_rng(seed)
+    lat = make_lattice(n, 1.0, {2: 9, 3: 7, 4: 5}[n])
+    count = lat.m**n
+    pools = [_n0_pool(kind, n, count, rng, refusable) for kind in sorted(kinds)]
+    pick = rng.integers(0, len(pools), count)
+    mats = np.stack([pools[k][rng.integers(len(pools[k]))] for k in pick])
+    with np.errstate(over="ignore"):
+        scaled = mats * 10.0**scale
+    if np.isfinite(scaled).all():
+        mats = scaled
+    mask = rng.random(lat.shape) < density
+    mats = mats.reshape(lat.shape + (n, n))
+    mats[~mask] = -np.eye(n)  # refused if any stage read it
+    return MetricField(lattice=lat, comps=pack_symmetric(mats), mask=mask)
+
+
+class TestN0Candidates:
+    """`check_N0` runs LAPACK on its Gershgorin candidates alone, and gives
+    bit for bit the value, or the refusal, of the whole grid."""
+
+    @given(n=st.sampled_from([2, 3, 4]), seed=st.integers(0, 2**32 - 1),
+           kinds=st.sets(st.sampled_from(["plateau", "dominant", "spd", "adversarial"]),
+                         min_size=1),
+           density=st.sampled_from([0.0, 0.3, 0.8, 1.0]),
+           scale=st.sampled_from([0, 0, -150, -40, 40, 150]), refusable=st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_the_whole_grid(self, n, seed, kinds, density, scale, refusable):
+        g = _n0_field(n, seed, kinds, density, scale, refusable)
+        assert _outcome(check_N0, g) == _outcome(_n0_whole_grid, g)
+
+    def test_slack_keeps_a_node_whose_solver_error_leaves_its_bracket(self):
+        # a I - s (J - I) has lam_min = a - 2 s, on its Gershgorin bound;
+        # LAPACK returns it about 0.7 eps |g| = 2e-14 below the bound,
+        # relative 2e-8 at lam_min = 1e-6, far past the 1e-10 margin.
+        # A diagonal node between the two is the extreme only without the
+        # slack delta; the node diag(1, 1, 200) holds lam_max, above the
+        # bracket a + 2 s of the tight node's.
+        s = 31.25
+        tight = (2.0 * s + 1e-6) * np.eye(3) - s * (np.ones((3, 3)) - np.eye(3))
+        _, _, bound, _ = norms._gershgorin(pack_symmetric(tight), 3)
+        low = np.linalg.eigvalsh(tight)[0]
+        assert low < bound * (1.0 - 1e-8)
+        between = 0.5 * (low + bound)
+        g = _field_with(3, 5, {(1, 2, 3): tight, (3, 3, 3): np.diag([between, 1.0, 1.0]),
+                               (4, 0, 1): np.diag([1.0, 1.0, 200.0])})
+        assert check_N0(g) == _n0_whole_grid(g) == -0.5 * np.log(low)
+        assert norms._extreme_candidates(g).sum() == 3
+
+    def test_margin_keeps_a_node_whose_solver_errs_past_the_slack(self, monkeypatch):
+        # a solver that puts the eigenvalues of the node with g_00 = 0.125 a
+        # relative 1e-11 low, past the slack 16 n eps |g| (1e-14 here) but
+        # within the 1e-10 margin: that node is still a candidate, and the
+        # value is still the whole grid's under the same solver
+        solve = lattice.packed_eigenvalues
+
+        def off(comps, n):
+            return solve(comps, n) * np.where(comps[..., :1] == 0.125, 1.0 - 1e-11, 1.0)
+
+        for module in (lattice, norms):
+            monkeypatch.setattr(module, "packed_eigenvalues", off)
+        near = 0.125 * (1.0 - 5e-12)
+        g = _field_with(3, 5, {(1, 2, 3): np.diag([0.125, 1.0, 1.0]),
+                               (3, 3, 3): np.diag([near, 1.0, 1.0]),
+                               (4, 0, 1): np.diag([1.0, 1.0, 2.0])})
+        low = 0.125 * (1.0 - 1e-11)
+        assert check_N0(g) == _n0_whole_grid(g) == -0.5 * np.log(low) != -0.5 * np.log(near)
+        assert norms._extreme_candidates(g).sum() == 3
 
 
 EPS = np.finfo(float).eps
