@@ -27,7 +27,7 @@ class Chart:
 
     id: str
     r: float
-    metric: object  # callable X (..., n) -> (..., n, n)
+    metric: object  # callable X (..., n) -> packed components (..., n(n+1)/2)
 
 
 @dataclass(frozen=True)

@@ -231,7 +231,8 @@ def write_csv(path, header: list, blocks: list) -> None:
 
 
 def _geometry(cfg: ExperimentConfig):
-    """The `--atlas-file` geometry when one is given, else `--geometry`."""
+    """The `--atlas-file` geometry when one is given, else `--geometry`
+    (`config_from_args` refuses the two together)."""
     if cfg.atlas_file is not None:
         try:
             return parse_atlas_file(cfg.atlas_file)
@@ -588,9 +589,17 @@ _COMMANDS = {
 
 
 def config_from_args(args) -> ExperimentConfig:
-    cfg = ExperimentConfig(**{k: v for k, v in vars(args).items() if k in _SETTINGS})
+    given = {k: v for k, v in vars(args).items() if k in _SETTINGS}
+    cfg = ExperimentConfig(**given)
     if args.config is not None:
-        cfg = apply_overrides(cfg, load_config_file(args.config), args.command)
+        overrides = load_config_file(args.config)
+        cfg = apply_overrides(cfg, overrides, args.command)
+        given.update(overrides)
+    # a shipped model's settings beside an atlas file would be dropped without a word
+    clash = [key for key in ("geometry", "R", "amp") if key in given]
+    if "atlas_file" in given and clash:
+        raise ConfigError(f"atlas_file and {clash[0]} cannot be given together: "
+                          f"an atlas file is the whole geometry")
     return cfg
 
 

@@ -31,8 +31,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lattice import (MetricField, central_diff, central_diff2, erode_mask, fold, pack_map,
-                      packed_inverse, unpack_symmetric)
+from .lattice import (MetricField, central_diff, central_diff2, erode_mask, fold,
+                      inverse_planes, pack_map)
 
 # Grid nodes per slab of the streamed Riemann builder, which takes
 # max(1, SLAB_NODES // m^(n-1)) whole axis-0 planes at a time and holds them
@@ -76,10 +76,13 @@ def _pair_axes(n: int):
     return a[:, None], b[:, None], a[None, :], b[None, :]
 
 
-def _lambda2(mats: np.ndarray) -> np.ndarray:
-    """Lambda^2 of matrices, (Lambda^2 g)_IJ = g_ac g_bd - g_ad g_bc."""
-    a, b, c, d = _pair_axes(mats.shape[-1])
-    return mats[..., a, c] * mats[..., b, d] - mats[..., a, d] * mats[..., b, c]
+def _lambda2(comps: np.ndarray, n: int) -> np.ndarray:
+    """Lambda^2 of packed symmetric n x n components (trailing axis),
+    (Lambda^2 g)_IJ = g_ac g_bd - g_ad g_bc, each entry read through
+    `pack_map`."""
+    a, b, c, d = _pair_axes(n)
+    P = pack_map(n)
+    return comps[..., P[a, c]] * comps[..., P[b, d]] - comps[..., P[a, d]] * comps[..., P[b, c]]
 
 
 @lru_cache(maxsize=None)
@@ -153,7 +156,8 @@ def _symmetrize(x: np.ndarray) -> None:
 def _slab_planes(comps: np.ndarray, ginv: np.ndarray, h: float, i0: int, i1: int):
     """(A, B), symmetrized, on the planes i0 <= i < i1 along axis 0 of a
     metric's packed components `comps` (grid + (n(n+1)/2,)), read as stored
-    at node spacing h, in component layout: arrays (N, N) + slab, one
+    at node spacing h, with its inverse `ginv` as `inverse_planes` gives it,
+    (n, n) + grid, in component layout: arrays (N, N) + slab, one
     contiguous plane stack per (I, J).
 
     The slab reads its planes and a 2-plane halo with wrapped indices, so
@@ -162,8 +166,9 @@ def _slab_planes(comps: np.ndarray, ginv: np.ndarray, h: float, i0: int, i1: int
     per second derivative d_y d_x g (the mixed ones nested in that order),
     and every sum is taken in the order of the formulas above, so the output
     is bit-equal to that of the node-major jet.  Gamma is the stacked matmul
-    of g^-1 with node-major S (`_contract_first`): numpy hands that product
-    to BLAS, whose sums explicit ones would not reproduce bit for bit.
+    of the slab's g^-1 with S (`_contract_first`), both copied node-major
+    and C-contiguous: numpy hands that product to BLAS, whose sums explicit
+    ones would not reproduce bit for bit.
     """
     n, m = comps.ndim - 1, comps.shape[0]
     S_index, A_index, B_index, D2_index = _slab_index(n)
@@ -202,10 +207,11 @@ def _slab_planes(comps: np.ndarray, ginv: np.ndarray, h: float, i0: int, i1: int
     del d1, dg
     # 1/4 g^pq S_p,bc S_q,ad = 1/2 Gamma^q_bc S_q,ad, Gamma^q_bc = g^qp S_p,bc / 2
     node_major = np.ascontiguousarray(S.transpose(tuple(range(3, n + 3)) + (0, 1, 2)))
-    gamma = np.ascontiguousarray(_contract_first(ginv[i0:i1], node_major)
+    slab_inv = np.ascontiguousarray(ginv[:, :, i0:i1].transpose(tuple(range(2, n + 2)) + (0, 1)))
+    gamma = np.ascontiguousarray(_contract_first(slab_inv, node_major)
                                  .transpose((n, n + 1, n + 2) + grid))
     gamma *= 0.5
-    del node_major
+    del node_major, slab_inv
     B = np.empty((pairs, pairs) + slab)
     term, prod = np.empty(slab), np.empty(slab)
     for I, J, a, b, c, d in B_index:
@@ -240,7 +246,7 @@ def riemann(g: MetricField) -> RiemannField:
     g must be a checked metric (`lattice.check_definite`), as
     `sample_metric` and `assemble_mollified` make; it is not checked again
     here, and a singular node only raises LinAlgError from
-    `lattice.packed_inverse`, which names the node in g's grid.
+    `lattice.inverse_planes`, which names the node in g's grid.
     """
     if not g.mask.any():
         raise ValueError("riemann: metric mask is empty")
@@ -252,7 +258,7 @@ def riemann(g: MetricField) -> RiemannField:
     trim = max(trim - 2, 0)
     crop = (slice(trim, m - trim),) * n
     comps = g.comps[crop]
-    ginv = packed_inverse(comps, n, shift=trim)
+    ginv = inverse_planes(comps, n, shift=trim)
     pairs = n * (n - 1) // 2
     riem = np.zeros(g.mask.shape + (pairs, pairs))
     out = riem[crop].transpose((n, n + 1) + tuple(range(n)))
@@ -297,7 +303,7 @@ def sec_spectrum(R: RiemannField):
     n = R.metric.lattice.n
     if n > 3:
         raise ValueError(f"exact sectional extremes need dimension 2 or 3, got {n}")
-    G = _lambda2(unpack_symmetric(R.metric.comps[R.mask], n))
+    G = _lambda2(R.metric.comps[R.mask], n)
     riem = R.riem[R.mask]
     ev = np.full(R.riem.shape[:-1], np.nan)
     scalar = np.full(R.mask.shape, np.nan)

@@ -6,7 +6,10 @@ falling back to one-sided stencils: a stencil's output mask is its input
 mask eroded by the stencil radius, so it reads stored values as they are.
 A metric is stored once, as its packed components in `pack_map` order with
 the identity written off the mask at construction; every stage reads and
-writes that array, and pointwise algebra never pads by hand.  For n <= 3
+writes that array, and pointwise algebra never pads by hand.  A chart's
+generator returns those packed components too (`sample_metric`), so no
+stage forms full matrices to store them; `unpack_symmetric` gives them
+where full matrices are the arithmetic (LAPACK).  For n <= 3
 the determinant (`packed_det`) and the inverse are closed form, the 2-d
 eigenvalues are the closed-form roots, and the metric check certifies
 nodes from their LDL^T pivots, all read straight from the packed
@@ -22,7 +25,7 @@ numpy reduces over an axis of a few entries an order of magnitude slower
 than a chain of elementwise ufuncs over the same planes, with the same
 bits.  So short per-node reductions (norms, traces, finiteness checks) are
 left-to-right plane chains (`fold`), and the inverse is computed one
-contiguous (i, j) plane at a time (`inverse_planes`).
+contiguous (i, j) plane at a time (`inverse_planes`), its one layout.
 """
 from __future__ import annotations
 
@@ -226,34 +229,6 @@ class MetricField:
             bad = ~np.isfinite(self.comps).all(axis=-1)
             raise ValueError(f"non-finite metric component at masked-valid node {first_node(bad)}")
 
-    @classmethod
-    def from_matrices(cls, lattice: Lattice, mats: np.ndarray, mask: np.ndarray) -> "MetricField":
-        """The field of symmetric matrices `mats` (grid + (n, n)), after checking
-        that they are finite and symmetric on the mask; only the upper triangle
-        is stored."""
-        bad = mask & ~fold(np.logical_and, np.isfinite(mats).reshape(mats.shape[:-2] + (-1,)))
-        if bad.any():
-            raise ValueError(f"non-finite metric value at node {first_node(bad)}")
-        on = mats if mask.all() else mats[mask]  # no copy when nothing is masked
-        scale = np.abs(on).max(initial=0.0) or 1.0
-        # the diagonal differences are 0, so the off-diagonal pairs hold the max
-        asym = max(float(np.abs(on[..., i, j] - on[..., j, i]).max(initial=0.0))
-                   for i, j in zip(*np.triu_indices(mats.shape[-1], 1)))
-        if asym > 1e-12 * scale:
-            on = np.where(mask[..., None, None], mats, 0.0)
-            bad = np.abs(on - np.swapaxes(on, -1, -2)).max(axis=(-2, -1)) > 1e-12 * scale
-            raise ValueError(f"metric matrices are not symmetric at node {first_node(bad)}")
-        return cls(lattice=lattice, comps=pack_symmetric(mats), mask=mask)
-
-    def matrices(self) -> np.ndarray:
-        """Full symmetric matrices, shape grid + (n, n), a fresh array; the
-        identity off the mask, so mask the result to read only valid data."""
-        return unpack_symmetric(self.comps, self.lattice.n)
-
-    def eigenvalues(self) -> np.ndarray:
-        """Ascending eigenvalues at every node (ones off the mask), grid + (n,)."""
-        return packed_eigenvalues(self.comps, self.lattice.n)
-
 
 def packed_eigenvalues(comps: np.ndarray, n: int) -> np.ndarray:
     """Ascending eigenvalues of packed symmetric n x n components (trailing
@@ -355,12 +330,6 @@ def inverse_planes(comps: np.ndarray, n: int, shift: int = 0, det=None) -> np.nd
     return out
 
 
-def packed_inverse(comps: np.ndarray, n: int, shift: int = 0) -> np.ndarray:
-    """`inverse_planes` node-major: one C-contiguous array
-    comps.shape[:-1] + (n, n)."""
-    return np.ascontiguousarray(np.moveaxis(inverse_planes(comps, n, shift), (0, 1), (-2, -1)))
-
-
 def _raise_at(bad: np.ndarray, what: str, shift: int = 0) -> None:
     if bad.any():
         node = tuple(i + int(shift) for i in first_node(bad))
@@ -433,15 +402,17 @@ def check_definite(g: MetricField, stage: str) -> None:
     some node undecided, and for n >= 4, the eigenvalues decide
     (`check_eigenvalues`)."""
     if g.lattice.n > 3 or not certify_definite(g.comps).all():
-        check_eigenvalues(g.eigenvalues(), stage)
+        check_eigenvalues(packed_eigenvalues(g.comps, g.lattice.n), stage)
 
 
 def sample_metric(fn, lattice: Lattice) -> MetricField:
-    mats = np.asarray(fn(lattice.coords()), dtype=float)
+    """The checked metric whose packed components (grid + (n(n+1)/2,), in
+    `pack_map` order) the generator `fn` returns at the node coordinates."""
+    comps = np.asarray(fn(lattice.coords()), dtype=float)
     n = lattice.n
-    if mats.shape != lattice.shape + (n, n):
+    if comps.shape != lattice.shape + (n * (n + 1) // 2,):
         raise ValueError("metric generator returned wrong shape")
-    g = MetricField.from_matrices(lattice, mats, lattice.full_mask())
+    g = MetricField(lattice=lattice, comps=comps, mask=lattice.full_mask())
     check_definite(g, "sample_metric")
     return g
 

@@ -7,9 +7,12 @@ constant-curvature model carries its closed-form sectional curvature as
 it.  The rough bump (`pflat`) gives metrics of limited smoothness for the
 scaling experiments.  The shipped models and plain-text atlas files are
 descriptions of one kind, charts naming a generator and transitions naming
-a map, and `build_geometry` makes every `ModelGeometry` from one.  Each
-generator declares the eigenvalue bound Q of its chart metric, and a
-geometry's Q is the largest of its charts'.
+a map, and `build_geometry` makes every `ModelGeometry` from one.  A
+generator maps node coordinates X (..., n) to the packed components
+(..., n(n+1)/2) of its chart metric, in `lattice.pack_map` order, which
+`sample_metric` stores as they are.  Each generator declares the
+eigenvalue bound Q of its chart metric, and a geometry's Q is the largest
+of its charts'.
 """
 from __future__ import annotations
 
@@ -19,13 +22,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .atlas import Atlas, BumpProfile, Chart, Transition
-from .lattice import Lattice, fold, make_lattice, sample_metric
+from .lattice import Lattice, fold, make_lattice, pack_symmetric, sample_metric
 
 
 def _conformal(n: int, r: float, lam) -> tuple:
-    """The chart metric lam(x) I of a conformal factor on the cube [-r, r]^n,
-    and its Q: half the larger |log lam| at the origin and at a cube corner,
-    exact, as every factor is radial and monotone in |x| on the cube."""
+    """The generator of the chart metric lam(x) I of a conformal factor on
+    the cube [-r, r]^n, and its Q: half the larger |log lam| at the origin
+    and at a cube corner, exact, as every factor is radial and monotone in
+    |x| on the cube."""
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             ends = lam(np.zeros(n)), lam(np.full(n, r))
@@ -36,8 +40,10 @@ def _conformal(n: int, r: float, lam) -> tuple:
         raise ValueError(f"conformal factor must be finite and positive at the origin "
                          f"and the corner, got {ends[0]:.6g} and {ends[1]:.6g}")
 
+    eye = pack_symmetric(np.eye(n))
+
     def gen(X):
-        return lam(X)[..., None, None] * np.eye(n)
+        return lam(X)[..., None] * eye
     return gen, 0.5 * max(abs(math.log(v)) for v in ends)
 
 
@@ -81,12 +87,12 @@ def _pflat(n: int, r: float, params: dict) -> tuple:
         raise ValueError(f"perturbation amplitude amp must be finite, got {a}")
     shape_bump = BumpProfile(plateau=0.35 * r, support=0.7 * r)
     u = np.ones(n) / math.sqrt(n)
-    E = np.outer(u, u)
+    eye, E = pack_symmetric(np.eye(n)), pack_symmetric(np.outer(u, u))
 
     def gen(X):
         d = np.sqrt(fold(np.add, X**2))
         amp = a * shape_bump(d) * d ** (1.0 + alpha)
-        return np.eye(n) + amp[..., None, None] * E
+        return eye + amp[..., None] * E
 
     # w is non-increasing and d^{1+alpha} increasing, so on each cell of a
     # radial grid w(d_k) d_{k+1}^{1+alpha} bounds the profile from above
@@ -159,7 +165,7 @@ class ModelGeometry:
         return {c.id: sample_metric(c.metric, lat) for c in self.atlas.charts}
 
 
-# each entry: (parameter names, (chart metric, its Q) from (n, r, parameters))
+# each entry: (parameter names, (chart metric generator, its Q) from (n, r, parameters))
 _GENERATORS = {
     "flat": ((), lambda n, r, p: _conformal(n, r, _unit_factor)),
     "sphere_conformal": (("R",), lambda n, r, p: _conformal(n, r, _sphere_factor(_radius_R(p)))),

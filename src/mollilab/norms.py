@@ -51,7 +51,8 @@ def holder_seminorm(values: np.ndarray, mask: np.ndarray, h: float, alpha: float
         if not spread / (h * d) ** alpha > best:
             break
         grow_box(lo, buf, mask.ndim)
-        best = max(best, float((lo - hi).max()) / (h * d) ** alpha)
+        # buf is free between box steps: the difference reuses it
+        best = max(best, float(np.subtract(lo, hi, out=buf).max()) / (h * d) ** alpha)
     return best
 
 

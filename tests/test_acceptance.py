@@ -15,7 +15,7 @@ from mollilab.cli import (EXIT_OK, ExperimentConfig, lemma_violations, main,
                           run_deviation, run_lemmas)
 from mollilab.curvature import _pair_axes, riemann, sec_extreme_fields
 from mollilab.kernels import scale_kernel
-from mollilab.lattice import make_lattice, packed_inverse, sample_metric
+from mollilab.lattice import inverse_planes, make_lattice, sample_metric, unpack_symmetric
 from mollilab.modelzoo import get_geometry, parse_atlas_file
 from mollilab.norms import check_N0
 from riemann_parts import slab_parts
@@ -39,7 +39,7 @@ def test_criterion_1_flat_fixed_point():
     for t in scales:
         kernel = scale_kernel(3, float(t), lat.h)
         gt = assemble_mollified(geo.atlas, samples, kernel)["a"]
-        dev = np.abs(gt.matrices()[gt.mask] - np.eye(3)).max()
+        dev = np.abs(unpack_symmetric(gt.comps, 3)[gt.mask] - np.eye(3)).max()
         R = riemann(gt)
         curv = np.abs(R.riem[R.mask]).max()
         worst_dev = max(worst_dev, float(dev))
@@ -143,7 +143,7 @@ def test_criterion_3_curvature_decomposition():
             g = geo.sample_all(m)[geo.atlas.charts[0].id]
             # the samples' mask is the whole chart, so the builder's one
             # slab is the whole grid and the r/2 ball keeps clear of its edge
-            parts = slab_parts(g, packed_inverse(g.comps, g.lattice.n), 0, m)
+            parts = slab_parts(g, inverse_planes(g.comps, g.lattice.n), 0, m)
             region = lat.ball_mask(geo.r / 2.0)
             for key, got, want in zip("AB", parts, _conformal_parts(lat.coords(), eps)):
                 scale = np.abs(want[region]).max()
@@ -215,9 +215,9 @@ def test_criterion_6_overlap_consistency():
     region = (out["north"].mask & pulled.mask
               & lat.ball_mask(geo.r / 2.0) & ~lat.ball_mask(geo.r / 3.0))
     assert region.any()
-    scale = np.abs(out["north"].matrices()[region]).max()
-    dev = float(np.abs((out["north"].matrices()
-                        - pulled.matrices())[region]).max() / scale)
+    north = unpack_symmetric(out["north"].comps, 2)
+    scale = np.abs(north[region]).max()
+    dev = float(np.abs((north - unpack_symmetric(pulled.comps, 2))[region]).max() / scale)
     ok = dev <= 1e-6
     _verdict(6, "overlap consistency", ok, f"rel_dev={dev:.3e} at m={m}")
     assert dev <= 1e-6

@@ -10,8 +10,10 @@ from mollilab.atlas import (Atlas, BumpProfile, Chart, Transition, _lagrange_cub
                             check_cover, interpolate_metric, pullback_metric)
 from mollilab.atlas import assemble_mollified
 from mollilab.kernels import convolve, scale_kernel
-from mollilab.lattice import MetricField, make_lattice, pack_symmetric, sample_metric
+from mollilab.lattice import (MetricField, make_lattice, pack_symmetric, sample_metric,
+                              unpack_symmetric)
 from mollilab.modelzoo import get_geometry, parse_atlas_file
+from packing import packed
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 
@@ -74,25 +76,26 @@ class TestPartitionOfUnity:
 class TestPullback:
     def test_identity_transition(self):
         lat = make_lattice(2, 1.0, 41)
-        g = sample_metric(lambda X: (1.0 + 0.2 * np.sin(X[..., 0]))[..., None, None]
-                          * np.eye(2), lat)
+        g = sample_metric(packed(lambda X: (1.0 + 0.2 * np.sin(X[..., 0]))[..., None, None]
+                                 * np.eye(2)), lat)
         tr = Transition(map=lambda X: X,
                         jacobian=lambda X: np.broadcast_to(
                             np.eye(2), X.shape[:-1] + (2, 2)))
         out = pullback_metric(tr, g, lat)
-        assert np.abs((out.matrices() - g.matrices())[out.mask]).max() < 1e-12
+        diff = unpack_symmetric(out.comps, 2) - unpack_symmetric(g.comps, 2)
+        assert np.abs(diff[out.mask]).max() < 1e-12
 
     def test_linear_transition_congruence(self):
         lat = make_lattice(2, 1.0, 41)
         A = np.array([[1.0, 0.3], [0.0, 0.8]])
-        g = sample_metric(lambda X: np.broadcast_to(
-            np.diag([2.0, 3.0]), X.shape[:-1] + (2, 2)), lat)
+        g = sample_metric(packed(lambda X: np.broadcast_to(
+            np.diag([2.0, 3.0]), X.shape[:-1] + (2, 2))), lat)
         tr = Transition(map=lambda X: np.einsum("ij,...j->...i", A, X),
                         jacobian=lambda X: np.broadcast_to(
                             A, X.shape[:-1] + (2, 2)))
         out = pullback_metric(tr, g, lat)
         expect = A.T @ np.diag([2.0, 3.0]) @ A
-        assert np.abs(out.matrices()[out.mask] - expect).max() < 1e-10
+        assert np.abs(unpack_symmetric(out.comps, 2)[out.mask] - expect).max() < 1e-10
 
     def test_sphere_transition_reproduces_generator(self):
         geo = get_geometry("sphere2")
@@ -106,24 +109,25 @@ class TestPullback:
         # exclude the neighbourhood of the chart centre, where the image
         # under inversion leaves the sampled box
         region &= ~lat.ball_mask(geo.r / 3.0)
-        diff = np.abs((out.matrices() - target.matrices())[region]).max()
+        diff = np.abs((unpack_symmetric(out.comps, 2)
+                       - unpack_symmetric(target.comps, 2))[region]).max()
         assert diff < 1e-6
 
 
 class TestInterpolation:
     def test_node_exact(self):
         lat = make_lattice(2, 1.0, 21)
-        g = sample_metric(lambda X: (2.0 + np.sin(3 * X[..., 0]))[..., None, None]
-                          * np.eye(2), lat)
+        g = sample_metric(packed(lambda X: (2.0 + np.sin(3 * X[..., 0]))[..., None, None]
+                                 * np.eye(2)), lat)
         pts = lat.coords()[5:10, 5:10]
         mats, ok = interpolate_metric(g, pts)
         assert ok.all()
-        assert np.abs(mats - g.matrices()[5:10, 5:10]).max() < 1e-13
+        assert np.abs(mats - unpack_symmetric(g.comps, 2)[5:10, 5:10]).max() < 1e-13
 
     def test_out_of_range_flagged(self):
         lat = make_lattice(2, 1.0, 21)
-        g = sample_metric(lambda X: np.broadcast_to(
-            np.eye(2), X.shape[:-1] + (2, 2)), lat)
+        g = sample_metric(packed(lambda X: np.broadcast_to(
+            np.eye(2), X.shape[:-1] + (2, 2))), lat)
         mats, ok = interpolate_metric(g, np.array([[5.0, 0.0], [0.0, 0.0]]))
         assert not ok[0] and ok[1]
         assert np.isnan(mats[0]).all()
@@ -132,7 +136,7 @@ class TestInterpolation:
         # the cubic stencil needs 4 nodes per axis: a valid box 3 nodes wide
         # flags every point instead of dividing by coincident nodes
         lat = make_lattice(2, 1.0, 21)
-        g = sample_metric(lambda X: (2.0 + X[..., 0])[..., None, None] * np.eye(2), lat)
+        g = sample_metric(packed(lambda X: (2.0 + X[..., 0])[..., None, None] * np.eye(2)), lat)
         mask = np.zeros(lat.shape, dtype=bool)
         mask[9:12, 4:16] = True
         narrow = MetricField(lattice=lat, comps=g.comps, mask=mask)
@@ -179,19 +183,19 @@ def _tuple_index_cubic(axes, values, pts):
 
 class TestLagrangeCubic:
     @pytest.mark.parametrize("n", [2, 3])
-    @pytest.mark.parametrize("packed", [False, True], ids=["scalar", "packed"])
-    def test_flat_gather_equals_tuple_gather(self, n, packed):
+    @pytest.mark.parametrize("components", [False, True], ids=["scalar", "packed"])
+    def test_flat_gather_equals_tuple_gather(self, n, components):
         # the box interpolate_metric passes: comps[sl] of a centred sub-box,
         # which is not contiguous; points on nodes, on the box faces and
         # at random inside
         lat = make_lattice(n, 1.0, 21 if n == 2 else 13)
-        g = sample_metric(lambda X: (2.0 + np.sin(3.0 * X[..., :1, None])) * np.eye(n)
-                          + 0.3 * X[..., :, None] * X[..., None, :], lat)
+        g = sample_metric(packed(lambda X: (2.0 + np.sin(3.0 * X[..., :1, None])) * np.eye(n)
+                                 + 0.3 * X[..., :, None] * X[..., None, :]), lat)
         sl = _valid_box(lat.ball_mask(0.7, norm="max"))
         axes = [lat.axis_nodes()[s] for s in sl]
         box = g.comps[sl]
         assert not box.flags.c_contiguous
-        values = box if packed else box[..., 1]
+        values = box if components else box[..., 1]
         rng = np.random.Generator(np.random.Philox(key=n))
         lo = np.array([ax[0] for ax in axes])
         hi = np.array([ax[-1] for ax in axes])
@@ -214,7 +218,7 @@ class TestAssembly:
         kernel = scale_kernel(2, 0.1, lat.h)
         out = assemble_mollified(geo.atlas, samples, kernel)
         for cid, gt in out.items():
-            dev = np.abs(gt.matrices()[gt.mask] - np.eye(2)).max()
+            dev = np.abs(unpack_symmetric(gt.comps, 2)[gt.mask] - np.eye(2)).max()
             assert dev < 1e-11
 
     def test_single_chart_equals_plain_mollification(self):
@@ -226,7 +230,8 @@ class TestAssembly:
         out = assemble_mollified(geo.atlas, samples, kernel)["a"]
         plain = convolve(kernel, samples["a"])
         common = out.mask & plain.mask
-        assert np.abs((out.matrices() - plain.matrices())[common]).max() < 1e-12
+        diff = unpack_symmetric(out.comps, 2) - unpack_symmetric(plain.comps, 2)
+        assert np.abs(diff[common]).max() < 1e-12
 
     def test_sphere_assembly_converges_to_raw(self):
         geo = get_geometry("sphere2")
@@ -234,12 +239,12 @@ class TestAssembly:
         samples = geo.sample_all(m)
         lat = geo.chart_lattice(m)
         devs, ts = [], [0.2, 0.1, 0.05]
-        raw = samples["north"].matrices()
+        raw = unpack_symmetric(samples["north"].comps, 2)
         for t in ts:
             kernel = scale_kernel(2, t, lat.h)
             gt = assemble_mollified(geo.atlas, samples, kernel)["north"]
             region = gt.mask & lat.ball_mask(geo.r / 4.0)
-            devs.append(np.abs((gt.matrices() - raw)[region]).max())
+            devs.append(np.abs((unpack_symmetric(gt.comps, 2) - raw)[region]).max())
         assert devs[2] < devs[0]
         slope = np.polyfit(np.log(ts), np.log(devs), 1)[0]
         assert slope >= 1.0  # smooth data mollifies at least first order in t

@@ -19,7 +19,6 @@ from mollilab import cli
 from mollilab.atlas import assemble_mollified
 from mollilab.curvature import riemann, sec_extreme_fields, sec_spectrum
 from mollilab.kernels import scale_kernel
-from mollilab.lattice import MetricField
 from mollilab.modelzoo import get_geometry
 from mollilab.norms import check_N0
 
@@ -153,10 +152,10 @@ def _patch_bindings(monkeypatch, name, replacement, skip=()):
 
 def _refuse_inverses_outside_curvature(monkeypatch):
     """Only the Riemann builder inverts a metric, on its crop: every other
-    `packed_inverse` binding raises."""
+    `inverse_planes` binding raises."""
     def refuse(*args, **kwargs):
         raise AssertionError("the Riemann builder inverts its crop, not g's whole grid")
-    _patch_bindings(monkeypatch, "packed_inverse", refuse, skip=("mollilab.curvature",))
+    _patch_bindings(monkeypatch, "inverse_planes", refuse, skip=("mollilab.curvature",))
 
 
 class TestCurvatureCommand:
@@ -233,19 +232,19 @@ class TestCurvatureCommand:
         # the closed-form certificate decides every node, so no eigenvalue
         # is computed
         stages, eigs = [], []
-        check_definite, eigenvalues = lattice.check_definite, MetricField.eigenvalues
+        check_definite, eigenvalues = lattice.check_definite, lattice.packed_eigenvalues
 
         def checked(g, stage):
             stages.append(stage.split(":")[0])
             return check_definite(g, stage)
 
-        def counted(g):
-            eigs.append(g)
-            return eigenvalues(g)
+        def counted(comps, n):
+            eigs.append(comps)
+            return eigenvalues(comps, n)
 
         for module in (lattice, atlas):
             monkeypatch.setattr(module, "check_definite", checked)
-        monkeypatch.setattr(MetricField, "eigenvalues", counted)
+        monkeypatch.setattr(lattice, "packed_eigenvalues", counted)
         code = main(["curvature", "--geometry", "sphere3", "--m", "25", "--t", "0.3",
                      "--out", str(tmp_path / "c.csv")])
         assert code == EXIT_OK
@@ -257,13 +256,13 @@ class TestCurvatureCommand:
         # the scalar curvature comes from the solve that gives the extremes,
         # which inverts none
         calls = []
-        packed_inverse = curvature.packed_inverse
+        inverse_planes = curvature.inverse_planes
 
         def counted(comps, n, shift=0):
             calls.append(comps)
-            return packed_inverse(comps, n, shift)
+            return inverse_planes(comps, n, shift)
 
-        monkeypatch.setattr(curvature, "packed_inverse", counted)
+        monkeypatch.setattr(curvature, "inverse_planes", counted)
         _refuse_inverses_outside_curvature(monkeypatch)
         code = main(["curvature", "--geometry", "sphere3", "--m", "25", "--t", "0.3",
                      "--out", str(tmp_path / "c.csv")])
@@ -345,13 +344,13 @@ class TestDeviationCommand:
         # the Riemann builder inverts the raw metric and each scale's
         # mollified one, on its crop; the spectrum solve inverts none
         calls = []
-        packed_inverse = curvature.packed_inverse
+        inverse_planes = curvature.inverse_planes
 
         def counted(comps, n, shift=0):
             calls.append(comps)
-            return packed_inverse(comps, n, shift)
+            return inverse_planes(comps, n, shift)
 
-        monkeypatch.setattr(curvature, "packed_inverse", counted)
+        monkeypatch.setattr(curvature, "inverse_planes", counted)
         _refuse_inverses_outside_curvature(monkeypatch)
         code = main(["deviation", "--geometry", "pflat2", "--amp", "0.3", "--alpha", "0.6",
                      "--m", "161", "--t-min", "0.015625", "--t-max", "0.125",
@@ -426,12 +425,13 @@ class TestNormsCommand:
         # eigenvalues, which check_N0 takes by LAPACK on its Gershgorin
         # candidates alone, not on the whole grid
         whole, certified, batches = [], [], []
-        eigenvalues, certify_definite = MetricField.eigenvalues, lattice.certify_definite
+        eigenvalues, certify_definite = lattice.packed_eigenvalues, lattice.certify_definite
         eigvalsh = np.linalg.eigvalsh
 
-        def counted(g):
-            whole.append(g)
-            return eigenvalues(g)
+        def counted(comps, n):
+            # the metric check's binding; check_N0's own is norms'
+            whole.append(comps)
+            return eigenvalues(comps, n)
 
         def certify(comps):
             # the caller of the metric check that runs the certificate
@@ -442,7 +442,7 @@ class TestNormsCommand:
             batches.append(int(np.prod(a.shape[:-2])))
             return eigvalsh(a)
 
-        monkeypatch.setattr(MetricField, "eigenvalues", counted)
+        monkeypatch.setattr(lattice, "packed_eigenvalues", counted)
         monkeypatch.setattr(np.linalg, "eigvalsh", solver)
         _patch_bindings(monkeypatch, "certify_definite", certify)
         code = main(["norms", "--geometry", "sphere3", "--m", "33",
@@ -521,13 +521,38 @@ class TestCoverCommand:
                                                 atlas_file=str(atlas_file)))
             assert report.covered
 
+    @pytest.mark.parametrize("setting,value", [("geometry", "sphere2"), ("R", "3"),
+                                               ("amp", "0.2")])
+    def test_atlas_file_beside_a_geometry_setting_is_config_error(self, tmp_path, capsys,
+                                                                  setting, value):
+        # an atlas file is the whole geometry: a shipped model's setting given
+        # with it, as a flag or as a config key, is refused, not dropped
+        out = tmp_path / "report.txt"
+        two = str(EXAMPLES / "two.atlas")
+        flag = "--" + setting
+        want = (f"config error: atlas_file and {setting} cannot be given together: "
+                f"an atlas file is the whole geometry\n")
+        argv = ["cover-check", "--m", "21", "--out", str(out)]
+        assert main([*argv, flag, value, "--atlas-file", two]) == EXIT_CONFIG
+        assert capsys.readouterr().err == want
+        cfgf = tmp_path / "exp.cfg"
+        for body, extra in ((f"{setting} = {value}\n", ["--atlas-file", two]),
+                            (f"atlas-file = {two}\n", [flag, value]),
+                            (f"{setting} = {value}\natlas_file = {two}\n", [])):
+            cfgf.write_text(body)
+            assert main([*argv, *extra, "--config", str(cfgf)]) == EXIT_CONFIG
+            assert capsys.readouterr().err == want
+        assert not out.exists()
+        # the flag and the atlas file each run alone
+        assert main([*argv, "--atlas-file", two]) == EXIT_OK
+        assert main([*argv, flag, value]) == EXIT_OK
+
     @pytest.mark.parametrize("dim_line", ["", "dim = 4\n", "dim = two\n"])
     def test_atlas_file_without_valid_dim_is_config_error(self, tmp_path, capsys,
                                                           dim_line):
         path = tmp_path / "atlas.txt"
         path.write_text(dim_line + "[chart]\nid = a\nr = 1.0\ngenerator = flat\n")
-        code = main(["cover-check", "--geometry", "flat3", "--m", "21",
-                     "--atlas-file", str(path)])
+        code = main(["cover-check", "--m", "21", "--atlas-file", str(path)])
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
         assert str(path) in err and "dim" in err

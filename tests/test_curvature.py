@@ -14,17 +14,17 @@ import mollilab.lattice as lattice
 from mollilab.curvature import (RiemannField, _contract_first, _lambda2, _pair_axes,
                                 riemann, sec_extreme_fields, sec_spectrum)
 from mollilab.kernels import scale_kernel
-from mollilab.lattice import (MetricField, _jet_blocks, erode_mask, make_lattice, pack_map,
-                              pack_symmetric, packed_inverse, sample_metric)
+from mollilab.lattice import (MetricField, _jet_blocks, erode_mask, inverse_planes,
+                              make_lattice, pack_map, pack_symmetric, sample_metric,
+                              unpack_symmetric)
 from mollilab.modelzoo import get_geometry
 from mollilab.norms import check_N0
+from packing import packed
 from riemann_parts import s_tensor, slab_parts
 
 
 def _conformal(lam):
-    def gen(X):
-        return lam(X)[..., None, None] * np.eye(X.shape[-1])
-    return gen
+    return packed(lambda X: lam(X)[..., None, None] * np.eye(X.shape[-1]))
 
 
 def _flat(n):
@@ -53,7 +53,25 @@ def _smooth_metric(seed, n=3):
 
     def gen(X):
         return base + np.einsum("...k,kij->...ij", np.sin(X @ waves.T + phases), coefs)
-    return gen
+    return packed(gen)
+
+
+def _lambda2_of_matrices(mats):
+    """Lambda^2 of full matrices, (Lambda^2 g)_IJ = g_ac g_bd - g_ad g_bc:
+    the reference for `_lambda2`, which reads packed components."""
+    a, b, c, d = _pair_axes(mats.shape[-1])
+    return mats[..., a, c] * mats[..., b, d] - mats[..., a, d] * mats[..., b, c]
+
+
+def _matrices(g):
+    """g's full symmetric matrices, grid + (n, n), the identity off the mask."""
+    return unpack_symmetric(g.comps, g.lattice.n)
+
+
+def _inverse(comps, n):
+    """g^-1 as one C-contiguous node-major array (..., n, n), from
+    `inverse_planes`."""
+    return np.ascontiguousarray(np.moveaxis(inverse_planes(comps, n), (0, 1), (-2, -1)))
 
 
 def _wedge(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -70,7 +88,7 @@ def sectional_field(g, R, v, w):
     every node, K = om^T R om / om^T (Lambda^2 g) om with om = v ^ w; NaN
     where |v ^ w|_g^2 < DEGENERATE_GRAM."""
     om = _wedge(np.asarray(v, dtype=float), np.asarray(w, dtype=float))
-    gram = np.einsum("...IJ,I,J->...", _lambda2(g.matrices()), om, om)
+    gram = np.einsum("...IJ,I,J->...", _lambda2_of_matrices(_matrices(g)), om, om)
     num = np.einsum("...IJ,I,J->...", R.riem, om, om)
     with np.errstate(divide="ignore", invalid="ignore"):
         sec = num / gram
@@ -81,7 +99,7 @@ def sectional_field(g, R, v, w):
 def _parts(g):
     """The Hessian part A and the remainder B of g, built as one slab of
     the whole grid, with their valid mask."""
-    A, B = slab_parts(g, packed_inverse(g.comps, g.lattice.n), 0, g.lattice.m)
+    A, B = slab_parts(g, inverse_planes(g.comps, g.lattice.n), 0, g.lattice.m)
     return A, B, erode_mask(g.mask, 2)
 
 
@@ -137,7 +155,7 @@ class TestRiemann:
         def gen(X):
             return np.broadcast_to(np.diag([2.0, 3.0]), X.shape[:-1] + (2, 2))
 
-        R = riemann(sample_metric(gen, lat))
+        R = riemann(sample_metric(packed(gen), lat))
         assert np.abs(R.riem[R.mask]).max() < 1e-13
 
     def test_decomposition_constant_metric_both_zero(self):
@@ -146,7 +164,7 @@ class TestRiemann:
         def gen(X):
             return np.broadcast_to(np.diag([2.0, 3.0]), X.shape[:-1] + (2, 2))
 
-        A, B, mask = _parts(sample_metric(gen, lat))
+        A, B, mask = _parts(sample_metric(packed(gen), lat))
         assert np.abs(A[mask]).max() < 1e-13
         assert np.abs(B[mask]).max() < 1e-13
 
@@ -155,7 +173,7 @@ def _full_matrix_hessian_part(g: MetricField) -> np.ndarray:
     """A_IJ = 1/2 (g_ad,bc + g_bc,ad - g_ac,bd - g_bd,ac) from the jet of the
     full n x n matrices, d2g[..., i, j, x, y] = d_y d_x g_ij."""
     lat = g.lattice
-    mats = np.where(g.mask[..., None, None], g.matrices(), 0.0)
+    mats = np.where(g.mask[..., None, None], _matrices(g), 0.0)
     d2g = _jet_blocks(mats, lat.n, lat.h, 2)[2]
     a, b, c, d = _pair_axes(lat.n)
     A = 0.5 * (d2g[..., a, d, b, c] + d2g[..., b, c, a, d]
@@ -194,7 +212,7 @@ def _whole_grid_parts(g: MetricField):
     A = 0.5 * (d2g[..., P[a, d], b, c] + d2g[..., P[b, c], a, d]
                - d2g[..., P[a, c], b, d] - d2g[..., P[b, d], a, c])
     S = s_tensor(dg[..., P, :])
-    gamma = 0.5 * _contract_first(packed_inverse(g.comps, g.lattice.n)[crop], S)
+    gamma = 0.5 * _contract_first(_inverse(g.comps, g.lattice.n)[crop], S)
     B = 0.5 * sum(gamma[..., q, b, c] * S[..., q, a, d]
                   - gamma[..., q, b, d] * S[..., q, a, c] for q in range(n))
     parts = []
@@ -340,13 +358,14 @@ class TestStreamedBuilder:
 
         def spy(comps, n, shift=0):
             seen.append((comps.shape, shift))
-            return lattice.packed_inverse(comps, n, shift)
+            return lattice.inverse_planes(comps, n, shift)
 
-        monkeypatch.setattr(curvature, "packed_inverse", spy)
+        monkeypatch.setattr(curvature, "inverse_planes", spy)
         R = riemann(g)
         assert seen == [(g.comps[crop].shape, trim)]
-        monkeypatch.setattr(curvature, "packed_inverse", lambda comps, n, shift=0:
-                            packed_inverse(g.comps, g.lattice.n)[crop])
+        whole = lattice.inverse_planes(g.comps, g.lattice.n)
+        monkeypatch.setattr(curvature, "inverse_planes",
+                            lambda comps, n, shift=0: whole[(slice(None),) * 2 + crop])
         assert np.array_equal(R.riem, riemann(g).riem)
 
     def test_refuses_an_empty_mask(self):
@@ -445,7 +464,7 @@ class TestSectional:
         om = np.stack([v[:, 0] * w[:, 1] - v[:, 1] * w[:, 0],
                        v[:, 0] * w[:, 2] - v[:, 2] * w[:, 0],
                        v[:, 1] * w[:, 2] - v[:, 2] * w[:, 1]], axis=-1)
-        mats = g.matrices()
+        mats = _matrices(g)
         nodes = np.argwhere(R.mask)
         rng = np.random.Generator(np.random.Philox(key=seed))
         spread = 0.0
@@ -476,7 +495,8 @@ class TestSectional:
         g = sample_metric(_smooth_metric(seed), lat)
         R = riemann(g)
         lo, hi, _ = sec_extreme_fields(R)
-        ev = np.sort(np.linalg.eigvals(np.linalg.solve(_lambda2(g.matrices()), R.riem)).real)
+        ev = np.sort(np.linalg.eigvals(np.linalg.solve(_lambda2_of_matrices(_matrices(g)),
+                                                       R.riem)).real)
         scale = np.abs(ev).max(axis=-1)
         assert np.all(np.abs(lo - ev[..., 0])[R.mask] <= 1e-13 * scale[R.mask])
         assert np.all(np.abs(hi - ev[..., -1])[R.mask] <= 1e-13 * scale[R.mask])
@@ -492,7 +512,7 @@ class TestSectional:
 def _whole_grid_extremes(g: MetricField, R: RiemannField):
     """The sectional extremes before the solve moved onto R.mask, kept as
     the reference: the pencil (R, Lambda^2 g) solved at every node."""
-    G = _lambda2(g.matrices())
+    G = _lambda2_of_matrices(_matrices(g))
     if g.lattice.n == 2:
         k = R.riem[..., 0, 0] / G[..., 0, 0]
         return k, k.copy()
@@ -504,8 +524,8 @@ def _whole_grid_extremes(g: MetricField, R: RiemannField):
 def _whole_grid_scalar(g: MetricField, R: RiemannField):
     """The scalar curvature before it moved onto R.mask, kept as the
     reference: 2 sum_IJ (Lambda^2 g^-1)_IJ R_IJ at every node."""
-    ginv = packed_inverse(g.comps, g.lattice.n)
-    return 2.0 * np.einsum("...IJ,...IJ->...", _lambda2(ginv), R.riem)
+    ginv = _inverse(g.comps, g.lattice.n)
+    return 2.0 * np.einsum("...IJ,...IJ->...", _lambda2_of_matrices(ginv), R.riem)
 
 
 def _on_mask_cases(name):
@@ -557,7 +577,7 @@ class TestScalarFromPencil:
         g = sample_metric(_smooth_metric(seed), lat)
         R = riemann(g)
         sc = sec_extreme_fields(R)[2]
-        mats = g.matrices()
+        mats = _matrices(g)
         nodes = np.argwhere(R.mask)
         rng = np.random.Generator(np.random.Philox(key=20 + seed))
         for node in map(tuple, nodes[rng.choice(len(nodes), 12, replace=False)]):
@@ -589,7 +609,7 @@ class TestScalarFromPencil:
         # the trace is a plane chain over the diagonal: bit for bit np.trace
         for g in _on_mask_cases("sphere3"):
             R = riemann(g)
-            G = _lambda2(g.matrices()[R.mask])
+            G = _lambda2_of_matrices(_matrices(g)[R.mask])
             Linv = curvature._lower_inverse(np.linalg.cholesky(G))
             pencil = Linv @ R.riem[R.mask] @ np.swapaxes(Linv, -2, -1)
             want = 2.0 * np.trace(pencil, axis1=-2, axis2=-1)
@@ -597,6 +617,16 @@ class TestScalarFromPencil:
 
 
 class TestSpectrum:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_lambda2_of_packed_components_is_that_of_the_matrices(self, n):
+        # the pencil's Lambda^2 g indexes the packed components through
+        # pack_map: the same products as on the full matrices, bit for bit
+        mats = np.random.default_rng(n).standard_normal((7, 5, n, n))
+        comps = pack_symmetric(mats + np.swapaxes(mats, -1, -2))
+        want = _lambda2_of_matrices(unpack_symmetric(comps, n))
+        assert _lambda2(comps, n).shape == want.shape
+        assert _lambda2(comps, n).tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("name", ["sphere2", "pflat2", "sphere3", "pflat3"])
     def test_sorted_and_nan_off_mask(self, name):
         for g in _on_mask_cases(name):
@@ -624,11 +654,12 @@ class TestSpectrum:
         g = sample_metric(_smooth_metric(seed), lat)
         R = riemann(g)
         ev, _ = sec_spectrum(R)
-        mats = g.matrices()
+        mats = _matrices(g)
         nodes = np.argwhere(R.mask)
         rng = np.random.Generator(np.random.Philox(key=30 + seed))
         for node in map(tuple, nodes[rng.choice(len(nodes), 20, replace=False)]):
-            want = scipy.linalg.eigh(R.riem[node], _lambda2(mats[node]), eigvals_only=True)
+            want = scipy.linalg.eigh(R.riem[node], _lambda2_of_matrices(mats[node]),
+                                     eigvals_only=True)
             assert np.all(np.abs(ev[node] - want) <= 1e-10 * np.abs(want).max())
             assert want[-1] - want[0] > 0.1  # the metrics are far from isotropic
 
@@ -721,7 +752,7 @@ class TestRicciScalar:
             lam = _sphere_lam()(X) * (1.0 + eps * np.sin(X[..., 0]))
             return lam[..., None, None] * np.eye(2)
 
-        g2 = sample_metric(gen2, lat)
+        g2 = sample_metric(packed(gen2), lat)
         R1, R2 = riemann(g1), riemann(g2)
         mask = R1.mask & R2.mask
         diff = np.abs((R1.riem - R2.riem)[mask]).max()

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 from mollilab.kernels import (bump_profile, convolve, kernel_lq_bound, kernel_lq_norm,
                               scale_kernel)
 from mollilab.lattice import (MetricField, ScalarField, central_diff, erode_mask,
-                              make_lattice, pack_symmetric, sample_metric,
+                              make_lattice, pack_symmetric, packed_eigenvalues, sample_metric,
                               sample_scalar)
+from packing import packed
 
 
 class TestBumpProfile:
@@ -129,10 +130,10 @@ class TestConvolve:
             mats[..., 0, 1] = mats[..., 1, 0] = 0.3 * X[..., 0] * X[..., 1]
             return mats
 
-        g = sample_metric(gen, lat)
+        g = sample_metric(packed(gen), lat)
         pg = convolve(scale_kernel(2, 0.2, lat.h), g)
         assert isinstance(pg, MetricField)
-        eigs = pg.eigenvalues()
+        eigs = packed_eigenvalues(pg.comps, 2)
         assert eigs[pg.mask][:, 0].min() > 0.0
 
 
@@ -171,7 +172,7 @@ def test_metric_convolve_is_per_component(n):
     for a in range(n):
         mats[..., a, a] = 2.0 + np.sin(3.0 * X[..., a])
     mats[..., 0, 1] = mats[..., 1, 0] = 0.3 * X[..., 0] * X[..., -1]
-    g = MetricField.from_matrices(lat, mats, mask)
+    g = MetricField(lattice=lat, comps=pack_symmetric(mats), mask=mask)
     k = scale_kernel(n, 0.25, lat.h)
     pg = convolve(k, g)
     ref = np.stack([convolve(k, ScalarField(lattice=lat, values=g.comps[..., c],

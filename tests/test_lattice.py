@@ -14,8 +14,9 @@ from mollilab.lattice import (COND_LIMIT, MetricField, ScalarField, central_diff
                               certify_definite, check_definite, check_eigenvalues, differentiate,
                               erode_mask, fold, grow_box, inverse_planes, ldl_pivots, make_lattice,
                               pack_map, pack_symmetric, packed_det, packed_eigenvalues,
-                              packed_inverse, sample_metric, sample_scalar, unpack_symmetric)
+                              sample_metric, sample_scalar, unpack_symmetric)
 from mollilab.norms import check_N0
+from packing import packed
 
 
 class TestLattice:
@@ -83,6 +84,11 @@ class TestFields:
         with pytest.raises(ValueError, match=r"^non-finite metric component at masked-valid "
                                              r"node \(2, 4\)$"):
             MetricField(lattice=lat, comps=comps, mask=mask)
+        # sampled on the full mask, the generator's NaN at (0, 3) comes first,
+        # named by the same constructor in the same text
+        with pytest.raises(ValueError, match=r"^non-finite metric component at masked-valid "
+                                             r"node \(0, 3\)$"):
+            sample_metric(lambda X: comps, lat)
 
     def test_sample_metric_rejects_indefinite(self):
         lat = make_lattice(2, 1.0, 5)
@@ -91,7 +97,20 @@ class TestFields:
             return np.broadcast_to(np.diag([1.0, -1.0]), X.shape[:-1] + (2, 2))
 
         with pytest.raises(ValueError, match="positive-definite"):
-            sample_metric(gen, lat)
+            sample_metric(packed(gen), lat)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_sample_metric_refuses_a_full_matrix_generator(self, n):
+        # a generator returns packed components; full matrices are refused
+        lat = make_lattice(n, 1.0, 5)
+
+        def full(X):
+            return np.broadcast_to(np.eye(n), X.shape[:-1] + (n, n))
+
+        with pytest.raises(ValueError, match=r"^metric generator returned wrong shape$"):
+            sample_metric(full, lat)
+        eye = np.broadcast_to(pack_symmetric(np.eye(n)), lat.shape + (n * (n + 1) // 2,))
+        assert np.array_equal(sample_metric(packed(full), lat).comps, eye)
 
     def test_metric_packing_roundtrip(self):
         lat = make_lattice(2, 1.0, 5)
@@ -103,8 +122,8 @@ class TestFields:
             mats[..., 0, 1] = mats[..., 1, 0] = 0.1 * X[..., 1]
             return mats
 
-        g = sample_metric(gen, lat)
-        assert np.allclose(g.matrices(), gen(lat.coords()))
+        g = sample_metric(packed(gen), lat)
+        assert np.allclose(unpack_symmetric(g.comps, 2), gen(lat.coords()))
 
     def test_metric_algebra_padded_off_partial_mask(self):
         lat = make_lattice(2, 1.0, 9)
@@ -113,7 +132,8 @@ class TestFields:
         comps = np.stack([2.0 + X[..., 0], 0.3 * X[..., 1], 3.0 - X[..., 1]], axis=-1)
         comps[~mask] = np.nan  # garbage off the mask must never leak
         g = MetricField(lattice=lat, comps=comps, mask=mask)
-        mats, eigs, inv = g.matrices(), g.eigenvalues(), packed_inverse(g.comps, 2)
+        mats, eigs = unpack_symmetric(g.comps, 2), packed_eigenvalues(g.comps, 2)
+        inv = _node_major(inverse_planes(g.comps, 2))
         assert np.array_equal(mats[~mask], np.broadcast_to(np.eye(2), mats[~mask].shape))
         assert np.array_equal(eigs[~mask], np.ones_like(eigs[~mask]))
         assert np.array_equal(inv[~mask], np.broadcast_to(np.eye(2), inv[~mask].shape))
@@ -121,56 +141,6 @@ class TestFields:
         assert np.array_equal(mats[mask][:, 1, 0], comps[mask][:, 1])
         assert np.abs((inv @ mats)[mask] - np.eye(2)).max() < 1e-14
         assert np.all(eigs[mask] > 0.0)
-
-
-    def test_from_matrices_rejects_nonfinite_lower_triangle(self):
-        # only the upper triangle is stored, so the lower one is checked first
-        lat = make_lattice(2, 1.0, 5)
-        mats = np.broadcast_to(np.eye(2), lat.shape + (2, 2)).copy()
-        for bad in (np.nan, np.inf):
-            mats[3, 1, 1, 0] = bad
-            with pytest.raises(ValueError, match=r"^non-finite metric value at node \(3, 1\)$"):
-                MetricField.from_matrices(lat, mats, lat.full_mask())
-        mask = lat.full_mask()
-        mask[3, 1] = False
-        g = MetricField.from_matrices(lat, mats, mask)
-        assert np.array_equal(g.matrices()[3, 1], np.eye(2))
-
-    def test_from_matrices_symmetry_ignores_nodes_off_the_mask(self):
-        # a NaN off the mask must not switch off the symmetry test on it
-        lat = make_lattice(2, 1.0, 5)
-        mats = np.broadcast_to(np.eye(2), lat.shape + (2, 2)).copy()
-        mask = lat.full_mask()
-        mats[0, 0] = np.nan
-        mask[0, 0] = False
-        mats[2, 3, 0, 1] = 0.5
-        with pytest.raises(ValueError, match=r"not symmetric at node \(2, 3\)$"):
-            MetricField.from_matrices(lat, mats, mask)
-
-    @pytest.mark.parametrize("pair", [(0, 1), (0, 2), (1, 2)])
-    def test_from_matrices_checks_every_off_diagonal_pair(self, pair):
-        lat = make_lattice(3, 1.0, 5)
-        mats = np.broadcast_to(np.eye(3), lat.shape + (3, 3)).copy()
-        i, j = pair
-        mats[4, 0, 2, j, i] = 1e-11  # above 1e-12 times the largest entry, 1
-        with pytest.raises(ValueError,
-                           match=r"^metric matrices are not symmetric at node \(4, 0, 2\)$"):
-            MetricField.from_matrices(lat, mats, lat.full_mask())
-        mats[4, 0, 2, j, i] = 1e-13  # within the tolerance
-        g = MetricField.from_matrices(lat, mats, lat.full_mask())
-        assert g.matrices()[4, 0, 2, i, j] == 0.0
-
-    def test_sample_metric_names_the_asymmetric_node(self):
-        lat = make_lattice(2, 1.0, 5)
-
-        def gen(X):
-            G = np.broadcast_to(np.eye(2), X.shape[:-1] + (2, 2)).copy()
-            G[1, 4, 0, 1] = 0.25  # g_01 differs from g_10 at one node
-            return G
-
-        with pytest.raises(ValueError,
-                           match=r"^metric matrices are not symmetric at node \(1, 4\)$"):
-            sample_metric(gen, lat)
 
 
 class TestCheckDefinite:
@@ -198,7 +168,7 @@ class TestCheckDefinite:
 
         with pytest.raises(ValueError, match=r"^sample_metric: metric not positive-definite "
                                              r"at node \(2, 7\)$"):
-            sample_metric(gen, lat)
+            sample_metric(packed(gen), lat)
 
     def test_rejects_ill_conditioned(self):
         lat = make_lattice(2, 1.0, 11)
@@ -219,7 +189,7 @@ class TestCheckDefinite:
 
         with pytest.raises(ValueError, match=r"^sample_metric: metric condition number "
                                              r"1e\+14 exceeds 1e12 at node \(0, 0\)$"):
-            sample_metric(gen, lat)
+            sample_metric(packed(gen), lat)
         comps[6, 2] = [1.0, 0.0, 1.01e-12]   # just inside the limit
         check_definite(MetricField(lattice=lat, comps=comps, mask=mask), "stage")
 
@@ -354,7 +324,7 @@ def _refused(g):
     2-d closed form gives where a*c overflows, counts as refused, as it does
     in `check_eigenvalues`."""
     with np.errstate(all="ignore"):
-        eigs = g.eigenvalues()
+        eigs = packed_eigenvalues(g.comps, g.lattice.n)
         low, top = eigs[..., 0], eigs[..., -1]
         cond = np.divide(top, low, out=np.full(low.shape, np.inf), where=low > 0.0)
     return (low <= 0.0) | (cond > COND_LIMIT)
@@ -377,7 +347,8 @@ class TestDefiniteCertificate:
     def test_certifies_well_conditioned_metrics_at_any_sane_scale(self, n):
         lat = make_lattice(n, 1.0, 21 if n == 3 else 101)
         for cond in (1.0, 1e3, 1e6):
-            g = MetricField.from_matrices(lat, _spd_field(lat, cond, seed=n), lat.full_mask())
+            g = MetricField(lattice=lat, comps=pack_symmetric(_spd_field(lat, cond, seed=n)),
+                            mask=lat.full_mask())
             assert certify_definite(g.comps).all()
             for scale in (1e-90, 1e90):
                 assert certify_definite(scale * g.comps).all()
@@ -392,16 +363,17 @@ class TestDefiniteCertificate:
 
     def test_uncertified_nodes_go_to_the_eigenvalues(self, monkeypatch):
         calls = []
-        eigenvalues = MetricField.eigenvalues
+        eigenvalues = lattice.packed_eigenvalues
 
-        def counted(g):
-            calls.append(g.lattice.n)
-            return eigenvalues(g)
+        def counted(comps, n):
+            calls.append(n)
+            return eigenvalues(comps, n)
 
-        monkeypatch.setattr(MetricField, "eigenvalues", counted)
+        monkeypatch.setattr(lattice, "packed_eigenvalues", counted)
         for n in (2, 3):
             lat = make_lattice(n, 1.0, 9)
-            g = MetricField.from_matrices(lat, _spd_field(lat, 1e3, seed=n), lat.full_mask())
+            g = MetricField(lattice=lat, comps=pack_symmetric(_spd_field(lat, 1e3, seed=n)),
+                            mask=lat.full_mask())
             check_definite(g, "stage")
         assert calls == []
         for n in (2, 3, 4):
@@ -425,8 +397,8 @@ def _spd_field(lat, cond, seed):
 def _n0_whole_grid(g):
     """`check_N0` before it chose the nodes LAPACK sees, kept as the
     reference: the eigenvalue verdict on every node, then 0.5 max |log lam|
-    over the eigenvalues of every valid node."""
-    eigs = g.eigenvalues()
+    over the eigenvalues of every valid node, from the solver `lattice` holds."""
+    eigs = lattice.packed_eigenvalues(g.comps, g.lattice.n)
     check_eigenvalues(eigs, "check_N0")
     return 0.5 * float(np.abs(np.log(eigs[g.mask])).max())
 
@@ -557,8 +529,7 @@ class TestClosedFormAlgebra:
     def test_inverse_matches_lapack(self, n, cond):
         lat = make_lattice(n, 1.0, 41 if n == 2 else 13)
         mats = _spd_field(lat, cond, seed=int(np.log10(cond)) + 10 * n)
-        g = MetricField.from_matrices(lat, mats, lat.full_mask())
-        inv, ref = packed_inverse(g.comps, n), np.linalg.inv(mats)
+        inv, ref = _node_major(inverse_planes(pack_symmetric(mats), n)), np.linalg.inv(mats)
         assert np.array_equal(inv, np.swapaxes(inv, -1, -2))
         scale = np.abs(ref).max(axis=(-2, -1))[..., None, None]
         assert (np.abs(inv - ref) / scale).max() <= 16 * EPS * cond
@@ -571,7 +542,7 @@ class TestClosedFormAlgebra:
     def test_eigenvalues_2d_match_eigvalsh(self, cond):
         lat = make_lattice(2, 1.0, 41)
         mats = _spd_field(lat, cond, seed=int(np.log10(cond)))
-        eigs = MetricField.from_matrices(lat, mats, lat.full_mask()).eigenvalues()
+        eigs = packed_eigenvalues(pack_symmetric(mats), 2)
         ref = np.linalg.eigvalsh(mats)
         assert np.all(eigs[..., 0] <= eigs[..., 1])
         # absolute error eps * lambda_max: eps * cond relative to lambda_min
@@ -581,7 +552,7 @@ class TestClosedFormAlgebra:
         # where the trace minus the large root would lose eps * cond
         diag = np.zeros_like(mats)
         diag[..., 0, 0], diag[..., 1, 1] = ref[..., 0], ref[..., 1]
-        eigs = MetricField.from_matrices(lat, diag, lat.full_mask()).eigenvalues()
+        eigs = packed_eigenvalues(pack_symmetric(diag), 2)
         assert (np.abs(eigs / ref - 1.0)).max() <= 4 * EPS
 
     @pytest.mark.parametrize("n", [2, 3])
@@ -590,17 +561,17 @@ class TestClosedFormAlgebra:
         lat = make_lattice(n, 1.0, 9)
         mask = lat.ball_mask(0.6)
         mats = _spd_field(lat, 10.0, seed=n)
-        comps = MetricField.from_matrices(lat, mats, mask).comps.copy()
+        comps = pack_symmetric(mats)
         comps[~mask] = garbage  # a zero determinant off the mask must not warn
         g = MetricField(lattice=lat, comps=comps, mask=mask)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            inv = packed_inverse(g.comps, n)
-            eigs = g.eigenvalues()
+            inv = _node_major(inverse_planes(g.comps, n))
+            eigs = packed_eigenvalues(g.comps, n)
         eye = np.broadcast_to(np.eye(n), inv[~mask].shape)
         assert np.array_equal(inv[~mask], eye)
         assert np.array_equal(eigs[~mask], np.ones_like(eigs[~mask]))
-        assert np.abs((inv @ g.matrices())[mask] - np.eye(n)).max() < 1e-13
+        assert np.abs((inv @ unpack_symmetric(g.comps, n))[mask] - np.eye(n)).max() < 1e-13
         assert np.allclose(eigs[mask], np.linalg.eigvalsh(mats[mask]), rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize("n,comps,what", [
@@ -609,13 +580,11 @@ class TestClosedFormAlgebra:
         (3, [0.0, 1.0, 0.0, 0.0, 0.0, 1.0], "g_00 = 0")])
     def test_singular_node_named(self, n, comps, what):
         lat = make_lattice(n, 1.0, 5)
-        g = MetricField.from_matrices(lat, np.broadcast_to(np.eye(n), lat.shape + (n, n)),
-                                      lat.full_mask())
-        packed = g.comps.copy()
+        block = np.broadcast_to(pack_symmetric(np.eye(n)), lat.shape + (len(comps),)).copy()
         node = (3,) + (1,) * (n - 1)
-        packed[node] = comps
+        block[node] = comps
         with pytest.raises(np.linalg.LinAlgError, match=rf"{what} at node \({node[0]}, 1"):
-            packed_inverse(MetricField(lattice=lat, comps=packed, mask=g.mask).comps, n)
+            inverse_planes(MetricField(lattice=lat, comps=block, mask=lat.full_mask()).comps, n)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_determinant_matches_lapack(self, n):
@@ -628,10 +597,10 @@ class TestClosedFormAlgebra:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_inverse_of_a_crop_is_the_crop_of_the_inverse(self, n):
         lat = make_lattice(n, 1.0, 9)
-        g = MetricField.from_matrices(lat, _spd_field(lat, 1e4, seed=n), lat.full_mask())
+        comps = pack_symmetric(_spd_field(lat, 1e4, seed=n))
         crop = (slice(2, 7),) * n
-        assert np.array_equal(packed_inverse(g.comps[crop], n, shift=2),
-                              packed_inverse(g.comps, n)[crop])
+        assert np.array_equal(inverse_planes(comps[crop], n, shift=2),
+                              inverse_planes(comps, n)[(slice(None),) * 2 + crop])
 
     @pytest.mark.parametrize("n,comps,what", [
         (2, [1.0, 1.0, 1.0], "singular metric"),
@@ -645,7 +614,12 @@ class TestClosedFormAlgebra:
         node = rf"\(5, 3{', 4' * (n - 2)}\)"
         for block, shift in ((g.comps, 0), (g.comps[(slice(2, 7),) * n], 2)):
             with pytest.raises(np.linalg.LinAlgError, match=rf"^{what} at node {node}$"):
-                packed_inverse(block, n, shift=shift)
+                inverse_planes(block, n, shift=shift)
+
+
+def _node_major(planes):
+    """A plane-major (n, n) + grid array as (grid..., n, n), a view."""
+    return np.moveaxis(planes, (0, 1), (-2, -1))
 
 
 def _node_major_inverse(comps, n):
@@ -674,29 +648,28 @@ def _node_major_inverse(comps, n):
 
 
 class TestPlaneMajorInverse:
-    """The inverse is computed one contiguous (i, j) plane at a time and
-    handed out node-major, bit for bit the node-major formulas."""
+    """The inverse is computed one contiguous (i, j) plane at a time, bit
+    for bit the node-major formulas."""
 
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("cond", [1.0, 1e4, 1e10])
     def test_bytes_equal_node_major_formulas(self, n, cond):
         lat = make_lattice(n, 1.0, 41 if n == 2 else 13)
-        g = MetricField.from_matrices(lat, _spd_field(lat, cond, seed=7 * n), lat.full_mask())
-        inv = packed_inverse(g.comps, n)
-        assert inv.shape == lat.shape + (n, n) and inv.flags.c_contiguous
-        assert inv.tobytes() == _node_major_inverse(g.comps, n).tobytes()
-        planes = inverse_planes(g.comps, n)
+        comps = pack_symmetric(_spd_field(lat, cond, seed=7 * n))
+        planes = inverse_planes(comps, n)
         assert planes.shape == (n, n) + lat.shape and planes.flags.c_contiguous
-        assert planes.tobytes() == np.moveaxis(inv, (-2, -1), (0, 1)).copy().tobytes()
+        inv = np.ascontiguousarray(_node_major(planes))
+        assert inv.tobytes() == _node_major_inverse(comps, n).tobytes()
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_cropped_block_bytes_equal(self, n):
         lat = make_lattice(n, 1.0, 21 if n == 2 else 11)
-        g = MetricField.from_matrices(lat, _spd_field(lat, 1e3, seed=3 + n), lat.full_mask())
+        comps = pack_symmetric(_spd_field(lat, 1e3, seed=3 + n))
         crop = (slice(3, lat.m - 2),) * n
-        block = g.comps[crop]  # a strided view, as `riemann` hands over
-        inv = packed_inverse(block, n, shift=3)
-        assert inv.shape == block.shape[:-1] + (n, n) and inv.flags.c_contiguous
+        block = comps[crop]  # a strided view, as `riemann` hands over
+        planes = inverse_planes(block, n, shift=3)
+        assert planes.shape == (n, n) + block.shape[:-1] and planes.flags.c_contiguous
+        inv = np.ascontiguousarray(_node_major(planes))
         assert inv.tobytes() == _node_major_inverse(block, n).tobytes()
 
 
@@ -784,9 +757,9 @@ class TestPackedStorage:
         comps = pack_symmetric(mats)
         assert np.array_equal(comps, mats[..., i, j])
         assert np.array_equal(unpack_symmetric(comps, n), mats)
-        g = MetricField.from_matrices(lat, mats, lat.full_mask())
+        g = sample_metric(packed(lambda X: mats), lat)
         assert np.array_equal(g.comps, comps)
-        assert np.array_equal(g.matrices(), mats)
+        assert np.array_equal(unpack_symmetric(g.comps, n), mats)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_differentiate_is_per_component(self, n):

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from mollilab import modelzoo
-from mollilab.lattice import sample_metric
+from mollilab.atlas import BumpProfile
+from mollilab.lattice import make_lattice, pack_symmetric, sample_metric, unpack_symmetric
 from mollilab.modelzoo import build_geometry, get_geometry, parse_atlas_file, parse_atlas_text
 from mollilab.norms import check_N0
+from packing import packed
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 ATLAS_FILES = sorted(EXAMPLES.glob("*.atlas"))
@@ -26,12 +28,64 @@ def _transition_compatible(geometry, n_points: int = 200, seed: int = 7,
             Y = np.asarray(tr.map(X), dtype=float)
             J = np.asarray(tr.jacobian(X), dtype=float)
         good = np.isfinite(Y).all(axis=-1) & np.isfinite(J).all(axis=(-2, -1))
-        G = charts[to].metric(Y[good])
+        G = unpack_symmetric(charts[to].metric(Y[good]), geometry.n)
         pulled = np.einsum("...ki,...kl,...lj->...ij", J[good], G, J[good])
-        target = charts[frm].metric(X[good])
+        target = unpack_symmetric(charts[frm].metric(X[good]), geometry.n)
         if np.abs(pulled - target).max() > tol * np.abs(target).max():
             return False
     return True
+
+
+def _full_matrix_formula(name, n, r, params):
+    """The chart metric of generator `name` as full n x n matrices, each
+    generator's formula before it returned packed components: the reference
+    for its packed output."""
+    if name == "pflat":
+        a, alpha = params.get("amp", 0.1), params.get("alpha", 0.6)
+        bump = BumpProfile(plateau=0.35 * r, support=0.7 * r)
+        u = np.ones(n) / math.sqrt(n)
+
+        def formula(X):
+            d = np.sqrt((X**2).sum(-1))
+            amp = a * bump(d) * d ** (1.0 + alpha)
+            return np.eye(n) + amp[..., None, None] * np.outer(u, u)
+        return formula
+    R = params.get("R", 1.0)
+    lam = {"flat": lambda X: np.ones(X.shape[:-1]),
+           "sphere_conformal": lambda X: 4.0 * R**4 / (R**2 + (X**2).sum(-1)) ** 2,
+           "poincare_ball": lambda X: 4.0 / (1.0 - (X**2).sum(-1)) ** 2}[name]
+    return lambda X: lam(X)[..., None, None] * np.eye(n)
+
+
+# (generator, chart radius, parameters): every entry of the generator table,
+# and pflat with a negative amplitude too
+_GENERATOR_CASES = [("flat", 1.0, {}), ("sphere_conformal", 2.0, {}),
+                    ("sphere_conformal", 3.0, {"R": 1.5}), ("poincare_ball", 0.5, {}),
+                    ("pflat", 1.0, {}), ("pflat", 1.0, {"amp": 0.3, "alpha": 0.4}),
+                    ("pflat", 1.0, {"amp": -0.3})]
+
+
+class TestPackedGenerators:
+    """Every generator returns packed components in pack_map order."""
+
+    def test_cases_cover_the_generator_table(self):
+        assert {case[0] for case in _GENERATOR_CASES} == set(modelzoo._GENERATORS)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("case", _GENERATOR_CASES,
+                             ids=[f"{c[0]}-{i}" for i, c in enumerate(_GENERATOR_CASES)])
+    def test_packed_output_is_the_packed_full_matrix_formula(self, n, case):
+        name, r, params = case
+        gen, _ = modelzoo._GENERATORS[name][1](n, r, params)
+        lat = make_lattice(n, r, 9)
+        rng = np.random.default_rng(n)
+        for X in (lat.coords(), rng.uniform(-r, r, (40, n))):
+            got = gen(X)
+            assert got.shape == X.shape[:-1] + (n * (n + 1) // 2,)
+            want = pack_symmetric(_full_matrix_formula(name, n, r, params)(X))
+            assert got.tobytes() == want.tobytes()
+        if name == "pflat":
+            assert np.abs(got - pack_symmetric(np.eye(n))).max() > 0.0  # not vacuous
 
 
 class TestRegistry:
@@ -87,8 +141,8 @@ class TestTransitions:
         geo = get_geometry("sphere2")
         # corrupt one generator: compatibility must fail
         bad = geo.atlas.charts[0]
-        object.__setattr__(bad, "metric",
-                           lambda X: 2.0 * np.eye(2) * np.ones(X.shape[:-1])[..., None, None])
+        object.__setattr__(bad, "metric", packed(
+            lambda X: 2.0 * np.eye(2) * np.ones(X.shape[:-1])[..., None, None]))
         assert not _transition_compatible(geo)
 
 
@@ -184,7 +238,7 @@ class TestAtlasText:
         assert [c.id for c in atl.charts] == ["north", "south"]
         assert atl.transition("north", "south") is not None
         X = np.array([[1.0, 0.0]])
-        G = atl.charts[0].metric(X)
+        G = unpack_symmetric(atl.charts[0].metric(X), 2)
         assert G[0, 0, 0] == pytest.approx(1.0)  # 4/(1+1)^2
 
     def test_description_is_a_model_geometry(self):

@@ -7,17 +7,16 @@ import pytest
 from mollilab import norms
 from mollilab.cli import ExperimentConfig, run_norms
 from mollilab.lattice import (MetricField, ScalarField, central_diff, differentiate,
-                              erode_mask, make_lattice, pack_symmetric, packed_det,
-                              packed_inverse, sample_metric, sample_scalar)
+                              erode_mask, inverse_planes, make_lattice, pack_symmetric,
+                              packed_det, sample_metric, sample_scalar)
 from mollilab.modelzoo import get_geometry
 from mollilab.norms import (chart_norm_report, check_N0, harmonic_defect,
                             holder_seminorm, sobolev_norm)
+from packing import packed
 
 
 def _conformal_metric(lam):
-    def gen(X):
-        return lam(X)[..., None, None] * np.eye(X.shape[-1])
-    return gen
+    return packed(lambda X: lam(X)[..., None, None] * np.eye(X.shape[-1]))
 
 
 def _pair_loop_seminorm(values, mask, lat, alpha):
@@ -194,7 +193,7 @@ class TestEigenvalueCondition:
             return np.broadcast_to(np.diag([np.e**2, np.e**-2]),
                                    X.shape[:-1] + (2, 2))
 
-        g = sample_metric(gen, lat)
+        g = sample_metric(packed(gen), lat)
         assert check_N0(g) == pytest.approx(1.0, rel=1e-12)
 
     def test_orthogonal_invariance(self):
@@ -209,8 +208,8 @@ class TestEigenvalueCondition:
         def gen_d(X):
             return np.broadcast_to(D, X.shape[:-1] + (2, 2))
 
-        q1 = check_N0(sample_metric(gen, lat))
-        q2 = check_N0(sample_metric(gen_d, lat))
+        q1 = check_N0(sample_metric(packed(gen), lat))
+        q2 = check_N0(sample_metric(packed(gen_d), lat))
         assert q1 == pytest.approx(q2, rel=1e-12)
 
 
@@ -242,7 +241,8 @@ class TestHarmonicDefect:
         for g in geo.sample_all(25 if geo.n == 3 else 41).values():
             lat = g.lattice
             w = np.sqrt(packed_det(g.comps, lat.n))
-            flux = w[..., None, None] * packed_inverse(g.comps, lat.n)
+            inv = np.moveaxis(inverse_planes(g.comps, lat.n), (0, 1), (-2, -1))
+            flux = w[..., None, None] * inv
             mask = erode_mask(g.mask, 1)
             want = 0.0
             for k in range(lat.n):
@@ -276,9 +276,9 @@ class TestChartReports:
     def test_holder_report_exact_on_large_chart(self):
         # 67^2 nodes give over 10^7 valid pairs at order 0
         lat = make_lattice(2, 1.0, 67)
-        g = sample_metric(lambda X: np.stack([
+        g = sample_metric(packed(lambda X: np.stack([
             np.stack([2.0 + np.sin(3 * X[..., 0]) * X[..., 1], 0.3 * np.cos(X.sum(-1))], -1),
-            np.stack([0.3 * np.cos(X.sum(-1)), 1.5 + np.abs(X[..., 0]) ** 0.7], -1)], -2), lat)
+            np.stack([0.3 * np.cos(X.sum(-1)), 1.5 + np.abs(X[..., 0]) ** 0.7], -1)], -2)), lat)
         alpha = 0.6
         rep = chart_norm_report(g, 1, alpha, 8.0)
         for k in range(2):
