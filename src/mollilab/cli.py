@@ -4,17 +4,20 @@ Subcommands: curvature tables, the mollification deviation-scaling
 experiment, chart-norm reports, the kernel inequality suite, and cover
 checking.  All experiments are deterministic for a fixed config and seed;
 CSV output uses 12 significant digits and LF line endings, and nothing is
-written when the config is rejected.
+written when the config is rejected.  Each run writes into one stream,
+stdout or `--out`, opened before its first stage; `write_csv` writes a
+table's rows into it one by one.
 """
 from __future__ import annotations
 
 import argparse
 import errno
+import io
 import math
 import os
 import sys
 import tempfile
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -143,57 +146,51 @@ def fmt(x) -> str:
     return str(x)
 
 
-def write_text(path, text: str) -> None:
-    """Write to stdout, or to `path` with LF line endings."""
-    if path is None:
-        sys.stdout.write(text)
-        return
-    try:
-        with open(path, "w", newline="\n") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
-
-
 @contextmanager
 def _staged(path):
-    """A temporary file beside `path`, made before the run and moved onto
-    `path` after it, so that an unwritable path fails before any stage and
-    a failed run leaves no file and an existing `path` as it was.  Yields
-    the temporary file's path; None for stdout, and `path` itself when it
-    names something other than a regular file (a device or a pipe), which
-    is written through as it stands."""
-    if path is None:
-        yield None
-        return
-    if not path or os.path.isdir(path):
+    """The run's one output stream, open before the first stage: stdout, or
+    a temporary file beside `path` that is moved onto `path` after the run,
+    so that an unwritable path fails before any stage and a failed run
+    leaves no file and an existing `path` as it was.  A `path` that names
+    something other than a regular file (a device or a pipe) is opened as it
+    stands.  Failing to open, write, flush, close or move the output is a
+    ConfigError that names `path`, or stdout."""
+    if path is None and sys.stdout is None:  # started with stdout closed
+        raise ConfigError(f"cannot write stdout: {os.strerror(errno.EBADF)}")
+    if path is not None and (not path or os.path.isdir(path)):
         code = errno.EISDIR if path else errno.ENOENT
         raise ConfigError(f"cannot write {path}: {os.strerror(code)}")
-    if os.path.exists(path) and not os.path.isfile(path):
-        yield path
-        return
-    target = os.path.realpath(path)  # a symlink's file, which open(path, "w") would write
-    head, name = os.path.split(target)
+    tmp = None
     try:
-        fd, tmp = tempfile.mkstemp(prefix=f".{name}.", suffix=".tmp", dir=head)
-    except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
-    try:
-        umask = os.umask(0)
-        os.umask(umask)
-        os.fchmod(fd, 0o666 & ~umask)  # the mode open(path, "w") would give
-        os.close(fd)
-        try:
-            yield tmp
-        except ConfigError as exc:
-            # a failed write names the path that was asked for
-            raise ConfigError(str(exc).replace(tmp, path)) from None
-        try:
+        if path is None:
+            yield sys.stdout
+            sys.stdout.flush()
+        elif os.path.exists(path) and not os.path.isfile(path):
+            with open(path, "w", newline="\n") as out:
+                yield out
+        else:
+            target = os.path.realpath(path)  # a symlink's file, which open(path, "w") would write
+            head, name = os.path.split(target)
+            fd, tmp = tempfile.mkstemp(prefix=f".{name}.", suffix=".tmp", dir=head)
+            with os.fdopen(fd, "w", newline="\n") as out:
+                umask = os.umask(0)
+                os.umask(umask)
+                os.fchmod(fd, 0o666 & ~umask)  # the mode open(path, "w") would give
+                yield out
             os.replace(tmp, target)
-        except OSError as exc:
-            raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
+    except OSError as exc:
+        if path is None:
+            # stdout keeps what it could not write, and Python flushes it
+            # again at exit: that flush goes to the null device instead (a
+            # stream with no descriptor, such as a test's capture, is left be)
+            with suppress(io.UnsupportedOperation):
+                fd = sys.stdout.fileno()
+                null = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(null, fd)
+                os.close(null)
+        raise ConfigError(f"cannot write {path or 'stdout'}: {exc.strerror or exc}") from None
     finally:
-        if os.path.exists(tmp):
+        if tmp is not None and os.path.exists(tmp):
             os.remove(tmp)
 
 
@@ -211,9 +208,10 @@ class Block:
     nodes: np.ndarray | None = None
 
 
-def write_csv(path, header: list, blocks: list) -> None:
-    """The header, then each block's rows through one %-template."""
-    lines = [",".join(header)]
+def write_csv(out, header: list, blocks: list) -> None:
+    """The header, then each block's rows through one %-template, written
+    into `out` row by row: no table is held as one string."""
+    out.write(",".join(header) + "\n")
     for block in blocks:
         if not len(block.columns[0]):
             continue
@@ -226,8 +224,7 @@ def write_csv(path, header: list, blocks: list) -> None:
             columns[:0] = block.nodes.T.tolist()
         if block.label is not None:
             fields.insert(0, block.label.replace("%", "%%"))
-        lines += map(",".join(fields).__mod__, zip(*columns))
-    write_text(path, "\n".join(lines) + "\n")
+        out.writelines(map((",".join(fields) + "\n").__mod__, zip(*columns)))
 
 
 def _geometry(cfg: ExperimentConfig):
@@ -281,9 +278,9 @@ def run_curvature(cfg: ExperimentConfig):
     return header, blocks
 
 
-def cmd_curvature(cfg: ExperimentConfig) -> int:
+def cmd_curvature(cfg: ExperimentConfig, out) -> int:
     header, blocks = run_curvature(cfg)
-    write_csv(cfg.out, header, blocks)
+    write_csv(out, header, blocks)
     return EXIT_OK
 
 
@@ -388,7 +385,7 @@ def fit_excess_decay(ts, excesses) -> dict:
             "residual": residual}
 
 
-def cmd_deviation(cfg: ExperimentConfig) -> int:
+def cmd_deviation(cfg: ExperimentConfig, out) -> int:
     records, summary = run_deviation(cfg)
     header = ["t", "riem_excess", "sec_excess", "fit", "slope", "intercept", "residual"]
     tail = [summary["fit"]] + ["" if summary[key] is None else fmt(summary[key])
@@ -396,7 +393,7 @@ def cmd_deviation(cfg: ExperimentConfig) -> int:
     blank = [""] * (len(records) - 1)  # the fit is reported on the first row only
     columns = [[rec.t for rec in records], [rec.riem_excess for rec in records],
                [rec.sec_excess for rec in records], *([cell, *blank] for cell in tail)]
-    write_csv(cfg.out, header, [Block(columns=columns)])
+    write_csv(out, header, [Block(columns=columns)])
     return EXIT_OK
 
 
@@ -414,8 +411,8 @@ def run_norms(cfg: ExperimentConfig) -> str:
                      for cid, g in sorted(samples.items()))
 
 
-def cmd_norms(cfg: ExperimentConfig) -> int:
-    write_text(cfg.out, run_norms(cfg))
+def cmd_norms(cfg: ExperimentConfig, out) -> int:
+    out.write(run_norms(cfg))
     return EXIT_OK
 
 
@@ -519,10 +516,10 @@ def lemma_violations(rows) -> list:
     return bad
 
 
-def cmd_lemmas(cfg: ExperimentConfig) -> int:
+def cmd_lemmas(cfg: ExperimentConfig, out) -> int:
     rows = run_lemmas(cfg)
     header = ["lemma", "index", "t", "lhs", "rhs", "ratio"]
-    write_csv(cfg.out, header, [Block(columns=list(zip(*rows)))])
+    write_csv(out, header, [Block(columns=list(zip(*rows)))])
     bad = lemma_violations(rows)
     if bad:
         for lemma, idx, t, lhs, rhs, ratio in bad:
@@ -542,10 +539,10 @@ def run_cover(cfg: ExperimentConfig):
     return check_cover(geo.atlas, geo.chart_lattice(cfg.m))
 
 
-def cmd_cover(cfg: ExperimentConfig) -> int:
+def cmd_cover(cfg: ExperimentConfig, out) -> int:
     report = run_cover(cfg)
-    write_text(cfg.out, f"covered={report.covered}\nN={report.N}\n"
-                        f"partition_sum_dev={report.partition_sum_dev:.12g}\n")
+    out.write(f"covered={report.covered}\nN={report.N}\n"
+              f"partition_sum_dev={report.partition_sum_dev:.12g}\n")
     return EXIT_OK
 
 
@@ -612,7 +609,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     try:
         with _staged(cfg.out) as out:
-            return _COMMANDS[args.command](replace(cfg, out=out))
+            return _COMMANDS[args.command](cfg, out)
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return EXIT_CONFIG

@@ -1,4 +1,5 @@
 """Tests for the command-line experiments."""
+import io
 import os
 import subprocess
 import sys
@@ -206,8 +207,11 @@ class TestCurvatureCommand:
         assert out.exists()
         assert peaks[0] <= 0.9 * peaks[1]
 
-    def test_failure_at_second_chart_writes_nothing(self, tmp_path, monkeypatch, capsys):
-        # every chart is computed before the table is written
+    @pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
+    def test_failure_at_second_chart_writes_nothing(self, tmp_path, monkeypatch, capsys,
+                                                    to_file):
+        # every chart is computed before the table is written into the
+        # stream, which is open from before the first stage
         calls = []
         real = cli.riemann
 
@@ -219,12 +223,14 @@ class TestCurvatureCommand:
 
         monkeypatch.setattr(cli, "riemann", failing)
         out = tmp_path / "c.csv"
-        code = main(["curvature", "--geometry", "sphere2", "--m", "21", "--t", "0.3",
-                     "--out", str(out)])
+        argv = ["curvature", "--geometry", "sphere2", "--m", "21", "--t", "0.3"]
+        code = main([*argv, "--out", str(out)] if to_file else argv)
         assert code == EXIT_NUMERICAL
         assert len(calls) == 3
         assert not out.exists()
-        assert "injected failure" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "injected failure" in captured.err
 
     def test_each_metric_diagonalised_once(self, tmp_path, monkeypatch):
         # two sampled charts and two glued g^[t]: each is checked where it
@@ -748,16 +754,66 @@ class TestMainExitCodes:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["report"]
 
     def test_failed_write_names_the_out_path(self, tmp_path, capsys, monkeypatch):
-        def full(*args, **kwargs):
-            raise OSError(28, "No space left on device")
+        real_fdopen = os.fdopen
 
-        monkeypatch.setattr(cli, "open", full, raising=False)
+        def full_stream(*args, **kwargs):
+            stream = real_fdopen(*args, **kwargs)
+
+            def full(text):
+                raise OSError(28, "No space left on device")
+
+            stream.write = full
+            return stream
+
+        monkeypatch.setattr(cli.os, "fdopen", full_stream)
         out = tmp_path / "c.csv"
         assert main(["cover-check", "--geometry", "sphere2", "--m", "21",
                      "--out", str(out)]) == EXIT_CONFIG
         assert capsys.readouterr().err == (
             f"config error: cannot write {out}: No space left on device\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == []
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_out_device_that_is_full_is_config_error(self, capsys):
+        assert main(["curvature", "--geometry", "flat2", "--m", "21",
+                     "--out", "/dev/full"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: cannot write /dev/full: No space left on device\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    def test_stdout_that_is_full_is_config_error(self, buffered):
+        # no traceback, and nothing left for Python's flush of stdout at exit
+        src = str(Path(mollilab.__file__).resolve().parents[1])
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run([sys.executable, "-m", "mollilab.cli", "cover-check",
+                                   "--geometry", "sphere2", "--m", "21"],
+                                  stdout=full, stderr=subprocess.PIPE, text=True, env=env)
+        assert proc.returncode == EXIT_CONFIG
+        assert proc.stderr == "config error: cannot write stdout: No space left on device\n"
+
+    def test_stdout_stream_that_is_full_is_config_error(self, capsys, monkeypatch):
+        # a stdout with no file descriptor, as when labcli runs inside another program
+        class Full(io.StringIO):
+            def write(self, text):
+                raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(sys, "stdout", Full())
+        assert main(["cover-check", "--geometry", "flat2", "--m", "9"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: cannot write stdout: No space left on device\n")
+
+    def test_closed_stdout_is_refused_before_any_stage(self, capsys, monkeypatch):
+        # Python sets sys.stdout to None when the process starts with stdout closed
+        monkeypatch.setattr(sys, "stdout", None)
+        monkeypatch.setattr(cli, "run_cover", lambda cfg: pytest.fail("a stage ran"))
+        assert main(["cover-check", "--geometry", "flat2", "--m", "9"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: cannot write stdout: Bad file descriptor\n")
 
     def test_out_of_memory_is_numerical_failure(self, tmp_path, capsys, monkeypatch):
         # a lattice too large for memory fails in whichever stage allocates
@@ -902,7 +958,7 @@ class TestMainExitCodes:
         assert exc.value.code == EXIT_OK
         assert "usage: labcli" in capsys.readouterr().out
 
-    def test_write_csv_matches_per_cell_format(self, capsys):
+    def test_write_csv_matches_per_cell_format(self):
         rows = [["a", "0/1", 0.1, -0.0, float("inf"), float("-inf"), float("nan"), 3,
                  np.float64(1.0 / 3.0), np.float64(-2e-300), True, "", 1e22],
                 ["b", "2/3", np.float64(7.0), 0.5, 1.0, 2.0, 3.0, -4, 5.0, 6.0, False, "ok", 0.0],
@@ -916,12 +972,28 @@ class TestMainExitCodes:
         blocks = [Block(columns=list(zip(*rows[:2]))), Block(columns=list(zip(*rows[2:3]))),
                   Block(columns=[[], []]),
                   Block(columns=arrays, label="c%", nodes=nodes)]
-        write_csv(None, ["h"] * 13, blocks)
+        out = io.StringIO()
+        write_csv(out, ["h"] * 13, blocks)
         want = "\n".join([",".join(["h"] * 13)] + [",".join(fmt(v) for v in row)
                                                    for row in rows]) + "\n"
-        assert capsys.readouterr().out == want
+        assert out.getvalue() == want
         assert "-0,inf,-inf,nan,3,0.333333333333,-2e-300,True,,1e+22" in want
         assert "c%,12/3,1e+22,-8,False,0.333333333333" in want
+
+    def test_write_csv_writes_no_table_as_one_string(self):
+        class Recording(io.StringIO):
+            longest = 0
+
+            def write(self, text):
+                self.longest = max(self.longest, len(text))
+                return super().write(text)
+
+        header, blocks = run_curvature(ExperimentConfig(geometry="sphere2", m=21, t=0.3))
+        out = Recording()
+        write_csv(out, header, blocks)
+        rows = out.getvalue().splitlines(keepends=True)
+        assert len(rows) > 2 * len(blocks)
+        assert out.longest <= max(map(len, rows))
 
 
 def test_cli_import_skips_integrate_and_optimize():
