@@ -233,7 +233,6 @@ def pullback_metric(tr: Transition, g: MetricField, target: Lattice) -> MetricFi
     Y = np.where(finite[..., None], Y, 0.0)
     G, ok = interpolate_metric(g, Y)
     mask = ok & finite
-    G = np.where(mask[..., None, None], G, np.eye(target.n))
     out = np.swapaxes(J, -1, -2) @ G @ J
     out = 0.5 * (out + np.swapaxes(out, -1, -2))
     return MetricField(lattice=target, comps=pack_symmetric(out), mask=mask)

@@ -321,13 +321,14 @@ def run_deviation(cfg: ExperimentConfig):
 
     base_R = riemann(g)
     ev0, _ = sec_spectrum(base_R)
-    hi_ball = np.where(base_R.mask, ev0[..., -1], -np.inf)
-    neg_lo_ball = np.where(base_R.mask, -ev0[..., 0], -np.inf)  # the inf envelope, negated
+    # the sup envelope of sec_max, then the negated inf envelope of sec_min
+    sec_ball = np.where(base_R.mask[..., None],
+                        np.stack([ev0[..., -1], -ev0[..., 0]], axis=-1), -np.inf)
     # the sup envelope of each k_i, then the negated inf envelope of each
     spec_ball = np.where(base_R.mask[..., None], np.concatenate([ev0, -ev0], axis=-1), -np.inf)
     nev = ev0.shape[-1]  # eigenvalues per node, n(n-1)/2
     probe = lat.ball_mask(geo.r / 4.0, norm="max")
-    buf, spec_buf = np.empty(lat.shape), np.empty_like(spec_ball)
+    sec_buf, spec_buf = np.empty_like(sec_ball), np.empty_like(spec_ball)
     grown = grown_sec = 0  # box steps already applied to each envelope
 
     records = []
@@ -351,11 +352,10 @@ def run_deviation(cfg: ExperimentConfig):
         # sectional extremes against the inflated reference interval
         steps_sec = math.ceil(t / lat.h) + 1
         while grown_sec < steps_sec:
-            grow_box(hi_ball, buf, geo.n)
-            grow_box(neg_lo_ball, buf, geo.n)
+            grow_box(sec_ball, sec_buf, geo.n)
             grown_sec += 1
         lot, hit = evt[..., 0], evt[..., -1]
-        lo_ball = -neg_lo_ball
+        hi_ball, lo_ball = sec_ball[..., 0], -sec_ball[..., 1]
         c = INTERVAL_SLACK * t
         cand = np.stack([lo_ball * (1 - c), lo_ball * (1 + c),
                          hi_ball * (1 - c), hi_ball * (1 + c)])

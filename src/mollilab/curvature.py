@@ -12,8 +12,10 @@ J = (c, d), c < d, taken in `np.triu_indices(n, 1)` order,
 
 with S_m,kl = g_mk,l + g_ml,k - g_kl,m (twice the Christoffel symbol of the
 first kind).  Every derivative is a central difference of g itself; g^-1 is
-never differentiated.  The sign convention makes the sectional curvature of
-the plane spanned by v and w
+never differentiated.  Each independent entry is computed once: A_IJ and
+B_IJ for I <= J, mirrored into R_JI, and each mixed partial as d_y d_x g
+with x < y, so R is symmetric by construction.  The sign convention makes
+the sectional curvature of the plane spanned by v and w
 
     K(v, w) = R(v, w, v, w) / |v ^ w|^2 = om^T R om / om^T G om,  om = v ^ w,
 
@@ -37,19 +39,11 @@ from .lattice import (MetricField, central_diff, central_diff2, erode_mask, fold
 # Grid nodes per slab of the streamed Riemann builder, which takes
 # max(1, SLAB_NODES // m^(n-1)) whole axis-0 planes at a time and holds them
 # as contiguous component planes.  Its peak is the input, g^-1, the output
-# and one slab: 2.1 MB above the output and g^-1 on a 3-d m = 41 chart, one
+# and one slab: 1.6 MB above the output and g^-1 on a 3-d m = 41 chart, one
 # plane per slab.  Smaller slabs pay more per-slab overhead (2-d, m = 161);
 # 4096 and 8192 ran the builder 5-10 % faster on 2-d m = 161 and 3-d m = 25
 # charts, but made that slab 1.5 and 3 times as large.
 SLAB_NODES = 2048
-
-
-def _contract_first(mat: np.ndarray, tens: np.ndarray) -> np.ndarray:
-    """mat^{i m} tens_{m ...}: batched matmul over the first tensor index."""
-    head = mat.shape[:-2]
-    rest = tens.shape[len(head) + 1:]
-    flat = tens.reshape(head + (tens.shape[len(head)], -1))
-    return np.matmul(mat, flat).reshape(head + (mat.shape[-2],) + rest)
 
 
 @dataclass(frozen=True)
@@ -60,9 +54,9 @@ class RiemannField:
     R_abcd for the index pairs I = (a, b), a < b, and J = (c, d), c < d,
     in `np.triu_indices(n, 1)` order: one component per node in 2-d, six
     independent of nine stored in 3-d.  The sign makes the sectional
-    curvature K(v, w) = R(v, w, v, w) / |v ^ w|^2.  Symmetry in (I, J) is
-    exact.  `metric` is the metric R was built from, which every consumer
-    of R reads with it.
+    curvature K(v, w) = R(v, w, v, w) / |v ^ w|^2.  R is symmetric in
+    (I, J) bit for bit: R_JI is a copy of R_IJ.  `metric` is the metric R
+    was built from, which every consumer of R reads with it.
     """
 
     metric: MetricField
@@ -87,31 +81,39 @@ def _lambda2(comps: np.ndarray, n: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _slab_index(n: int):
-    """What the slab builder indexes with in dimension n, as plain tuples.
+    """What the slab builder indexes with in dimension n, as plain tuples;
+    each independent entry is listed once.
 
-    S: (m, k, l, P[m, k], P[m, l], P[k, l]) for k <= l, the entries of
-    S_mkl = d_l g_mk + d_k g_ml - d_m g_kl.  A: (I, J) and the four
-    (x, y, k) of d2[x, y, k] = d_y d_x g_k in the terms of
-    A_IJ = 1/2 (g_ad,bc + g_bc,ad - g_ac,bd - g_bd,ac).  B: (I, J, a, b, c, d)
-    for every I = (a, b) and J = (c, d).  D2: the entries of d2 that A
-    reads, as (x, y, k0, k1) for runs of components k0 <= k < k1.
+    S: (m, kl, l, mk, k, ml) for k <= l, the packed entry S[m, kl] of
+    S_mkl = d_l g_mk + d_k g_ml - d_m g_kl, kl = P[k, l] and so on.  A: (I, J)
+    for I <= J and the rows of d2 that hold the four terms of
+    A_IJ = 1/2 (g_ad,bc + g_bc,ad - g_ac,bd - g_bd,ac), each mixed partial
+    taken as d_y d_x g with x < y.  B: (I, J, bc, ad, bd, ac) for I <= J, the
+    packed pairs of 1/2 (Gamma^q_bc S_q,ad - Gamma^q_bd S_q,ac).  D2: the
+    rows of d2, the d_y d_x g_k with x <= y that A reads, as (x, y, k0, k1)
+    for runs of components k0 <= k < k1.
     """
     P = pack_map(n).tolist()
     pairs = list(zip(*(x.tolist() for x in np.triu_indices(n, 1))))
-    S = tuple((m, k, l, P[m][k], P[m][l], P[k][l])
+    S = tuple((m, P[k][l], l, P[m][k], k, P[m][l])
               for m in range(n) for k in range(n) for l in range(k, n))
-    A, B = [], []
+    terms, B = [], []
     for I, (a, b) in enumerate(pairs):
-        for J, (c, d) in enumerate(pairs):
-            A.append((I, J, (b, c, P[a][d]), (a, d, P[b][c]), (b, d, P[a][c]), (a, c, P[b][d])))
-            B.append((I, J, a, b, c, d))
+        for J, (c, d) in enumerate(pairs[I:], I):
+            terms.append((I, J, [(min(x, y), max(x, y), k) for x, y, k in
+                                 ((b, c, P[a][d]), (a, d, P[b][c]),
+                                  (b, d, P[a][c]), (a, c, P[b][d]))]))
+            B.append((I, J, P[b][c], P[a][d], P[b][d], P[a][c]))
+    rows = sorted({t for _, _, ts in terms for t in ts})
+    row = {t: r for r, t in enumerate(rows)}
+    A = tuple((I, J, *(row[t] for t in ts)) for I, J, ts in terms)
     D2 = []
-    for x, y, k in sorted({t for entry in A for t in entry[2:]}):
+    for x, y, k in rows:
         if D2 and D2[-1][:2] == (x, y) and D2[-1][3] == k:
             D2[-1] = (x, y, D2[-1][2], k + 1)
         else:
             D2.append((x, y, k, k + 1))
-    return S, tuple(A), tuple(B), tuple(D2)
+    return S, A, tuple(B), tuple(D2)
 
 
 def _planes(n: int, sl: slice) -> tuple:
@@ -142,33 +144,22 @@ def _diff2(v: np.ndarray, ax: int, n: int, h: float, out: np.ndarray) -> None:
     out /= h**2
 
 
-def _symmetrize(x: np.ndarray) -> None:
-    """x[I, J] = x[J, I] = (x[I, J] + x[J, I]) / 2 over the leading (I, J)
-    axes, in place, symmetric bit for bit."""
-    for I in range(x.shape[0]):
-        for J in range(I, x.shape[0]):
-            np.add(x[I, J], x[J, I], out=x[I, J])
-            x[I, J] *= 0.5
-            if J > I:
-                x[J, I] = x[I, J]
-
-
 def _slab_planes(comps: np.ndarray, ginv: np.ndarray, h: float, i0: int, i1: int):
-    """(A, B), symmetrized, on the planes i0 <= i < i1 along axis 0 of a
-    metric's packed components `comps` (grid + (n(n+1)/2,)), read as stored
-    at node spacing h, with its inverse `ginv` as `inverse_planes` gives it,
-    (n, n) + grid, in component layout: arrays (N, N) + slab, one
-    contiguous plane stack per (I, J).
+    """(A, B) on the planes i0 <= i < i1 along axis 0 of a metric's packed
+    components `comps` (grid + (n(n+1)/2,)), read as stored at node spacing
+    h, with its inverse `ginv` as `inverse_planes` gives it, (n, n) + grid,
+    in component layout: arrays (N, N) + slab, one contiguous plane stack
+    per (I, J).
 
     The slab reads its planes and a 2-plane halo with wrapped indices, so
     every difference is the one the periodic jet of the whole grid takes.
-    It holds one plane stack per packed component, per first derivative and
-    per second derivative d_y d_x g (the mixed ones nested in that order),
-    and every sum is taken in the order of the formulas above, so the output
-    is bit-equal to that of the node-major jet.  Gamma is the stacked matmul
-    of the slab's g^-1 with S (`_contract_first`), both copied node-major
-    and C-contiguous: numpy hands that product to BLAS, whose sums explicit
-    ones would not reproduce bit for bit.
+    It holds one plane stack per packed component, per first derivative,
+    per second derivative d_y d_x g with x <= y that A reads, per S_mkl and
+    per Gamma^q_kl with k <= l.  Each independent entry is computed once:
+    A[I, J] and B[I, J] for I <= J, copied into [J, I], so both are
+    symmetric by construction.  Every sum is an explicit chain of whole-plane calls in
+    the order of the formulas above; Gamma^q_bc = 1/2 g^qp S_p,bc is summed
+    over p = 0, 1, ... straight from the planes of `ginv`.
     """
     n, m = comps.ndim - 1, comps.shape[0]
     S_index, A_index, B_index, D2_index = _slab_index(n)
@@ -177,58 +168,63 @@ def _slab_planes(comps: np.ndarray, ginv: np.ndarray, h: float, i0: int, i1: int
               else np.arange(i0 - 2, i1 + 2) % m)
     K, pairs = n * (n + 1) // 2, n * (n - 1) // 2
     vals = np.empty((K, i1 - i0 + 4) + comps.shape[1:-1])
-    grid = tuple(range(n))
-    np.copyto(vals, comps[planes].transpose((n,) + grid))
+    np.copyto(vals, comps[planes].transpose((n,) + tuple(range(n))))
     slab = (i1 - i0,) + vals.shape[2:]
     d1 = np.empty((n, K, slab[0] + 2) + slab[1:])     # planes i0-1 .. i1
     for ax in range(n):
         _diff(vals, ax, n, h, d1[ax])
-    d2 = np.empty((n, n, K) + slab)                    # d2[x, y] = d_y d_x g
+    d2 = np.empty((sum(k1 - k0 for _, _, k0, k1 in D2_index),) + slab)
+    r = 0
     for x, y, k0, k1 in D2_index:
+        rows, r = d2[r:r + k1 - k0], r + k1 - k0
         if x == y:
-            _diff2(vals[k0:k1, 1:-1], x, n, h, d2[x, x, k0:k1])
+            _diff2(vals[k0:k1, 1:-1], x, n, h, rows)
         else:
-            _diff(d1[x, k0:k1], y, n, h, d2[x, y, k0:k1])
+            _diff(d1[x, k0:k1], y, n, h, rows)
     del vals
     A = np.empty((pairs, pairs) + slab)
     for I, J, t1, t2, t3, t4 in A_index:
-        np.add(d2[t1], d2[t2], out=A[I, J])
-        A[I, J] -= d2[t3]
-        A[I, J] -= d2[t4]
-    A *= 0.5
+        acc = A[I, J]
+        np.add(d2[t1], d2[t2], out=acc)
+        acc -= d2[t3]
+        acc -= d2[t4]
+        acc *= 0.5
+        if J > I:
+            A[J, I] = acc
     del d2
     dg = d1[:, :, 1:-1]
-    S = np.empty((n, n, n) + slab)
-    for i, k, l, ik, il, kl in S_index:
-        np.add(dg[l, ik], dg[k, il], out=S[i, k, l])
-        S[i, k, l] -= dg[i, kl]
-        if l > k:
-            S[i, l, k] = S[i, k, l]
+    S = np.empty((n, K) + slab)                        # S[m, P[k, l]] = S_mkl
+    for i, kl, l, ik, k, il in S_index:
+        np.add(dg[l, ik], dg[k, il], out=S[i, kl])
+        S[i, kl] -= dg[i, kl]
     del d1, dg
-    # 1/4 g^pq S_p,bc S_q,ad = 1/2 Gamma^q_bc S_q,ad, Gamma^q_bc = g^qp S_p,bc / 2
-    node_major = np.ascontiguousarray(S.transpose(tuple(range(3, n + 3)) + (0, 1, 2)))
-    slab_inv = np.ascontiguousarray(ginv[:, :, i0:i1].transpose(tuple(range(2, n + 2)) + (0, 1)))
-    gamma = np.ascontiguousarray(_contract_first(slab_inv, node_major)
-                                 .transpose((n, n + 1, n + 2) + grid))
+    # 1/4 g^pq S_p,bc S_q,ad = 1/2 Gamma^q_bc S_q,ad
+    inv = ginv[:, :, i0:i1]
+    gamma = np.empty((n, K) + slab)                    # gamma[q, P[b, c]] = Gamma^q_bc
+    prod = np.empty(slab)
+    for q in range(n):
+        for bc in range(K):
+            acc = gamma[q, bc]
+            np.multiply(inv[q, 0], S[0, bc], out=acc)
+            for p in range(1, n):
+                np.multiply(inv[q, p], S[p, bc], out=prod)
+                acc += prod
     gamma *= 0.5
-    del node_major, slab_inv
     B = np.empty((pairs, pairs) + slab)
-    term, prod = np.empty(slab), np.empty(slab)
-    for I, J, a, b, c, d in B_index:
+    term = np.empty(slab)
+    for I, J, bc, ad, bd, ac in B_index:
         acc = B[I, J]
-        np.multiply(gamma[0, b, c], S[0, a, d], out=acc)
-        np.multiply(gamma[0, b, d], S[0, a, c], out=prod)
+        np.multiply(gamma[0, bc], S[0, ad], out=acc)
+        np.multiply(gamma[0, bd], S[0, ac], out=prod)
         acc -= prod
-        acc += 0.0  # Python's sum starts at 0, which turns a -0.0 first term into +0.0
         for q in range(1, n):
-            np.multiply(gamma[q, b, c], S[q, a, d], out=term)
-            np.multiply(gamma[q, b, d], S[q, a, c], out=prod)
+            np.multiply(gamma[q, bc], S[q, ad], out=term)
+            np.multiply(gamma[q, bd], S[q, ac], out=prod)
             term -= prod
             acc += term
-    B *= 0.5
-    # nested central differences in the other order differ in round-off
-    _symmetrize(A)
-    _symmetrize(B)
+        acc *= 0.5
+        if J > I:
+            B[J, I] = acc
     return A, B
 
 
@@ -242,6 +238,8 @@ def riemann(g: MetricField) -> RiemannField:
     along axis 0, at g's own spacing, into one preallocated full-grid
     output (zero outside the crop); the peak is the input, g^-1, the output
     and one slab's component planes.  g^-1 is taken on the crop alone.
+    Each slab computes every independent entry once, as explicit sums of
+    whole planes: no BLAS call and no averaging of the two triangles.
 
     g must be a checked metric (`lattice.check_definite`), as
     `sample_metric` and `assemble_mollified` make; it is not checked again

@@ -19,7 +19,7 @@ def s_tensor(dg: np.ndarray) -> np.ndarray:
 
 
 def slab_parts(g: MetricField, ginv: np.ndarray, i0: int, i1: int):
-    """(A, B), symmetrized, on the planes i0 <= i < i1 along axis 0 of g,
-    node-major: slab + (N, N)."""
+    """(A, B), each symmetric by construction, on the planes i0 <= i < i1
+    along axis 0 of g, node-major: slab + (N, N)."""
     planes = _slab_planes(g.comps, ginv, g.lattice.h, i0, i1)
     return tuple(np.moveaxis(x, (0, 1), (-2, -1)) for x in planes)

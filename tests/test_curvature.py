@@ -11,7 +11,7 @@ from mollilab import cli
 from mollilab.atlas import assemble_mollified
 import mollilab.curvature as curvature
 import mollilab.lattice as lattice
-from mollilab.curvature import (RiemannField, _contract_first, _lambda2, _pair_axes,
+from mollilab.curvature import (RiemannField, _lambda2, _pair_axes, _slab_index,
                                 riemann, sec_extreme_fields, sec_spectrum)
 from mollilab.kernels import scale_kernel
 from mollilab.lattice import (MetricField, _jet_blocks, erode_mask, inverse_planes,
@@ -169,16 +169,25 @@ class TestRiemann:
         assert np.abs(B[mask]).max() < 1e-13
 
 
+def _hessian_part(d2, n: int) -> np.ndarray:
+    """A_IJ = 1/2 (g_ad,bc + g_bc,ad - g_ac,bd - g_bd,ac) from d2(i, j, x, y) =
+    d_y d_x g_ij, each mixed partial read as the builder reads it, with
+    x < y.  A is then symmetric in (I, J) bit for bit: A_JI adds its first
+    two terms in the other order."""
+    a, b, c, d = _pair_axes(n)
+
+    def term(i, j, x, y):
+        return d2(i, j, np.minimum(x, y), np.maximum(x, y))
+    return 0.5 * (term(a, d, b, c) + term(b, c, a, d) - term(a, c, b, d) - term(b, d, a, c))
+
+
 def _full_matrix_hessian_part(g: MetricField) -> np.ndarray:
-    """A_IJ = 1/2 (g_ad,bc + g_bc,ad - g_ac,bd - g_bd,ac) from the jet of the
-    full n x n matrices, d2g[..., i, j, x, y] = d_y d_x g_ij."""
+    """The Hessian part A from the jet of the full n x n matrices,
+    d2g[..., i, j, x, y] = d_y d_x g_ij."""
     lat = g.lattice
     mats = np.where(g.mask[..., None, None], _matrices(g), 0.0)
     d2g = _jet_blocks(mats, lat.n, lat.h, 2)[2]
-    a, b, c, d = _pair_axes(lat.n)
-    A = 0.5 * (d2g[..., a, d, b, c] + d2g[..., b, c, a, d]
-               - d2g[..., a, c, b, d] - d2g[..., b, d, a, c])
-    return 0.5 * (A + np.swapaxes(A, -2, -1))
+    return _hessian_part(lambda i, j, x, y: d2g[..., i, j, x, y], lat.n)
 
 
 @pytest.mark.parametrize("mollified", [False, True])
@@ -196,61 +205,131 @@ def test_packed_jet_gives_full_matrix_hessian_part(mollified):
     assert np.array_equal(A[mask], _full_matrix_hessian_part(g)[mask])
 
 
-def _whole_grid_parts(g: MetricField):
-    """The builder before streaming, kept as the reference: A and B from the
-    whole periodic 2-jet of the stored components of the centred cube that
-    holds g's mask with a 2-node pad, taken at g's spacing, symmetrized and
-    pasted into g's grid, with their valid mask."""
+def _whole_grid_jet(g: MetricField):
+    """The crop the builder takes (the centred cube that holds g's mask
+    with a 2-node pad), the whole periodic 2-jet of its stored components
+    at g's spacing, S_mkl node-major and g^-1 on it."""
     n, m = g.lattice.n, g.lattice.m
     nodes = np.argwhere(g.mask)
     trim = max(min(nodes.min(), m - 1 - nodes.max()) - 2, 0)
     del nodes  # not part of the reference's peak
     crop = (slice(trim, m - trim),) * n
     _, dg, d2g = _jet_blocks(g.comps[crop], n, g.lattice.h, 2)
+    S = s_tensor(dg[..., pack_map(n), :])
+    return crop, d2g, S, _inverse(g.comps, n)[crop]
+
+
+def _pasted(g: MetricField, crop, parts):
+    """parts pasted into zero arrays on g's grid, with their valid mask."""
+    full = []
+    for x in parts:
+        full.append(np.zeros(g.mask.shape + x.shape[-2:]))
+        full[-1][crop] = x
+    mask = np.zeros_like(g.mask)
+    mask[crop] = erode_mask(g.mask[crop], 2)
+    return (*full, mask)
+
+
+def _whole_grid_parts(g: MetricField):
+    """The builder before streaming, kept as the reference: A and B from
+    the whole-grid jet, node-major, each sum in the builder's order, with
+    their valid mask.  Gamma^q_bc = 1/2 sum_p g^qp S_p,bc is summed over
+    p = 0, 1, ..., and B_IJ for I < J is mirrored into B_JI."""
+    n = g.lattice.n
+    crop, d2g, S, ginv = _whole_grid_jet(g)
+    P = pack_map(n)
+    A = _hessian_part(lambda i, j, x, y: d2g[..., P[i, j], x, y], n)
+    gamma = ginv[..., :, 0, None, None] * S[..., None, 0, :, :]
+    for p in range(1, n):
+        gamma += ginv[..., :, p, None, None] * S[..., None, p, :, :]
+    gamma *= 0.5
+    a, b, c, d = _pair_axes(n)
+    B = gamma[..., 0, b, c] * S[..., 0, a, d] - gamma[..., 0, b, d] * S[..., 0, a, c]
+    for q in range(1, n):
+        B += gamma[..., q, b, c] * S[..., q, a, d] - gamma[..., q, b, d] * S[..., q, a, c]
+    B *= 0.5
+    I, J = np.triu_indices(A.shape[-1], 1)
+    B[..., J, I] = B[..., I, J]
+    return _pasted(g, crop, (A, B))
+
+
+def _averaged_riemann(g: MetricField) -> np.ndarray:
+    """R as the builder took it before each independent entry was computed
+    once, kept as a round-off reference: every mixed partial in both
+    nesting orders, Gamma from numpy's stacked matmul (BLAS) and the two
+    triangles of A and B averaged."""
+    n = g.lattice.n
+    crop, d2g, S, ginv = _whole_grid_jet(g)
     P = pack_map(n)
     a, b, c, d = _pair_axes(n)
     A = 0.5 * (d2g[..., P[a, d], b, c] + d2g[..., P[b, c], a, d]
                - d2g[..., P[a, c], b, d] - d2g[..., P[b, d], a, c])
-    S = s_tensor(dg[..., P, :])
-    gamma = 0.5 * _contract_first(_inverse(g.comps, g.lattice.n)[crop], S)
+    gamma = 0.5 * np.matmul(ginv, S.reshape(S.shape[:-2] + (-1,))).reshape(S.shape)
     B = 0.5 * sum(gamma[..., q, b, c] * S[..., q, a, d]
                   - gamma[..., q, b, d] * S[..., q, a, c] for q in range(n))
-    parts = []
-    for x in (A, B):
-        full = np.zeros(g.mask.shape + x.shape[-2:])
-        full[crop] = 0.5 * (x + np.swapaxes(x, -2, -1))
-        parts.append(full)
-    mask = np.zeros_like(g.mask)
-    mask[crop] = erode_mask(g.mask[crop], 2)
-    return parts[0], parts[1], mask
+    R = 0.5 * (A + np.swapaxes(A, -2, -1)) + 0.5 * (B + np.swapaxes(B, -2, -1))
+    return _pasted(g, crop, [R])[0]
 
 
 SHIPPED = ["flat2", "flat3", "flat2-single", "flat3-single", "sphere2", "sphere3",
            "hyperbolic2", "hyperbolic3", "pflat2", "pflat3"]
 
 
+def _raw_and_mollified(name):
+    """m and the raw and mollified (t = 0.4 r) charts of a shipped model at
+    m = 21 in 2-d, 13 in 3-d; the one-chart models' mollified masks are
+    cropped."""
+    geo = get_geometry(name)
+    m = 21 if geo.n == 2 else 13
+    lat = geo.chart_lattice(m)
+    samples = geo.sample_all(m)
+    mollified = assemble_mollified(geo.atlas, samples,
+                                   scale_kernel(geo.n, 0.4 * geo.r, lat.h))
+    assert any(not g.mask.all() for g in mollified.values())
+    return m, [*samples.values(), *mollified.values()]
+
+
 class TestStreamedBuilder:
     @pytest.mark.parametrize("name", SHIPPED)
     def test_bit_equal_to_whole_grid_jet(self, name, monkeypatch):
-        # raw and mollified charts (the one-chart models' mollified masks
-        # are cropped), with the default slab and with slabs of m^(n-1) and
-        # 3 m^(n-1) nodes: one and three planes of a whole chart, so the
-        # last slab is short and the halo wraps at both ends
-        geo = get_geometry(name)
-        m = 21 if geo.n == 2 else 13
-        lat = geo.chart_lattice(m)
-        samples = geo.sample_all(m)
-        mollified = assemble_mollified(geo.atlas, samples,
-                                       scale_kernel(geo.n, 0.4 * geo.r, lat.h))
+        # raw and mollified charts, with the default slab and with slabs of
+        # m^(n-1) and 3 m^(n-1) nodes: one and three planes of a whole
+        # chart, so the last slab is short and the halo wraps at both ends
+        m, charts = _raw_and_mollified(name)
         default = curvature.SLAB_NODES
-        for g in (*samples.values(), *mollified.values()):
+        for g in charts:
             A_ref, B_ref, mask_ref = _whole_grid_parts(g)
-            for slab in (default, m ** (geo.n - 1), 3 * m ** (geo.n - 1)):
+            for slab in (default, m ** (g.lattice.n - 1), 3 * m ** (g.lattice.n - 1)):
                 monkeypatch.setattr(curvature, "SLAB_NODES", slab)
                 R = riemann(g)
                 assert np.array_equal(R.riem, A_ref + B_ref)
                 assert np.array_equal(R.mask, mask_ref)
-        assert any(not g.mask.all() for g in mollified.values())
+
+    @pytest.mark.parametrize("name", SHIPPED)
+    def test_within_round_off_of_the_averaged_builder(self, name):
+        # computing each independent entry once moves R only by round-off
+        # from the builder that took both triangles and averaged them
+        for g in _raw_and_mollified(name)[1]:
+            R = riemann(g).riem
+            bound = 4 * np.finfo(float).eps * np.abs(R).max()
+            assert np.abs(R - _averaged_riemann(g)).max() <= bound
+
+    @pytest.mark.parametrize("n,entries,planes,mixed", [(3, 6, 21, 12), (4, 21, 72, 48)])
+    def test_slab_index_takes_each_entry_once(self, n, entries, planes, mixed):
+        # A and B for I <= J only; each second derivative A reads is one
+        # row of d2, a mixed one only as d_y d_x g with x < y; S and Gamma
+        # for k <= l
+        S, A, B, D2 = _slab_index(n)
+        N = n * (n - 1) // 2
+        upper = [(I, J) for I in range(N) for J in range(I, N)]
+        assert len(upper) == entries
+        assert [t[:2] for t in A] == [t[:2] for t in B] == upper
+        rows = [(x, y, k) for x, y, k0, k1 in D2 for k in range(k0, k1)]
+        assert len(set(rows)) == len(rows) == planes
+        assert all(x <= y for x, y, _ in rows)
+        assert sum(x < y for x, y, _ in rows) == mixed
+        assert {r for t in A for r in t[2:]} == set(range(planes))
+        assert len({t[:2] for t in S}) == len(S) == n * n * (n + 1) // 2
 
     @pytest.mark.parametrize("masked", [False, True], ids=["whole", "cropped"])
     def test_bit_equal_to_whole_grid_jet_in_4d(self, masked, monkeypatch):
