@@ -39,10 +39,10 @@ from .lattice import (MetricField, central_diff, central_diff2, erode_mask, fold
 # Grid nodes per slab of the streamed Riemann builder, which takes
 # max(1, SLAB_NODES // m^(n-1)) whole axis-0 planes at a time and holds them
 # as contiguous component planes.  Its peak is the input, g^-1, the output
-# and one slab: 1.6 MB above the output and g^-1 on a 3-d m = 41 chart, one
-# plane per slab.  Smaller slabs pay more per-slab overhead (2-d, m = 161);
-# 4096 and 8192 ran the builder 5-10 % faster on 2-d m = 161 and 3-d m = 25
-# charts, but made that slab 1.5 and 3 times as large.
+# and one slab: 1.04 MB above the output and g^-1 on a 3-d m = 41 chart, one
+# plane per slab (tracemalloc).  Smaller slabs pay more per-slab overhead
+# (2-d, m = 161); 4096 and 8192 ran the builder 5-10 % faster on 2-d
+# m = 161 and 3-d m = 25 charts, but made that slab 1.5 and 3 times as large.
 SLAB_NODES = 2048
 
 
@@ -116,34 +116,6 @@ def _slab_index(n: int):
     return S, A, tuple(B), tuple(D2)
 
 
-def _planes(n: int, sl: slice) -> tuple:
-    """Index of sl along grid axis 0 of an array whose last n axes are the grid."""
-    return (Ellipsis, sl) + (slice(None),) * (n - 1)
-
-
-def _diff(v: np.ndarray, ax: int, n: int, h: float, out: np.ndarray) -> None:
-    """`central_diff` along grid axis ax into out, for planes v that carry
-    one halo plane on each side of axis 0, which out drops; along axis 0
-    the halo stands in for the wrap."""
-    if ax:
-        central_diff(v[_planes(n, slice(1, -1))], ax - n, h, out=out)
-        return
-    np.subtract(v[_planes(n, slice(2, None))], v[_planes(n, slice(None, -2))], out=out)
-    out /= 2.0 * h
-
-
-def _diff2(v: np.ndarray, ax: int, n: int, h: float, out: np.ndarray) -> None:
-    """`central_diff2` along grid axis ax into out, likewise."""
-    mid = v[_planes(n, slice(1, -1))]
-    if ax:
-        central_diff2(mid, ax - n, h, out=out)
-        return
-    np.multiply(mid, 2.0, out=out)
-    np.subtract(v[_planes(n, slice(2, None))], out, out=out)
-    out += v[_planes(n, slice(None, -2))]
-    out /= h**2
-
-
 def _slab_planes(comps: np.ndarray, ginv: np.ndarray, h: float, i0: int, i1: int):
     """(A, B) on the planes i0 <= i < i1 along axis 0 of a metric's packed
     components `comps` (grid + (n(n+1)/2,)), read as stored at node spacing
@@ -151,9 +123,12 @@ def _slab_planes(comps: np.ndarray, ginv: np.ndarray, h: float, i0: int, i1: int
     in component layout: arrays (N, N) + slab, one contiguous plane stack
     per (I, J).
 
-    The slab reads its planes and a 2-plane halo with wrapped indices, so
-    every difference is the one the periodic jet of the whole grid takes.
-    It holds one plane stack per packed component, per first derivative,
+    The slab reads its planes and one halo plane on each side inside the
+    crop, so every difference is the one `lattice.central_diff` and
+    `central_diff2` take on the whole crop, 0 at its two ends.  Only d_0 g
+    and d_0^2 g read across the slab's edges: every mixed partial is
+    d_y d_x g with y > x >= 0, taken within the slab's own planes.  It
+    holds one plane stack per packed component, per first derivative,
     per second derivative d_y d_x g with x <= y that A reads, per S_mkl and
     per Gamma^q_kl with k <= l.  Each independent entry is computed once:
     A[I, J] and B[I, J] for I <= J, copied into [J, I], so both are
@@ -161,27 +136,30 @@ def _slab_planes(comps: np.ndarray, ginv: np.ndarray, h: float, i0: int, i1: int
     the order of the formulas above; Gamma^q_bc = 1/2 g^qp S_p,bc is summed
     over p = 0, 1, ... straight from the planes of `ginv`.
     """
-    n, m = comps.ndim - 1, comps.shape[0]
+    n, mc = comps.ndim - 1, comps.shape[0]
     S_index, A_index, B_index, D2_index = _slab_index(n)
-    # the planes i0 - 2 .. i1 + 1, wrapped only at the ends of the grid
-    planes = (slice(i0 - 2, i1 + 2) if 2 <= i0 and i1 + 2 <= m
-              else np.arange(i0 - 2, i1 + 2) % m)
+    lo, hi = max(i0 - 1, 0), min(i1 + 1, mc)
+    own = slice(i0 - lo, i1 - lo)                      # the slab's planes among lo .. hi - 1
     K, pairs = n * (n + 1) // 2, n * (n - 1) // 2
-    vals = np.empty((K, i1 - i0 + 4) + comps.shape[1:-1])
-    np.copyto(vals, comps[planes].transpose((n,) + tuple(range(n))))
-    slab = (i1 - i0,) + vals.shape[2:]
-    d1 = np.empty((n, K, slab[0] + 2) + slab[1:])     # planes i0-1 .. i1
-    for ax in range(n):
-        _diff(vals, ax, n, h, d1[ax])
+    vals = np.empty((K, hi - lo) + comps.shape[1:-1])  # axis x + 1 is grid axis x
+    np.copyto(vals, comps[lo:hi].transpose((n,) + tuple(range(n))))
+    mid = vals[:, own]
+    slab = mid.shape[1:]
+    dg = np.empty((n, K) + slab)
+    np.copyto(dg[0], central_diff(vals, 1, h)[:, own])
+    for x in range(1, n):
+        central_diff(mid, x + 1, h, out=dg[x])
     d2 = np.empty((sum(k1 - k0 for _, _, k0, k1 in D2_index),) + slab)
     r = 0
     for x, y, k0, k1 in D2_index:
         rows, r = d2[r:r + k1 - k0], r + k1 - k0
-        if x == y:
-            _diff2(vals[k0:k1, 1:-1], x, n, h, rows)
+        if x < y:
+            central_diff(dg[x, k0:k1], y + 1, h, out=rows)
+        elif x:
+            central_diff2(mid[k0:k1], x + 1, h, out=rows)
         else:
-            _diff(d1[x, k0:k1], y, n, h, rows)
-    del vals
+            np.copyto(rows, central_diff2(vals[k0:k1], 1, h)[:, own])
+    del vals, mid
     A = np.empty((pairs, pairs) + slab)
     for I, J, t1, t2, t3, t4 in A_index:
         acc = A[I, J]
@@ -192,12 +170,11 @@ def _slab_planes(comps: np.ndarray, ginv: np.ndarray, h: float, i0: int, i1: int
         if J > I:
             A[J, I] = acc
     del d2
-    dg = d1[:, :, 1:-1]
     S = np.empty((n, K) + slab)                        # S[m, P[k, l]] = S_mkl
     for i, kl, l, ik, k, il in S_index:
         np.add(dg[l, ik], dg[k, il], out=S[i, kl])
         S[i, kl] -= dg[i, kl]
-    del d1, dg
+    del dg
     # 1/4 g^pq S_p,bc S_q,ad = 1/2 Gamma^q_bc S_q,ad
     inv = ginv[:, :, i0:i1]
     gamma = np.empty((n, K) + slab)                    # gamma[q, P[b, c]] = Gamma^q_bc
@@ -232,8 +209,8 @@ def riemann(g: MetricField) -> RiemannField:
     """The curvature operator R_IJ = R_abcd = A_IJ + B_IJ of g.
 
     The builder reads g through the slices of one centred cube: the
-    smallest that holds the mask with a 2-node pad for the stencils, so
-    heavily eroded masks (large smoothing scales) cost proportionally less.
+    smallest that holds the mask with a 2-node pad, so heavily eroded
+    masks (large smoothing scales) cost proportionally less.
     That crop is streamed in slabs of about SLAB_NODES nodes, whole planes
     along axis 0, at g's own spacing, into one preallocated full-grid
     output (zero outside the crop); the peak is the input, g^-1, the output

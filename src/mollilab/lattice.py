@@ -30,7 +30,7 @@ contiguous (i, j) plane at a time (`inverse_planes`), its one layout.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from itertools import combinations_with_replacement
 
 import numpy as np
 from scipy import ndimage
@@ -420,57 +420,56 @@ def sample_metric(fn, lattice: Lattice) -> MetricField:
 # ---------------------------------------------------------------------------
 # finite differences
 
-@lru_cache(maxsize=None)
-def _rolled(axis: int, m: int) -> tuple:
-    """np.roll(v, -1, axis) and np.roll(v, 1, axis), for v m long along axis,
-    as slices of v: index triples (out, next, prev) for the interior and
-    the two wrapped ends."""
-    lead = (slice(None),) * axis
-    return tuple(tuple(lead + (sl,) for sl in triple) for triple in (
-        (slice(1, m - 1), slice(2, m), slice(0, m - 2)),
-        (slice(0, 1), slice(1, 2), slice(m - 1, m)),
-        (slice(m - 1, m), slice(0, 1), slice(m - 2, m - 1))))
-
-
 def central_diff(values: np.ndarray, axis: int, h: float, out=None) -> np.ndarray:
-    """Second-order central first derivative, periodic along `axis` (into
-    `out` when given); edge entries are garbage."""
+    """Second-order central first derivative along `axis` (into `out` when
+    given): (next - prev) / 2h on the interior, both end entries 0."""
     axis %= values.ndim
+    lead = (slice(None),) * axis
     out = np.empty(values.shape) if out is None else out
-    for o, nxt, prv in _rolled(axis, values.shape[axis]):
-        np.subtract(values[nxt], values[prv], out=out[o])
+    np.subtract(values[lead + (slice(2, None),)], values[lead + (slice(None, -2),)],
+                out=out[lead + (slice(1, -1),)])
+    out[lead + (0,)] = out[lead + (-1,)] = 0.0
     out /= 2.0 * h
     return out
 
 
 def central_diff2(values: np.ndarray, axis: int, h: float, out=None) -> np.ndarray:
-    """Three-point second derivative, periodic along `axis` (into `out` when
-    given), summed (next - 2 v) + prev; edge entries are garbage."""
+    """Three-point second derivative along `axis` (into `out` when given),
+    summed (next - 2 v) + prev, over h^2, on the interior; both end entries 0."""
     axis %= values.ndim
-    out = np.multiply(values, 2.0, out=out)
-    for o, nxt, prv in _rolled(axis, values.shape[axis]):
-        at = out[o]
-        np.subtract(values[nxt], at, out=at)
-        at += values[prv]
+    lead = (slice(None),) * axis
+    out = np.empty(values.shape) if out is None else out
+    at = out[lead + (slice(1, -1),)]
+    np.multiply(values[lead + (slice(1, -1),)], 2.0, out=at)
+    np.subtract(values[lead + (slice(2, None),)], at, out=at)
+    at += values[lead + (slice(None, -2),)]
+    out[lead + (0,)] = out[lead + (-1,)] = 0.0
     out /= h**2
     return out
 
 
 def _jet_blocks(values: np.ndarray, n: int, h: float, order: int) -> list[np.ndarray]:
-    """Derivative blocks with trailing derivative axes appended.
+    """Derivative blocks of `values` along its first n axes, each with one
+    trailing derivative axis appended.
 
-    Block k has shape values.shape + (n,)*k, and block 0 is values itself.
-    Mixed partials are nested central differences, so index-permutation
-    symmetry is exact.
+    Block k has shape values.shape + (C(n+k-1, k),), one entry per sorted
+    multi-index x_1 <= ... <= x_k in `itertools.combinations_with_replacement`
+    order, taken once, as d_{x_k} of block k-1's entry (x_1 ... x_{k-1});
+    the pure second derivatives come from the compact 3-point stencil.
+    Block 0 is values itself, and block 2 is in `pack_map` order, each mixed
+    partial nested as the Riemann slab builder nests it.
     """
     blocks = [values]
     for k in range(1, order + 1):
-        dk = np.empty(blocks[-1].shape + (n,))
-        for ax in range(n):
-            central_diff(blocks[-1], ax, h, out=dk[..., ax])
-            if k == 2:
-                # pure second derivatives via the compact 3-point stencil
-                central_diff2(values, ax, h, out=dk[..., ax, ax])
+        prev = {xs: j for j, xs in enumerate(combinations_with_replacement(range(n), k - 1))}
+        plan = list(combinations_with_replacement(range(n), k))
+        dk = np.empty(values.shape + (len(plan),))
+        for j, xs in enumerate(plan):
+            if k == 2 and xs[0] == xs[1]:
+                central_diff2(values, xs[0], h, out=dk[..., j])
+            else:
+                src = values if k == 1 else blocks[-1][..., prev[xs[:-1]]]
+                central_diff(src, xs[-1], h, out=dk[..., j])
         blocks.append(dk)
     return blocks
 
@@ -479,10 +478,11 @@ def _jet_blocks(values: np.ndarray, n: int, h: float, order: int) -> list[np.nda
 class JetField:
     """All partial derivatives of a field up to a given order.
 
-    For a scalar base, block k has shape grid + (n,)*k.  For a metric
-    base, block k has shape grid + (n(n+1)/2,) + (n,)*k: the packed
-    component axis, in `pack_map` order, comes before the derivative axes,
-    which are appended in differentiation order.
+    For a scalar base, block k has shape grid + (C(n+k-1, k),), one entry
+    per sorted multi-index in `itertools.combinations_with_replacement`
+    order (see `_jet_blocks`).  For a metric base, block k has shape
+    grid + (n(n+1)/2, C(n+k-1, k)): the packed component axis, in
+    `pack_map` order, comes before the derivative axis.
     """
 
     blocks: tuple = field(repr=False)

@@ -1,6 +1,8 @@
 """Tests for the command-line experiments."""
 import io
 import os
+import re
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -30,7 +32,8 @@ from mollilab.cli import (EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, EXIT_VIOLATION,
                           run_norms, write_csv)
 
 
-EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
+ROOT = Path(__file__).resolve().parent.parent
+EXAMPLES = ROOT / "examples"
 
 # the settings each subcommand reads, and a valid value of each setting some subcommand does not
 _READS = {"curvature": "geometry R amp m t alpha seed out",
@@ -1006,3 +1009,43 @@ def test_cli_import_skips_integrate_and_optimize():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True).stdout
     assert out.strip() == "[]"
+
+
+_SHELL_OPS = {"|", "||", "&&", ";", ">", "2>"}
+
+
+def _command_lines(text):
+    """The argv of every labcli command line in `text`, each as its words
+    joined by single spaces: a shell line or a Markdown code span starting
+    with `labcli` (backslash continuations joined, cut at its first pipe,
+    redirection or `||`), and each quoted argv of a `for args in ...; do`
+    list that feeds `labcli $args`.  A command line holds at least one
+    option; a bare `labcli curvature` in prose names a subcommand."""
+    text = text.replace("\\\n", " ")
+    found = [m.group(1) for m in re.finditer(r"`labcli ([^`]+)`", text)]
+    found += re.findall(r"^\s*(?:run:\s*)?labcli (.*)$", text, flags=re.M)
+    for loop in re.findall(r"for args in (.*?); do", text, flags=re.S):
+        found += shlex.split(loop)
+    argvs = []
+    for line in found:
+        words = shlex.split(line)
+        cut = next((k for k, w in enumerate(words) if w in _SHELL_OPS), len(words))
+        if any(w.startswith("--") for w in words[:cut]):
+            argvs.append(" ".join(words[:cut]))
+    return argvs
+
+
+def _literal(argv):
+    """No shell variable and no placeholder such as FILE."""
+    return not any("$" in w or (w.isalpha() and w.isupper()) for w in argv.split())
+
+
+def test_every_literal_command_line_is_on_the_argv_list():
+    listed = {" ".join(shlex.split(line)) for line in
+              (ROOT / "tests" / "cli_argv.txt").read_text().splitlines()
+              if line.strip() and not line.startswith("#")}
+    for source in (ROOT / "README.md", ROOT / ".github" / "workflows" / "tier1.yml"):
+        lines = _command_lines(source.read_text())
+        assert len(lines) >= 8, source
+        missing = [a for a in lines if _literal(a) and a not in listed]
+        assert missing == [], source

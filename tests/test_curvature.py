@@ -183,11 +183,12 @@ def _hessian_part(d2, n: int) -> np.ndarray:
 
 def _full_matrix_hessian_part(g: MetricField) -> np.ndarray:
     """The Hessian part A from the jet of the full n x n matrices,
-    d2g[..., i, j, x, y] = d_y d_x g_ij."""
+    d2g[..., i, j, P[x, y]] = d_y d_x g_ij for x <= y."""
     lat = g.lattice
     mats = np.where(g.mask[..., None, None], _matrices(g), 0.0)
     d2g = _jet_blocks(mats, lat.n, lat.h, 2)[2]
-    return _hessian_part(lambda i, j, x, y: d2g[..., i, j, x, y], lat.n)
+    P = pack_map(lat.n)
+    return _hessian_part(lambda i, j, x, y: d2g[..., i, j, P[x, y]], lat.n)
 
 
 @pytest.mark.parametrize("mollified", [False, True])
@@ -207,7 +208,7 @@ def test_packed_jet_gives_full_matrix_hessian_part(mollified):
 
 def _whole_grid_jet(g: MetricField):
     """The crop the builder takes (the centred cube that holds g's mask
-    with a 2-node pad), the whole periodic 2-jet of its stored components
+    with a 2-node pad), the whole 2-jet of its stored components
     at g's spacing, S_mkl node-major and g^-1 on it."""
     n, m = g.lattice.n, g.lattice.m
     nodes = np.argwhere(g.mask)
@@ -238,7 +239,7 @@ def _whole_grid_parts(g: MetricField):
     n = g.lattice.n
     crop, d2g, S, ginv = _whole_grid_jet(g)
     P = pack_map(n)
-    A = _hessian_part(lambda i, j, x, y: d2g[..., P[i, j], x, y], n)
+    A = _hessian_part(lambda i, j, x, y: d2g[..., P[i, j], P[x, y]], n)
     gamma = ginv[..., :, 0, None, None] * S[..., None, 0, :, :]
     for p in range(1, n):
         gamma += ginv[..., :, p, None, None] * S[..., None, p, :, :]
@@ -255,15 +256,14 @@ def _whole_grid_parts(g: MetricField):
 
 def _averaged_riemann(g: MetricField) -> np.ndarray:
     """R as the builder took it before each independent entry was computed
-    once, kept as a round-off reference: every mixed partial in both
-    nesting orders, Gamma from numpy's stacked matmul (BLAS) and the two
-    triangles of A and B averaged."""
+    once, kept as a round-off reference: Gamma from numpy's stacked
+    matmul (BLAS) and the two triangles of A and B averaged."""
     n = g.lattice.n
     crop, d2g, S, ginv = _whole_grid_jet(g)
     P = pack_map(n)
     a, b, c, d = _pair_axes(n)
-    A = 0.5 * (d2g[..., P[a, d], b, c] + d2g[..., P[b, c], a, d]
-               - d2g[..., P[a, c], b, d] - d2g[..., P[b, d], a, c])
+    A = 0.5 * (d2g[..., P[a, d], P[b, c]] + d2g[..., P[b, c], P[a, d]]
+               - d2g[..., P[a, c], P[b, d]] - d2g[..., P[b, d], P[a, c]])
     gamma = 0.5 * np.matmul(ginv, S.reshape(S.shape[:-2] + (-1,))).reshape(S.shape)
     B = 0.5 * sum(gamma[..., q, b, c] * S[..., q, a, d]
                   - gamma[..., q, b, d] * S[..., q, a, c] for q in range(n))
@@ -294,7 +294,8 @@ class TestStreamedBuilder:
     def test_bit_equal_to_whole_grid_jet(self, name, monkeypatch):
         # raw and mollified charts, with the default slab and with slabs of
         # m^(n-1) and 3 m^(n-1) nodes: one and three planes of a whole
-        # chart, so the last slab is short and the halo wraps at both ends
+        # chart, so the last slab is short and the first and last slabs
+        # meet the ends of the crop, where their halo has one plane
         m, charts = _raw_and_mollified(name)
         default = curvature.SLAB_NODES
         for g in charts:

@@ -1,5 +1,6 @@
 """Tests for lattices, sampled fields, and finite differences."""
 import itertools
+import math
 import warnings
 
 import numpy as np
@@ -10,11 +11,12 @@ from hypothesis.extra.numpy import arrays
 from scipy import ndimage
 
 from mollilab import lattice, norms
-from mollilab.lattice import (COND_LIMIT, MetricField, ScalarField, central_diff,
-                              certify_definite, check_definite, check_eigenvalues, differentiate,
-                              erode_mask, fold, grow_box, inverse_planes, ldl_pivots, make_lattice,
-                              pack_map, pack_symmetric, packed_det, packed_eigenvalues,
-                              sample_metric, sample_scalar, unpack_symmetric)
+from mollilab.lattice import (COND_LIMIT, MetricField, ScalarField, _jet_blocks,
+                              central_diff, central_diff2, certify_definite, check_definite,
+                              check_eigenvalues, differentiate, erode_mask, fold, grow_box,
+                              inverse_planes, ldl_pivots, make_lattice, pack_map,
+                              pack_symmetric, packed_det, packed_eigenvalues, sample_metric,
+                              sample_scalar, unpack_symmetric)
 from mollilab.norms import check_N0
 from packing import packed
 
@@ -769,7 +771,7 @@ class TestPackedStorage:
                                           mask=g.mask), 2)
                 for c in range(g.comps.shape[-1])]
         for k in range(3):
-            assert jet.blocks[k].shape == g.comps.shape + (n,) * k
+            assert jet.blocks[k].shape == g.comps.shape + ((math.comb(n + k - 1, k),) if k else ())
             assert np.array_equal(jet.blocks[k],
                                   np.stack([r.blocks[k] for r in refs], axis=n))
         assert np.array_equal(jet.mask, refs[0].mask)
@@ -858,16 +860,21 @@ class TestDifferentiate:
         f = sample_scalar(lambda X: X[..., 0] ** 2 + X[..., 0] * X[..., 1], lat)
         jet = differentiate(f, 2)
         d2 = jet.blocks[2][jet.mask]
-        assert np.allclose(d2[:, 0, 0], 2.0, atol=1e-12)
-        assert np.allclose(d2[:, 0, 1], 1.0, atol=1e-12)
-        assert np.allclose(d2[:, 1, 1], 0.0, atol=1e-12)
+        P = pack_map(2)
+        assert np.allclose(d2[:, P[0, 0]], 2.0, atol=1e-12)
+        assert np.allclose(d2[:, P[0, 1]], 1.0, atol=1e-12)
+        assert np.allclose(d2[:, P[1, 1]], 0.0, atol=1e-12)
 
-    def test_mixed_partials_symmetric(self):
+    def test_mixed_partial_matches_analytic(self):
+        # d_1 d_0 of sin x0 cos 2 x1 is -2 cos x0 sin 2 x1 times
+        # (sin h / h)(sin 2h / 2h), 1 - 5 h^2 / 6 + O(h^4)
         lat = make_lattice(2, 1.0, 21)
         f = sample_scalar(lambda X: np.sin(X[..., 0]) * np.cos(2 * X[..., 1]), lat)
         jet = differentiate(f, 2)
-        d2 = jet.blocks[2]
-        assert np.allclose(d2[..., 0, 1], d2[..., 1, 0], atol=1e-11)
+        X = lat.coords()
+        exact = -2.0 * np.cos(X[..., 0]) * np.sin(2 * X[..., 1])
+        mixed = jet.blocks[2][..., pack_map(2)[0, 1]]
+        assert np.abs(mixed - exact)[jet.mask].max() <= 2.0 * lat.h**2
 
     def test_sin_convergence_order(self):
         errs, hs = [], []
@@ -939,3 +946,80 @@ class TestDifferentiate:
         d = central_diff(vals, ax, lat.h)
         assert np.allclose(d, 0.0, atol=1e-12)
 
+
+class TestStencils:
+    """Both stencils write the slice formula on the interior, bit for bit,
+    and exactly 0 on the two end entries."""
+
+    @pytest.mark.parametrize("shape", [(9, 7, 3), (7, 6, 5, 2)])
+    def test_interior_formula_and_zero_ends(self, shape):
+        v = np.random.default_rng(len(shape)).standard_normal(shape)
+        h = 0.3
+        for axis in range(len(shape) - 1):  # the trailing axis is a component axis
+            lead = (slice(None),) * axis
+            inner, nxt, prv = (lead + (s,) for s in (slice(1, -1), slice(2, None), slice(None, -2)))
+            want1 = (v[nxt] - v[prv]) / (2.0 * h)
+            want2 = ((v[nxt] - 2.0 * v[inner]) + v[prv]) / h**2
+            for diff, want in ((central_diff, want1), (central_diff2, want2)):
+                out = np.full(shape, np.nan)
+                assert diff(v, axis, h, out=out) is out
+                assert np.array_equal(out[inner], want)
+                assert np.array_equal(diff(v, axis - v.ndim, h), out)
+                for end in (lead + (0,), lead + (-1,)):
+                    assert np.all(out[end] == 0.0) and not np.signbit(out[end]).any()
+
+
+def _nested(values, xs, h):
+    """d_{x_k} ... d_{x_1} of values by nested central differences, the
+    pure second derivative d_x d_x by the compact stencil."""
+    if len(xs) >= 2 and xs[0] == xs[1]:
+        out, rest = central_diff2(values, xs[0], h), xs[2:]
+    else:
+        out, rest = values, xs
+    for x in rest:
+        out = central_diff(out, x, h)
+    return out
+
+
+class TestJetPlan:
+    """Block k holds each sorted multi-index x_1 <= ... <= x_k once, as d_{x_k}
+    of block k-1's entry (x_1 ... x_{k-1})."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_entries_are_the_sorted_multi_indices(self, n):
+        m = 7
+        values = np.random.default_rng(n).standard_normal((m,) * n)
+        blocks = _jet_blocks(values, n, 0.25, 3)
+        assert blocks[0] is values
+        for k in range(1, 4):
+            plan = list(itertools.combinations_with_replacement(range(n), k))
+            assert blocks[k].shape == values.shape + (math.comb(n + k - 1, k),)
+            for e, xs in enumerate(plan):
+                assert np.array_equal(blocks[k][..., e], _nested(values, xs, 0.25)), xs
+            if k == 2:  # block 2 is in pack_map order
+                assert [pack_map(n)[xs] for xs in plan] == list(range(len(plan)))
+
+    def test_order3_converges_at_order_2(self):
+        # sin x0 cos 2 x1 e^{x2}: the a-th derivative of each factor is
+        # sin(x0 + a pi/2), 2^a cos(2 x1 + a pi/2) and e^{x2}; the error is
+        # read on one region, the coarsest jet's mask
+        plan = list(itertools.combinations_with_replacement(range(3), 3))
+        errs, hs = [], []
+        for m in (13, 25, 49):
+            lat = make_lattice(3, 0.6, m)
+            X = lat.coords()
+            f = sample_scalar(lambda X: np.sin(X[..., 0]) * np.cos(2 * X[..., 1])
+                              * np.exp(X[..., 2]), lat)
+            jet = differentiate(f, 3)
+            region = jet.mask & lat.ball_mask(0.3, norm="max")
+            err = 0.0
+            for e, xs in enumerate(plan):
+                a = [xs.count(x) for x in range(3)]
+                exact = (np.sin(X[..., 0] + a[0] * np.pi / 2)
+                         * 2.0 ** a[1] * np.cos(2 * X[..., 1] + a[1] * np.pi / 2)
+                         * np.exp(X[..., 2]))
+                err = max(err, np.abs(jet.blocks[3][..., e] - exact)[region].max())
+            errs.append(err)
+            hs.append(lat.h)
+        order = np.polyfit(np.log(hs), np.log(errs), 1)[0]
+        assert 1.8 <= order <= 2.2
