@@ -25,6 +25,12 @@ v ^ w, so the eigenvalues of the pencil (R, G) at a node are the sectional
 curvatures of the planes of a g-orthonormal eigenframe, its extreme
 eigenvalues are the extreme sectional curvatures, and the scalar curvature
 is twice its trace, 2 tr(G^-1 R).
+
+`sec_spectrum` solves the pencil without full matrices or LAPACK.  In 3-d it
+gathers the Riemann mask's nodes one component plane each, forms the
+congruence C = L^-1 R L^-T, G = L L^T, in closed form and diagonalises it
+by cyclic Jacobi, each node until its off-diagonal sum is at most eps times
+its diagonal's, for at most JACOBI_SWEEPS sweeps.
 """
 from __future__ import annotations
 
@@ -33,8 +39,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lattice import (MetricField, central_diff, central_diff2, erode_mask, fold,
-                      inverse_planes, pack_map)
+from .lattice import (MetricField, central_diff, central_diff2, erode_mask, first_node,
+                      inverse_planes, ldl_planes, pack_map, packed_det)
 
 # Grid nodes per slab of the streamed Riemann builder, which takes
 # max(1, SLAB_NODES // m^(n-1)) whole axis-0 planes at a time and holds them
@@ -44,6 +50,12 @@ from .lattice import (MetricField, central_diff, central_diff2, erode_mask, fold
 # (2-d, m = 161); 4096 and 8192 ran the builder 5-10 % faster on 2-d
 # m = 161 and 3-d m = 25 charts, but made that slab 1.5 and 3 times as large.
 SLAB_NODES = 2048
+
+# Sweeps of the cyclic Jacobi method that `sec_spectrum` runs on a node's
+# 3 x 3 congruence before it refuses the node.  Every node of the shipped
+# models, raw and mollified, meets the stopping rule within 4 sweeps: the
+# off-diagonal converges quadratically, also at repeated eigenvalues.
+JACOBI_SWEEPS = 10
 
 
 @dataclass(frozen=True)
@@ -62,21 +74,6 @@ class RiemannField:
     metric: MetricField
     riem: np.ndarray
     mask: np.ndarray
-
-
-def _pair_axes(n: int):
-    """Index arrays (a, b, c, d) over (I, J), shapes (N, 1) and (1, N)."""
-    a, b = np.triu_indices(n, 1)
-    return a[:, None], b[:, None], a[None, :], b[None, :]
-
-
-def _lambda2(comps: np.ndarray, n: int) -> np.ndarray:
-    """Lambda^2 of packed symmetric n x n components (trailing axis),
-    (Lambda^2 g)_IJ = g_ac g_bd - g_ad g_bc, each entry read through
-    `pack_map`."""
-    a, b, c, d = _pair_axes(n)
-    P = pack_map(n)
-    return comps[..., P[a, c]] * comps[..., P[b, d]] - comps[..., P[a, d]] * comps[..., P[b, c]]
 
 
 @lru_cache(maxsize=None)
@@ -245,52 +242,155 @@ def riemann(g: MetricField) -> RiemannField:
     return RiemannField(metric=g, riem=riem, mask=erode_mask(g.mask, 2))
 
 
-def _lower_inverse(L: np.ndarray) -> np.ndarray:
-    """Inverse of lower-triangular 3 x 3 matrices by forward substitution; any
-    other trailing shape raises ValueError."""
-    if L.shape[-2:] != (3, 3):
-        raise ValueError(f"_lower_inverse needs 3 x 3 factors, got trailing shape {L.shape[-2:]}")
-    inv = np.zeros_like(L)
-    for k in range(3):
-        np.reciprocal(L[..., k, k], out=inv[..., k, k])
-    inv[..., 1, 0] = -L[..., 1, 0] * inv[..., 0, 0] * inv[..., 1, 1]
-    inv[..., 2, 1] = -L[..., 2, 1] * inv[..., 1, 1] * inv[..., 2, 2]
-    inv[..., 2, 0] = -(L[..., 2, 0] * inv[..., 0, 0]
-                       + L[..., 2, 1] * inv[..., 1, 0]) * inv[..., 2, 2]
-    return inv
+def _congruence(r: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The congruence C = L^-1 R L^-T of the 3-d pencil (R, G), G = Lambda^2 g
+    = L L^T, whose eigenvalues are the pencil's.  r holds R's six
+    independent entries R_IJ, I <= J, and g the metric's packed components,
+    each in `pack_map` order along axis 0, one plane per entry (any trailing
+    shape); C comes back in r's layout.
+
+    G_IJ = g_ac g_bd - g_ad g_bc is read through `pack_map` and factored as
+    G = L1 D L1^T by the closed-form LDL^T of `lattice.ldl_planes`, so
+    L = L1 D^1/2.  With W = L1^-1, W R W^T is taken by forward substitution:
+    the rows of T = W R, then each entry (T W^T)_IJ, I <= J, once, so C is
+    symmetric by construction; C_IJ = (W R W^T)_IJ / sqrt(d_I) / sqrt(d_J)
+    over the pivots d.
+    """
+    P = pack_map(3)
+    pairs = list(zip(*np.triu_indices(3, 1)))
+    G = np.empty_like(g)
+    for I, (a, b) in enumerate(pairs):
+        for J, (c, d) in enumerate(pairs[I:], I):
+            np.multiply(g[P[a, c]], g[P[b, d]], out=G[P[I, J]])
+            G[P[I, J]] -= g[P[a, d]] * g[P[b, c]]
+    (l10, l20, l21), pivots = ldl_planes(G)
+    T = [[r[P[0, k]] for k in range(3)]]
+    T.append([r[P[1, k]] - l10 * T[0][k] for k in range(3)])
+    T.append([r[P[2, k]] - l20 * T[0][k] - l21 * T[1][k] for k in range(3)])
+    root = [np.sqrt(d) for d in pivots]
+    C = np.empty_like(r)
+    for I, (t0, t1, t2) in enumerate(T):
+        w1 = t1 - l10 * t0
+        for J, w in enumerate((t0, w1, t2 - l20 * t0 - l21 * w1)[I:], I):
+            np.divide(w, root[I], out=C[P[I, J]])
+            C[P[I, J]] /= root[J]
+    return C
+
+
+def _jacobi(C: np.ndarray) -> np.ndarray:
+    """Diagonalise the symmetric 3 x 3 planes C (`_congruence` layout) in
+    place by the cyclic Jacobi method over the pairs (0, 1), (0, 2), (1, 2),
+    vectorised over nodes, and return the nodes that still fail the
+    stopping rule after JACOBI_SWEEPS sweeps.
+
+    A node rotates while |C_01| + |C_02| + |C_12| > eps (|C_00| + |C_11| +
+    |C_22|).  The rotation of pair (p, q) takes t = tan(phi) =
+    sgn(x) / (|x| + sqrt(x^2 + 1)), x = (C_qq - C_pp) / (2 C_pq), the
+    smaller root, and sets C_pq to exactly 0.  A node that meets the rule
+    divides by 0 instead of 2 C_pq, so that, like a pair whose C_pq = 0, it
+    gets x = +-inf and t = 0 (or x = 0/0 where also C_qq = C_pp, whose NaN
+    t is taken as 0), which leaves every entry's value as it is: each
+    node's values depend on its own entries alone, and after
+    `sec_spectrum`'s `+ 0.0` its bits do too.
+    """
+    P = pack_map(3)
+    eps = np.finfo(float).eps
+    x, t, cos, sin, prod = (np.empty(C.shape[1:]) for _ in range(5))
+    for sweep in range(JACOBI_SWEEPS + 1):
+        absC = np.abs(C)
+        off = absC[P[0, 1]] + absC[P[0, 2]]
+        off += absC[P[1, 2]]
+        mag = absC[P[0, 0]] + absC[P[1, 1]]
+        mag += absC[P[2, 2]]
+        active = off > eps * mag
+        if sweep == JACOBI_SWEEPS or not active.any():
+            return active
+        twice, keep = 2.0 * active, 1.0 - active
+        for p, q in ((0, 1), (0, 2), (1, 2)):
+            pp, qq, pq = C[P[p, p]], C[P[q, q]], C[P[p, q]]
+            rp, rq = C[P[3 - p - q, p]], C[P[3 - p - q, q]]
+            np.subtract(qq, pp, out=x)
+            np.multiply(pq, twice, out=t)
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                x /= t
+                np.multiply(x, x, out=t)
+            t += 1.0
+            np.sqrt(t, out=t)
+            t += np.abs(x, out=cos)
+            np.reciprocal(t, out=t)
+            np.fmax(t, 0.0, out=t)                       # 0/0 gave nan
+            np.copysign(t, x, out=t)
+            np.multiply(t, t, out=cos)
+            cos += 1.0
+            np.sqrt(cos, out=cos)
+            np.reciprocal(cos, out=cos)
+            np.multiply(t, cos, out=sin)
+            np.multiply(t, pq, out=prod)
+            pp -= prod
+            qq += prod
+            pq *= keep
+            np.multiply(sin, rq, out=prod)
+            np.multiply(sin, rp, out=x)
+            rp *= cos
+            rp -= prod
+            rq *= cos
+            rq += x
 
 
 def sec_spectrum(R: RiemannField):
     """Per-node eigenvalues of the pencil (R, G), G = Lambda^2 g, and the
     scalar curvature, from one solve.
 
-    The eigenvalues are those of G^-1 R, found as those of L^-1 R L^-T with
-    G = L L^T, in ascending order along a trailing axis of length
-    N = n(n-1)/2.  In dimensions 2 and 3, where every bivector spans a
-    plane, they are the sectional curvatures of the planes of a
-    g-orthonormal eigenframe, all of R that does not depend on the frame,
-    and the first and last are the extremes over all planes.  The scalar
-    curvature g^ac g^bd R_abcd is 2 tr(G^-1 R), the trace of that same
-    matrix; in 2-d, where G^-1 R is the one number k, it is 2k.  Both fields
-    are solved on R.mask only, and are NaN off it, where R is not a
-    curvature.
+    The eigenvalues are those of G^-1 R, in ascending order along a
+    trailing axis of length N = n(n-1)/2.  In dimensions 2 and 3, where
+    every bivector spans a plane, they are the sectional curvatures of the
+    planes of a g-orthonormal eigenframe, all of R that does not depend on
+    the frame, and the first and last are the extremes over all planes.
+    The scalar curvature g^ac g^bd R_abcd is 2 tr(G^-1 R).  In 2-d, where
+    G^-1 R is the one number k = R_00 / det g, it is 2k.
+
+    In 3-d the solve runs plane by plane on the nodes of R.mask, with no
+    full matrices and no LAPACK: R's six independent entries and g's packed
+    components are gathered one plane each, the congruence C = L^-1 R L^-T,
+    G = L L^T, is formed in closed form (`_congruence`), the scalar
+    curvature is twice its trace (C_00 + C_11) + C_22, and C is
+    diagonalised by cyclic Jacobi (`_jacobi`), whose diagonal a compare-swap
+    network sorts.  A node rotates while its off-diagonal sum exceeds eps
+    times its diagonal's; each node's bits depend on its own entries alone,
+    so any batch of nodes gets the same bits.  A node that still fails the
+    rule after JACOBI_SWEEPS sweeps raises ValueError naming it in R's grid.
+    Both fields are NaN off R.mask, where R is not a curvature.
     """
     n = R.metric.lattice.n
     if n > 3:
         raise ValueError(f"exact sectional extremes need dimension 2 or 3, got {n}")
-    G = _lambda2(R.metric.comps[R.mask], n)
-    riem = R.riem[R.mask]
+    comps = R.metric.comps
     ev = np.full(R.riem.shape[:-1], np.nan)
     scalar = np.full(R.mask.shape, np.nan)
     if n == 2:
-        k = riem[:, 0, 0] / G[:, 0, 0]
+        k = R.riem[..., 0, 0][R.mask] / packed_det(comps[R.mask], 2)
         ev[R.mask, 0] = k
         scalar[R.mask] = 2.0 * k
         return ev, scalar
-    Linv = _lower_inverse(np.linalg.cholesky(G))
-    pencil = Linv @ riem @ np.swapaxes(Linv, -2, -1)
-    ev[R.mask] = np.linalg.eigvalsh(pencil)
-    scalar[R.mask] = 2.0 * fold(np.add, np.diagonal(pencil, axis1=-2, axis2=-1))
+    C = _congruence(np.stack([R.riem[..., I, J][R.mask] for I, J in zip(*np.triu_indices(3))]),
+                    np.stack([comps[..., k][R.mask] for k in range(6)]))
+    P = pack_map(3)
+    trace = C[P[0, 0]] + C[P[1, 1]]
+    trace += C[P[2, 2]]
+    scalar[R.mask] = 2.0 * trace
+    stuck = _jacobi(C)
+    if stuck.any():
+        bad = np.zeros(R.mask.shape, dtype=bool)
+        bad[R.mask] = stuck
+        raise ValueError(f"sec_spectrum: Jacobi method not converged after {JACOBI_SWEEPS} "
+                         f"sweeps at node {first_node(bad)}")
+    # + 0.0 writes a zero as +0.0, whichever sign a rotation left it
+    a, b, c = (C[P[k, k]] + 0.0 for k in range(3))
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    ev[R.mask, 2] = np.maximum(hi, c)
+    np.minimum(hi, c, out=hi)
+    ev[R.mask, 0] = np.minimum(lo, hi)
+    ev[R.mask, 1] = np.maximum(lo, hi)
     return ev, scalar
 
 

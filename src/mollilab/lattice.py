@@ -257,25 +257,35 @@ def packed_eigenvalues(comps: np.ndarray, n: int) -> np.ndarray:
 
 def _schur_g00(p) -> tuple:
     """One LDL^T elimination step on g_00 of packed 3-d components
-    p = (a, b, c, d, e, f): the Schur complement (s11, s12, s22),
-    s_ij = g_ij - g_i0 g_0j / g_00.  The one elimination path of
-    `packed_det` and `ldl_pivots`."""
+    p = (a, b, c, d, e, f): the multipliers (b/a, c/a) and the Schur
+    complement (s11, s12, s22), s_ij = g_ij - g_i0 g_0j / g_00.  The one
+    elimination path of `packed_det` and `ldl_planes`."""
     a, b, c, d, e, f = p
     ba, ca = b / a, c / a
-    return d - b * ba, e - b * ca, f - c * ca
+    return ba, ca, d - b * ba, e - b * ca, f - c * ca
+
+
+def ldl_planes(p) -> tuple:
+    """LDL^T without pivoting of packed 3-d symmetric components held as six
+    planes p = (a, b, c, d, e, f), in `pack_map` order: the multipliers
+    (l10, l20, l21) = (b/a, c/a, s12/s11) of the unit lower factor and the
+    pivots (a, s11, s22 - s12 l21), with the Schur complement from
+    `_schur_g00`.  A zero pivot gives inf or nan, with numpy's warnings."""
+    l10, l20, s11, s12, s22 = _schur_g00(p)
+    l21 = s12 / s11
+    return (l10, l20, l21), (p[0], s11, s22 - s12 * l21)
 
 
 def ldl_pivots(comps: np.ndarray) -> tuple:
     """The pivots of LDL^T without pivoting of packed 2-d or 3-d symmetric
-    components (trailing axis): (a, c - b^2/a) in 2-d, and
-    (a, s11, s22 - s12^2/s11) from `_schur_g00` in 3-d.  A zero pivot gives
-    inf or nan, with numpy's warnings."""
+    components (trailing axis): (a, c - b^2/a) in 2-d, and those of
+    `ldl_planes` in 3-d.  A zero pivot gives inf or nan, with numpy's
+    warnings."""
     p = np.moveaxis(comps, -1, 0)
     if len(p) == 3:
         a, b, c = p
         return a, c - b * (b / a)
-    s11, s12, s22 = _schur_g00(p)
-    return p[0], s11, s22 - s12 * (s12 / s11)
+    return ldl_planes(p)[1]
 
 
 def packed_det(comps: np.ndarray, n: int) -> np.ndarray:
@@ -290,7 +300,7 @@ def packed_det(comps: np.ndarray, n: int) -> np.ndarray:
     p = np.moveaxis(comps, -1, 0)
     if n == 2:
         return p[0] * p[2] - p[1] * p[1]
-    _, s12, s22 = _schur_g00(p)
+    *_, s12, s22 = _schur_g00(p)
     return (p[0] * p[3] - p[1] * p[1]) * s22 - p[0] * s12 * s12
 
 

@@ -13,12 +13,12 @@ import pytest
 from mollilab.atlas import assemble_mollified, check_cover, pullback_metric
 from mollilab.cli import (EXIT_OK, ExperimentConfig, lemma_violations, main,
                           run_deviation, run_lemmas)
-from mollilab.curvature import _pair_axes, riemann, sec_extreme_fields
+from mollilab.curvature import riemann, sec_extreme_fields
 from mollilab.kernels import scale_kernel
 from mollilab.lattice import inverse_planes, make_lattice, sample_metric, unpack_symmetric
 from mollilab.modelzoo import get_geometry, parse_atlas_file
 from mollilab.norms import check_N0
-from riemann_parts import slab_parts
+from riemann_parts import pair_axes, slab_parts
 
 
 def _verdict(num: int, name: str, ok: bool, detail: str) -> None:
@@ -117,7 +117,7 @@ def _conformal_parts(X, eps):
     grad = -16.0 * eps * X / q[..., None] ** 3
     hess = (-16.0 * eps * eye / q[..., None, None] ** 3
             + 96.0 * X[..., :, None] * X[..., None, :] / q[..., None, None] ** 4)
-    a, b, c, d = _pair_axes(n)
+    a, b, c, d = pair_axes(n)
     A = 0.5 * (eye[a, d] * hess[..., b, c] + eye[b, c] * hess[..., a, d]
                - eye[a, c] * hess[..., b, d] - eye[b, d] * hess[..., a, c])
     S = (eye[:, :, None] * grad[..., None, None, :] + eye[:, None, :] * grad[..., None, :, None]

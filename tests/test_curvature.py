@@ -11,8 +11,8 @@ from mollilab import cli
 from mollilab.atlas import assemble_mollified
 import mollilab.curvature as curvature
 import mollilab.lattice as lattice
-from mollilab.curvature import (RiemannField, _lambda2, _pair_axes, _slab_index,
-                                riemann, sec_extreme_fields, sec_spectrum)
+from mollilab.curvature import (RiemannField, _slab_index, riemann, sec_extreme_fields,
+                                sec_spectrum)
 from mollilab.kernels import scale_kernel
 from mollilab.lattice import (MetricField, _jet_blocks, erode_mask, inverse_planes,
                               make_lattice, pack_map, pack_symmetric, sample_metric,
@@ -20,7 +20,8 @@ from mollilab.lattice import (MetricField, _jet_blocks, erode_mask, inverse_plan
 from mollilab.modelzoo import get_geometry
 from mollilab.norms import check_N0
 from packing import packed
-from riemann_parts import s_tensor, slab_parts
+from riemann_parts import (lambda2, lapack_spectrum, lower_inverse, pair_axes, s_tensor,
+                           slab_parts)
 
 
 def _conformal(lam):
@@ -58,8 +59,8 @@ def _smooth_metric(seed, n=3):
 
 def _lambda2_of_matrices(mats):
     """Lambda^2 of full matrices, (Lambda^2 g)_IJ = g_ac g_bd - g_ad g_bc:
-    the reference for `_lambda2`, which reads packed components."""
-    a, b, c, d = _pair_axes(mats.shape[-1])
+    the reference for `lambda2`, which reads packed components."""
+    a, b, c, d = pair_axes(mats.shape[-1])
     return mats[..., a, c] * mats[..., b, d] - mats[..., a, d] * mats[..., b, c]
 
 
@@ -174,7 +175,7 @@ def _hessian_part(d2, n: int) -> np.ndarray:
     d_y d_x g_ij, each mixed partial read as the builder reads it, with
     x < y.  A is then symmetric in (I, J) bit for bit: A_JI adds its first
     two terms in the other order."""
-    a, b, c, d = _pair_axes(n)
+    a, b, c, d = pair_axes(n)
 
     def term(i, j, x, y):
         return d2(i, j, np.minimum(x, y), np.maximum(x, y))
@@ -244,7 +245,7 @@ def _whole_grid_parts(g: MetricField):
     for p in range(1, n):
         gamma += ginv[..., :, p, None, None] * S[..., None, p, :, :]
     gamma *= 0.5
-    a, b, c, d = _pair_axes(n)
+    a, b, c, d = pair_axes(n)
     B = gamma[..., 0, b, c] * S[..., 0, a, d] - gamma[..., 0, b, d] * S[..., 0, a, c]
     for q in range(1, n):
         B += gamma[..., q, b, c] * S[..., q, a, d] - gamma[..., q, b, d] * S[..., q, a, c]
@@ -261,7 +262,7 @@ def _averaged_riemann(g: MetricField) -> np.ndarray:
     n = g.lattice.n
     crop, d2g, S, ginv = _whole_grid_jet(g)
     P = pack_map(n)
-    a, b, c, d = _pair_axes(n)
+    a, b, c, d = pair_axes(n)
     A = 0.5 * (d2g[..., P[a, d], P[b, c]] + d2g[..., P[b, c], P[a, d]]
                - d2g[..., P[a, c], P[b, d]] - d2g[..., P[b, d], P[a, c]])
     gamma = 0.5 * np.matmul(ginv, S.reshape(S.shape[:-2] + (-1,))).reshape(S.shape)
@@ -589,16 +590,10 @@ class TestSectional:
             sec_extreme_fields(R)
 
 
-def _whole_grid_extremes(g: MetricField, R: RiemannField):
-    """The sectional extremes before the solve moved onto R.mask, kept as
-    the reference: the pencil (R, Lambda^2 g) solved at every node."""
-    G = _lambda2_of_matrices(_matrices(g))
-    if g.lattice.n == 2:
-        k = R.riem[..., 0, 0] / G[..., 0, 0]
-        return k, k.copy()
-    Linv = curvature._lower_inverse(np.linalg.cholesky(G))
-    ev = np.linalg.eigvalsh(Linv @ R.riem @ np.swapaxes(Linv, -2, -1))
-    return ev[..., 0], ev[..., -1]
+def _whole_grid_spectrum(R: RiemannField):
+    """The same solve on every node of R's grid, the reference for the solve
+    on R.mask: the bits of a node must not depend on the batch it is in."""
+    return sec_spectrum(RiemannField(metric=R.metric, riem=R.riem, mask=np.ones_like(R.mask)))
 
 
 def _whole_grid_scalar(g: MetricField, R: RiemannField):
@@ -630,9 +625,9 @@ class TestExtremesOnMask:
         for g in _on_mask_cases(name):
             R = riemann(g)
             assert R.mask.any() and not R.mask.all()
-            for field, ref in zip(sec_extreme_fields(R)[:2], _whole_grid_extremes(g, R)):
-                assert np.array_equal(field[R.mask], ref[R.mask])
-                assert np.isnan(field[~R.mask]).all()
+            ev = sec_spectrum(R)[0]
+            assert ev[R.mask].tobytes() == _whole_grid_spectrum(R)[0][R.mask].tobytes()
+            assert np.isnan(ev[~R.mask]).all()
 
     @pytest.mark.parametrize("name", ["sphere2", "sphere3", "pflat3", "hyperbolic3"])
     def test_scalar_bit_equal_to_whole_grid_and_nan_off_mask(self, name):
@@ -686,14 +681,16 @@ class TestScalarFromPencil:
             assert np.isnan(sc[~R.mask]).all()
 
     def test_scalar_is_twice_the_pencil_trace(self):
-        # the trace is a plane chain over the diagonal: bit for bit np.trace
+        # twice the trace (C_00 + C_11) + C_22 of the congruence, taken on
+        # the mask bit for bit as on the whole grid
+        P = pack_map(3)
+        I, J = np.triu_indices(3)
         for g in _on_mask_cases("sphere3"):
             R = riemann(g)
-            G = _lambda2_of_matrices(_matrices(g)[R.mask])
-            Linv = curvature._lower_inverse(np.linalg.cholesky(G))
-            pencil = Linv @ R.riem[R.mask] @ np.swapaxes(Linv, -2, -1)
-            want = 2.0 * np.trace(pencil, axis1=-2, axis2=-1)
-            assert sec_spectrum(R)[1][R.mask].tobytes() == want.tobytes()
+            C = curvature._congruence(np.moveaxis(R.riem[..., I, J], -1, 0),
+                                      np.moveaxis(g.comps, -1, 0))
+            want = 2.0 * (C[P[0, 0]] + C[P[1, 1]] + C[P[2, 2]])
+            assert sec_spectrum(R)[1][R.mask].tobytes() == want[R.mask].tobytes()
 
 
 class TestSpectrum:
@@ -704,8 +701,8 @@ class TestSpectrum:
         mats = np.random.default_rng(n).standard_normal((7, 5, n, n))
         comps = pack_symmetric(mats + np.swapaxes(mats, -1, -2))
         want = _lambda2_of_matrices(unpack_symmetric(comps, n))
-        assert _lambda2(comps, n).shape == want.shape
-        assert _lambda2(comps, n).tobytes() == want.tobytes()
+        assert lambda2(comps, n).shape == want.shape
+        assert lambda2(comps, n).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("name", ["sphere2", "pflat2", "sphere3", "pflat3"])
     def test_sorted_and_nan_off_mask(self, name):
@@ -790,19 +787,82 @@ class TestSpectrum:
         assert all(rec.riem_excess > 0.05 for rec in records)
 
 
+EPS = np.finfo(float).eps
+
+
+class TestJacobiPencil:
+    @pytest.mark.parametrize("name", ["sphere3", "hyperbolic3", "pflat3", "flat3"])
+    def test_within_round_off_of_lapack(self, name):
+        # LAPACK's eigvalsh of the node-major congruence is the reference:
+        # each eigenvalue within 16 eps max_i |lam_i| of it at its node
+        # (measured <= 7.9), raw and mollified, at two sizes
+        geo = get_geometry(name)
+        for m in (17, 25):
+            lat = geo.chart_lattice(m)
+            samples = geo.sample_all(m)
+            mollified = assemble_mollified(geo.atlas, samples,
+                                           scale_kernel(3, 0.15 * geo.r, lat.h))
+            for g in (*samples.values(), *mollified.values()):
+                R = riemann(g)
+                want = lapack_spectrum(R)
+                bound = 16 * EPS * np.abs(want).max(axis=-1, keepdims=True)
+                assert np.all(np.abs(sec_spectrum(R)[0][R.mask] - want) <= bound)
+
+    @staticmethod
+    def _random_metric(seed):
+        """A 3-d m = 9 chart whose metric is A A^T / 3 + I per node, for
+        seeded Gaussian A: condition numbers up to about 8."""
+        lat = make_lattice(3, 1.0, 9)
+        A = np.random.default_rng(seed).standard_normal(lat.shape + (3, 3))
+        comps = pack_symmetric(A @ np.swapaxes(A, -1, -2) / 3.0 + np.eye(3))
+        return MetricField(lattice=lat, comps=comps, mask=lat.full_mask())
+
+    def test_zero_curvature_gives_exact_zeros_without_a_sweep(self, monkeypatch):
+        # R = 0 meets the stopping rule before any rotation, so no sweep
+        # may run and every eigenvalue and the scalar are +0.0
+        g = self._random_metric(0)
+        R = RiemannField(metric=g, riem=np.zeros(g.mask.shape + (3, 3)), mask=g.mask)
+        monkeypatch.setattr(curvature, "JACOBI_SWEEPS", 0)
+        ev, scalar = sec_spectrum(R)
+        assert ev.tobytes() == np.zeros_like(ev).tobytes()
+        assert scalar.tobytes() == np.zeros_like(scalar).tobytes()
+
+    @pytest.mark.parametrize("K", [1.0, -2.5, 1e-3, 7e4])
+    def test_space_form_gives_a_triple_eigenvalue(self, K):
+        # R = K Lambda^2 g: every plane has curvature K, the pencil's
+        # eigenvalue of multiplicity 3 (measured within 4 eps |K|)
+        for seed in range(3):
+            g = self._random_metric(seed)
+            R = RiemannField(metric=g, riem=K * lambda2(g.comps, 3), mask=g.mask)
+            ev, scalar = sec_spectrum(R)
+            assert np.all(np.abs(ev - K) <= 16 * EPS * abs(K))
+            assert np.all(np.abs(scalar - 6.0 * K) <= 32 * EPS * abs(K))
+
+    def test_sweep_cap_names_the_node(self, monkeypatch):
+        # every sphere3 node takes 4 sweeps; with a cap of 1 the first node
+        # left unconverged is named in R's grid, which is g's grid
+        geo = get_geometry("sphere3")
+        R = riemann(geo.sample_all(17)["north"])
+        monkeypatch.setattr(curvature, "JACOBI_SWEEPS", 1)
+        with pytest.raises(ValueError, match=r"after 1 sweeps at node \(") as info:
+            sec_spectrum(R)
+        node = tuple(int(i) for i in info.value.args[0].rsplit("(", 1)[1].rstrip(")").split(","))
+        assert R.mask[node]
+
+
 class TestLowerInverse:
     def test_inverts_3x3_factors(self):
         rng = np.random.default_rng(5)
         L = np.tril(rng.standard_normal((40, 3, 3)))
         L[:, range(3), range(3)] = 1.0 + np.abs(L[:, range(3), range(3)])
-        assert np.abs(curvature._lower_inverse(L) @ L - np.eye(3)).max() < 1e-12
+        assert np.abs(lower_inverse(L) @ L - np.eye(3)).max() < 1e-12
 
     @pytest.mark.parametrize("size", [2, 4, 6])
     def test_refuses_other_factors(self, size):
         # a 6 x 6 factor (the pencil of a 4-d metric) once gave eigenvalues 0
         L = np.broadcast_to(np.eye(size), (5, size, size))
         with pytest.raises(ValueError, match=rf"trailing shape \({size}, {size}\)"):
-            curvature._lower_inverse(L)
+            lower_inverse(L)
 
 
 class TestRicciScalar:
