@@ -26,14 +26,22 @@ than a chain of elementwise ufuncs over the same planes, with the same
 bits.  So short per-node reductions (norms, traces, finiteness checks) are
 left-to-right plane chains (`fold`), and the inverse is computed one
 contiguous (i, j) plane at a time (`inverse_planes`), its one layout.
+The box filters (`grow_box`, `erode_mask`) go further and run each lattice
+axis as a few ufunc calls on flat 1-d views of the whole C-contiguous
+array, shifted by that axis's element stride: a slice along any axis but
+the first runs numpy's inner loop over lines of m - 1 entries, a flat
+view over the whole array at once.  A shift by the stride reaches the
+neighbour along the axis except at a line's end, where it crosses into the
+next line; only entries on the axis's end planes read such a crossing, and
+they are rewritten after the passes.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
 
 import numpy as np
-from scipy import ndimage
 
 # Largest eigenvalue ratio `check_definite` accepts at a node.
 COND_LIMIT = 1e12
@@ -71,31 +79,82 @@ def erode_mask(mask: np.ndarray, steps: int) -> np.ndarray:
     """Shrink a validity mask by `steps` nodes in every direction (Chebyshev):
     a node stays valid when the whole (2 steps + 1)^n box around it is, nodes
     past the edge counting as invalid.  That box is the Minkowski sum of its
-    axis segments, so one running minimum per axis (zero past the edge) gives
-    exactly `steps` iterations of the 3^n binary erosion."""
-    out = np.array(mask, dtype=bool)
-    if steps > 0:
-        for ax in range(out.ndim):
-            ndimage.minimum_filter1d(out, 2 * steps + 1, axis=ax, output=out,
-                                     mode="constant", cval=0)
-    return out
+    axis segments, so this is exactly `steps` iterations of the 3^n binary
+    erosion.
+
+    One lattice axis at a time, as `logical_and` passes over flat views of a
+    C-contiguous copy of the mask and one scratch array of its shape: a
+    forward window of j nodes and its copy shifted by d <= j nodes (d times
+    the axis's element stride) make a window of j + d.  Windows double
+    (shifts 1, 2, 4, ... <= steps) up to the first power of two j > steps,
+    then two overlapping windows, shifted by 2 steps + 1 - j, give the width
+    2 steps + 1, written centred.  A window that reaches past the end of a
+    line crosses into the next one, so its entry is junk; the junk entries
+    are the nodes within `steps` of an end of the axis, which are invalid
+    anyway (their box crosses the edge), and they are set False once, for
+    every axis, after the last pass.  With 2 steps + 1 longer than an axis,
+    no node is valid."""
+    if steps <= 0:
+        return np.array(mask, dtype=bool)
+    out = np.array(mask, dtype=bool, order="C")
+    if 2 * steps >= min(out.shape):
+        return np.zeros_like(out)
+    doublings, j = [], 1
+    while j <= steps:
+        doublings.append(j)
+        j *= 2
+    overlap = 2 * steps + 1 - j
+    bufs = (out, np.empty_like(out))
+    flats = (out.ravel(), bufs[1].ravel())  # views: both arrays are C-contiguous
+    size, cur = out.size, 0
+    for s in out.strides:  # a bool is one byte, so these are element strides
+        for d in doublings:  # windows of d nodes -> 2d; `count` of them fit
+            count = size - (2 * d - 1) * s
+            src, cur = flats[cur], 1 - cur
+            np.logical_and(src[:count], src[d * s:d * s + count], out=flats[cur][:count])
+        count, start = size - 2 * steps * s, steps * s
+        src, cur = flats[cur], 1 - cur
+        np.logical_and(src[:count], src[overlap * s:overlap * s + count],
+                       out=flats[cur][start:start + count])
+    inner = (slice(steps, -steps),) * out.ndim
+    eroded = bufs[1 - cur]
+    eroded.fill(False)
+    eroded[inner] = bufs[cur][inner]
+    return eroded
 
 
 def grow_box(a: np.ndarray, buf: np.ndarray, n: int) -> None:
     """In place: a[x] <- max of a over the 3^n box around x (clipped at the edges),
     the box over a's first n axes; trailing axes are fields taken side by side.
 
-    Separable, one lattice axis at a time: buf[i] = max(a[i], a[i+1]), then
-    a[i] = max(buf[i-1], buf[i]), with buf[0] and buf[-1] at the two ends.
+    Separable, one lattice axis at a time, as two `np.maximum` passes over
+    flat views of the whole of a and buf, shifted by the axis's element
+    stride s: buf[p] = max(a[p], a[p+s]), then a[p] = max(buf[p-s], buf[p]).
+    A shift by s reaches the next node along the axis except from the
+    axis's last plane, where it crosses into the next line: buf is junk
+    there, and so is a on both end planes, which read it.  Those two planes
+    are then rewritten from the pair buffer, a[0] = buf[0] and
+    a[m-1] = buf[m-2], the box clipped at the edge.  Every other entry is
+    max(max(a[i-1], a[i]), max(a[i], a[i+1])), operands in that order; max
+    is exact, so the result is the clipped box max bit for bit, signed
+    zeros included.
+
+    a and buf must be C-contiguous arrays of one shape and dtype: a flat
+    view of any other layout would be a copy, and the passes would grow the
+    copy instead of a.  Either raises ValueError before a is written.
     """
+    if buf.shape != a.shape or buf.dtype != a.dtype:
+        raise ValueError(f"grow_box needs buf of a's shape and dtype {a.shape} {a.dtype}, "
+                         f"got {buf.shape} {buf.dtype}")
+    flat, pair = np.reshape(a, -1, copy=False), np.reshape(buf, -1, copy=False)
+    size = flat.size
     for ax in range(n):
+        s = math.prod(a.shape[ax + 1:])
+        np.maximum(flat[:size - s], flat[s:], out=pair[:size - s])
+        np.maximum(pair[:size - 2 * s], pair[s:size - s], out=flat[s:size - s])
         lead = (slice(None),) * ax
-        head, tail = lead + (slice(None, -1),), lead + (slice(1, None),)
-        pair = buf[head]
-        np.maximum(a[head], a[tail], out=pair)
-        np.maximum(pair[head], pair[tail], out=a[lead + (slice(1, -1),)])
-        a[lead + (0,)] = pair[lead + (0,)]
-        a[lead + (-1,)] = pair[lead + (-1,)]
+        a[lead + (0,)] = buf[lead + (0,)]
+        a[lead + (-1,)] = buf[lead + (-2,)]
 
 
 def first_node(bad: np.ndarray) -> tuple[int, ...]:

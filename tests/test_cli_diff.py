@@ -63,3 +63,21 @@ def test_argv_list_skips_comments_and_blank_lines():
     assert argvs[0] == "curvature --geometry sphere3 --m 25 --t 0.3"
     assert "curvature --geometry flat3 --m 21" in argvs
     assert not any(a.startswith("#") or not a for a in argvs)
+
+
+def test_each_argv_without_out_runs_again_into_a_file(tmp_path):
+    argvs = ["norms --geometry flat2 --m 21", "lemmas --m 81 --out lemmas.csv",
+             "lemmas --m 35 --out=x.csv"]
+    assert cli_diff.with_sinks(argvs) == [
+        "norms --geometry flat2 --m 21", "norms --geometry flat2 --m 21 --out sink.out",
+        "lemmas --m 81 --out lemmas.csv", "lemmas --m 35 --out=x.csv"]
+    # the second run writes to the file what the first printed
+    runs = cli_diff.with_sinks(["cover-check --geometry sphere2 --m 21"])
+    cli_diff.run_all(ROOT, runs, tmp_path / "runs", tmp_path / "work")
+    printed = (tmp_path / "runs" / "0" / "stdout").read_bytes()
+    assert printed.startswith(b"covered=True\n")
+    assert (tmp_path / "runs" / "1" / "stdout").read_bytes() == b""
+    assert (tmp_path / "runs" / "1" / "files" / "sink.out").read_bytes() == printed
+    rows = cli_diff.compare(tmp_path / "runs", tmp_path / "runs", runs)
+    assert rows[3] == ("| `cover-check --geometry sphere2 --m 21 --out sink.out` | 0 | equal | "
+                       "equal | sink.out: equal |")

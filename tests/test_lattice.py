@@ -808,6 +808,29 @@ class TestErodeMask:
                 assert not np.shares_memory(got, mask)
             assert np.array_equal(mask, before)
 
+    @pytest.mark.parametrize("shape,steps", [((35, 35), (3, 4)), ((33, 33, 33), (0, 1)),
+                                             ((25, 25, 25), (2,)),
+                                             ((161, 161), (2, 3, 4, 5, 6, 8, 10))])
+    def test_workload_shapes(self, shape, steps):
+        """The shapes and steps the CLI workloads erode, then the steps that
+        empty the mask: (m - 1) / 2 keeps only the centre of a full mask,
+        (m + 1) / 2 and m keep nothing."""
+        m = shape[0]
+        for kind, mask in _erosion_masks(shape, seed=m).items():
+            for k in steps + ((m - 1) // 2, (m + 1) // 2, m):
+                got = erode_mask(mask, k)
+                assert np.array_equal(got, _iterated_box_erosion(mask, k)), (kind, k)
+        full = np.ones(shape, dtype=bool)
+        assert erode_mask(full, (m - 1) // 2).sum() == 1
+        assert not erode_mask(full, (m + 1) // 2).any()
+
+    def test_reads_any_layout(self):
+        mask = _erosion_masks((9, 12, 7), seed=5)["random"]
+        for view in (mask.T, mask[:, ::2], mask[::-1], np.asfortranarray(mask)):
+            for steps in (1, 2):
+                assert np.array_equal(erode_mask(view, steps),
+                                      _iterated_box_erosion(np.ascontiguousarray(view), steps))
+
     def test_steps_past_a_short_axis_empty_the_mask(self):
         mask = np.ones((7, 9, 5), dtype=bool)
         assert erode_mask(mask, 2).sum() == 3 * 5 * 1
@@ -844,6 +867,51 @@ class TestGrowBox:
             size = (2 * s + 1,) * n + (1,) * len(comps)
             ref = ndimage.maximum_filter(a, size=size, mode="nearest")
             assert np.array_equal(grown, ref)
+
+    @pytest.mark.parametrize("shape,n", [((33, 33, 33), 3), ((33, 33, 33, 3), 3),
+                                         ((35, 35), 2), ((161, 161, 2), 2)])
+    def test_workload_shapes_keep_infinities_and_negative_zero(self, shape, n):
+        """The shapes the CLI workloads grow.  Values are <= -0.0, so a box
+        without +inf has -0.0 as its max wherever it holds one: the sign bit
+        must come through as ndimage's max filter keeps it."""
+        rng = np.random.default_rng(sum(shape))
+        a = -np.abs(rng.normal(size=shape))
+        u = rng.random(shape)
+        a[u < 0.2] = -0.0
+        a[(0.2 <= u) & (u < 0.3)] = -np.inf
+        a[(0.3 <= u) & (u < 0.32)] = np.inf
+        m = shape[0]
+        grown, buf = a.copy(), np.empty_like(a)
+        for s in range(1, m):
+            grow_box(grown, buf, n)
+            if s in (1, 2, 3, m // 2, m - 1):
+                size = (2 * s + 1,) * n + (1,) * (len(shape) - n)
+                ref = ndimage.maximum_filter(a, size=size, mode="nearest")
+                assert np.array_equal(grown, ref), s
+                assert np.array_equal(np.signbit(grown), np.signbit(ref)), s
+
+    @pytest.mark.parametrize("layout", ["transposed", "strided", "buf_shape", "buf_layout",
+                                        "buf_dtype"])
+    def test_refuses_arrays_it_cannot_grow_in_place(self, layout):
+        """A flat view of a non-C-contiguous array would be a copy, and the
+        box would grow the copy; a buf of another shape, layout or dtype is
+        refused too.  a is left as it was."""
+        base = np.random.default_rng(1).normal(size=(9, 9, 2))
+        a, buf = base.copy(), np.empty_like(base)
+        if layout == "transposed":
+            a = a.transpose(1, 0, 2)
+        elif layout == "strided":
+            a, buf = a[:, ::2], np.empty((9, 5, 2))
+        elif layout == "buf_shape":
+            buf = np.empty((9, 9, 3))
+        elif layout == "buf_layout":
+            buf = np.empty_like(base, order="F")
+        else:
+            buf = np.empty_like(base, dtype=np.float32)
+        before = a.copy()
+        with pytest.raises(ValueError):
+            grow_box(a, buf, 2)
+        assert np.array_equal(a, before)
 
 
 class TestDifferentiate:

@@ -6,7 +6,10 @@ Run from a git checkout.  Each revision is exported with `git archive` into
 a temporary directory, and every command line of tests/cli_argv.txt (read
 from the working tree) runs under both, one at a time, in a fresh working
 directory that holds the revision's examples/ and the README's example.cfg.
-The script prints one Markdown row per command line: the two exit codes,
+Each command line that names no --out runs a second time with
+`--out sink.out` appended, so that every subcommand's file sink is compared
+as well as its stdout.
+The script prints one Markdown row per run: the two exit codes,
 and whether stderr, stdout and each file the run wrote are equal; for a
 CSV that differs, the differing cells per column with their count and the
 largest relative and absolute change.  It changes no program output and
@@ -30,6 +33,7 @@ ROOT = Path(__file__).resolve().parent.parent
 ARGV_LIST = ROOT / "tests" / "cli_argv.txt"
 EXAMPLE_CFG = "geometry = sphere2\nm = 81\nt-count = 8\n"  # the README's config example
 TIMEOUT_S = 600
+SINK = "sink.out"  # the --out file of the second run of an argv without one
 
 
 def read_argv(path: Path) -> list[str]:
@@ -37,6 +41,17 @@ def read_argv(path: Path) -> list[str]:
     nor comments."""
     return [line.strip() for line in path.read_text().splitlines()
             if line.strip() and not line.startswith("#")]
+
+
+def with_sinks(argvs: list[str]) -> list[str]:
+    """The runs of a list of command lines: each command line, followed,
+    when it names no --out, by itself with `--out SINK` appended."""
+    runs = []
+    for argv in argvs:
+        runs.append(argv)
+        if not any(w == "--out" or w.startswith("--out=") for w in shlex.split(argv)):
+            runs.append(f"{argv} --out {SINK}")
+    return runs
 
 
 def export(rev: str, dest: Path) -> None:
@@ -155,7 +170,7 @@ def main(args: list[str]) -> int:
     if len(args) != 2:
         sys.stderr.write("usage: python3 tools/cli_diff.py REV_A REV_B\n")
         return 2
-    argvs = read_argv(ARGV_LIST)
+    argvs = with_sinks(read_argv(ARGV_LIST))
     with tempfile.TemporaryDirectory(prefix="cli_diff.") as tmp:
         tmp = Path(tmp)
         for side, rev in zip("AB", args):
@@ -165,8 +180,9 @@ def main(args: list[str]) -> int:
                 sys.stderr.write(f"cannot export {rev}: {exc.stderr.decode().strip()}\n")
                 return 2
             run_all(tmp / f"tree_{side}", argvs, tmp / f"runs_{side}", tmp / "work")
-        print(f"A = {args[0]}, B = {args[1]}, {len(argvs)} command lines of "
-              f"{ARGV_LIST.relative_to(ROOT)}\n")
+        print(f"A = {args[0]}, B = {args[1]}, {len(argvs)} runs of the command lines "
+              f"of {ARGV_LIST.relative_to(ROOT)}, each without --out run again "
+              f"with --out {SINK}\n")
         print("\n".join(compare(tmp / "runs_A", tmp / "runs_B", argvs)))
     return 0
 
