@@ -84,7 +84,8 @@ def convolve(k: ScaledKernel, f: Field) -> Field:
     if not mask.any():
         raise ValueError("scale too large for domain: empty output mask")
 
-    # the grid axes lead, so a metric's packed component axis rides along;
+    # the grid axes lead, so a metric's packed component axis or a stack's
+    # field axis rides along;
     # a node of the eroded mask reads only nodes of f's mask
     scalar = isinstance(f, ScalarField)
     out = f.values if scalar else f.comps

@@ -246,12 +246,17 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ScalarField:
+    """A scalar per node, or a stack of k scalar fields side by side on one
+    mask: `values` has the lattice shape, or that shape plus one trailing
+    field axis, the way a metric carries its component axis."""
+
     lattice: Lattice
-    values: np.ndarray
+    values: np.ndarray  # grid or grid + (k,)
     mask: np.ndarray
 
     def __post_init__(self):
-        if self.values.shape != self.lattice.shape:
+        n = self.lattice.n
+        if self.values.shape[:n] != self.lattice.shape or self.values.ndim > n + 1:
             raise ValueError("value array does not match lattice shape")
         if self.mask.shape != self.lattice.shape:
             raise ValueError("mask array does not match lattice shape")
@@ -261,8 +266,11 @@ class ScalarField:
         if bad.any():
             raise ValueError(f"non-finite scalar value at node {first_node(bad)}")
 
-    def sup_norm(self) -> float:
-        return float(np.abs(self.values[self.mask]).max())
+    def sup_norm(self) -> float | np.ndarray:
+        """max |f| over the mask, one value per field of a stack (a float
+        for a single field)."""
+        sup = np.abs(self.values[self.mask]).max(axis=0)
+        return sup if sup.ndim else float(sup)
 
 
 @dataclass(frozen=True)

@@ -20,13 +20,19 @@ from .lattice import (JetField, MetricField, ScalarField, central_diff, check_de
                       packed_det, packed_eigenvalues)
 
 
-def holder_seminorm(values: np.ndarray, mask: np.ndarray, h: float, alpha: float) -> float:
-    """sup |f(x)-f(y)| / |x-y|^alpha over all pairs of valid nodes, max-norm distances.
+def holder_seminorm(values: np.ndarray, mask: np.ndarray, h: float,
+                    alpha: float) -> float | np.ndarray:
+    """sup |f(x)-f(y)| / |x-y|^alpha over all pairs of valid nodes, max-norm
+    distances, one value per field of a stack.
 
-    `values` has the lattice shape of `mask` (spacing h) plus any trailing
-    component axes; component blocks are reduced by max.
+    `values` has the lattice shape of `mask` (spacing h), then any field
+    axes, then one component axis, whose entries are reduced by max: a
+    jet block (grid + (C,)) is one field, a metric jet block
+    (grid + (n(n+1)/2, C)) one field per packed component, and a stack of
+    k scalar fields is passed as grid + (k, 1).  The result has the shape
+    of the field axes, a float when there are none.
 
-    The value is exact.  With f set to -inf off the mask, `lo` after d box
+    Each value is exact.  With f set to -inf off the mask, `lo` after d box
     steps holds the max of f over the (2d+1)^n box, so max_x(lo - f) over
     valid x is the largest difference between valid nodes at distance <= d;
     dilation alone covers both orders of each pair.  This equals the
@@ -34,26 +40,48 @@ def holder_seminorm(values: np.ndarray, mask: np.ndarray, h: float, alpha: float
     max_y fl(f(y) - f(x)) = fl(max_y f(y) - f(x)), and a pair at distance
     d' < d divided by (h d)^alpha never beats its own (h d')^alpha term.
     By the same monotonicity no pair at distance >= d beats
-    spread / (h d)^alpha, with spread = max - min over the valid values, so
-    the scan stops once that bound is at most the best value so far.
+    spread / (h d)^alpha, with spread = max - min over the field's valid
+    values, so the scan stops once no field's bound exceeds that field's
+    best value so far.  A field whose bound did not exceed its best at
+    some step cannot move at a later one, so growing the whole stack until
+    the last field stops gives each field the value of its own scan.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
-    vals = values.reshape(mask.shape + (-1,))
+    fields = values.shape[mask.ndim:-1]
+    k = math.prod(fields)
+    vals = values.reshape(mask.shape + (-1,))  # fields and components on one axis
     valid = mask[..., None]
     lo = np.where(valid, vals, -np.inf)
     hi = np.where(valid, vals, np.inf)
     buf = np.empty_like(lo)
-    spread = lo.max() - hi.min()  # -inf on an empty mask
+    # each field's max - min over its valid values, -inf on an empty mask
+    spread = (_per_field(np.maximum, lo, k) - _per_field(np.minimum, hi, k)).tolist()
 
-    best = 0.0
+    # a few fields: their bookkeeping costs less in Python floats than in numpy calls
+    best = [0.0] * len(spread)
     for d in range(1, max(mask.shape)):
-        if not spread / (h * d) ** alpha > best:
+        scale = (h * d) ** alpha
+        if not any(s / scale > b for s, b in zip(spread, best)):
             break
         grow_box(lo, buf, mask.ndim)
         # buf is free between box steps: the difference reuses it
-        best = max(best, float(np.subtract(lo, hi, out=buf).max()) / (h * d) ** alpha)
-    return best
+        top = _per_field(np.maximum, np.subtract(lo, hi, out=buf), k).tolist()
+        best = [max(b, x / scale) for b, x in zip(best, top)]
+    return np.array(best).reshape(fields) if fields else best[0]
+
+
+def _per_field(ufunc, a: np.ndarray, k: int) -> np.ndarray:
+    """`ufunc.reduce` (maximum or minimum) of a, shape grid + (k C,) with
+    the k fields' C components side by side, over every axis but the
+    field axis: k values.  numpy reduces onto a kept axis that is the
+    innermost one a node at a time, so a stack first folds its leading grid
+    axis, over rows of whole planes; one field reduces in one call.  max
+    and min are exact, so the order gives the same bits."""
+    a = a.reshape(a.shape[:-1] + (k, -1))
+    if k > 1:
+        a = ufunc.reduce(a, axis=0)
+    return ufunc.reduce(a, axis=tuple(range(a.ndim - 2)) + (-1,))
 
 
 def sobolev_norm(jet: JetField, h: float, p: float) -> tuple:

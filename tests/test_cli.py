@@ -24,6 +24,7 @@ from mollilab.curvature import riemann, sec_extreme_fields, sec_spectrum
 from mollilab.kernels import scale_kernel
 from mollilab.modelzoo import get_geometry
 from mollilab.norms import check_N0
+from lemma_parts import pairwise_lemmas
 
 from mollilab.cli import (EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, EXIT_VIOLATION,
                           Block, ExperimentConfig, apply_overrides, fit_excess_decay, fmt,
@@ -498,6 +499,36 @@ class TestLemmasCommand:
         assert len(lq) == 5
         assert all(math.isfinite(float(row[3])) and float(row[5]) <= 1.0 for row in lq)
 
+    @pytest.mark.parametrize("m", [19, 35, 81])
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("p", [1.001, 8.0])
+    def test_stacked_rows_equal_the_pair_loop_bit_for_bit(self, m, seed, p):
+        """The stacked suite gives the per-pair loop's rows, float bytes and
+        all.  alpha = 1 is refused by the config, so 0.99 stands for the
+        Lipschitz end."""
+        for alpha in (0.3, 0.6, 0.99):
+            got = run_lemmas(ExperimentConfig(m=m, seed=seed, p=p, alpha=alpha))
+            want = pairwise_lemmas(m, alpha, p, seed)
+            assert [row[:2] for row in got] == [row[:2] for row in want]
+            assert (np.array([row[2:] for row in got]).tobytes()
+                    == np.array([row[2:] for row in want]).tobytes()), (m, seed, p, alpha)
+
+    def test_sampled_kernel_breaks_the_lq_bound_for_p_near_one(self, tmp_path, capsys):
+        """At m = 19 the largest scale t = r/8 is 1.125 h, a 3-tap kernel whose
+        peak density exceeds the continuous bound 2^{n/q} t^{-n/p} for p near
+        1: one kernel_lq row fails and the run exits 3 with its table
+        written.  p = 1.1 and the default p = 8 hold the bound at that m."""
+        out = tmp_path / "l.csv"
+        assert main(["lemmas", "--m", "19", "--p", "1.01", "--out", str(out)]) == EXIT_VIOLATION
+        assert capsys.readouterr().err == (
+            "violation: kernel_lq index=-1 t=0.125 lhs=70.8330791517 rhs=62.2670074372 "
+            "ratio=1.13756999199\n")
+        header, rows = _read_csv(out)
+        assert len(rows) == 5 * (1 + 3 * cli.LEMMA_PAIRS)
+        for p in (["--p", "1.1"], []):
+            assert main(["lemmas", "--m", "19", *p, "--out", str(out)]) == EXIT_OK
+            assert capsys.readouterr().err == ""
+
     def test_m_the_sweep_cannot_run_is_config_error(self, tmp_path, capsys):
         # at m <= 17 the largest scale, r/8, is not above h
         out = tmp_path / "l.csv"
@@ -905,8 +936,9 @@ class TestMainExitCodes:
         assert not out.exists()
 
     def test_violation_exit_reserved_for_lemmas(self):
-        # the shipped kernels satisfy the inequalities, so exit 3 does not
-        # occur at defaults; the code path is covered via lemma_violations
+        # the shipped kernels satisfy the inequalities at the default p, so
+        # exit 3 does not occur at defaults; a real violating run is
+        # TestLemmasCommand's m = 19, p = 1.01 test
         bad = lemma_violations([("sup_nonincrease", 0, 0.1, 1.1, 1.0, 1.1)])
         assert bad and EXIT_VIOLATION == 3
 

@@ -184,6 +184,22 @@ def test_metric_convolve_is_per_component(n):
     assert np.array_equal(pg.comps[~pg.mask], eye)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_stack_convolve_is_per_field(n):
+    """A stack of scalar fields mollifies as each field alone, every node
+    bit for bit, on the one eroded mask."""
+    lat = make_lattice(n, 1.0, 21 if n == 2 else 13)
+    mask = lat.ball_mask(0.8)
+    values = np.random.default_rng(n).normal(size=lat.shape + (5,))
+    k = scale_kernel(n, 0.25, lat.h)
+    stack = convolve(k, ScalarField(lattice=lat, values=values, mask=mask))
+    singles = [convolve(k, ScalarField(lattice=lat, values=values[..., i], mask=mask))
+               for i in range(5)]
+    assert all(np.array_equal(stack.mask, f.mask) for f in singles)
+    ref = np.stack([f.values for f in singles], axis=-1)
+    assert stack.values.shape == ref.shape and stack.values.tobytes() == ref.tobytes()
+
+
 def _commutation_defect(k, f: ScalarField, axis: int) -> float:
     """sup |d(P_t f) - P_t(d f)| over the common mask, same stencil both sides."""
     lat = f.lattice

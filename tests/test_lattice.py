@@ -75,6 +75,26 @@ class TestFields:
             with pytest.raises(ValueError, match=r"^non-finite scalar value at node \(1, 2\)$"):
                 ScalarField(lattice=lat, values=values, mask=mask)
 
+    def test_scalar_stack_carries_a_trailing_field_axis(self):
+        """k fields side by side on one mask: `sup_norm` gives each field's
+        own sup; a second trailing axis, a wrong grid or a non-finite entry
+        is refused, the last named with its field index after the node."""
+        lat = make_lattice(2, 1.0, 7)
+        rng = np.random.default_rng(3)
+        values = rng.normal(size=lat.shape + (4,))
+        mask = lat.ball_mask(0.8)
+        sups = ScalarField(lattice=lat, values=values, mask=mask).sup_norm()
+        assert sups.shape == (4,)
+        for i in range(4):
+            single = ScalarField(lattice=lat, values=values[..., i], mask=mask).sup_norm()
+            assert isinstance(single, float) and sups[i] == single
+        for shape in (lat.shape + (4, 2), (7, 5, 4)):
+            with pytest.raises(ValueError, match="does not match lattice shape"):
+                ScalarField(lattice=lat, values=np.zeros(shape), mask=mask)
+        values[2, 3, 1] = np.nan
+        with pytest.raises(ValueError, match=r"^non-finite scalar value at node \(2, 3, 1\)$"):
+            ScalarField(lattice=lat, values=values, mask=mask)
+
     def test_metric_field_names_the_first_nonfinite_node_on_the_mask(self):
         lat = make_lattice(2, 1.0, 5)
         comps = np.broadcast_to([1.0, 0.0, 1.0], lat.shape + (3,)).copy()

@@ -135,7 +135,76 @@ class TestHolderSeminorm:
                 mask[tuple(rng.integers(0, m, size=n))] = True
             alpha = 1.0 if trial % 5 == 0 else float(rng.uniform(0.01, 1.0))
             got = holder_seminorm(values, mask, lat.h, alpha)
+            if comps == (n, n):  # n fields (rows) of n components each
+                assert got.shape == (n,)
+                for i in range(n):
+                    assert got[i] == _pair_loop_seminorm(values[..., i, :], mask, lat, alpha)
+                got = float(got.max())
             assert got == _pair_loop_seminorm(values, mask, lat, alpha)
+
+    @pytest.mark.parametrize("n,m,k", [(2, 9, 5), (2, 19, 20), (3, 7, 4)])
+    def test_stack_equals_each_field(self, n, m, k):
+        """Each field of a stack on one shared mask equals its own call and
+        the pair loop, bit for bit: on an empty mask, a one-node mask and
+        random masks, with ties, and with constant fields beside rough ones."""
+        rng = np.random.default_rng(100 * n + m)
+        lat = make_lattice(n, float(rng.uniform(0.3, 2.0)), m)
+        for trial in range(8):
+            stack = rng.normal(size=lat.shape + (k,)) * 10.0 ** rng.integers(-3, 4)
+            if trial % 4 == 1:
+                stack = np.round(stack)  # ties between pairs
+            stack[..., 0] = 2.5  # a constant field stops before the first box step
+            stack[..., 1] = np.round(stack[..., 1], 1)
+            mask = rng.random(lat.shape) < rng.uniform(0.05, 1.0)
+            if trial == 0:
+                mask[...] = False
+            elif trial == 1:
+                mask[...] = False
+                mask[tuple(rng.integers(0, m, size=n))] = True
+            alpha = 1.0 if trial % 3 == 0 else float(rng.uniform(0.01, 1.0))
+            got = holder_seminorm(stack[..., None], mask, lat.h, alpha)
+            assert got.shape == (k,)
+            for i in range(k):
+                single = holder_seminorm(stack[..., i], mask, lat.h, alpha)
+                assert isinstance(single, float)
+                assert got[i] == single == _pair_loop_seminorm(stack[..., i], mask, lat, alpha)
+
+    def test_stack_grows_until_its_last_field_stops(self, monkeypatch):
+        """A stack takes as many box steps as its slowest field alone; a
+        constant field takes none, and a field that stops early beside a
+        slower one keeps its own value."""
+        calls = []
+        grow = norms.grow_box
+        monkeypatch.setattr(norms, "grow_box", lambda *args: calls.append(1) or grow(*args))
+        lat = make_lattice(2, 1.0, 35)
+        X = lat.coords()
+        # a ramp's largest quotient is at the largest distance, a bump's nearby
+        ramp = X[..., 0] + 0.5 * X[..., 1]
+        bump = np.exp(-(X**2).sum(axis=-1) / 0.1)
+        stack = np.stack([np.full(lat.shape, -1.5), ramp, bump], axis=-1)
+        mask = lat.ball_mask(0.95)
+        steps = []
+        for i in range(3):
+            calls.clear()
+            holder_seminorm(stack[..., i], mask, lat.h, 0.6)
+            steps.append(len(calls))
+        assert steps[0] == 0 < steps[2] < steps[1]
+        calls.clear()
+        got = holder_seminorm(stack[..., None], mask, lat.h, 0.6)
+        assert len(calls) == max(steps)
+        assert got[0] == 0.0
+        for i in range(3):
+            assert got[i] == _pair_loop_seminorm(stack[..., i], mask, lat, 0.6)
+
+    def test_one_field_per_chart_norm_call_keeps_its_box_steps(self, monkeypatch):
+        """chart_norm_report passes one field (a jet block) per call; the
+        sphere3 m=33 report takes 72 box steps, as the per-field stop gives
+        a single field the steps of the scan before stacks."""
+        calls = []
+        grow = norms.grow_box
+        monkeypatch.setattr(norms, "grow_box", lambda *args: calls.append(1) or grow(*args))
+        run_norms(ExperimentConfig(geometry="sphere3", m=33))
+        assert len(calls) == 72
 
 
     def test_early_exit_stays_exact(self, monkeypatch):
