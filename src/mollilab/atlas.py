@@ -4,7 +4,10 @@ assembly of the globally mollified metric from per-chart mollifications.
 An `Atlas` makes its partition of unity when it is constructed.
 Transitions are closed-form only (the shipped ones are built in
 `modelzoo`); off-node metric values under pullback come from local cubic
-Lagrange interpolation of the sampled field.
+Lagrange interpolation of the sampled field.  Interpolation and pullback
+work on packed components: each packed entry of J^T g J is computed once
+from whole component planes, so the pulled-back metric is symmetric by
+construction and no full matrix is formed.
 """
 from __future__ import annotations
 
@@ -14,8 +17,7 @@ from dataclasses import InitVar, dataclass, field
 import numpy as np
 
 from .kernels import ScaledKernel, convolve
-from .lattice import (Lattice, MetricField, check_definite, fold, pack_symmetric,
-                      unpack_symmetric)
+from .lattice import Lattice, MetricField, check_definite, fold, pack_map
 
 COVER_TOL = 1e-9
 WEIGHT_EPS = 1e-14
@@ -151,7 +153,9 @@ def _valid_box(mask: np.ndarray):
 
 
 def _lagrange_cubic(axes, values, pts):
-    """Local tensor-product cubic Lagrange interpolation on a uniform grid.
+    """Local tensor-product cubic Lagrange interpolation on a uniform grid
+    of components, values grid + (K,); returns one plane per component,
+    (K, len(pts)).
 
     Node-exact with per-cell support, so rough data far away cannot bleed
     into smooth regions the way a global spline fit can.
@@ -177,9 +181,7 @@ def _lagrange_cubic(axes, values, pts):
         weights.append(w)
     # one contiguous plane per component; each stencil node is one gather
     # per plane by C-order flat index into the grid
-    tail = values.shape[n:]
-    planes = np.ascontiguousarray(np.moveaxis(values.reshape(values.shape[:n] + (-1,)), -1, 0))
-    planes = planes.reshape(planes.shape[0], -1)
+    planes = np.ascontiguousarray(np.moveaxis(values, -1, 0)).reshape(values.shape[-1], -1)
     strides = [int(np.prod(values.shape[k + 1:n])) for k in range(n)]
     flat = sum(base[k] * strides[k] for k in range(n))
     out = np.zeros((planes.shape[0], npts))
@@ -198,11 +200,12 @@ def _lagrange_cubic(axes, values, pts):
                 np.take(plane, idx, out=node)
                 node *= w
                 acc += node
-    return np.moveaxis(out.reshape(tail + (npts,)), -1, 0)
+    return out
 
 
 def interpolate_metric(g: MetricField, points: np.ndarray):
-    """Metric matrices at off-node points; NaN rows where out of range."""
+    """Packed metric components at off-node points, points.shape[:-1] +
+    (n(n+1)/2,), and the mask of points in range; NaN rows where out of range."""
     lat = g.lattice
     sl = _valid_box(g.mask)
     axes = [lat.axis_nodes()[s] for s in sl]
@@ -213,17 +216,24 @@ def interpolate_metric(g: MetricField, points: np.ndarray):
     inside = np.full(flat_pts.shape[0], min(ax.size for ax in axes) >= 4)
     for k in range(n):
         inside &= (flat_pts[:, k] >= axes[k][0]) & (flat_pts[:, k] <= axes[k][-1])
-    vals = np.full((flat_pts.shape[0], nc), np.nan)
+    # one contiguous plane per component, which the pullback reads plane by
+    # plane, returned as a node-major view
+    vals = np.full((nc, flat_pts.shape[0]), np.nan)
     if inside.any():
-        vals[inside] = _lagrange_cubic(axes, g.comps[sl], flat_pts[inside])
-    mats = unpack_symmetric(vals, n)
+        vals[:, inside] = _lagrange_cubic(axes, g.comps[sl], flat_pts[inside])
+    vals = np.moveaxis(vals, 0, -1)
     ok = fold(np.logical_and, np.isfinite(vals)) & inside
-    return (mats.reshape(points.shape[:-1] + (n, n)),
-            ok.reshape(points.shape[:-1]))
+    return vals.reshape(points.shape[:-1] + (nc,)), ok.reshape(points.shape[:-1])
 
 
 def pullback_metric(tr: Transition, g: MetricField, target: Lattice) -> MetricField:
-    """(D tau)^T g(tau(x)) (D tau) sampled on the target lattice."""
+    """(D tau)^T g(tau(x)) (D tau) sampled on the target lattice.
+
+    Each packed entry (a <= b) is computed once from whole planes, first
+    (gJ)_cb = sum_d g_cd J_db and then sum_c J_ca (gJ)_cb, so the result is
+    symmetric by construction.
+    """
+    n = target.n
     X = target.coords()
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         Y = np.asarray(tr.map(X), dtype=float)
@@ -231,11 +241,23 @@ def pullback_metric(tr: Transition, g: MetricField, target: Lattice) -> MetricFi
     finite = (fold(np.logical_and, np.isfinite(Y))
               & fold(np.logical_and, np.isfinite(J).reshape(J.shape[:-2] + (-1,))))
     Y = np.where(finite[..., None], Y, 0.0)
+    # the Jacobian as contiguous planes J[d, b], zero where it is not finite
+    # so that the plane products below raise no floating-point warning
+    J = np.where(finite, np.moveaxis(J, (-2, -1), (0, 1)), 0.0)
     G, ok = interpolate_metric(g, Y)
-    mask = ok & finite
-    out = np.swapaxes(J, -1, -2) @ G @ J
-    out = 0.5 * (out + np.swapaxes(out, -1, -2))
-    return MetricField(lattice=target, comps=pack_symmetric(out), mask=mask)
+    P = pack_map(n)
+    gJ = {}
+    for c, b in itertools.product(range(n), repeat=2):
+        gJ[c, b] = G[..., P[c, 0]] * J[0, b]
+        for d in range(1, n):
+            gJ[c, b] += G[..., P[c, d]] * J[d, b]
+    comps = np.empty(G.shape)
+    for a, b in zip(*np.triu_indices(n)):
+        acc = J[0, a] * gJ[0, b]
+        for c in range(1, n):
+            acc += J[c, a] * gJ[c, b]
+        comps[..., P[a, b]] = acc
+    return MetricField(lattice=target, comps=comps, mask=ok & finite)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,9 @@ the identity written off the mask at construction; every stage reads and
 writes that array, and pointwise algebra never pads by hand.  A chart's
 generator returns those packed components too (`sample_metric`), so no
 stage forms full matrices to store them; `unpack_symmetric` gives them
-where full matrices are the arithmetic (LAPACK).  For n <= 3
+only where full matrices are the arithmetic, the LAPACK branches of
+`packed_eigenvalues` (n >= 3), `packed_det` and `inverse_planes` (n >= 4).
+Interpolation and pullback (`atlas`) work on packed components.  For n <= 3
 the determinant (`packed_det`) and the inverse are closed form, the 2-d
 eigenvalues are the closed-form roots, and the metric check certifies
 nodes from their LDL^T pivots, all read straight from the packed

@@ -13,6 +13,7 @@ from mollilab.kernels import convolve, scale_kernel
 from mollilab.lattice import (MetricField, make_lattice, pack_symmetric, sample_metric,
                               unpack_symmetric)
 from mollilab.modelzoo import get_geometry, parse_atlas_file
+from atlas_parts import full_matrix_pullback
 from packing import packed
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
@@ -85,17 +86,46 @@ class TestPullback:
         diff = unpack_symmetric(out.comps, 2) - unpack_symmetric(g.comps, 2)
         assert np.abs(diff[out.mask]).max() < 1e-12
 
-    def test_linear_transition_congruence(self):
-        lat = make_lattice(2, 1.0, 41)
-        A = np.array([[1.0, 0.3], [0.0, 0.8]])
-        g = sample_metric(packed(lambda X: np.broadcast_to(
-            np.diag([2.0, 3.0]), X.shape[:-1] + (2, 2))), lat)
+    @pytest.mark.parametrize("A,G,m", [
+        (np.array([[1.0, 0.3], [0.0, 0.8]]), np.diag([2.0, 3.0]), 41),
+        # non-symmetric A and non-diagonal g: J[c, a] read as J[a, c] moves
+        # the result in 3-d too
+        (np.array([[0.9, 0.3, -0.1], [0.05, 0.8, 0.25], [-0.2, 0.1, 0.7]]),
+         np.array([[2.0, 0.3, -0.2], [0.3, 3.0, 0.5], [-0.2, 0.5, 1.5]]), 21)],
+        ids=["n2", "n3"])
+    def test_linear_transition_congruence(self, A, G, m):
+        n = A.shape[0]
+        lat = make_lattice(n, 1.0, m)
+        g = sample_metric(packed(lambda X: np.broadcast_to(G, X.shape[:-1] + (n, n))), lat)
         tr = Transition(map=lambda X: np.einsum("ij,...j->...i", A, X),
                         jacobian=lambda X: np.broadcast_to(
-                            A, X.shape[:-1] + (2, 2)))
+                            A, X.shape[:-1] + (n, n)))
         out = pullback_metric(tr, g, lat)
-        expect = A.T @ np.diag([2.0, 3.0]) @ A
-        assert np.abs(unpack_symmetric(out.comps, 2)[out.mask] - expect).max() < 1e-10
+        assert out.mask.any()
+        expect = A.T @ G @ A
+        assert np.abs(unpack_symmetric(out.comps, n)[out.mask] - expect).max() < 1e-10
+
+    @pytest.mark.parametrize("name,m", [("sphere2", 41), ("sphere2", 81), ("sphere3", 17),
+                                        ("sphere3", 25), ("flat2", 41), ("flat2", 81),
+                                        ("flat3", 17), ("flat3", 25)])
+    @pytest.mark.parametrize("mollified", [False, True], ids=["raw", "mollified"])
+    def test_matches_full_matrix_pullback(self, name, m, mollified):
+        # each packed entry computed once from planes against J^T G J on full
+        # matrices with its triangles averaged: the same mask, and round-off
+        # apart (within 4 eps max|g|)
+        geo = get_geometry(name)
+        lat = geo.chart_lattice(m)
+        samples = geo.sample_all(m)
+        for (_, to), tr in geo.atlas.transitions.items():
+            g = samples[to]
+            if mollified:
+                g = convolve(scale_kernel(geo.n, 0.2 * geo.r, lat.h), g)
+            out = pullback_metric(tr, g, lat)
+            ref = full_matrix_pullback(tr, g, lat)
+            assert out.mask.any()
+            assert np.array_equal(out.mask, ref.mask)
+            bound = 4.0 * np.finfo(float).eps * np.abs(g.comps[g.mask]).max()
+            assert np.abs(out.comps - ref.comps).max() <= bound
 
     def test_sphere_transition_reproduces_generator(self):
         geo = get_geometry("sphere2")
@@ -120,17 +150,19 @@ class TestInterpolation:
         g = sample_metric(packed(lambda X: (2.0 + np.sin(3 * X[..., 0]))[..., None, None]
                                  * np.eye(2)), lat)
         pts = lat.coords()[5:10, 5:10]
-        mats, ok = interpolate_metric(g, pts)
+        comps, ok = interpolate_metric(g, pts)
         assert ok.all()
-        assert np.abs(mats - unpack_symmetric(g.comps, 2)[5:10, 5:10]).max() < 1e-13
+        assert np.abs(comps - g.comps[5:10, 5:10]).max() < 1e-13
 
     def test_out_of_range_flagged(self):
         lat = make_lattice(2, 1.0, 21)
         g = sample_metric(packed(lambda X: np.broadcast_to(
             np.eye(2), X.shape[:-1] + (2, 2))), lat)
-        mats, ok = interpolate_metric(g, np.array([[5.0, 0.0], [0.0, 0.0]]))
+        comps, ok = interpolate_metric(g, np.array([[5.0, 0.0], [0.0, 0.0]]))
+        assert comps.shape == (2, 3)
         assert not ok[0] and ok[1]
-        assert np.isnan(mats[0]).all()
+        assert np.isnan(comps[0]).all()
+        assert np.array_equal(comps[1], [1.0, 0.0, 1.0])
 
     def test_box_under_four_nodes_out_of_range(self):
         # the cubic stencil needs 4 nodes per axis: a valid box 3 nodes wide
@@ -143,9 +175,10 @@ class TestInterpolation:
         pts = lat.coords()[9:12, 6:12] + 0.25 * lat.h
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            mats, ok = interpolate_metric(narrow, pts)
+            comps, ok = interpolate_metric(narrow, pts)
+        assert comps.shape == pts.shape[:-1] + (3,)
         assert not ok.any()
-        assert np.isnan(mats).all()
+        assert np.isnan(comps).all()
 
 
 def _tuple_index_cubic(axes, values, pts):
@@ -183,8 +216,7 @@ def _tuple_index_cubic(axes, values, pts):
 
 class TestLagrangeCubic:
     @pytest.mark.parametrize("n", [2, 3])
-    @pytest.mark.parametrize("components", [False, True], ids=["scalar", "packed"])
-    def test_flat_gather_equals_tuple_gather(self, n, components):
+    def test_flat_gather_equals_tuple_gather(self, n):
         # the box interpolate_metric passes: comps[sl] of a centred sub-box,
         # which is not contiguous; points on nodes, on the box faces and
         # at random inside
@@ -195,7 +227,6 @@ class TestLagrangeCubic:
         axes = [lat.axis_nodes()[s] for s in sl]
         box = g.comps[sl]
         assert not box.flags.c_contiguous
-        values = box if components else box[..., 1]
         rng = np.random.Generator(np.random.Philox(key=n))
         lo = np.array([ax[0] for ax in axes])
         hi = np.array([ax[-1] for ax in axes])
@@ -205,8 +236,8 @@ class TestLagrangeCubic:
             faces[4 * k:4 * k + 2, k] = lo[k]
             faces[4 * k + 2:4 * k + 4, k] = hi[k]
         for pts in (nodes, faces, rng.uniform(lo, hi, (200, n))):
-            assert np.array_equal(_lagrange_cubic(axes, values, pts),
-                                  _tuple_index_cubic(axes, values, pts))
+            assert np.array_equal(_lagrange_cubic(axes, box, pts),
+                                  _tuple_index_cubic(axes, box, pts).T)
 
 
 class TestAssembly:
