@@ -29,8 +29,9 @@ is twice its trace, 2 tr(G^-1 R).
 `sec_spectrum` solves the pencil without full matrices or LAPACK.  In 3-d it
 gathers the Riemann mask's nodes one component plane each, forms the
 congruence C = L^-1 R L^-T, G = L L^T, in closed form and diagonalises it
-by cyclic Jacobi, each node until its off-diagonal sum is at most eps times
-its diagonal's, for at most JACOBI_SWEEPS sweeps.
+with the lab's one symmetric 3 x 3 eigenvalue kernel,
+`lattice.jacobi_eigenvalues`, the cyclic Jacobi method that also gives a
+3-d metric's eigenvalues.
 """
 from __future__ import annotations
 
@@ -39,8 +40,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lattice import (MetricField, central_diff, central_diff2, erode_mask, first_node,
-                      inverse_planes, ldl_planes, pack_map, packed_det)
+from .lattice import (MetricField, central_diff, central_diff2, erode_mask, inverse_planes,
+                      jacobi_eigenvalues, ldl_planes, pack_map, packed_det)
 
 # Grid nodes per slab of the streamed Riemann builder, which takes
 # max(1, SLAB_NODES // m^(n-1)) whole axis-0 planes at a time and holds them
@@ -50,12 +51,6 @@ from .lattice import (MetricField, central_diff, central_diff2, erode_mask, firs
 # (2-d, m = 161); 4096 and 8192 ran the builder 5-10 % faster on 2-d
 # m = 161 and 3-d m = 25 charts, but made that slab 1.5 and 3 times as large.
 SLAB_NODES = 2048
-
-# Sweeps of the cyclic Jacobi method that `sec_spectrum` runs on a node's
-# 3 x 3 congruence before it refuses the node.  Every node of the shipped
-# models, raw and mollified, meets the stopping rule within 4 sweeps: the
-# off-diagonal converges quadratically, also at repeated eigenvalues.
-JACOBI_SWEEPS = 10
 
 
 @dataclass(frozen=True)
@@ -277,66 +272,6 @@ def _congruence(r: np.ndarray, g: np.ndarray) -> np.ndarray:
     return C
 
 
-def _jacobi(C: np.ndarray) -> np.ndarray:
-    """Diagonalise the symmetric 3 x 3 planes C (`_congruence` layout) in
-    place by the cyclic Jacobi method over the pairs (0, 1), (0, 2), (1, 2),
-    vectorised over nodes, and return the nodes that still fail the
-    stopping rule after JACOBI_SWEEPS sweeps.
-
-    A node rotates while |C_01| + |C_02| + |C_12| > eps (|C_00| + |C_11| +
-    |C_22|).  The rotation of pair (p, q) takes t = tan(phi) =
-    sgn(x) / (|x| + sqrt(x^2 + 1)), x = (C_qq - C_pp) / (2 C_pq), the
-    smaller root, and sets C_pq to exactly 0.  A node that meets the rule
-    divides by 0 instead of 2 C_pq, so that, like a pair whose C_pq = 0, it
-    gets x = +-inf and t = 0 (or x = 0/0 where also C_qq = C_pp, whose NaN
-    t is taken as 0), which leaves every entry's value as it is: each
-    node's values depend on its own entries alone, and after
-    `sec_spectrum`'s `+ 0.0` its bits do too.
-    """
-    P = pack_map(3)
-    eps = np.finfo(float).eps
-    x, t, cos, sin, prod = (np.empty(C.shape[1:]) for _ in range(5))
-    for sweep in range(JACOBI_SWEEPS + 1):
-        absC = np.abs(C)
-        off = absC[P[0, 1]] + absC[P[0, 2]]
-        off += absC[P[1, 2]]
-        mag = absC[P[0, 0]] + absC[P[1, 1]]
-        mag += absC[P[2, 2]]
-        active = off > eps * mag
-        if sweep == JACOBI_SWEEPS or not active.any():
-            return active
-        twice, keep = 2.0 * active, 1.0 - active
-        for p, q in ((0, 1), (0, 2), (1, 2)):
-            pp, qq, pq = C[P[p, p]], C[P[q, q]], C[P[p, q]]
-            rp, rq = C[P[3 - p - q, p]], C[P[3 - p - q, q]]
-            np.subtract(qq, pp, out=x)
-            np.multiply(pq, twice, out=t)
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                x /= t
-                np.multiply(x, x, out=t)
-            t += 1.0
-            np.sqrt(t, out=t)
-            t += np.abs(x, out=cos)
-            np.reciprocal(t, out=t)
-            np.fmax(t, 0.0, out=t)                       # 0/0 gave nan
-            np.copysign(t, x, out=t)
-            np.multiply(t, t, out=cos)
-            cos += 1.0
-            np.sqrt(cos, out=cos)
-            np.reciprocal(cos, out=cos)
-            np.multiply(t, cos, out=sin)
-            np.multiply(t, pq, out=prod)
-            pp -= prod
-            qq += prod
-            pq *= keep
-            np.multiply(sin, rq, out=prod)
-            np.multiply(sin, rp, out=x)
-            rp *= cos
-            rp -= prod
-            rq *= cos
-            rq += x
-
-
 def sec_spectrum(R: RiemannField):
     """Per-node eigenvalues of the pencil (R, G), G = Lambda^2 g, and the
     scalar curvature, from one solve.
@@ -354,12 +289,11 @@ def sec_spectrum(R: RiemannField):
     components are gathered one plane each, the congruence C = L^-1 R L^-T,
     G = L L^T, is formed in closed form (`_congruence`), the scalar
     curvature is twice its trace (C_00 + C_11) + C_22, and C is
-    diagonalised by cyclic Jacobi (`_jacobi`), whose diagonal a compare-swap
-    network sorts.  A node rotates while its off-diagonal sum exceeds eps
-    times its diagonal's; each node's bits depend on its own entries alone,
-    so any batch of nodes gets the same bits.  A node that still fails the
-    rule after JACOBI_SWEEPS sweeps raises ValueError naming it in R's grid.
-    Both fields are NaN off R.mask, where R is not a curvature.
+    diagonalised and its diagonal sorted by `lattice.jacobi_eigenvalues`,
+    whose bits at a node depend on that node's entries alone; a node still
+    unconverged after `lattice.JACOBI_SWEEPS` sweeps raises ValueError
+    naming it in R's grid.  Both fields are NaN off R.mask, where R is not
+    a curvature.
     """
     n = R.metric.lattice.n
     if n > 3:
@@ -378,19 +312,7 @@ def sec_spectrum(R: RiemannField):
     trace = C[P[0, 0]] + C[P[1, 1]]
     trace += C[P[2, 2]]
     scalar[R.mask] = 2.0 * trace
-    stuck = _jacobi(C)
-    if stuck.any():
-        bad = np.zeros(R.mask.shape, dtype=bool)
-        bad[R.mask] = stuck
-        raise ValueError(f"sec_spectrum: Jacobi method not converged after {JACOBI_SWEEPS} "
-                         f"sweeps at node {first_node(bad)}")
-    # + 0.0 writes a zero as +0.0, whichever sign a rotation left it
-    a, b, c = (C[P[k, k]] + 0.0 for k in range(3))
-    lo, hi = np.minimum(a, b), np.maximum(a, b)
-    ev[R.mask, 2] = np.maximum(hi, c)
-    np.minimum(hi, c, out=hi)
-    ev[R.mask, 0] = np.minimum(lo, hi)
-    ev[R.mask, 1] = np.maximum(lo, hi)
+    ev[R.mask] = jacobi_eigenvalues(C, "sec_spectrum", R.mask)
     return ev, scalar
 
 

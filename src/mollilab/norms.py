@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
-from .lattice import (JetField, MetricField, ScalarField, central_diff, check_definite,
-                      differentiate, erode_mask, fold, grow_box, inverse_planes, pack_map,
-                      packed_det, packed_eigenvalues)
+from .lattice import (JetField, MetricField, ScalarField, central_diff, check_eigenvalues,
+                      differentiate, erode_mask, fold, grow_box, inverse_planes, packed_det,
+                      packed_eigenvalues)
 
 
 def holder_seminorm(values: np.ndarray, mask: np.ndarray, h: float,
@@ -102,98 +101,18 @@ def sobolev_norm(jet: JetField, h: float, p: float) -> tuple:
     return tuple(norms)
 
 
-# Slack of `check_N0`'s Gershgorin brackets, in units of n eps (rho + tiny),
-# and the relative margin by which a candidate's bracket may miss an extreme.
-_SOLVER_SLACK = 16
-_N0_MARGIN = 1e-10
-
-
-def _gershgorin(comps: np.ndarray, n: int) -> tuple:
-    """Per-node Gershgorin bounds of packed symmetric n x n components, plane
-    by plane: (max_i g_ii, max_i (g_ii + r_i), min_i (g_ii - r_i),
-    min_i g_ii), with r_i = sum_{j != i} |g_ij|."""
-    p = np.moveaxis(comps, -1, 0)
-    pos = pack_map(n)
-    mag = {k: np.abs(p[k]) for k in pos[np.triu_indices(n, 1)]}
-    shape = comps.shape[:-1]
-    dmax, top = np.full(shape, -np.inf), np.full(shape, -np.inf)
-    bottom, dmin = np.full(shape, np.inf), np.full(shape, np.inf)
-    for i in range(n):
-        d = p[pos[i, i]]
-        r = reduce(np.add, [mag[pos[i, j]] for j in range(n) if j != i])
-        np.maximum(dmax, d, out=dmax)
-        np.maximum(top, d + r, out=top)
-        np.minimum(bottom, d - r, out=bottom)
-        np.minimum(dmin, d, out=dmin)
-    return dmax, top, bottom, dmin
-
-
-def _extreme_candidates(g: MetricField) -> np.ndarray:
-    """Valid nodes whose computed smallest or largest eigenvalue can reach
-    the extremes over the mask, a boolean grid (see `check_N0`)."""
-    n = g.lattice.n
-    fp = np.finfo(float)
-    with np.errstate(over="ignore"):
-        dmax, top, bottom, dmin = _gershgorin(g.comps, n)
-        slack = top + fp.tiny
-        slack *= _SOLVER_SLACK * n * fp.eps
-        dmax -= slack
-        top += slack
-        bottom -= slack
-        dmin += slack
-        big = np.max(dmax, where=g.mask, initial=-np.inf)
-        small = np.min(dmin, where=g.mask, initial=np.inf)
-        reach = (top >= big * (1.0 - _N0_MARGIN)) | (bottom <= small * (1.0 + _N0_MARGIN))
-    return g.mask & reach
-
-
 def check_N0(g: MetricField) -> float:
     """Minimal Q with e^{-2Q} <= eigenvalues of g <= e^{2Q} at every valid
     node: 0.5 max |log lam| over the computed eigenvalues of the valid nodes.
 
-    The metric check (`check_definite`) refuses first.  In 2-d the
-    closed-form roots of every valid node cost less than choosing among
-    them.  For n >= 3 LAPACK runs only on the valid nodes that
-    `_extreme_candidates` keeps, and the value is bit for bit the one all
-    valid nodes give: `packed_eigenvalues` computes each node's eigenvalues
-    from its own components alone, and the largest |log lam| over positive
-    numbers sits at the smallest or the largest of them, so only the nodes
-    holding the smallest computed lam_min or the largest computed lam_max
-    can give it.  The candidates hold both:
-
-    - Gershgorin: every eigenvalue lies in a disc [g_ii - r_i, g_ii + r_i],
-      and the Rayleigh quotients of the unit vectors are the g_ii, so
-      lam_max lies in [max g_ii, rho], rho = max (g_ii + r_i), and lam_min
-      in [min (g_ii - r_i), min g_ii].
-    - LAPACK's symmetric eigensolver is backward stable: its eigenvalues
-      are exact for g + E with |E|_2 <= p(n) eps |g|_2, p a modest
-      polynomial (Golub and Van Loan, Matrix Computations, ch. 8), so by
-      Weyl's inequality each moves by at most p(n) eps rho.  Computing a
-      bound rounds it by at most n eps rho, or by a subnormal spacing,
-      eps tiny, below the normal range.  The slack
-      delta = 16 n eps (rho + tiny) covers both while p(n) <= 15 n (LAPACK
-      errs by under 2 eps |g|_2 on 3 x 3 metrics built to sit on their
-      Gershgorin bounds), so the computed lam_max lies in
-      [max g_ii - delta, rho + delta] and the computed lam_min in
-      [min (g_ii - r_i) - delta, min g_ii + delta].
-    - So the largest computed lam_max over the mask is at least
-      big = max (max g_ii - delta), and only a node with rho + delta >= big
-      can hold it; the smallest computed lam_min is at most
-      small = min (min g_ii + delta), and only a node with
-      min (g_ii - r_i) - delta <= small can hold it.
-
-    Both tests also pass a node that misses by a relative 1e-10
-    (`_N0_MARGIN`), so a node within a few ulps of an extreme, where log
-    need not be monotone, stays a candidate, and so does a node whose
-    solver errs by up to that much beyond delta.  On a sphere3 m=33 chart
-    9 of 35,937 nodes are candidates; on pflat3, the identity plus a
-    rank-one term, every node holds lam_min = 1 and is one.
+    The eigenvalues of the whole grid (`packed_eigenvalues`: the closed-form
+    roots in 2-d, cyclic Jacobi in 3-d, LAPACK for n >= 4) first get the
+    metric verdict (`check_eigenvalues`), which refuses naming the first bad
+    node, and then give the bound on the mask.
     """
-    check_definite(g, "check_N0")
-    n = g.lattice.n
-    pick = g.mask if n == 2 else _extreme_candidates(g)
-    eigs = packed_eigenvalues(g.comps[pick], n)
-    return 0.5 * float(np.abs(np.log(eigs)).max())
+    eigs = packed_eigenvalues(g.comps, g.lattice.n, "check_N0")
+    check_eigenvalues(eigs, "check_N0")
+    return 0.5 * float(np.abs(np.log(eigs[g.mask])).max())
 
 
 def harmonic_defect(g: MetricField) -> float:

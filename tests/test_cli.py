@@ -248,9 +248,9 @@ class TestCurvatureCommand:
             stages.append(stage.split(":")[0])
             return check_definite(g, stage)
 
-        def counted(comps, n):
+        def counted(comps, n, stage):
             eigs.append(comps)
-            return eigenvalues(comps, n)
+            return eigenvalues(comps, n, stage)
 
         for module in (lattice, atlas):
             monkeypatch.setattr(module, "check_definite", checked)
@@ -430,18 +430,16 @@ class TestNormsCommand:
         assert calls == {"check_N0": 2, "harmonic_defect": 2}
 
     def test_eigenvalues_taken_once_per_chart_by_check_N0(self, tmp_path, monkeypatch):
-        # the metric checks (in sample_metric, and check_N0's refusal)
-        # certify every node in closed form; N0_Q needs the extreme
-        # eigenvalues, which check_N0 takes by LAPACK on its Gershgorin
-        # candidates alone, not on the whole grid
-        whole, certified, batches = [], [], []
+        # the metric check in sample_metric certifies every node in closed
+        # form; N0_Q reads the eigenvalues of the whole grid, which check_N0
+        # takes once per chart by Jacobi: LAPACK never runs
+        whole, certified, lapack = [], [], []
         eigenvalues, certify_definite = lattice.packed_eigenvalues, lattice.certify_definite
         eigvalsh = np.linalg.eigvalsh
 
-        def counted(comps, n):
-            # the metric check's binding; check_N0's own is norms'
-            whole.append(comps)
-            return eigenvalues(comps, n)
+        def counted(comps, n, stage):
+            whole.append((sys._getframe(1).f_code.co_name, comps.shape))
+            return eigenvalues(comps, n, stage)
 
         def certify(comps):
             # the caller of the metric check that runs the certificate
@@ -449,19 +447,19 @@ class TestNormsCommand:
             return certify_definite(comps)
 
         def solver(a):
-            batches.append(int(np.prod(a.shape[:-2])))
+            lapack.append(a.shape)
             return eigvalsh(a)
 
-        monkeypatch.setattr(lattice, "packed_eigenvalues", counted)
+        _patch_bindings(monkeypatch, "packed_eigenvalues", counted)
         monkeypatch.setattr(np.linalg, "eigvalsh", solver)
         _patch_bindings(monkeypatch, "certify_definite", certify)
         code = main(["norms", "--geometry", "sphere3", "--m", "33",
                      "--out", str(tmp_path / "n.txt")])
         assert code == EXIT_OK
         assert len(get_geometry("sphere3").atlas.charts) == 2
-        assert whole == []
-        assert certified == ["sample_metric"] * 2 + ["check_N0"] * 2
-        assert len(batches) == 2 and all(1 <= b <= 16 for b in batches), batches
+        assert certified == ["sample_metric"] * 2
+        assert lapack == []
+        assert whole == [("check_N0", (33, 33, 33, 6))] * 2
 
     def test_hyperbolic_report_positive_q(self):
         text = run_norms(ExperimentConfig(geometry="hyperbolic2", m=21))

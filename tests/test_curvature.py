@@ -822,7 +822,7 @@ class TestJacobiPencil:
         # may run and every eigenvalue and the scalar are +0.0
         g = self._random_metric(0)
         R = RiemannField(metric=g, riem=np.zeros(g.mask.shape + (3, 3)), mask=g.mask)
-        monkeypatch.setattr(curvature, "JACOBI_SWEEPS", 0)
+        monkeypatch.setattr(lattice, "JACOBI_SWEEPS", 0)
         ev, scalar = sec_spectrum(R)
         assert ev.tobytes() == np.zeros_like(ev).tobytes()
         assert scalar.tobytes() == np.zeros_like(scalar).tobytes()
@@ -843,7 +843,7 @@ class TestJacobiPencil:
         # left unconverged is named in R's grid, which is g's grid
         geo = get_geometry("sphere3")
         R = riemann(geo.sample_all(17)["north"])
-        monkeypatch.setattr(curvature, "JACOBI_SWEEPS", 1)
+        monkeypatch.setattr(lattice, "JACOBI_SWEEPS", 1)
         with pytest.raises(ValueError, match=r"after 1 sweeps at node \(") as info:
             sec_spectrum(R)
         node = tuple(int(i) for i in info.value.args[0].rsplit("(", 1)[1].rstrip(")").split(","))

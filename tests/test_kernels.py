@@ -133,7 +133,7 @@ class TestConvolve:
         g = sample_metric(packed(gen), lat)
         pg = convolve(scale_kernel(2, 0.2, lat.h), g)
         assert isinstance(pg, MetricField)
-        eigs = packed_eigenvalues(pg.comps, 2)
+        eigs = packed_eigenvalues(pg.comps, 2, "test")
         assert eigs[pg.mask][:, 0].min() > 0.0
 
 

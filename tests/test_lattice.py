@@ -17,6 +17,7 @@ from mollilab.lattice import (COND_LIMIT, MetricField, ScalarField, _jet_blocks,
                               inverse_planes, ldl_pivots, make_lattice, pack_map,
                               pack_symmetric, packed_det, packed_eigenvalues, sample_metric,
                               sample_scalar, unpack_symmetric)
+from mollilab.modelzoo import get_geometry
 from mollilab.norms import check_N0
 from packing import packed
 
@@ -154,7 +155,7 @@ class TestFields:
         comps = np.stack([2.0 + X[..., 0], 0.3 * X[..., 1], 3.0 - X[..., 1]], axis=-1)
         comps[~mask] = np.nan  # garbage off the mask must never leak
         g = MetricField(lattice=lat, comps=comps, mask=mask)
-        mats, eigs = unpack_symmetric(g.comps, 2), packed_eigenvalues(g.comps, 2)
+        mats, eigs = unpack_symmetric(g.comps, 2), packed_eigenvalues(g.comps, 2, "test")
         inv = _node_major(inverse_planes(g.comps, 2))
         assert np.array_equal(mats[~mask], np.broadcast_to(np.eye(2), mats[~mask].shape))
         assert np.array_equal(eigs[~mask], np.ones_like(eigs[~mask]))
@@ -341,13 +342,18 @@ def _as_field(mats):
 
 
 def _refused(g):
-    """Nodes the eigenvalue check refuses: an eigenvalue <= 0, or a
-    condition number above COND_LIMIT.  A nan smallest eigenvalue, which the
-    2-d closed form gives where a*c overflows, counts as refused, as it does
-    in `check_eigenvalues`."""
+    """Nodes the eigenvalue check refuses (see `_refuses`)."""
     with np.errstate(all="ignore"):
-        eigs = packed_eigenvalues(g.comps, g.lattice.n)
-        low, top = eigs[..., 0], eigs[..., -1]
+        return _refuses(packed_eigenvalues(g.comps, g.lattice.n, "test"))
+
+
+def _refuses(eigs):
+    """Nodes whose ascending eigenvalues the eigenvalue check refuses: an
+    eigenvalue <= 0, or a condition number above COND_LIMIT.  A nan smallest
+    eigenvalue, which the 2-d closed form gives where a*c overflows, counts
+    as refused, as it does in `check_eigenvalues`."""
+    low, top = eigs[..., 0], eigs[..., -1]
+    with np.errstate(all="ignore"):
         cond = np.divide(top, low, out=np.full(low.shape, np.inf), where=low > 0.0)
     return (low <= 0.0) | (cond > COND_LIMIT)
 
@@ -387,9 +393,9 @@ class TestDefiniteCertificate:
         calls = []
         eigenvalues = lattice.packed_eigenvalues
 
-        def counted(comps, n):
+        def counted(comps, n, stage):
             calls.append(n)
-            return eigenvalues(comps, n)
+            return eigenvalues(comps, n, stage)
 
         monkeypatch.setattr(lattice, "packed_eigenvalues", counted)
         for n in (2, 3):
@@ -417,10 +423,11 @@ def _spd_field(lat, cond, seed):
 
 
 def _n0_whole_grid(g):
-    """`check_N0` before it chose the nodes LAPACK sees, kept as the
-    reference: the eigenvalue verdict on every node, then 0.5 max |log lam|
-    over the eigenvalues of every valid node, from the solver `lattice` holds."""
-    eigs = lattice.packed_eigenvalues(g.comps, g.lattice.n)
+    """The N0 bound as ROADMAP states it, the exact reference for `check_N0`:
+    the eigenvalue verdict on every node, then 0.5 max |log lam| over the
+    eigenvalues of every valid node, from the solver `lattice` holds (so a
+    patched solver reaches both)."""
+    eigs = lattice.packed_eigenvalues(g.comps, g.lattice.n, "check_N0")
     check_eigenvalues(eigs, "check_N0")
     return 0.5 * float(np.abs(np.log(eigs[g.mask])).max())
 
@@ -458,7 +465,7 @@ def _n0_pool(kind, n, count, rng, refusable):
     mats = _adversarial(n, count, seed=int(rng.integers(2**32)))
     if not refusable:
         with np.errstate(all="ignore"):
-            eigs = packed_eigenvalues(pack_symmetric(mats), n)
+            eigs = packed_eigenvalues(pack_symmetric(mats), n, "test")
             mats = mats[(eigs[:, 0] > 0.0) & (eigs[:, -1] / eigs[:, 0] <= COND_LIMIT)]
     return mats if len(mats) else eye[None]
 
@@ -486,9 +493,24 @@ def _n0_field(n, seed, kinds, density, scale, refusable):
     return MetricField(lattice=lat, comps=pack_symmetric(mats), mask=mask)
 
 
-class TestN0Candidates:
-    """`check_N0` runs LAPACK on its Gershgorin candidates alone, and gives
-    bit for bit the value, or the refusal, of the whole grid."""
+def _n0_bracket(ref, mask):
+    """The least and the largest N0 bound over the valid nodes when each of
+    the eigenvalues `ref` (all accepted) may be off by the error bound of
+    `packed_eigenvalues`, 16 eps max|lam| of its node, plus the subnormal
+    spacing that LAPACK's rescaling rounds to; widened by 4 eps for the
+    rounding of the logarithm."""
+    err = 16 * EPS * ref[mask].max(axis=-1, keepdims=True) + np.finfo(float).smallest_subnormal
+    lo, hi = ref[mask] - err, ref[mask] + err
+    ends = np.abs(np.log(np.stack([lo, hi])))
+    near = np.where((lo <= 1.0) & (hi >= 1.0), 0.0, ends.min(axis=0))
+    return 0.5 * near.max() * (1 - 4 * EPS), 0.5 * ends.max() * (1 + 4 * EPS)
+
+
+class TestN0Bound:
+    """`check_N0` gives bit for bit the value, or the refusal, of the whole
+    grid's eigenvalues, also where the extremes tie across nodes, sit at
+    scales 1e+-150, or sit within a solver's round-off of each other; in
+    3-d, Jacobi's verdict and bound agree with LAPACK's eigenvalues."""
 
     @given(n=st.sampled_from([2, 3, 4]), seed=st.integers(0, 2**32 - 1),
            kinds=st.sets(st.sampled_from(["plateau", "dominant", "spd", "adversarial"]),
@@ -499,34 +521,42 @@ class TestN0Candidates:
     def test_equals_the_whole_grid(self, n, seed, kinds, density, scale, refusable):
         g = _n0_field(n, seed, kinds, density, scale, refusable)
         assert _outcome(check_N0, g) == _outcome(_n0_whole_grid, g)
+        if n == 3:
+            with np.errstate(all="ignore"):
+                refused = _refuses(packed_eigenvalues(g.comps, 3, "test"))
+                ref = np.linalg.eigvalsh(unpack_symmetric(g.comps, 3))
+            assert np.array_equal(refused, _refuses(ref))
+            if g.mask.any() and not refused.any():
+                low, high = _n0_bracket(ref, g.mask)
+                assert low <= check_N0(g) <= high
 
-    def test_slack_keeps_a_node_whose_solver_error_leaves_its_bracket(self):
-        # a I - s (J - I) has lam_min = a - 2 s, on its Gershgorin bound;
-        # LAPACK returns it about 0.7 eps |g| = 2e-14 below the bound,
-        # relative 2e-8 at lam_min = 1e-6, far past the 1e-10 margin.
-        # A diagonal node between the two is the extreme only without the
-        # slack delta; the node diag(1, 1, 200) holds lam_max, above the
-        # bracket a + 2 s of the tight node's.
+    def test_jacobi_round_off_decides_a_near_tie(self):
+        # a I - s (J - I) has lam_min = a - 2 s exactly, on its Gershgorin
+        # bound; LAPACK returns it about 0.7 eps |g| = 2e-14 below, and
+        # Jacobi within 2 eps max|lam| of LAPACK (measured 1.02).  A
+        # diagonal node sits halfway between LAPACK's value and the exact
+        # one, and the node diag(1, 1, 200) holds lam_max: whichever of the
+        # two low nodes the solver puts lower gives N0_Q
         s = 31.25
         tight = (2.0 * s + 1e-6) * np.eye(3) - s * (np.ones((3, 3)) - np.eye(3))
-        _, _, bound, _ = norms._gershgorin(pack_symmetric(tight), 3)
-        low = np.linalg.eigvalsh(tight)[0]
-        assert low < bound * (1.0 - 1e-8)
-        between = 0.5 * (low + bound)
+        exact = tight[0, 0] - 2.0 * s  # Sterbenz: no rounding
+        ref = np.linalg.eigvalsh(tight)
+        eigs = packed_eigenvalues(pack_symmetric(tight), 3, "test")
+        assert np.abs(eigs - ref).max() <= 2 * EPS * ref[-1]
+        between = 0.5 * (ref[0] + exact)
         g = _field_with(3, 5, {(1, 2, 3): tight, (3, 3, 3): np.diag([between, 1.0, 1.0]),
                                (4, 0, 1): np.diag([1.0, 1.0, 200.0])})
-        assert check_N0(g) == _n0_whole_grid(g) == -0.5 * np.log(low)
-        assert norms._extreme_candidates(g).sum() == 3
+        assert check_N0(g) == _n0_whole_grid(g) == -0.5 * np.log(min(eigs[0], between))
 
-    def test_margin_keeps_a_node_whose_solver_errs_past_the_slack(self, monkeypatch):
+    def test_value_is_the_solvers_past_a_near_tie(self, monkeypatch):
         # a solver that puts the eigenvalues of the node with g_00 = 0.125 a
-        # relative 1e-11 low, past the slack 16 n eps |g| (1e-14 here) but
-        # within the 1e-10 margin: that node is still a candidate, and the
-        # value is still the whole grid's under the same solver
+        # relative 1e-11 low, far past its round-off: that node, not its
+        # neighbour 5e-12 below it, holds the extreme, and the value is the
+        # whole grid's under the same solver
         solve = lattice.packed_eigenvalues
 
-        def off(comps, n):
-            return solve(comps, n) * np.where(comps[..., :1] == 0.125, 1.0 - 1e-11, 1.0)
+        def off(comps, n, stage):
+            return solve(comps, n, stage) * np.where(comps[..., :1] == 0.125, 1.0 - 1e-11, 1.0)
 
         for module in (lattice, norms):
             monkeypatch.setattr(module, "packed_eigenvalues", off)
@@ -536,10 +566,92 @@ class TestN0Candidates:
                                (4, 0, 1): np.diag([1.0, 1.0, 2.0])})
         low = 0.125 * (1.0 - 1e-11)
         assert check_N0(g) == _n0_whole_grid(g) == -0.5 * np.log(low) != -0.5 * np.log(near)
-        assert norms._extreme_candidates(g).sum() == 3
 
 
 EPS = np.finfo(float).eps
+
+
+# Node 74340 of `_adversarial(3, 100_000, seed=3)`, from its group of entries
+# of any sign and magnitude 1e-300 ... 1e300.  Its exact eigenvalues, from
+# 600-digit arithmetic, are +-3.7961067356937717e263 and -1.0747442669796866e-185;
+# LAPACK's `eigvalsh` gave +-3.928e263 and 0, 1.6e14 eps max|lam| away.
+_WIDE = np.array([[-1.0747442669796866e-185, 4.2521160242471815e+51, -1.0934970920338069e-110],
+                  [4.2521160242471815e+51, 2.8893922268611536e-188, 3.7961067356937717e+263],
+                  [-1.0934970920338069e-110, 3.7961067356937717e+263, 1.6904901307465163e+24]])
+_WIDE_EIGS = np.array([-3.7961067356937717e263, -1.0747442669796866e-185, 3.7961067356937717e263])
+
+
+class TestJacobiEigenvalues:
+    """The 3-d branch of `packed_eigenvalues`, cyclic Jacobi on the packed
+    component planes, against LAPACK's `eigvalsh`: the same verdict at every
+    node, and each eigenvalue within 16 eps max|lam| of LAPACK's."""
+
+    @pytest.mark.parametrize("cond", [1.0, 1e2, 1e5, 1e8, 1e10])
+    def test_matches_lapack_on_spd_fields(self, cond):
+        lat = make_lattice(3, 1.0, 13)
+        mats = _spd_field(lat, cond, seed=int(np.log10(cond)) + 30)
+        eigs, ref = packed_eigenvalues(pack_symmetric(mats), 3, "test"), np.linalg.eigvalsh(mats)
+        assert np.all(np.abs(eigs - ref) <= 16 * EPS * np.abs(ref).max(axis=-1, keepdims=True))
+        assert np.array_equal(_refuses(eigs), _refuses(ref))
+
+    def test_matches_lapack_on_adversarial_matrices(self):
+        # every group but the sixth within 16 eps max|lam| (measured 7.6);
+        # in the sixth, LAPACK errs by up to 5.3e14 eps on 34 of 12,500
+        # nodes, where Jacobi is within 1.33 eps of the exact eigenvalues
+        mats = _adversarial(3, 100_000, seed=3)
+        with np.errstate(all="ignore"):
+            eigs = packed_eigenvalues(pack_symmetric(mats), 3, "test")
+            ref = np.linalg.eigvalsh(mats)
+        assert np.array_equal(_refuses(eigs), _refuses(ref))
+        assert np.array_equal(mats[74340], _WIDE)
+        for k, group in enumerate(np.split(np.arange(len(mats)), 8)):
+            if k != 5:
+                scale = np.abs(ref[group]).max(axis=-1, keepdims=True)
+                assert np.all(np.abs(eigs[group] - ref[group]) <= 16 * EPS * scale), k
+
+    def test_exact_where_lapack_is_not(self):
+        eigs = packed_eigenvalues(pack_symmetric(_WIDE), 3, "test")
+        assert np.all(np.abs(eigs - _WIDE_EIGS) <= 2 * EPS * _WIDE_EIGS[-1])  # measured 1.33
+
+    @pytest.mark.parametrize("f", [0.99, 1.01])
+    def test_verdict_at_the_condition_limit(self, f):
+        # rotations of diag(1, 3e5, 1e12 f): the certificate leaves every
+        # one undecided, so the eigenvalues decide, within 1 % of the limit
+        rng = np.random.default_rng(17)
+        q, _ = np.linalg.qr(rng.standard_normal((2000, 3, 3)))
+        mats = np.einsum("kij,j,klj->kil", q, [1.0, 3e5, 1e12 * f], q)
+        mats = 0.5 * (mats + np.swapaxes(mats, -1, -2))
+        g = _as_field(mats)
+        nodes = np.arange(g.mask.size) < len(mats)
+        assert not certify_definite(g.comps).reshape(-1)[nodes].any()
+        refused = _refuses(packed_eigenvalues(g.comps, 3, "test")).reshape(-1)
+        assert np.array_equal(refused[nodes], _refuses(np.linalg.eigvalsh(mats)))
+        if f < 1.0:
+            assert not refused.any()
+            check_definite(g, "stage")
+            assert check_N0(g) == pytest.approx(0.5 * math.log(1e12 * f), rel=1e-9)
+        else:
+            assert refused[nodes].all()
+            for stage, check in TestCheckDefiniteTexts.STAGES:
+                with pytest.raises(ValueError, match=rf"^{stage}: metric condition number"):
+                    check(g)
+
+    @pytest.mark.parametrize("chart, sweeps", [("pflat3", 0), ("spd", 1)])
+    def test_check_N0_refuses_an_unconverged_node(self, chart, sweeps, monkeypatch):
+        # every pflat3 node meets the stopping rule after one sweep (its
+        # bump is along the unit diagonal), random SPD metrics after a few
+        if chart == "spd":
+            lat = make_lattice(3, 1.0, 9)
+            g = MetricField(lattice=lat, comps=pack_symmetric(_spd_field(lat, 1e3, seed=4)),
+                            mask=lat.full_mask())
+        else:
+            g = get_geometry(chart).sample_all(17)["a"]
+        monkeypatch.setattr(lattice, "JACOBI_SWEEPS", sweeps)
+        text = rf"^check_N0: Jacobi method not converged after {sweeps} sweeps at node \("
+        with pytest.raises(ValueError, match=text) as info:
+            check_N0(g)
+        node = tuple(int(i) for i in info.value.args[0].rsplit("(", 1)[1].rstrip(")").split(","))
+        assert g.mask[node]
 
 
 class TestClosedFormAlgebra:
@@ -564,7 +676,7 @@ class TestClosedFormAlgebra:
     def test_eigenvalues_2d_match_eigvalsh(self, cond):
         lat = make_lattice(2, 1.0, 41)
         mats = _spd_field(lat, cond, seed=int(np.log10(cond)))
-        eigs = packed_eigenvalues(pack_symmetric(mats), 2)
+        eigs = packed_eigenvalues(pack_symmetric(mats), 2, "test")
         ref = np.linalg.eigvalsh(mats)
         assert np.all(eigs[..., 0] <= eigs[..., 1])
         # absolute error eps * lambda_max: eps * cond relative to lambda_min
@@ -574,7 +686,7 @@ class TestClosedFormAlgebra:
         # where the trace minus the large root would lose eps * cond
         diag = np.zeros_like(mats)
         diag[..., 0, 0], diag[..., 1, 1] = ref[..., 0], ref[..., 1]
-        eigs = packed_eigenvalues(pack_symmetric(diag), 2)
+        eigs = packed_eigenvalues(pack_symmetric(diag), 2, "test")
         assert (np.abs(eigs / ref - 1.0)).max() <= 4 * EPS
 
     @pytest.mark.parametrize("n", [2, 3])
@@ -589,7 +701,7 @@ class TestClosedFormAlgebra:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             inv = _node_major(inverse_planes(g.comps, n))
-            eigs = packed_eigenvalues(g.comps, n)
+            eigs = packed_eigenvalues(g.comps, n, "test")
         eye = np.broadcast_to(np.eye(n), inv[~mask].shape)
         assert np.array_equal(inv[~mask], eye)
         assert np.array_equal(eigs[~mask], np.ones_like(eigs[~mask]))
