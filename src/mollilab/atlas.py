@@ -263,20 +263,33 @@ def pullback_metric(tr: Transition, g: MetricField, target: Lattice) -> MetricFi
 # ---------------------------------------------------------------------------
 # global assembly of the mollified metric
 
-def assemble_mollified(atlas: Atlas, samples: dict, kernel: ScaledKernel) -> dict:
+def assemble_mollified(atlas: Atlas, samples: dict, kernel: ScaledKernel,
+                       charts: tuple | None = None) -> dict:
     """Per-chart representation of g^[t] = sum_i rho_i (tau_i pullback of P_t g_i).
 
     `samples` maps chart id to the raw sampled MetricField on that chart's
     lattice.  The output is defined where the partition denominator is at
     least 1 and every contributing term has valid data.
+
+    `charts` names the charts to glue, every chart by default, and each is
+    glued on its samples' lattice, which may be a centred window of the
+    chart (`Lattice.trim`).  The glued values there have the whole chart's
+    bits on the output mask, which is the whole chart's save within the
+    kernel's radius of the window's edge: there the chart's own mollified
+    term is invalid, so a node is glued only where that term has no
+    weight.  A chart is mollified once, when a glued chart first reads it.
+    A chart read only through the pullback must be sampled whole, since the
+    pullback reads it at mapped points anywhere in the chart.
     """
     t = kernel.t
     r = atlas.r
     if not 0.0 < t < r / 2.0:
         raise ValueError(f"scale t must lie in (0, r/2), got {t}")
-    mollified = {cid: convolve(kernel, g) for cid, g in samples.items()}
+    mollified = {}
     out = {}
     for cj in atlas.charts:
+        if charts is not None and cj.id not in charts:
+            continue
         lat = samples[cj.id].lattice
         X = lat.coords()
         rho, denom = atlas.weights(cj.id, X)
@@ -287,6 +300,8 @@ def assemble_mollified(atlas: Atlas, samples: dict, kernel: ScaledKernel) -> dic
             active = w > WEIGHT_EPS
             if not active.any():
                 continue
+            if ci.id not in mollified:
+                mollified[ci.id] = convolve(kernel, samples[ci.id])
             if ci.id == cj.id:
                 term = mollified[ci.id]
             else:

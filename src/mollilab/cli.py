@@ -25,7 +25,7 @@ import numpy as np
 from .atlas import assemble_mollified, check_cover
 from .curvature import riemann, sec_extreme_fields, sec_spectrum
 from .kernels import kernel_lq_bound, kernel_lq_norm, scale_kernel, convolve
-from .lattice import ScalarField, fold, grow_box, make_lattice
+from .lattice import Lattice, MetricField, ScalarField, fold, grow_box, make_lattice
 from .modelzoo import get_geometry, parse_atlas_file
 from .norms import chart_norm_report, check_N0, holder_seminorm
 
@@ -298,18 +298,40 @@ class DeviationRecord:
     sec_excess: float
 
 
-def run_deviation(cfg: ExperimentConfig):
-    """Scale sweep of the one-sided curvature deviations of g^[t].
+@dataclass(frozen=True)
+class DeviationScale:
+    """One scale of `deviation_sweep`: its record and the arrays on the
+    window whose maxima over `region` the record holds.  `spec_env` and
+    `sec_env` are the grown ball envelopes as stored (sup envelopes, then
+    negated inf envelopes), which the next scale grows in place."""
+    record: DeviationRecord
+    lattice: Lattice
+    region: np.ndarray
+    evt: np.ndarray
+    scalar: np.ndarray
+    spec_env: np.ndarray
+    sec_env: np.ndarray
 
-    `riem_excess` is the spectrum excess: the largest distance of any sorted
-    eigenvalue k_i of the pencil (R^[t], Lambda^2 g^[t]) from the interval
-    [min k_i, max k_i] of the raw metric's i-th eigenvalue over the ball of
-    radius e^Q t about the node.  `sec_excess` is the distance of the
-    mollified sectional extremes from the raw ones' interval over the ball
-    of radius t, inflated by INTERVAL_SLACK t.  The ball envelopes of the
-    raw fields are built once and grown in place by `grow_box` as the
-    radius grows with t; they are exact, since max and negation are and a
-    clipped box equals the edge-replicating filter."""
+
+def deviation_sweep(cfg: ExperimentConfig):
+    """The scales of `run_deviation`, one `DeviationScale` each.
+
+    Sampling and `check_N0` read the whole chart, since Q = N0_Q sets the
+    spectrum envelope's radius e^Q t.  Every other stage runs on one
+    centred window of the chart's lattice (`Lattice.trim`) that holds the
+    nodes the records read.  A record is a max over the probe, the
+    max-norm ball of radius r/4, and a probe node's values read nodes up to
+    a reach away: the largest over the sweep of the kernel's node radius
+    and of the spectrum envelope's box, ceil(e^Q t/h) + 1 nodes (the
+    sectional envelope's, ceil(t/h) + 1, is no wider), plus 2 for the
+    Riemann erosion.  The window is the probe widened by that reach, or the
+    whole chart where it does not fit.  On it run the raw Riemann tensor
+    and spectrum, the envelopes, and at each scale `convolve`, the gluing
+    of this one chart (`assemble_mollified`), `riemann` and `sec_spectrum`;
+    the records are the whole chart's bit for bit.  The checks inside those
+    stages (the gluing's metric check, Jacobi's convergence) read the
+    window's nodes alone.
+    """
     cfg.validate_common()
     geo = _geometry(cfg)
     scales = cfg.scales(geo.r)
@@ -319,7 +341,19 @@ def run_deviation(cfg: ExperimentConfig):
     g = samples[cid]
     Q = check_N0(g)
 
-    base_R = riemann(g)
+    kernels = [scale_kernel(geo.n, t, lat.h) for t in scales]
+    # box steps of the spectrum envelope at each scale, for the radius e^Q t
+    steps = [math.ceil(math.exp(Q) * t / lat.h) + 1 for t in scales]
+    probe = lat.ball_mask(geo.r / 4.0, norm="max")
+    half = int(np.argwhere(probe).max()) - (cfg.m - 1) // 2  # the probe's half-width
+    reach = max(max(k.radius, s) for k, s in zip(kernels, steps))
+    trim = max((cfg.m - 1) // 2 - (half + reach + 2), 0)
+    win = replace(lat, trim=trim)
+    crop = (slice(trim, cfg.m - trim),) * geo.n
+    samples = {**samples, cid: MetricField(lattice=win, comps=g.comps[crop], mask=g.mask[crop])}
+    probe = probe[crop]
+
+    base_R = riemann(samples[cid])
     ev0, _ = sec_spectrum(base_R)
     # the sup envelope of sec_max, then the negated inf envelope of sec_min
     sec_ball = np.where(base_R.mask[..., None],
@@ -327,23 +361,19 @@ def run_deviation(cfg: ExperimentConfig):
     # the sup envelope of each k_i, then the negated inf envelope of each
     spec_ball = np.where(base_R.mask[..., None], np.concatenate([ev0, -ev0], axis=-1), -np.inf)
     nev = ev0.shape[-1]  # eigenvalues per node, n(n-1)/2
-    probe = lat.ball_mask(geo.r / 4.0, norm="max")
     sec_buf, spec_buf = np.empty_like(sec_ball), np.empty_like(spec_ball)
     grown = grown_sec = 0  # box steps already applied to each envelope
 
-    records = []
-    for t in scales:
-        kernel = scale_kernel(geo.n, t, lat.h)
-        Rt = riemann(assemble_mollified(geo.atlas, samples, kernel)[cid])
+    for t, kernel, step in zip(scales, kernels, steps):
+        Rt = riemann(assemble_mollified(geo.atlas, samples, kernel, charts=(cid,))[cid])
         region = probe & Rt.mask & base_R.mask
         if not region.any():
             raise ValueError(f"chart {cid!r} keeps no valid probe node after riemann "
                              f"of the mollified metric at t={t}")
-        evt, _ = sec_spectrum(Rt)
+        evt, scalar = sec_spectrum(Rt)
 
         # spectrum excess against the ball interval of each raw eigenvalue
-        steps = math.ceil(math.exp(Q) * t / lat.h) + 1
-        while grown < steps:
+        while grown < step:
             grow_box(spec_ball, spec_buf, geo.n)
             grown += 1
         d = _interval_distance(evt, -spec_ball[..., nev:], spec_ball[..., :nev])
@@ -363,8 +393,27 @@ def run_deviation(cfg: ExperimentConfig):
         d = np.maximum(_interval_distance(lot, ilo, ihi),
                        _interval_distance(hit, ilo, ihi))
         s_exc = float(d[region].max())
-        records.append(DeviationRecord(t=t, riem_excess=r_exc, sec_excess=s_exc))
+        yield DeviationScale(record=DeviationRecord(t=t, riem_excess=r_exc, sec_excess=s_exc),
+                             lattice=win, region=region, evt=evt, scalar=scalar,
+                             spec_env=spec_ball, sec_env=sec_ball)
 
+
+def run_deviation(cfg: ExperimentConfig):
+    """Scale sweep of the one-sided curvature deviations of g^[t].
+
+    `riem_excess` is the spectrum excess: the largest distance of any sorted
+    eigenvalue k_i of the pencil (R^[t], Lambda^2 g^[t]) from the interval
+    [min k_i, max k_i] of the raw metric's i-th eigenvalue over the ball of
+    radius e^Q t about the node.  `sec_excess` is the distance of the
+    mollified sectional extremes from the raw ones' interval over the ball
+    of radius t, inflated by INTERVAL_SLACK t.  Both are maxima over the
+    probe, the max-norm ball of radius r/4.  The ball envelopes of the
+    raw fields are built once and grown in place by `grow_box` as the
+    radius grows with t; they are exact, since max and negation are and a
+    clipped box equals the edge-replicating filter.  Each scale computes
+    only the nodes its record reads, on one window of the chart
+    (`deviation_sweep`)."""
+    records = [scale.record for scale in deviation_sweep(cfg)]
     summary = fit_excess_decay([r.t for r in records], [r.sec_excess for r in records])
     return records, summary
 

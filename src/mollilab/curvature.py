@@ -213,11 +213,12 @@ def riemann(g: MetricField) -> RiemannField:
     g must be a checked metric (`lattice.check_definite`), as
     `sample_metric` and `assemble_mollified` make; it is not checked again
     here, and a singular node only raises LinAlgError from
-    `lattice.inverse_planes`, which names the node in g's grid.
+    `lattice.inverse_planes`, which names the node in g's grid (its
+    chart's, when g is on a window).
     """
     if not g.mask.any():
         raise ValueError("riemann: metric mask is empty")
-    n, m = g.lattice.n, g.lattice.m
+    n, m = g.lattice.n, g.mask.shape[0]
     trim = m
     for ax in range(n):
         hit = np.flatnonzero(g.mask.any(axis=tuple(a for a in range(n) if a != ax)))
@@ -225,7 +226,7 @@ def riemann(g: MetricField) -> RiemannField:
     trim = max(trim - 2, 0)
     crop = (slice(trim, m - trim),) * n
     comps = g.comps[crop]
-    ginv = inverse_planes(comps, n, shift=trim)
+    ginv = inverse_planes(comps, n, shift=trim + g.lattice.trim)
     pairs = n * (n - 1) // 2
     riem = np.zeros(g.mask.shape + (pairs, pairs))
     out = riem[crop].transpose((n, n + 1) + tuple(range(n)))
@@ -292,8 +293,8 @@ def sec_spectrum(R: RiemannField):
     diagonalised and its diagonal sorted by `lattice.jacobi_eigenvalues`,
     whose bits at a node depend on that node's entries alone; a node still
     unconverged after `lattice.JACOBI_SWEEPS` sweeps raises ValueError
-    naming it in R's grid.  Both fields are NaN off R.mask, where R is not
-    a curvature.
+    naming it in its chart's grid.  Both fields are NaN off R.mask, where R
+    is not a curvature.
     """
     n = R.metric.lattice.n
     if n > 3:
@@ -312,7 +313,7 @@ def sec_spectrum(R: RiemannField):
     trace = C[P[0, 0]] + C[P[1, 1]]
     trace += C[P[2, 2]]
     scalar[R.mask] = 2.0 * trace
-    ev[R.mask] = jacobi_eigenvalues(C, "sec_spectrum", R.mask)
+    ev[R.mask] = jacobi_eigenvalues(C, "sec_spectrum", R.mask, R.metric.lattice.trim)
     return ev, scalar
 
 

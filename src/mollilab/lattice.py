@@ -20,6 +20,12 @@ same bits per node: the closed-form roots in 2-d, and in 3-d the cyclic
 Jacobi method on the six component planes (`jacobi_eigenvalues`), which
 also solves the 3-d curvature pencil (`curvature.sec_spectrum`).
 
+A lattice may be a centred window of its chart's grid (`Lattice.trim`),
+for a stage that reads only the nodes near the chart's centre: the window
+keeps the chart's spacing and node coordinates bit for bit, each stage
+reads the node count from its field's shape, and every refusal names a
+node in the chart's grid, its index in the window plus the trim.
+
 Per-node kernels work on whole planes, never along a short trailing axis:
 numpy reduces over an axis of a few entries an order of magnitude slower
 than a chain of elementwise ufuncs over the same planes, with the same
@@ -164,9 +170,11 @@ def grow_box(a: np.ndarray, buf: np.ndarray, n: int) -> None:
         a[lead + (-1,)] = buf[lead + (-2,)]
 
 
-def first_node(bad: np.ndarray) -> tuple[int, ...]:
-    """Index of the first True entry of a boolean grid, in C order."""
-    return tuple(int(i) for i in np.argwhere(bad)[0])
+def first_node(bad: np.ndarray, shift: int = 0) -> tuple[int, ...]:
+    """Index of the first True entry of a boolean grid, in C order, each
+    entry plus `shift`: a window's `Lattice.trim`, so that a node of a
+    window's arrays is named in its chart's grid."""
+    return tuple(int(i) + shift for i in np.argwhere(bad)[0])
 
 
 def pack_map(n: int) -> np.ndarray:
@@ -195,11 +203,24 @@ def unpack_symmetric(comps: np.ndarray, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Lattice:
-    """Uniform grid on the cube [-r, r]^n with m nodes per axis (m odd)."""
+    """Uniform grid on the cube [-r, r]^n with m nodes per axis (m odd), or
+    the centred window of it that cuts `trim` nodes from each end of every
+    axis.
+
+    A window keeps its chart's r, m and h, and its nodes are the chart's
+    own, `axis_nodes` being a slice of the chart's: so coordinates,
+    `ball_mask` and a kernel's taps have the chart's bits at every node of
+    the window.  (A lattice Lattice(n, W h, 2 W + 1) rebuilt on the window
+    would not: its nodes and spacing differ from the chart's in the last
+    bits.)  `shape`, `coords` and `full_mask` are the window's; a stage
+    reads the node count from its field's shape, and a refusal names a node
+    as its index in the window plus `trim`, its index in the chart's grid.
+    """
 
     n: int
     r: float
     m: int
+    trim: int = 0
 
     def __post_init__(self):
         if self.n < 2:
@@ -210,6 +231,9 @@ class Lattice:
             raise ValueError(f"need at least 5 nodes per axis, got {self.m}")
         if self.m % 2 == 0:
             raise ValueError(f"points per axis must be odd, got {self.m}")
+        if self.trim < 0 or self.m - 2 * self.trim < 5:
+            raise ValueError(f"a window needs 0 <= trim and at least 5 nodes per axis, "
+                             f"got trim={self.trim} of m={self.m}")
 
     @property
     def h(self) -> float:
@@ -217,10 +241,10 @@ class Lattice:
 
     @property
     def shape(self) -> tuple[int, ...]:
-        return (self.m,) * self.n
+        return (self.m - 2 * self.trim,) * self.n
 
     def axis_nodes(self) -> np.ndarray:
-        return np.linspace(-self.r, self.r, self.m)
+        return np.linspace(-self.r, self.r, self.m)[self.trim:self.m - self.trim]
 
     def coords(self) -> np.ndarray:
         """Node coordinates, shape grid + (n,)."""
@@ -271,7 +295,9 @@ class ScalarField:
         object.__setattr__(self, "mask", _freeze(self.mask.astype(bool)))
         bad = ~np.isfinite(self.values)
         if bad.any():
-            raise ValueError(f"non-finite scalar value at node {first_node(bad)}")
+            node = first_node(bad)  # a stack's field index follows the node, as it is
+            node = tuple(i + self.lattice.trim for i in node[:n]) + node[n:]
+            raise ValueError(f"non-finite scalar value at node {node}")
 
     def sup_norm(self) -> float | np.ndarray:
         """max |f| over the mask, one value per field of a stack (a float
@@ -301,10 +327,12 @@ class MetricField:
         object.__setattr__(self, "mask", mask)
         if not np.isfinite(self.comps).all():  # one whole-array pass; the node only on failure
             bad = ~np.isfinite(self.comps).all(axis=-1)
-            raise ValueError(f"non-finite metric component at masked-valid node {first_node(bad)}")
+            raise ValueError(f"non-finite metric component at masked-valid node "
+                             f"{first_node(bad, self.lattice.trim)}")
 
 
-def jacobi_eigenvalues(C: np.ndarray, stage: str, mask: np.ndarray | None = None) -> np.ndarray:
+def jacobi_eigenvalues(C: np.ndarray, stage: str, mask: np.ndarray | None = None,
+                       shift: int = 0) -> np.ndarray:
     """Ascending eigenvalues of symmetric 3 x 3 matrices held as planes, shape
     C.shape[1:] + (3,).  C holds the six packed entries along axis 0, in
     `pack_map` order, one plane each, and is diagonalised, as flat planes
@@ -325,7 +353,8 @@ def jacobi_eigenvalues(C: np.ndarray, stage: str, mask: np.ndarray | None = None
     The planes hold the nodes of a grid: all of it, or with `mask` the
     True nodes of `mask` in C order, as `a[mask]` gathers them.  A node
     that still fails the rule after JACOBI_SWEEPS sweeps raises ValueError
-    naming `stage` and the node in that grid.
+    naming `stage` and the node in that grid, each index plus `shift` (a
+    window's `Lattice.trim`).
     """
     P = pack_map(3)
     eps = np.finfo(float).eps
@@ -347,7 +376,7 @@ def jacobi_eigenvalues(C: np.ndarray, stage: str, mask: np.ndarray | None = None
             bad = np.zeros(where.shape, dtype=bool)
             bad[where] = active
             raise ValueError(f"{stage}: Jacobi method not converged after {JACOBI_SWEEPS} "
-                             f"sweeps at node {first_node(bad)}")
+                             f"sweeps at node {first_node(bad, shift)}")
         np.multiply(active, 2.0, out=twice)
         np.subtract(1.0, active, out=keep)
         for p, q in ((0, 1), (0, 2), (1, 2)):
@@ -392,7 +421,7 @@ def jacobi_eigenvalues(C: np.ndarray, stage: str, mask: np.ndarray | None = None
     return eigs.reshape(shape + (3,))
 
 
-def packed_eigenvalues(comps: np.ndarray, n: int, stage: str) -> np.ndarray:
+def packed_eigenvalues(comps: np.ndarray, n: int, stage: str, shift: int = 0) -> np.ndarray:
     """Ascending eigenvalues of packed symmetric n x n components (trailing
     axis), shape comps.shape[:-1] + (n,); each node's are computed from its
     own components alone, so any batch of nodes gets the same bits.
@@ -400,7 +429,8 @@ def packed_eigenvalues(comps: np.ndarray, n: int, stage: str) -> np.ndarray:
     In 2-d the larger root is (a+c)/2 + hypot((a-c)/2, b) and the smaller
     one det/top, which keeps its relative accuracy when it is tiny.  In 3-d
     `jacobi_eigenvalues` runs on a copy of the six component planes, naming
-    `stage` if it refuses a node; LAPACK (`eigvalsh`) for n >= 4.
+    `stage` and the node, each index plus `shift`, if it refuses one;
+    LAPACK (`eigvalsh`) for n >= 4.
 
     Jacobi's stopping rule puts each eigenvalue within a small multiple of
     eps max|lam| of the exact one, the bound that the metric verdict
@@ -415,7 +445,7 @@ def packed_eigenvalues(comps: np.ndarray, n: int, stage: str) -> np.ndarray:
     1e-300 ... 1e300 and LAPACK itself errs.
     """
     if n == 3:
-        return jacobi_eigenvalues(np.moveaxis(comps, -1, 0).copy(), stage)
+        return jacobi_eigenvalues(np.moveaxis(comps, -1, 0).copy(), stage, shift=shift)
     if n > 3:
         return np.linalg.eigvalsh(unpack_symmetric(comps, n))
     a, b, c = np.moveaxis(comps, -1, 0)
@@ -519,7 +549,7 @@ def inverse_planes(comps: np.ndarray, n: int, shift: int = 0, det=None) -> np.nd
 
 def _raise_at(bad: np.ndarray, what: str, shift: int = 0) -> None:
     if bad.any():
-        node = tuple(i + int(shift) for i in first_node(bad))
+        node = first_node(bad, int(shift))
         raise np.linalg.LinAlgError(f"{what} at node {node}")
 
 
@@ -569,18 +599,20 @@ def certify_definite(comps: np.ndarray) -> np.ndarray:
     return ok & (power >= np.finfo(float).tiny) & (power < np.inf) & (power <= bound)
 
 
-def check_eigenvalues(eigs: np.ndarray, stage: str) -> None:
-    """Refuse, naming `stage` and the first bad node, unless each node's ascending
-    eigenvalues `eigs` (grid + (n,)) have lam_min > 0 and cond <= COND_LIMIT."""
+def check_eigenvalues(eigs: np.ndarray, stage: str, shift: int = 0) -> None:
+    """Refuse, naming `stage` and the first bad node (each index plus `shift`),
+    unless each node's ascending eigenvalues `eigs` (grid + (n,)) have
+    lam_min > 0 and cond <= COND_LIMIT."""
     bad = ~(eigs[..., 0] > 0.0)
     if bad.any():
-        raise ValueError(f"{stage}: metric not positive-definite at node {first_node(bad)}")
+        raise ValueError(f"{stage}: metric not positive-definite at node "
+                         f"{first_node(bad, shift)}")
     cond = eigs[..., -1] / eigs[..., 0]
     ill = ~(cond <= COND_LIMIT)
     if ill.any():
         node = first_node(ill)
         raise ValueError(f"{stage}: metric condition number {cond[node]:.3g} exceeds "
-                         f"1e12 at node {node}")
+                         f"1e12 at node {first_node(ill, shift)}")
 
 
 def check_definite(g: MetricField, stage: str) -> None:
@@ -588,9 +620,10 @@ def check_definite(g: MetricField, stage: str) -> None:
     most COND_LIMIT (nodes off the mask hold the identity).  For n <= 3
     `certify_definite` decides the nodes in closed form; only when it leaves
     some node undecided, and for n >= 4, the eigenvalues decide
-    (`check_eigenvalues`)."""
-    if g.lattice.n > 3 or not certify_definite(g.comps).all():
-        check_eigenvalues(packed_eigenvalues(g.comps, g.lattice.n, stage), stage)
+    (`check_eigenvalues`).  A refused node is named in the chart's grid."""
+    lat = g.lattice
+    if lat.n > 3 or not certify_definite(g.comps).all():
+        check_eigenvalues(packed_eigenvalues(g.comps, lat.n, stage, lat.trim), stage, lat.trim)
 
 
 def sample_metric(fn, lattice: Lattice) -> MetricField:
@@ -679,10 +712,11 @@ class JetField:
 
 def differentiate(f: Field, order: int) -> JetField:
     lat = f.lattice
+    m = f.mask.shape[0]  # a window's nodes per axis
     if order < 0:
         raise ValueError("order must be non-negative")
-    if lat.m < 2 * order + 1:
-        raise ValueError(f"order {order} too high for lattice with m={lat.m}")
+    if m < 2 * order + 1:
+        raise ValueError(f"order {order} too high for lattice with m={m}")
     # the stencils act on grid axes only, so a metric's component axis rides along
     values = f.values if isinstance(f, ScalarField) else f.comps
     raw = _jet_blocks(values, lat.n, lat.h, order)

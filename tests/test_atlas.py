@@ -9,9 +9,10 @@ import pytest
 from mollilab.atlas import (Atlas, BumpProfile, Chart, Transition, _lagrange_cubic, _valid_box,
                             check_cover, interpolate_metric, pullback_metric)
 from mollilab.atlas import assemble_mollified
+import mollilab.atlas as atlas_module
 from mollilab.kernels import convolve, scale_kernel
-from mollilab.lattice import (MetricField, make_lattice, pack_symmetric, sample_metric,
-                              unpack_symmetric)
+from mollilab.lattice import (Lattice, MetricField, erode_mask, make_lattice, pack_symmetric,
+                              sample_metric, unpack_symmetric)
 from mollilab.modelzoo import get_geometry, parse_atlas_file
 from atlas_parts import full_matrix_pullback
 from packing import packed
@@ -279,6 +280,43 @@ class TestAssembly:
         assert devs[2] < devs[0]
         slope = np.polyfit(np.log(ts), np.log(devs), 1)[0]
         assert slope >= 1.0  # smooth data mollifies at least first order in t
+
+    @pytest.mark.parametrize("name,m,t,trim", [("sphere2", 81, 0.2, 12), ("flat2", 41, 0.1, 6),
+                                               ("sphere3", 21, 0.3, 2)])
+    def test_one_chart_on_a_window(self, name, m, t, trim, monkeypatch):
+        # the whole atlas convolves each chart once; one chart glued on a
+        # window convolves its window and the charts active on it, whole,
+        # and keeps the whole gluing's bits wherever its mask holds.  Its
+        # own term is invalid within the kernel's radius of the window's
+        # edge, where it glues only the nodes that term has no weight on
+        geo = get_geometry(name)
+        samples = geo.sample_all(m)
+        kernel = scale_kernel(geo.n, t, geo.chart_lattice(m).h)
+        calls = []
+
+        def counted(k, f):
+            calls.append(f.lattice)
+            return convolve(k, f)
+
+        monkeypatch.setattr(atlas_module, "convolve", counted)
+        whole = assemble_mollified(geo.atlas, samples, kernel)
+        assert len(calls) == len(samples) == len(whole)
+        cid = geo.atlas.charts[0].id
+        g = samples[cid]
+        win = Lattice(n=geo.n, r=g.lattice.r, m=m, trim=trim)
+        crop = (slice(trim, m - trim),) * geo.n
+        calls.clear()
+        windowed = {**samples, cid: MetricField(lattice=win, comps=g.comps[crop],
+                                                mask=g.mask[crop])}
+        gt, = assemble_mollified(geo.atlas, windowed, kernel, charts=(cid,)).values()
+        assert calls[0] == win and all(lat.trim == 0 for lat in calls[1:])
+        assert len(calls) == len(samples)  # the other chart is active on the window
+        ref = whole[cid]
+        assert gt.lattice == win and gt.mask.any()
+        inner = erode_mask(win.full_mask(), kernel.radius)
+        assert not (gt.mask & ~ref.mask[crop]).any()
+        assert np.array_equal(gt.mask & inner, ref.mask[crop] & inner)
+        assert np.array_equal(gt.comps[gt.mask], ref.comps[crop][gt.mask])
 
     def test_scale_out_of_range_rejected(self):
         geo = get_geometry("flat2-single")

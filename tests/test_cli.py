@@ -24,6 +24,7 @@ from mollilab.curvature import riemann, sec_extreme_fields, sec_spectrum
 from mollilab.kernels import scale_kernel
 from mollilab.modelzoo import get_geometry
 from mollilab.norms import check_N0
+from deviation_parts import whole_chart_sweep
 from lemma_parts import pairwise_lemmas
 
 from mollilab.cli import (EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, EXIT_VIOLATION,
@@ -349,6 +350,45 @@ class TestDeviationCommand:
         # nonzero excesses: the clamp at 0 does not hide the spectrum envelopes;
         # at m=21 a ball one step short moves riem_excess
         assert all(r.riem_excess > 0.005 for r in records[:3])
+
+    # (settings, the window's trim): dev2 at both signs of its amplitude, the
+    # README's config example (two charts), a cropped 3-d chart, the
+    # two-chart flat atlas, and sphere3, where the envelope's ball e^Q t
+    # covers the whole chart
+    WINDOWED = [
+        (dict(geometry="pflat2", amp=0.3, alpha=0.6, m=161, t_min=0.015625, t_max=0.125,
+              t_count=8), 46),
+        (dict(geometry="pflat2", amp=-0.3, alpha=0.6, m=161, t_min=0.015625, t_max=0.125,
+              t_count=8), 46),
+        (dict(geometry="sphere2", m=81, t_min=0.06, t_max=0.25, t_count=8), 4),
+        (dict(geometry="pflat3", m=25, t_min=0.1, t_max=0.3, t_count=5), 2),
+        (dict(geometry="flat2", m=81, t_min=0.1, t_max=0.2, t_count=5), 19),
+        (dict(geometry="sphere3", m=25, t_min=0.3, t_max=0.9, t_count=5), 0),
+    ]
+
+    @pytest.mark.parametrize("settings,trim", WINDOWED,
+                             ids=["dev2", "dev2-neg", "sphere2", "pflat3", "flat2", "sphere3"])
+    def test_window_sweep_equals_the_whole_chart(self, settings, trim):
+        # the records, and at every scale the arrays they are maxima of, on
+        # the probe region: a record clamped to 0 (all of dev2's) would hide
+        # a moved eigenvalue or envelope
+        cfg = ExperimentConfig(**settings)
+        count = 0
+        for win, whole in zip(cli.deviation_sweep(cfg), whole_chart_sweep(cfg), strict=True):
+            assert win.record == whole.record
+            assert win.lattice.trim == trim
+            crop = (slice(trim, cfg.m - trim),) * win.lattice.n
+            assert np.array_equal(win.lattice.coords(), whole.lattice.coords()[crop])
+            outside = whole.region.copy()
+            outside[crop] = False
+            assert not outside.any()
+            region = win.region
+            assert region.any() and np.array_equal(region, whole.region[crop])
+            for a, b in ((win.evt, whole.evt), (win.scalar, whole.scalar),
+                         (win.spec_env, whole.spec_env), (win.sec_env, whole.sec_env)):
+                assert np.array_equal(a[region], b[crop][region])
+            count += 1
+        assert count == cfg.t_count
 
     def test_each_metric_inverted_once(self, tmp_path, monkeypatch):
         # the Riemann builder inverts the raw metric and each scale's

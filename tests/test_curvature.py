@@ -14,7 +14,7 @@ import mollilab.lattice as lattice
 from mollilab.curvature import (RiemannField, _slab_index, riemann, sec_extreme_fields,
                                 sec_spectrum)
 from mollilab.kernels import scale_kernel
-from mollilab.lattice import (MetricField, _jet_blocks, erode_mask, inverse_planes,
+from mollilab.lattice import (Lattice, MetricField, _jet_blocks, erode_mask, inverse_planes,
                               make_lattice, pack_map, pack_symmetric, sample_metric,
                               unpack_symmetric)
 from mollilab.modelzoo import get_geometry
@@ -118,7 +118,7 @@ def _builder_trim(g) -> int:
         mp.setattr(curvature, "_slab_planes", spy)
         riemann(g)
     assert len(set(sizes)) == 1
-    return (g.lattice.m - sizes[0]) // 2
+    return (g.mask.shape[0] - sizes[0]) // 2
 
 
 def _sec_range(R, region):
@@ -375,19 +375,23 @@ class TestStreamedBuilder:
     def test_metric_checks_name_the_node_in_the_chart_grid(self):
         # the mask is the max-norm 0.4 ball, so the builder crops 4 nodes
         # from every side; a singular node of a hand-built field, which no
-        # checked stage would let through, is still named in g's own grid
-        lat = make_lattice(3, 1.0, 21)
-        comps = np.broadcast_to(pack_symmetric(np.eye(3)), lat.shape + (6,)).copy()
-        mask = lat.ball_mask(0.4, norm="max")
-        # the crop depends on the mask alone
-        assert _builder_trim(MetricField(lattice=lat, comps=comps, mask=mask)) == 4
-        for diag, what in (([0.0, 1.0, 1.0], "metric has g_00 = 0"),
-                           ([1.0, 0.0, 1.0], "singular metric")):
-            comps[12, 10, 9] = pack_symmetric(np.diag(diag))
-            g = MetricField(lattice=lat, comps=comps, mask=mask)
-            with pytest.raises(np.linalg.LinAlgError,
-                               match=rf"^{what} at node \(12, 10, 9\)$"):
-                riemann(g)
+        # checked stage would let through, is still named in g's own grid,
+        # and on a window of a chart (the same 21^3 nodes, 2 cut from each
+        # end of a 25-node axis) in the chart's grid
+        mask = make_lattice(3, 1.0, 21).ball_mask(0.4, norm="max")
+        for trim in (0, 2):
+            lat = Lattice(n=3, r=1.0 + 0.1 * trim, m=21 + 2 * trim, trim=trim)
+            comps = np.broadcast_to(pack_symmetric(np.eye(3)), lat.shape + (6,)).copy()
+            # the crop depends on the mask alone
+            assert _builder_trim(MetricField(lattice=lat, comps=comps, mask=mask)) == 4
+            where = ", ".join(str(i + trim) for i in (12, 10, 9))
+            for diag, what in (([0.0, 1.0, 1.0], "metric has g_00 = 0"),
+                               ([1.0, 0.0, 1.0], "singular metric")):
+                comps[12, 10, 9] = pack_symmetric(np.diag(diag))
+                g = MetricField(lattice=lat, comps=comps, mask=mask)
+                with pytest.raises(np.linalg.LinAlgError,
+                                   match=rf"^{what} at node \({where}\)$"):
+                    riemann(g)
 
     # (geometry, m, t / r, the builder's trim on each mollified chart)
     CROPPED = [("hyperbolic2", 41, 0.1, [6]), ("hyperbolic3", 13, 0.3, [1]),
@@ -848,6 +852,29 @@ class TestJacobiPencil:
             sec_spectrum(R)
         node = tuple(int(i) for i in info.value.args[0].rsplit("(", 1)[1].rstrip(")").split(","))
         assert R.mask[node]
+
+    def test_sweep_cap_names_the_chart_node_on_a_window(self, monkeypatch):
+        # on a window the refused node is the one the whole chart's R names
+        # when its mask is cut to the window's nodes
+        geo = get_geometry("sphere3")
+        g = geo.sample_all(17)["north"]
+        trim = 3
+        win = Lattice(n=3, r=g.lattice.r, m=17, trim=trim)
+        crop = (slice(trim, 17 - trim),) * 3
+        R = riemann(MetricField(lattice=win, comps=g.comps[crop], mask=g.mask[crop]))
+        whole = riemann(g)
+        cut = np.zeros_like(whole.mask)
+        cut[crop] = R.mask
+        monkeypatch.setattr(lattice, "JACOBI_SWEEPS", 1)
+        texts = []
+        for field in (R, RiemannField(metric=g, riem=whole.riem, mask=cut)):
+            with pytest.raises(ValueError, match=r"^sec_spectrum: Jacobi method not converged "
+                                                 r"after 1 sweeps at node \(") as info:
+                sec_spectrum(field)
+            texts.append(info.value.args[0])
+        assert texts[0] == texts[1]
+        node = tuple(int(i) for i in texts[0].rsplit("(", 1)[1].rstrip(")").split(","))
+        assert min(node) >= trim + 2
 
 
 class TestLowerInverse:

@@ -14,7 +14,7 @@ from mollilab import lattice, norms
 from mollilab.lattice import (COND_LIMIT, MetricField, ScalarField, _jet_blocks,
                               central_diff, central_diff2, certify_definite, check_definite,
                               check_eigenvalues, differentiate, erode_mask, fold, grow_box,
-                              inverse_planes, ldl_pivots, make_lattice, pack_map,
+                              inverse_planes, Lattice, ldl_pivots, make_lattice, pack_map,
                               pack_symmetric, packed_det, packed_eigenvalues, sample_metric,
                               sample_scalar, unpack_symmetric)
 from mollilab.modelzoo import get_geometry
@@ -284,6 +284,79 @@ class TestCheckDefiniteTexts:
         assert check_N0(g) == pytest.approx(0.5 * np.log(1.0 / 1.01e-12))
 
 
+class TestWindow:
+    """A window cuts `trim` nodes from each end of every axis and keeps its
+    chart's nodes bit for bit; a refusal on it names the node in the chart's
+    grid, its window index plus `trim`."""
+
+    @pytest.mark.parametrize("n,m,trim", [(2, 161, 46), (2, 81, 19), (3, 25, 2), (3, 9, 2)])
+    def test_keeps_the_chart_nodes(self, n, m, trim):
+        chart, win = make_lattice(n, 1.0, m), Lattice(n=n, r=1.0, m=m, trim=trim)
+        crop = (slice(trim, m - trim),) * n
+        assert (win.h, win.r, win.m) == (chart.h, chart.r, chart.m)
+        assert win.shape == (m - 2 * trim,) * n == win.full_mask().shape
+        assert np.array_equal(win.coords(), chart.coords()[crop])
+        for norm in ("euclid", "max"):
+            assert np.array_equal(win.ball_mask(0.4, norm), chart.ball_mask(0.4, norm)[crop])
+
+    @pytest.mark.parametrize("trim", [-1, 9, 10])
+    def test_refuses_a_negative_trim_or_fewer_than_5_nodes(self, trim):
+        with pytest.raises(ValueError, match=rf"^a window needs 0 <= trim and at least 5 nodes "
+                                             rf"per axis, got trim={trim} of m=21$"):
+            Lattice(n=2, r=1.0, m=21, trim=trim)
+        assert Lattice(n=2, r=1.0, m=21, trim=8).shape == (5, 5)
+
+    def test_field_refusals_name_the_chart_node(self):
+        win = Lattice(n=2, r=1.0, m=21, trim=3)
+        comps = np.broadcast_to([1.0, 0.0, 1.0], win.shape + (3,)).copy()
+        comps[4, 7, 1] = np.nan
+        with pytest.raises(ValueError, match=r"^non-finite metric component at masked-valid "
+                                             r"node \(7, 10\)$"):
+            MetricField(lattice=win, comps=comps, mask=win.full_mask())
+        # a stack's field index follows the node as it is
+        values = np.zeros(win.shape + (4,))
+        values[2, 5, 3] = np.inf
+        with pytest.raises(ValueError, match=r"^non-finite scalar value at node \(5, 8, 3\)$"):
+            ScalarField(lattice=win, values=values, mask=win.full_mask())
+        with pytest.raises(ValueError, match=r"^non-finite scalar value at node \(5, 8\)$"):
+            ScalarField(lattice=win, values=values[..., 3], mask=win.full_mask())
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_metric_check_names_the_chart_node(self, n):
+        trim = 2
+        win = Lattice(n=n, r=1.0, m=9, trim=trim)
+        node = (1, 2) + (3,) * (n - 2)
+        where = ", ".join(str(i + trim) for i in node)
+        for bad, text in ((np.diag([1.0] * (n - 1) + [-1e-3]), "metric not positive-definite"),
+                          (np.diag([2.0] + [1.0] * (n - 2) + [1.5e-13]),
+                           r"metric condition number 1\.33e\+13 exceeds 1e12")):
+            mats = np.broadcast_to(np.eye(n), win.shape + (n, n)).copy()
+            mats[node] = bad
+            g = MetricField(lattice=win, comps=pack_symmetric(mats), mask=win.full_mask())
+            with pytest.raises(ValueError, match=rf"^stage: {text} at node \({where}\)$"):
+                check_definite(g, "stage")
+
+    def test_unconverged_metric_names_the_chart_node(self, monkeypatch):
+        # no sweep is allowed, so the first node with an off-diagonal entry,
+        # the window's first, is refused
+        win = Lattice(n=3, r=1.0, m=9, trim=2)
+        chart = make_lattice(3, 1.0, 5)
+        comps = pack_symmetric(_spd_field(chart, 1e11, seed=4))
+        g = MetricField(lattice=win, comps=comps, mask=win.full_mask())
+        assert not certify_definite(g.comps).all()
+        monkeypatch.setattr(lattice, "JACOBI_SWEEPS", 0)
+        with pytest.raises(ValueError, match=r"^stage: Jacobi method not converged after 0 "
+                                             r"sweeps at node \(2, 2, 2\)$"):
+            check_definite(g, "stage")
+
+    def test_differentiate_reads_the_window_node_count(self):
+        win = Lattice(n=2, r=1.0, m=41, trim=17)
+        f = ScalarField(lattice=win, values=np.zeros(win.shape), mask=win.full_mask())
+        assert differentiate(f, 3).mask.shape == (7, 7)
+        with pytest.raises(ValueError, match=r"^order 4 too high for lattice with m=7$"):
+            differentiate(f, 4)
+
+
 def _adversarial(n, count, seed):
     """At least `count` symmetric n x n matrices, in eight equal groups, built
     to trip a definiteness certificate: condition number 1 ... 1e30 at
@@ -393,9 +466,9 @@ class TestDefiniteCertificate:
         calls = []
         eigenvalues = lattice.packed_eigenvalues
 
-        def counted(comps, n, stage):
+        def counted(comps, n, stage, shift=0):
             calls.append(n)
-            return eigenvalues(comps, n, stage)
+            return eigenvalues(comps, n, stage, shift)
 
         monkeypatch.setattr(lattice, "packed_eigenvalues", counted)
         for n in (2, 3):
